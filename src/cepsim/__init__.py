@@ -8,10 +8,7 @@ from .core import (
     CostModelError,
     Event,
     LatencySample,
-    SimClock,
     WindowDescriptor,
-    compare_events,
-    event_sort_key,
 )
 from .latency_model import (
     LatencyPrediction,
@@ -30,8 +27,6 @@ from .runtime import (
     FeedbackReport,
     InstanceState,
     RunMetrics,
-    measure_feedback_delay,
-    merge,
     run,
     simulate,
 )

@@ -17,9 +17,11 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import abc
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from types import UnionType
+from typing import Any, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -33,18 +35,12 @@ from .latency_model import (
 from .runtime import RunMetrics, run
 from .scheduler import SchedulerConfig
 from .splitter import StreamStats
-from .workload import (
-    BurstIat,
-    ConstantIat,
-    CostModel,
-    ExponentialIat,
-    IatProfile,
-    ScopeProfile,
-    SinusoidalExponentialIat,
-    WorkloadConfig,
-)
+from .workload import WorkloadConfig
 
 SUMMARY_HEADER = ["run_id", "scheduler", "param", "max_lo", "p99_lo", "transmissions", "violations"]
+
+
+SIM = {"section": "sim"}  # ExperimentConfig fields read from the YAML ``sim`` mapping
 
 
 @dataclass
@@ -57,13 +53,14 @@ class SweepSpec:
 class ExperimentConfig:
     workload: WorkloadConfig
     scheduler: SchedulerConfig
-    model: ModelParams
-    mtime_ms: float = 60_000.0
-    feedback_interval_ms: float | None = None  # default mtime/10
-    transfer_delay_ms: float = 0.0
-    feedback_delivery_delay_ms: float = 0.0
-    warmup_ms: float = 0.0
-    lb_eval_ms: float | None = None  # bound used for violation accounting
+    model: ModelParams = field(default_factory=ModelParams)
+    mtime_ms: float = field(default=60_000.0, metadata=SIM)
+    feedback_interval_ms: float | None = field(default=None, metadata=SIM)  # default mtime/10
+    transfer_delay_ms: float = field(default=0.0, metadata=SIM)
+    feedback_delivery_delay_ms: float = field(default=0.0, metadata=SIM)
+    warmup_ms: float = field(default=0.0, metadata=SIM)
+    # bound used for violation accounting; default scheduler.lb_ms
+    lb_eval_ms: float | None = field(default=None, metadata={**SIM, "inf": ()})
     run_id: str = "run"
     seed: int = 0
     out_dir: str = "results"
@@ -75,201 +72,132 @@ class ExperimentConfig:
             return self.lb_eval_ms
         return self.scheduler.lb_ms
 
+    def validate(self) -> None:
+        """Reject any experiment that could not run to completion."""
+        self.workload.validate()
+        self.model.validate()
+        self.scheduler.validate()
+        wl = self.workload
+        if wl.scenario != "traffic" and wl.opener is None:
+            raise ConfigurationError(
+                f"workload.opener is required for the {wl.scenario} scenario: without it no window opens"
+            )
+        missing = sorted(wl.emitted_etypes() - set(wl.cost.base_ms))
+        if missing:
+            raise ConfigurationError(f"workload.cost.base_ms has no cost for emitted event type(s) {missing}")
+        # timestamps are integer ms: a shorter boundary interval only multiplies work
+        if self.mtime_ms < 1:
+            raise ConfigurationError(f"sim.mtime_ms must be >= 1, got {self.mtime_ms}")
+        if self.feedback_interval_ms is not None and self.feedback_interval_ms < 1:
+            raise ConfigurationError(f"sim.feedback_interval_ms must be >= 1, got {self.feedback_interval_ms}")
+        for name in ("transfer_delay_ms", "feedback_delivery_delay_ms", "warmup_ms"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"sim.{name} must be >= 0, got {getattr(self, name)}")
+        for i, spec in enumerate(self.sweep):
+            if not spec.values:
+                raise ConfigurationError(f"sweep[{i}].values must be a non-empty list")
+
 
 # ---------------------------------------------------------------------------
-# Config building
+# Config building: the config dataclasses are the schema. Their fields give
+# the YAML keys, types and defaults, their validate() methods the bounds.
+
+
+def _join(path: str, key: Any) -> str:
+    return f"{path}.{key}" if path else str(key)
 
 
 def _check_keys(d: Mapping, allowed: set[str], path: str) -> None:
     unknown = set(d) - allowed
     if unknown:
-        raise ConfigurationError(f"{path}: unknown key(s) {sorted(unknown)}")
+        raise ConfigurationError(f"{path or 'config'}: unknown key(s) {sorted(unknown, key=str)}")
 
 
-def _num(d: Mapping, key: str, path: str, default=None, required=False) -> Any:
-    if key not in d:
-        if required:
-            raise ConfigurationError(f"{path}.{key} is required")
-        return default
-    v = d[key]
+def _number(v: Any, path: str, meta: Mapping = {}) -> int | float:
+    inf_words = meta.get("inf")
+    if inf_words and isinstance(v, str) and v in inf_words:
+        return math.inf
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigurationError(f"{path}.{key} must be a number, got {v!r}")
-    return v
+        raise ConfigurationError(f"{path} must be a number, got {v!r}")
+    if isinstance(v, float) and not math.isfinite(v) and inf_words is None:
+        raise ConfigurationError(f"{path} must be finite, got {v}")
+    return v  # ints stay ints: they print differently in the CSVs
 
 
-def _build_iat(d: Any, path: str) -> IatProfile:
+def _kwargs(cls: type, d: Any, path: str, section: str | None = None) -> dict[str, Any]:
+    """Constructor arguments for ``cls`` read from the YAML mapping ``d``.
+
+    Fields whose metadata names a section are read from that sub-mapping of
+    ``d``; inherited fields are left to the caller.
+    """
     if not isinstance(d, Mapping):
-        raise ConfigurationError(f"{path} must be a mapping with a 'kind' key")
-    kind = d.get("kind")
-    if kind == "constant":
-        _check_keys(d, {"kind", "mu_ms"}, path)
-        return ConstantIat(_num(d, "mu_ms", path, required=True))
-    if kind == "exponential":
-        _check_keys(d, {"kind", "mu_ms"}, path)
-        return ExponentialIat(_num(d, "mu_ms", path, required=True))
-    if kind == "sinusoidal_exponential":
-        _check_keys(d, {"kind", "mu_min_ms", "mu_max_ms", "period_ms"}, path)
-        return SinusoidalExponentialIat(
-            _num(d, "mu_min_ms", path, required=True),
-            _num(d, "mu_max_ms", path, required=True),
-            _num(d, "period_ms", path, required=True),
-        )
-    if kind == "burst":
-        _check_keys(d, {"kind", "burst_size", "intra_gap_ms", "inter_gap_ms"}, path)
-        return BurstIat(
-            int(_num(d, "burst_size", path, required=True)),
-            _num(d, "intra_gap_ms", path, required=True),
-            _num(d, "inter_gap_ms", path, required=True),
-        )
-    raise ConfigurationError(
-        f"{path}.kind must be constant|exponential|sinusoidal_exponential|burst, got {kind!r}"
-    )
+        raise ConfigurationError(f"{path or 'config'} must be a mapping")
+    hints = get_type_hints(cls)
+    own = [f for f in fields(cls) if f.metadata.get("section") == section and "inherited" not in f.metadata]
+    sections = {f.metadata["section"] for f in fields(cls) if "section" in f.metadata} if section is None else set()
+    _check_keys(d, {f.name for f in own} | sections, path)
+    out: dict[str, Any] = {}
+    for name in sections:
+        out.update(_kwargs(cls, d.get(name) or {}, _join(path, name), name))
+    for f in own:
+        tp, v = hints[f.name], d.get(f.name)
+        has_default = f.default is not MISSING or f.default_factory is not MISSING
+        # an empty or null sub-mapping or list falls back to the default
+        if f.name not in d or (has_default and not v and (is_dataclass(tp) or get_origin(tp) is list)):
+            if not has_default:
+                raise ConfigurationError(f"{_join(path, f.name)} is required")
+            continue
+        out[f.name] = _value(tp, v, _join(path, f.name), f.metadata)
+    return out
 
 
-def _build_cost(d: Any, path: str) -> CostModel:
-    if not isinstance(d, Mapping):
-        raise ConfigurationError(f"{path} must be a mapping")
-    _check_keys(d, {"kind", "base_ms", "incr_ms", "build_etype", "probe_etype"}, path)
-    base = d.get("base_ms")
-    if not isinstance(base, Mapping) or not base:
-        raise ConfigurationError(f"{path}.base_ms must be a non-empty mapping of etype to ms")
-    return CostModel(
-        kind=d.get("kind", "flat_per_type"),
-        base_ms={str(k): float(v) for k, v in base.items()},
-        incr_ms=_num(d, "incr_ms", path, default=0.0),
-        build_etype=str(d.get("build_etype", "L1")),
-        probe_etype=str(d.get("probe_etype", "L2")),
-    )
-
-
-def _build_workload(d: Any, seed: int, path: str = "workload") -> WorkloadConfig:
-    if not isinstance(d, Mapping):
-        raise ConfigurationError(f"{path} section is required")
-    _check_keys(
-        d,
-        {"scenario", "duration_ms", "iat", "scope", "opener", "opener_etype", "type_mix", "cost", "cost_jitter_sigma"},
-        path,
-    )
-    scope_d = d.get("scope", {})
-    if not isinstance(scope_d, Mapping):
-        raise ConfigurationError(f"{path}.scope must be a mapping")
-    _check_keys(scope_d, {"ws_min_ms", "ws_max_ms", "ws_ms"}, f"{path}.scope")
-    scope = ScopeProfile(
-        ws_min_ms=_num(scope_d, "ws_min_ms", f"{path}.scope"),
-        ws_max_ms=_num(scope_d, "ws_max_ms", f"{path}.scope"),
-        ws_ms=_num(scope_d, "ws_ms", f"{path}.scope"),
-    )
-    type_mix = d.get("type_mix")
-    if type_mix is not None:
-        if not isinstance(type_mix, Mapping):
-            raise ConfigurationError(f"{path}.type_mix must be a mapping of etype to probability")
-        type_mix = {str(k): float(v) for k, v in type_mix.items()}
-    scenario = d.get("scenario")
-    if "cost" not in d:
-        raise ConfigurationError(f"{path}.cost is required")
-    cfg = WorkloadConfig(
-        scenario=str(scenario),
-        seed=seed,
-        duration_ms=_num(d, "duration_ms", path, default=60_000.0),
-        iat=_build_iat(d.get("iat", {"kind": "constant", "mu_ms": 1000.0}), f"{path}.iat"),
-        scope=scope,
-        opener=_build_iat(d["opener"], f"{path}.opener") if d.get("opener") is not None else None,
-        opener_etype=str(d.get("opener_etype", "query")),
-        type_mix=type_mix,
-        cost=_build_cost(d["cost"], f"{path}.cost"),
-        cost_jitter_sigma=_num(d, "cost_jitter_sigma", path, default=0.0),
-    )
-    cfg.validate()
-    return cfg
-
-
-def _build_model(d: Any, path: str = "model") -> ModelParams:
-    d = d or {}
-    if not isinstance(d, Mapping):
-        raise ConfigurationError(f"{path} must be a mapping")
-    _check_keys(
-        d,
-        {"n_iat_bins", "n_lat_bins", "delta_iat", "delta_lp", "alpha_mode", "alpha_fixed", "iat_floor_ms"},
-        path,
-    )
-    params = ModelParams(
-        n_iat_bins=int(_num(d, "n_iat_bins", path, default=8)),
-        n_lat_bins=int(_num(d, "n_lat_bins", path, default=4)),
-        delta_iat=_num(d, "delta_iat", path, default=0.0),
-        delta_lp=_num(d, "delta_lp", path, default=0.0),
-        alpha_mode=str(d.get("alpha_mode", "tcount")),
-        alpha_fixed=_num(d, "alpha_fixed", path, default=0.0),
-        iat_floor_ms=_num(d, "iat_floor_ms", path, default=0.01),
-    )
-    params.validate()
-    return params
-
-
-def _build_scheduler(d: Any, model: ModelParams, path: str = "scheduler") -> SchedulerConfig:
-    if not isinstance(d, Mapping):
-        raise ConfigurationError(f"{path} section is required")
-    _check_keys(d, {"kind", "n_instances", "th_ms", "lb_ms"}, path)
-    lb = d.get("lb_ms")
-    if isinstance(lb, str) and lb in ("inf", ".inf", "infinity"):
-        lb = float("inf")
-    elif lb is not None:
-        lb = _num(d, "lb_ms", path)
-    cfg = SchedulerConfig(
-        kind=str(d.get("kind", "round_robin")),
-        n_instances=int(_num(d, "n_instances", path, default=1)),
-        th_ms=_num(d, "th_ms", path),
-        lb_ms=lb,
-        model=model,
-    )
-    cfg.validate()
-    return cfg
+def _value(tp: Any, v: Any, path: str, meta: Mapping = {}) -> Any:
+    """Convert the YAML value ``v`` to the field type ``tp``."""
+    if get_origin(tp) in (Union, UnionType):
+        options = [a for a in get_args(tp) if a is not type(None)]
+        if v is None and len(options) < len(get_args(tp)):
+            return None
+        if len(options) == 1:
+            return _value(options[0], v, path, meta)
+        # a union of dataclasses, told apart by their ``kind`` class attribute
+        kinds = {c.kind: c for c in options}
+        if not isinstance(v, Mapping):
+            raise ConfigurationError(f"{path} must be a mapping with a 'kind' key")
+        kind = v.get("kind")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigurationError(f"{path}.kind must be {'|'.join(kinds)}, got {kind!r}")
+        return _value(kinds[kind], {k: x for k, x in v.items() if k != "kind"}, path)
+    if is_dataclass(tp):
+        return tp(**_kwargs(tp, v, path))
+    if tp is Any:
+        return v
+    if tp is str:
+        return str(v)
+    if tp is float:
+        return _number(v, path, meta)
+    if tp is int:
+        n = _number(v, path)
+        if isinstance(n, float) and not n.is_integer():
+            raise ConfigurationError(f"{path} must be an integer, got {v!r}")
+        return int(n)
+    if get_origin(tp) is list:
+        if isinstance(v, str) or not isinstance(v, Sequence):
+            raise ConfigurationError(f"{path} must be a list")
+        return [_value(get_args(tp)[0], x, f"{path}[{i}]") for i, x in enumerate(v)]
+    if get_origin(tp) is abc.Mapping:
+        if not isinstance(v, Mapping):
+            raise ConfigurationError(f"{path} must be a mapping")
+        # mapping values (costs, probabilities) are stored as floats, ints included
+        return {str(k): float(_value(get_args(tp)[1], x, f"{path}[{k}]")) for k, x in v.items()}
+    raise TypeError(f"no YAML conversion for config field type {tp!r}")
 
 
 def build_experiment(raw: Any) -> ExperimentConfig:
     """Turn a parsed YAML mapping into a validated ExperimentConfig."""
-    if not isinstance(raw, Mapping):
-        raise ConfigurationError("config root must be a mapping")
-    _check_keys(raw, {"run_id", "seed", "out_dir", "workload", "scheduler", "model", "sim", "sweep"}, "config")
-    seed = int(_num(raw, "seed", "config", default=0))
-    model = _build_model(raw.get("model"))
-    sim = raw.get("sim") or {}
-    if not isinstance(sim, Mapping):
-        raise ConfigurationError("sim must be a mapping")
-    _check_keys(
-        sim,
-        {"mtime_ms", "feedback_interval_ms", "transfer_delay_ms", "feedback_delivery_delay_ms", "warmup_ms", "lb_eval_ms"},
-        "sim",
-    )
-    sweep_raw = raw.get("sweep") or []
-    if not isinstance(sweep_raw, Sequence) or isinstance(sweep_raw, str):
-        raise ConfigurationError("sweep must be a list of {field, values} entries")
-    sweep = []
-    for i, entry in enumerate(sweep_raw):
-        if not isinstance(entry, Mapping) or "field" not in entry or "values" not in entry:
-            raise ConfigurationError(f"sweep[{i}] must have 'field' and 'values'")
-        values = entry["values"]
-        if not isinstance(values, Sequence) or isinstance(values, str) or not values:
-            raise ConfigurationError(f"sweep[{i}].values must be a non-empty list")
-        sweep.append(SweepSpec(str(entry["field"]), list(values)))
-    mtime = _num(sim, "mtime_ms", "sim", default=60_000.0)
-    if mtime <= 0:
-        raise ConfigurationError(f"sim.mtime_ms must be > 0, got {mtime}")
-    cfg = ExperimentConfig(
-        workload=_build_workload(raw.get("workload"), seed),
-        scheduler=_build_scheduler(raw.get("scheduler"), model),
-        model=model,
-        mtime_ms=mtime,
-        feedback_interval_ms=_num(sim, "feedback_interval_ms", "sim"),
-        transfer_delay_ms=_num(sim, "transfer_delay_ms", "sim", default=0.0),
-        feedback_delivery_delay_ms=_num(sim, "feedback_delivery_delay_ms", "sim", default=0.0),
-        warmup_ms=_num(sim, "warmup_ms", "sim", default=0.0),
-        lb_eval_ms=_num(sim, "lb_eval_ms", "sim"),
-        run_id=str(raw.get("run_id", "run")),
-        seed=seed,
-        out_dir=str(raw.get("out_dir", "results")),
-        sweep=sweep,
-    )
-    # validate sweep paths against the raw config
+    cfg = _value(ExperimentConfig, raw, "")
+    cfg.workload = replace(cfg.workload, seed=cfg.seed)
+    cfg.scheduler = replace(cfg.scheduler, model=cfg.model)
+    cfg.validate()
     for spec in cfg.sweep:
         _get_by_path(raw, spec.field)
     return cfg
@@ -469,14 +397,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not cfg.sweep:
         raise ConfigurationError("config has no sweep section")
     out_dir = Path(cfg.out_dir)
-    fields = [s.field for s in cfg.sweep]
+    paths = [s.field for s in cfg.sweep]
+    # build every combination first, so a bad value fails before any run
+    runs = []
     for combo in itertools.product(*(s.values for s in cfg.sweep)):
         raw_i = yaml.safe_load(yaml.safe_dump(raw))  # deep copy
-        for fpath, value in zip(fields, combo):
+        for fpath, value in zip(paths, combo):
             _set_by_path(raw_i, fpath, value)
-        label = "_".join(f"{f.split('.')[-1]}={v}" for f, v in zip(fields, combo))
-        cfg_i = build_experiment(raw_i)
-        run_id = f"{cfg.run_id}_{label}"
+        label = "_".join(f"{f.split('.')[-1]}={v}" for f, v in zip(paths, combo))
+        runs.append((f"{cfg.run_id}_{label}", build_experiment(raw_i)))
+    for run_id, cfg_i in runs:
         metrics = run(cfg_i)
         write_run_outputs(out_dir / run_id, metrics)
         row = summary_row(cfg_i, metrics, run_id=run_id)

@@ -1,4 +1,4 @@
-"""Domain types, simulated clock, event ordering, and shared errors.
+"""Domain types, shared errors, and config-field metadata.
 
 All times are simulated milliseconds: event timestamps are integers, latency
 arithmetic is done in double precision.
@@ -21,6 +21,13 @@ class CostModelError(CepSimError):
     """A cost model was asked to price an event type it does not know."""
 
 
+# Config-field metadata for the YAML config builder in cepsim.cli:
+# INHERITED marks a field that is copied from the enclosing config rather than
+# read from YAML. Numbers must be finite, except in a field whose metadata has
+# an "inf" entry; that field also reads the strings listed there as +inf.
+INHERITED = {"inherited": True}
+
+
 @dataclass(frozen=True, slots=True)
 class Event:
     """One stream element; the unit of transmission and processing cost.
@@ -34,21 +41,6 @@ class Event:
     etype: str
     key: str | None = None
     payload_cost_hint: float | None = None
-
-
-def event_sort_key(e: Event) -> tuple[int, int]:
-    return (e.ts, e.seq)
-
-
-def compare_events(a: Event, b: Event) -> int:
-    """Three-way comparison by (ts, seq): -1, 0, or 1."""
-    ka = (a.ts, a.seq)
-    kb = (b.ts, b.seq)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 @dataclass(slots=True)
@@ -76,25 +68,6 @@ class WindowDescriptor:
         if self.close_ts is None:
             return None
         return float(self.close_ts - self.open_ts)
-
-    def contains_ts(self, ts: int) -> bool:
-        if ts < self.open_ts:
-            return False
-        return self.close_ts is None or ts <= self.close_ts
-
-
-class SimClock:
-    """Monotone simulated clock in milliseconds."""
-
-    __slots__ = ("now",)
-
-    def __init__(self, now: float = 0.0):
-        self.now = now
-
-    def advance_to(self, t: float) -> None:
-        if t < self.now:
-            raise ValueError(f"simulated clock cannot go backwards: {t} < {self.now}")
-        self.now = t
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,12 +17,11 @@ processing already completed, so controllers see realistically stale data.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, TYPE_CHECKING
+from typing import Mapping, Sequence, TYPE_CHECKING
 
-from .core import Event, LatencySample, SimClock, WindowDescriptor
+from .core import Event, LatencySample, WindowDescriptor
 from .latency_model import ModelParams
 from .scheduler import Decision, InstanceView, WindowScheduler, make_scheduler
 from .splitter import Splitter, StreamStats, make_policy, route_event
@@ -231,20 +230,6 @@ class RunMetrics:
         return out
 
 
-def measure_feedback_delay(metrics: RunMetrics, batch_id: int) -> FeedbackDelay | None:
-    """Feedback delay of one scheduling batch; None if it processed no events."""
-    for fd in metrics.feedback_delays():
-        if fd.batch_id == batch_id:
-            return fd
-    return None
-
-
-def merge(streams: Sequence[Iterable], key=None) -> list:
-    """Merge locally ordered instance output streams into one deterministic,
-    globally ordered stream. Duplicates from replicated windows pass through."""
-    return list(heapq.merge(*streams, key=key))
-
-
 def simulate(
     events: Sequence[Event],
     policy,
@@ -269,7 +254,7 @@ def simulate(
     delivered: list[FeedbackReport | None] = [None] * n_instances
     pending_reports: deque[tuple[float, FeedbackReport]] = deque()
     metrics = RunMetrics(n_events=len(events))
-    clock = SimClock()
+    now = 0
 
     window_rows: dict[int, WindowRecord] = {}
     next_freeze = mtime_ms
@@ -325,10 +310,12 @@ def simulate(
         return out
 
     for e in events:
-        handle_boundaries(e.ts)
-        drain_observations(e.ts)
-        deliver_reports(e.ts)
-        clock.advance_to(e.ts)
+        if e.ts < now:
+            raise ValueError(f"event timestamps cannot go backwards: {e.ts} < {now}")
+        now = e.ts
+        handle_boundaries(now)
+        drain_observations(now)
+        deliver_reports(now)
 
         res = splitter.process(e)
         for w in res.closed:
@@ -399,11 +386,10 @@ def simulate(
 
     # drain: keep the monitoring and feedback machinery running until every
     # instance finished its queued work
-    end_time = max([clock.now] + [inst.busy_until for inst in instances])
+    end_time = max([now] + [inst.busy_until for inst in instances])
     handle_boundaries(end_time)
     drain_observations(end_time)
     deliver_reports(end_time)
-    clock.advance_to(end_time)
 
     metrics.dropped_closes = splitter.dropped_closes
     metrics.windows = sorted(window_rows.values(), key=lambda r: r.wid)
@@ -411,7 +397,8 @@ def simulate(
 
 
 def run(cfg: "ExperimentConfig") -> RunMetrics:
-    """Generate the configured workload and simulate it."""
+    """Validate the experiment, generate its workload and simulate it."""
+    cfg.validate()
     events = generate_stream(cfg.workload)
     policy = make_policy(cfg.workload)
     scheduler = make_scheduler(cfg.scheduler)

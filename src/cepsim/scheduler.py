@@ -12,18 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .core import ConfigurationError, WindowDescriptor
+from .core import INHERITED, ConfigurationError, WindowDescriptor
 from .latency_model import LatencyPrediction, ModelParams, predict
 from .splitter import StreamStatsSnapshot
 
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    kind: str  # round_robin | reactive | model_based
+    kind: str = "round_robin"  # round_robin | reactive | model_based
     n_instances: int = 1
     th_ms: float | None = None  # reactive threshold
-    lb_ms: float | None = None  # model_based latency bound
-    model: ModelParams = field(default_factory=ModelParams)
+    # model_based latency bound; inf batches everything onto one instance
+    lb_ms: float | None = field(default=None, metadata={"inf": ("inf", ".inf", "infinity")})
+    model: ModelParams = field(default_factory=ModelParams, metadata=INHERITED)
 
     def validate(self) -> None:
         if self.kind not in ("round_robin", "reactive", "model_based"):

@@ -168,15 +168,12 @@ class StreamStats:
     by :meth:`end_monitoring_window` are immutable.
     """
 
-    def __init__(self, n_iat_bins: int, n_lat_bins: int, mtime_ms: float, window_mode: str = "tumbling"):
+    def __init__(self, n_iat_bins: int, n_lat_bins: int, mtime_ms: float):
         if n_iat_bins < 1 or n_lat_bins < 1:
             raise ValueError("bin counts must be >= 1")
-        if window_mode != "tumbling":
-            raise ValueError(f"only tumbling monitoring windows are supported, got {window_mode!r}")
         self.n_iat_bins = n_iat_bins
         self.n_lat_bins = n_lat_bins
         self.mtime_ms = mtime_ms
-        self.window_mode = window_mode
         self.snapshot = EMPTY_SNAPSHOT
         self._iat_range: tuple[float, float] | None = None
         self._lat_ranges: dict[str, tuple[float, float]] = {}

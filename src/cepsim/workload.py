@@ -13,22 +13,23 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from dataclasses import dataclass, field
+from typing import ClassVar, Iterator, Mapping
 
-from .core import ConfigurationError, CostModelError, Event
+from .core import INHERITED, ConfigurationError, CostModelError, Event
 
 PROB_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Inter-arrival profiles
+# Inter-arrival profiles; a config picks one by its ``kind``
 
 
 @dataclass(frozen=True)
 class ConstantIat:
     """Fixed gap between consecutive events."""
 
+    kind: ClassVar[str] = "constant"
     mu_ms: float
 
     def gaps(self, rng: random.Random, t0: float = 0.0) -> Iterator[float]:
@@ -40,6 +41,7 @@ class ConstantIat:
 class ExponentialIat:
     """Poisson arrivals with mean gap ``mu_ms``."""
 
+    kind: ClassVar[str] = "exponential"
     mu_ms: float
 
     def gaps(self, rng: random.Random, t0: float = 0.0) -> Iterator[float]:
@@ -52,6 +54,7 @@ class ExponentialIat:
 class SinusoidalExponentialIat:
     """Exponential gaps whose mean follows a sinusoid in [mu_min, mu_max]."""
 
+    kind: ClassVar[str] = "sinusoidal_exponential"
     mu_min_ms: float
     mu_max_ms: float
     period_ms: float
@@ -77,6 +80,7 @@ class BurstIat:
     first event of the next.
     """
 
+    kind: ClassVar[str] = "burst"
     burst_size: int
     intra_gap_ms: float
     inter_gap_ms: float
@@ -132,8 +136,8 @@ class CostModel:
                      scaled by the event's payload_cost_hint when present.
     """
 
-    kind: str
-    base_ms: Mapping[str, float]
+    kind: str = "flat_per_type"
+    base_ms: Mapping[str, float] = field(default_factory=dict)
     incr_ms: float = 0.0
     build_etype: str = "L1"
     probe_etype: str = "L2"
@@ -189,15 +193,24 @@ class ScopeProfile:
 @dataclass(frozen=True)
 class WorkloadConfig:
     scenario: str  # traffic | face | custom
-    seed: int = 0
+    seed: int = field(default=0, metadata=INHERITED)
     duration_ms: float = 60_000.0
     iat: IatProfile = ConstantIat(1000.0)
-    scope: ScopeProfile = ScopeProfile(ws_ms=10_000.0)
+    scope: ScopeProfile = ScopeProfile()
     opener: IatProfile | None = None  # face/custom: window-opening stream
     opener_etype: str = "query"
     type_mix: Mapping[str, float] | None = None  # custom only
-    cost: CostModel = CostModel("flat_per_type", {"query": 0.0, "face": 1.0})
+    cost: CostModel = field(kw_only=True)
     cost_jitter_sigma: float = 0.0  # lognormal sigma on payload_cost_hint
+
+    def emitted_etypes(self) -> set[str]:
+        """Event types the generated stream can contain."""
+        if self.scenario == "traffic":
+            return {"L1", "L2"}
+        types = {"face"} if self.scenario == "face" else set(self.type_mix or ())
+        if self.opener is not None:
+            types.add(self.opener_etype)
+        return types
 
     def validate(self) -> None:
         if self.scenario not in ("traffic", "face", "custom"):

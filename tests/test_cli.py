@@ -133,6 +133,13 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", [[-1, 50, 500], [20, -1, 500], [20, 50, -1]])
+    def test_bad_value_rejected_before_any_run(self, tmp_path, capsys, values):
+        cfg = write_config(tmp_path, {"sweep": [{"field": "scheduler.lb_ms", "values": values}]})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 2
+        assert "scheduler.lb_ms" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
     def test_unknown_sweep_field_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"sweep": [{"field": "scheduler.nope", "values": [1]}]})
         assert main(["run", "--config", str(cfg)]) == 2
@@ -151,6 +158,31 @@ class TestConfigErrors:
             ({"workload.cost": None}, "cost"),
             ({"sim.mtime_ms": -5}, "mtime_ms"),
             ({"workload.typo_key": 3}, "typo_key"),
+            # boundary intervals below the 1 ms timestamp resolution hang
+            ({"sim.feedback_interval_ms": 0}, "sim.feedback_interval_ms"),
+            ({"sim.mtime_ms": 1e-6}, "sim.mtime_ms"),
+            ({"sim.transfer_delay_ms": -1}, "sim.transfer_delay_ms"),
+            ({"sim.feedback_delivery_delay_ms": -1}, "sim.feedback_delivery_delay_ms"),
+            ({"sim.warmup_ms": -1}, "sim.warmup_ms"),
+            ({"workload.duration_ms": float("inf")}, "workload.duration_ms"),
+            ({"sim.mtime_ms": float("nan")}, "sim.mtime_ms"),
+            ({"workload.scope.ws_ms": float("nan")}, "workload.scope.ws_ms"),
+            ({"workload.scenario": "traffic", "workload.scope": {"ws_min_ms": 100, "ws_max_ms": float("nan")}},
+             "workload.scope.ws_max_ms"),
+            ({"workload.cost.base_ms": {"A": 1.0, "B": 3.0}}, "workload.cost.base_ms"),
+            ({"workload.scenario": "traffic", "workload.scope": {"ws_min_ms": 100, "ws_max_ms": 200},
+              "workload.cost.base_ms": {"L1": 0.1}}, "workload.cost.base_ms"),
+            ({"workload.scenario": "face", "workload.cost.base_ms": {"face": 1.0}}, "workload.cost.base_ms"),
+            ({"workload.cost.base_ms": {"A": "x", "B": 3.0, "open": 0.1}}, "workload.cost.base_ms[A]"),
+            ({"workload.type_mix": {"A": "x", "B": 0.5}}, "workload.type_mix[A]"),
+            ({"scheduler.n_instances": 2.5}, "scheduler.n_instances"),
+            ({"workload.iat": {"kind": "burst", "burst_size": 2.5, "intra_gap_ms": 1, "inter_gap_ms": 50}},
+             "workload.iat.burst_size"),
+            ({"model.n_iat_bins": 1.5}, "model.n_iat_bins"),
+            ({"model.n_lat_bins": 1.5}, "model.n_lat_bins"),
+            ({"seed": 1.5}, "seed"),
+            ({"workload.opener": None}, "workload.opener"),
+            ({"workload.scenario": "face", "workload.opener": None}, "workload.opener"),
         ],
     )
     def test_field_level_messages(self, tmp_path, capsys, overrides, needle):
@@ -165,6 +197,24 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, {"scheduler.lb_ms": "inf", "sweep": None})
         exp = build_experiment(yaml.safe_load(cfg.read_text()))
         assert exp.scheduler.lb_ms == float("inf")
+
+
+class TestConfigBuilder:
+    def test_numbers_keep_their_yaml_type(self):
+        raw = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+        raw["workload"]["cost"]["base_ms"] = {"A": 1, "B": 3, "open": 0.1}
+        exp = build_experiment(raw)
+        assert type(exp.mtime_ms) is int and type(exp.scheduler.lb_ms) is int
+        assert [type(v) for v in exp.workload.cost.base_ms.values()] == [float] * 3
+        assert exp.workload.seed == exp.seed == 11
+        assert exp.scheduler.model is exp.model
+
+    def test_null_optional_field_equals_omitted(self):
+        raw = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+        raw["sim"]["lb_eval_ms"] = None
+        raw["model"] = None
+        expected = build_experiment(yaml.safe_load(yaml.safe_dump({**BASE_CONFIG, "model": {}})))
+        assert repr(build_experiment(raw)) == repr(expected)
 
 
 class TestBench:

@@ -1,65 +1,7 @@
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cepsim.core import (
-    Event,
-    LatencySample,
-    SimClock,
-    WindowDescriptor,
-    compare_events,
-    event_sort_key,
-)
-
-
-def ev(seq, ts, etype="A"):
-    return Event(seq=seq, ts=ts, etype=etype)
-
-
-class TestCompareEvents:
-    def test_seq_tiebreak(self):
-        assert compare_events(ev(1, 5), ev(2, 5)) == -1
-
-    def test_ts_dominates(self):
-        assert compare_events(ev(9, 3), ev(2, 4)) == -1
-
-    def test_reflexive(self):
-        a = ev(1, 5)
-        assert compare_events(a, a) == 0
-
-    def test_symmetry(self):
-        assert compare_events(ev(2, 5), ev(1, 5)) == 1
-
-
-events_strategy = st.lists(
-    st.tuples(st.integers(0, 50), st.integers(0, 20)),
-    min_size=2,
-    max_size=30,
-    unique_by=lambda t: t[0],
-)
-
-
-@given(events_strategy)
-def test_ordering_is_strict_total_order(pairs):
-    evs = [ev(seq, ts) for seq, ts in pairs]
-    for a in evs:
-        for b in evs:
-            cab = compare_events(a, b)
-            cba = compare_events(b, a)
-            assert cab == -cba  # antisymmetry
-            if a is not b:
-                assert cab != 0  # totality: seq is unique
-            for c in evs:
-                if cab <= 0 and compare_events(b, c) <= 0:
-                    assert compare_events(a, c) <= 0  # transitivity
-
-
-@given(events_strategy)
-def test_sort_key_agrees_with_compare(pairs):
-    evs = [ev(seq, ts) for seq, ts in pairs]
-    by_key = sorted(evs, key=event_sort_key)
-    for a, b in zip(by_key, by_key[1:]):
-        assert compare_events(a, b) == -1
+from cepsim.core import LatencySample, WindowDescriptor
 
 
 class TestLatencySample:
@@ -79,17 +21,3 @@ class TestWindowDescriptor:
         assert w.is_open and w.scope_ms is None
         w.close_ts = 350
         assert w.scope_ms == 250.0
-
-    def test_contains_ts(self):
-        w = WindowDescriptor(wid=0, start_seq=0, open_ts=100, close_ts=200)
-        assert w.contains_ts(100) and w.contains_ts(200)
-        assert not w.contains_ts(99) and not w.contains_ts(201)
-
-
-class TestSimClock:
-    def test_monotone(self):
-        c = SimClock()
-        c.advance_to(5.0)
-        c.advance_to(5.0)
-        with pytest.raises(ValueError):
-            c.advance_to(4.0)

@@ -1,0 +1,76 @@
+"""Golden outputs: sha256 digests of every CSV the shipped configs write.
+
+The digests pin the simulator's output bytes, so a refactor or speed-up that
+changes any number, row order or float formatting fails here. If a change is
+meant to alter the output, rerun the configs and record the new digests in the
+same change, saying why they moved.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from cepsim.cli import main
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# config -> command that runs it
+COMMANDS = {
+    "traffic_tradeoff.yaml": "sweep",
+    "reactive_vs_model.yaml": "run",
+    "face_accuracy.yaml": "run",
+}
+
+# config -> {path under the output root: sha256}
+GOLDEN = {
+    "traffic_tradeoff.yaml": {
+        "summary.csv": "fd070996328557db41e7ca2e89ba4282523e335f68d5eb4cd67e97606f5d27da",
+        "traffic_lb_ms=16/batches.csv": "94a10befcc5e4da3d8d45c3f599272a361f6c361001e0c3dd6f73c250916fb49",
+        "traffic_lb_ms=16/decisions.csv": "c5d147fc96860a351405a85b69dfcd39bda35ed0ad13de51b4797ce0c6235253",
+        "traffic_lb_ms=16/latency.csv": "6d5c69d58ed6ed1b1f8452a1745a69442416492045ce08c94157b964ae4a3b87",
+        "traffic_lb_ms=16/predictions.csv": "fb9d424b076b4f4fc690fee1267502ca301334effd9344f4b5ce0ea7f00952bf",
+        "traffic_lb_ms=16/transmissions.csv": "f2cbc9c74b5ab717d608e98dd31729d93a6e126f2d8284ec6593c99874db8e4e",
+        "traffic_lb_ms=16/windows.csv": "9f0c63f643317aa5354a4bf72396df7ba87f28377d017d2a0761490563f8a9d7",
+        "traffic_lb_ms=33/batches.csv": "c890ae9d5d911effc3234dd831cc7e219816326c4aa4179b6877d84d67bc09e8",
+        "traffic_lb_ms=33/decisions.csv": "9a5ae8ef30c2e494cb6e25d8d0019441d90ac6f24700261e936892504bf86e12",
+        "traffic_lb_ms=33/latency.csv": "dbeb521c2dc14460dcf7e2c323f6d474ced9464c5107a018c18333d933b48cf5",
+        "traffic_lb_ms=33/predictions.csv": "75c2c46ec607e6c08eed06debb0a1abfc9fb846398d46aa446f075764acbbc05",
+        "traffic_lb_ms=33/transmissions.csv": "321c8f2ed57923c52d1f08cf1a90c51f1b45feca4d8b372ab373b96237adb9b1",
+        "traffic_lb_ms=33/windows.csv": "e6c40e7588b88229910c9dac8ef72145be7d9376c1218b09ed99647294e12133",
+        "traffic_lb_ms=8/batches.csv": "b3a9fbce7cdccaac95e34c58cc6262c333a4fb5b8271123cdb625c3e86ad1e9c",
+        "traffic_lb_ms=8/decisions.csv": "b06c936993ec5a9c5a318e4d1f4201a7a1060614e83fe25259a9a34493edecf1",
+        "traffic_lb_ms=8/latency.csv": "a918dc27247ef4c23d64520cfe10ff31b633a43aa21ed5322c9883085eefe300",
+        "traffic_lb_ms=8/predictions.csv": "2c1a65099275abac65278d164c6e667cf9801132a85de7f56ebe6179d35f27c7",
+        "traffic_lb_ms=8/transmissions.csv": "098177a1d49b5011c17013d9116689745e3b215097f4d86e9360cc61ba09cfb2",
+        "traffic_lb_ms=8/windows.csv": "e8a6778fc02d4aa958079c8457f4de68246832eeaba9b1e3810dee71cc95a2e9",
+    },
+    "reactive_vs_model.yaml": {
+        "reactive-small-ws/batches.csv": "696866461681a33505dcf53a9049b5691bb938591bb9248b733a066e4306a0b2",
+        "reactive-small-ws/decisions.csv": "73b98a9204919d401e29ccc37724ce794c3cb29e8f6b741497af5859d2e9d9c8",
+        "reactive-small-ws/latency.csv": "4d2b65707c2398d707bce9bf6554c3a2999db8ffe7be9311b0f79429578102db",
+        "reactive-small-ws/predictions.csv": "94b2874b52cc1d2675bce88e0ce627825b85346bffaece23b054915ccbbd1533",
+        "reactive-small-ws/transmissions.csv": "ac52a1c4d27d33b8b13f27ba0af05cafb0edc4b49753cd323911212d8cbd08fa",
+        "reactive-small-ws/windows.csv": "bf696a17af825cf63c11ed1c1f72175f0ddbe090dfe44b3e39de68861fdd30da",
+        "summary.csv": "06af1dae6b8f175c9832c4c3d7a1644bed91363657f18170960b6c61a9a52bff",
+    },
+    "face_accuracy.yaml": {
+        "face-2bins/batches.csv": "054245e881c3960203c2562953f7a3917925ab263952e03ede3caa856d7c32c3",
+        "face-2bins/decisions.csv": "e1510778c4786fc18501264dce21e2de5a107f070e0a383315571635fbaae4d3",
+        "face-2bins/latency.csv": "1fc7bc0769bc6ab4ec5047573f052d3c466f604cd6a6b23e881fbf29ff2f8ade",
+        "face-2bins/predictions.csv": "eaa038901eab3e29cdb2a9a3d4a608c1eb573d5b08f1c69a9900fdb840efd0ff",
+        "face-2bins/transmissions.csv": "d3518677baf4af912a8b4678381042c29fadc2a2bc7eaf6f1e06194f279b9828",
+        "face-2bins/windows.csv": "e386a3acb923af06a59edbe478ff43fd75f54121ddd387ab309ec036f9fe9a0b",
+        "summary.csv": "c9a167b5911a34c4918cc59949dce68ed6aa988f7655cd1077e4987979bb7f0c",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_outputs_match_golden_digests(tmp_path, capsys, name):
+    assert main([COMMANDS[name], "--config", str(CONFIG_DIR / name), "--out", str(tmp_path)]) == 0
+    digests = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.rglob("*.csv"))
+    }
+    assert digests == GOLDEN[name]

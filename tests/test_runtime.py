@@ -4,7 +4,7 @@ import pytest
 
 from cepsim.core import Event
 from cepsim.latency_model import ModelParams
-from cepsim.runtime import measure_feedback_delay, merge, run, simulate
+from cepsim.runtime import run, simulate
 from cepsim.scheduler import SchedulerConfig, make_scheduler
 from cepsim.splitter import KeyedAperiodicPolicy, TimeWindowPolicy
 from cepsim.workload import CostModel
@@ -129,6 +129,14 @@ class TestConservationAndIdentities:
         assert events1 == events2
         assert m1 == m2
 
+    def test_backwards_timestamps_rejected(self):
+        cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0})
+        run_sim(mk_events([(0, "open"), (5, "A"), (5, "A")]), policy=TimeWindowPolicy("open", 10.0), cost=cost)
+        with pytest.raises(ValueError, match="backwards"):
+            run_sim(mk_events([(0, "open"), (5, "A"), (4, "A")]), policy=TimeWindowPolicy("open", 10.0), cost=cost)
+        with pytest.raises(ValueError, match="backwards"):
+            run_sim(mk_events([(-1, "open")]), policy=TimeWindowPolicy("open", 10.0), cost=cost)
+
 
 class TestFeedback:
     def queue_scenario(self):
@@ -175,17 +183,7 @@ class TestFeedback:
 
 
 class TestMerge:
-    def test_two_way(self):
-        assert merge([[1, 4], [2, 3]]) == [1, 2, 3, 4]
-
-    def test_identity(self):
-        assert merge([[1, 2, 3]]) == [1, 2, 3]
-
-    def test_empty(self):
-        assert merge([[], []]) == []
-
-    def test_duplicates_pass_through(self):
-        assert merge([[1, 3], [1, 2]]) == [1, 1, 2, 3]
+    """The merge stage: per-instance output comes out in global seq order."""
 
     def test_latency_rows_are_seq_ordered(self):
         rng = random.Random(1)
@@ -203,8 +201,7 @@ class TestFeedbackDelay:
         events = mk_events(rows)
         cost = CostModel("custom_table", {"open": 0.0, "A": 1.0}, incr_ms=0.5)
         m = run_sim(events, policy=TimeWindowPolicy("open", 1001.0), cost=cost)
-        fd = measure_feedback_delay(m, 0)
-        assert fd is not None
+        [fd] = m.feedback_delays()
         span = 1000 - 0
         assert fd.lat_peak_delay_ms >= 0.9 * span
 
@@ -212,7 +209,7 @@ class TestFeedbackDelay:
         events = mk_events([(0, "open"), (1, "A"), (100, "B")])
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0, "B": 1.0})
         m = run_sim(events, policy=TimeWindowPolicy("open", 2.0), cost=cost)
-        fd = measure_feedback_delay(m, 0)
+        [fd] = m.feedback_delays()
         assert fd.lat_peak_delay_ms <= 1.0
 
     def test_flat_costs_peak_at_max_queue(self):
@@ -224,7 +221,7 @@ class TestFeedbackDelay:
         events = mk_events(sorted(rows, key=lambda r: r[0]))
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 5.0})
         m = run_sim(events, policy=TimeWindowPolicy("open", 10_000.0), cost=cost)
-        fd = measure_feedback_delay(m, 0)
+        [fd] = m.feedback_delays()
         # oracle replay of the queue trace
         busy = 0.0
         qlen_peak, qlen_ts = -1, None
