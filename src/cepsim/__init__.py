@@ -7,7 +7,6 @@ from .core import (
     ConfigurationError,
     CostModelError,
     Event,
-    LatencySample,
     WindowDescriptor,
 )
 from .latency_model import (
@@ -26,6 +25,7 @@ from .latency_model import (
 from .runtime import (
     FeedbackReport,
     InstanceState,
+    LatencySample,
     RunMetrics,
     run,
     simulate,

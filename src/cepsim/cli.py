@@ -230,6 +230,8 @@ def load_config(path: str | Path) -> dict:
         raise ConfigurationError(f"config {path} is not valid YAML: {exc}") from exc
     if raw is None:
         raise ConfigurationError(f"config {path} is empty")
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"config {path} must be a mapping, got a {type(raw).__name__}")
     return raw
 
 
@@ -258,8 +260,8 @@ def write_run_outputs(run_dir: Path, metrics: RunMetrics) -> None:
         run_dir / "latency.csv",
         ["seq", "instance", "lambda_q", "lambda_p", "lambda_o", "ts"],
         (
-            (s.event_seq, s.instance, s.lambda_q, s.lambda_p, s.lambda_o, ts)
-            for s, ts in zip(metrics.latency_samples, metrics.sample_ts)
+            (s.event_seq, s.instance, s.lambda_q, s.lambda_p, s.lambda_o, s.ts)
+            for s in metrics.latency_samples
         ),
     )
     _write_csv(
@@ -301,7 +303,7 @@ def write_run_outputs(run_dir: Path, metrics: RunMetrics) -> None:
         (
             (
                 w.wid, w.open_ts, w.close_ts if w.close_ts is not None else "",
-                w.instance, w.n_member_events, w.actual_gamma_minus,
+                w.assigned_instance, w.n_member_events, w.actual_gamma_minus,
                 w.actual_gamma_plus, w.actual_lambda_q_peak,
             )
             for w in metrics.windows

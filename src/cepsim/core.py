@@ -45,10 +45,14 @@ class Event:
 
 @dataclass(slots=True)
 class WindowDescriptor:
-    """An open or closed window and the operator instance that owns it.
+    """An open or closed window, the operator instance that owns it, and the
+    ground truth its member events produced there.
 
     ``member_count_per_type`` is filled as member events are processed; cost
     models read it to price an event against the window's accumulated state.
+    The ``actual_*`` fields are the realised queuing gains and queuing peak
+    of the window's members on its instance, for prediction-accuracy
+    analysis.
     """
 
     wid: int
@@ -57,10 +61,17 @@ class WindowDescriptor:
     close_ts: int | None = None
     assigned_instance: int | None = None
     member_count_per_type: dict[str, int] = field(default_factory=dict)
+    actual_gamma_minus: float = 0.0
+    actual_gamma_plus: float = 0.0
+    actual_lambda_q_peak: float = 0.0
 
     @property
     def is_open(self) -> bool:
         return self.close_ts is None
+
+    @property
+    def n_member_events(self) -> int:
+        return sum(self.member_count_per_type.values())
 
     @property
     def scope_ms(self) -> float | None:
@@ -68,22 +79,3 @@ class WindowDescriptor:
         if self.close_ts is None:
             return None
         return float(self.close_ts - self.open_ts)
-
-
-@dataclass(frozen=True, slots=True)
-class LatencySample:
-    """Latency record of one event on one instance.
-
-    ``lambda_o == lambda_q + lambda_p`` exactly, by construction via
-    :meth:`make`.
-    """
-
-    event_seq: int
-    instance: int
-    lambda_q: float
-    lambda_p: float
-    lambda_o: float
-
-    @classmethod
-    def make(cls, event_seq: int, instance: int, lambda_q: float, lambda_p: float) -> "LatencySample":
-        return cls(event_seq, instance, lambda_q, lambda_p, lambda_q + lambda_p)

@@ -308,13 +308,11 @@ def predict(
     params: ModelParams,
     queued_counts: Mapping[str, float] | None = None,
     theta_bar_rep: float = 1.0,
-    ws_est: float | None = None,
 ) -> LatencyPrediction:
     """Full prediction for batching a new window onto an instance whose open
     batch currently holds ``theta_hat - 1`` windows."""
-    ws = snapshot.ws_est if ws_est is None else ws_est
-    n, per_type, flags = predict_event_counts(snapshot, ws, params)
-    theta_bar, f2 = predict_overlap(theta_hat, ws, snapshot.delta_est)
+    n, per_type, flags = predict_event_counts(snapshot, snapshot.ws_est, params)
+    theta_bar, f2 = predict_overlap(theta_hat, snapshot.ws_est, snapshot.delta_est)
     flags += f2
     gamma_minus, gamma_plus = predict_gains(snapshot, per_type, n, theta_bar, params)
     if params.alpha_mode == "fixed":

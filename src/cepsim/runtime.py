@@ -17,11 +17,13 @@ processing already completed, so controllers see realistically stale data.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, Sequence, TYPE_CHECKING
 
-from .core import Event, LatencySample, WindowDescriptor
+from .core import Event, WindowDescriptor
 from .latency_model import ModelParams
 from .scheduler import Decision, InstanceView, WindowScheduler, make_scheduler
 from .splitter import Splitter, StreamStats, make_policy, route_event
@@ -32,10 +34,18 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 @dataclass(slots=True)
-class _Record:
-    """One processed (event, instance) pair, kept for feedback and metrics."""
+class LatencySample:
+    """One processed (event, instance) pair, kept for feedback and metrics.
 
-    seq: int
+    ``ts`` is the event's timestamp and ``arrival`` the time it reached the
+    instance; ``queue_len`` counts the events waiting or in service there on
+    its arrival, itself included. The operational latency ``lambda_o`` is
+    ``lambda_q + lambda_p``.
+    """
+
+    event_seq: int
+    instance: int
+    ts: int
     etype: str
     arrival: float
     start: float
@@ -44,6 +54,10 @@ class _Record:
     lambda_p: float
     n_windows: int
     queue_len: int
+
+    @property
+    def lambda_o(self) -> float:
+        return self.lambda_q + self.lambda_p
 
 
 @dataclass(frozen=True)
@@ -65,7 +79,7 @@ class InstanceState:
     busy_until: float = 0.0
     open_windows: dict[int, WindowDescriptor] = field(default_factory=dict)
     last_arrival: float | None = None
-    records: list[_Record] = field(default_factory=list)
+    records: list[LatencySample] = field(default_factory=list)
     pending_obs: deque = field(default_factory=deque)  # (completion, etype, lambda_p_w)
     _q_cursor: int = 0  # first record with start > t
     _c_cursor: int = 0  # first record with completion > t
@@ -87,10 +101,7 @@ class InstanceState:
         while j < len(recs) and recs[j].completion <= now:
             j += 1
         self._c_cursor = j
-        last_lo = None
-        if j > 0:
-            r = recs[j - 1]
-            last_lo = r.lambda_q + r.lambda_p
+        last_lo = recs[j - 1].lambda_o if j > 0 else None
         counts: dict[str, int] = {}
         theta_sum = 0
         queued = 0
@@ -102,20 +113,6 @@ class InstanceState:
             queued += 1
         theta = theta_sum / queued if queued else 1.0
         return FeedbackReport(self.idx, counts, theta, last_lo, now)
-
-
-@dataclass
-class WindowRecord:
-    """Per-window ground truth for prediction-accuracy analysis."""
-
-    wid: int
-    open_ts: int
-    instance: int
-    close_ts: int | None = None
-    n_member_events: int = 0
-    actual_gamma_minus: float = 0.0
-    actual_gamma_plus: float = 0.0
-    actual_lambda_q_peak: float = 0.0
 
 
 @dataclass
@@ -145,36 +142,36 @@ class FeedbackDelay:
 
 @dataclass
 class RunMetrics:
-    """Everything one simulation run produced."""
+    """Everything one simulation run produced.
+
+    ``latency_samples`` holds one record per processed (event, instance)
+    pair in event order; ``windows`` holds every scheduled window, indexed
+    by wid.
+    """
 
     latency_samples: list[LatencySample] = field(default_factory=list)
-    sample_ts: list[int] = field(default_factory=list)
-    sample_queue_len: list[int] = field(default_factory=list)
-    transmissions: int = 0
     transmission_rows: list[tuple[int, int, int, int]] = field(default_factory=list)
     decisions: list[Decision] = field(default_factory=list)
-    decision_ts: list[int] = field(default_factory=list)
-    windows: list[WindowRecord] = field(default_factory=list)
+    windows: list[WindowDescriptor] = field(default_factory=list)
     batches: list[BatchRecord] = field(default_factory=list)
-    feedback_reports: list[FeedbackReport] = field(default_factory=list)
     dropped_closes: int = 0
     n_events: int = 0
-    n_snapshots: int = 0
+
+    @property
+    def transmissions(self) -> int:
+        """Events sent to instances: one per processed (event, instance) pair."""
+        return len(self.latency_samples)
 
     def lambda_o_values(self, warmup_ms: float = 0.0) -> list[float]:
-        return [
-            s.lambda_o
-            for s, ts in zip(self.latency_samples, self.sample_ts)
-            if ts >= warmup_ms
-        ]
+        return [s.lambda_o for s in self.latency_samples if s.ts >= warmup_ms]
 
     def violation_stats(self, lb_ms: float, warmup_ms: float = 0.0) -> tuple[int, float, int]:
         """(violation count, max excess over the bound in ms, samples considered)."""
         count = 0
         worst = 0.0
         considered = 0
-        for s, ts in zip(self.latency_samples, self.sample_ts):
-            if ts < warmup_ms:
+        for s in self.latency_samples:
+            if s.ts < warmup_ms:
                 continue
             considered += 1
             if s.lambda_o > lb_ms:
@@ -185,46 +182,35 @@ class RunMetrics:
     def feedback_delays(self) -> list[FeedbackDelay]:
         """Per-batch feedback delays, attributing to a batch every event
         processed on its instance between the batch's first scheduling
-        decision and the close of its last window."""
-        close_by_wid = {w.wid: w.close_ts for w in self.windows}
-        by_instance: dict[int, list[int]] = {}
-        for i, s in enumerate(self.latency_samples):
-            by_instance.setdefault(s.instance, []).append(i)
-        end_of_run = self.sample_ts[-1] if self.sample_ts else 0
+        decision and the close of its last window (the end of the run if one
+        of its windows never closed). Peaks are the first maximal samples."""
+        by_instance: dict[int, list[LatencySample]] = {}
+        for s in self.latency_samples:
+            by_instance.setdefault(s.instance, []).append(s)
+        ts_by_instance = {i: [s.ts for s in samples] for i, samples in by_instance.items()}
+        end_of_run = self.latency_samples[-1].ts if self.latency_samples else 0
         out = []
         for b in self.batches:
-            closes = [close_by_wid.get(wid) for wid in b.wids]
-            span_end = max((c for c in closes if c is not None), default=None)
-            if span_end is None or any(c is None for c in closes):
-                span_end = end_of_run
-            lat_peak = -1.0
-            lat_ts = b.first_decision_ts
-            qlen_peak = -1
-            qlen_ts = b.first_decision_ts
-            for i in by_instance.get(b.instance, ()):
-                ts = self.sample_ts[i]
-                if ts < b.first_decision_ts or ts > span_end:
-                    continue
-                s = self.latency_samples[i]
-                if s.lambda_o > lat_peak:
-                    lat_peak = s.lambda_o
-                    lat_ts = ts
-                q = self.sample_queue_len[i]
-                if q > qlen_peak:
-                    qlen_peak = q
-                    qlen_ts = ts
-            if lat_peak < 0:
+            closes = [self.windows[wid].close_ts for wid in b.wids]
+            span_end = end_of_run if None in closes else max(closes)
+            ts = ts_by_instance.get(b.instance, [])
+            lo = bisect_left(ts, b.first_decision_ts)
+            hi = bisect_right(ts, span_end)
+            if lo >= hi:
                 continue  # batch saw no events
+            span = by_instance[b.instance][lo:hi]
+            lat = max(span, key=attrgetter("lambda_o"))
+            qlen = max(span, key=attrgetter("queue_len"))
             out.append(
                 FeedbackDelay(
                     b.batch_id,
                     b.instance,
                     b.first_decision_ts,
                     len(b.wids),
-                    lat_peak,
-                    float(lat_ts - b.first_decision_ts),
-                    qlen_peak,
-                    float(qlen_ts - b.first_decision_ts),
+                    lat.lambda_o,
+                    float(lat.ts - b.first_decision_ts),
+                    qlen.queue_len,
+                    float(qlen.ts - b.first_decision_ts),
                 )
             )
         return out
@@ -256,7 +242,6 @@ def simulate(
     metrics = RunMetrics(n_events=len(events))
     now = 0
 
-    window_rows: dict[int, WindowRecord] = {}
     next_freeze = mtime_ms
     next_feedback = feedback_interval_ms
     last_batch_instance: int | None = None
@@ -280,7 +265,6 @@ def simulate(
                 t = next_freeze
                 drain_observations(t)
                 stats.end_monitoring_window(t)
-                metrics.n_snapshots += 1
                 next_freeze += mtime_ms
             else:
                 t = next_feedback
@@ -288,7 +272,6 @@ def simulate(
                 for inst in instances:
                     rep = inst.make_feedback(t)
                     pending_reports.append((t + feedback_delivery_delay_ms, rep))
-                    metrics.feedback_reports.append(rep)
                 next_feedback += feedback_interval_ms
             deliver_reports(t)
 
@@ -321,25 +304,21 @@ def simulate(
         for w in res.closed:
             if w.assigned_instance is not None:
                 instances[w.assigned_instance].open_windows.pop(w.wid, None)
-            row = window_rows.get(w.wid)
-            if row is not None:
-                row.close_ts = w.close_ts
 
         for w in res.opened:
             decision = scheduler.schedule(w, stats.snapshot, views())
             w.assigned_instance = decision.instance
             instances[decision.instance].open_windows[w.wid] = w
             metrics.decisions.append(decision)
-            metrics.decision_ts.append(e.ts)
             if decision.instance != last_batch_instance:
                 metrics.batches.append(
                     BatchRecord(len(metrics.batches), decision.instance, e.ts)
                 )
                 last_batch_instance = decision.instance
             metrics.batches[-1].wids.append(w.wid)
-            window_rows[w.wid] = WindowRecord(w.wid, w.open_ts, decision.instance)
+            metrics.windows.append(w)
 
-        targets = route_event(e, res.memberships)
+        targets = route_event(res.memberships)
         for idx in targets:
             inst = instances[idx]
             wins = [w for w in res.memberships if w.assigned_instance == idx]
@@ -364,24 +343,18 @@ def simulate(
                 gamma = lambda_p - (arrival - inst.last_arrival)
             inst.last_arrival = arrival
             for w in wins:
-                row = window_rows.get(w.wid)
-                if row is None:
-                    continue
-                row.n_member_events += 1
-                row.actual_lambda_q_peak = max(row.actual_lambda_q_peak, lambda_q)
+                w.actual_lambda_q_peak = max(w.actual_lambda_q_peak, lambda_q)
                 if gamma is not None:
                     if gamma > 0:
-                        row.actual_gamma_minus += gamma
+                        w.actual_gamma_minus += gamma
                     else:
-                        row.actual_gamma_plus += gamma
+                        w.actual_gamma_plus += gamma
 
-            inst.records.append(
-                _Record(e.seq, e.etype, arrival, start, completion, lambda_q, lambda_p, len(wins), queue_len)
+            sample = LatencySample(
+                e.seq, idx, e.ts, e.etype, arrival, start, completion, lambda_q, lambda_p, len(wins), queue_len
             )
-            metrics.latency_samples.append(LatencySample.make(e.seq, idx, lambda_q, lambda_p))
-            metrics.sample_ts.append(e.ts)
-            metrics.sample_queue_len.append(queue_len)
-        metrics.transmissions += len(targets)
+            inst.records.append(sample)
+            metrics.latency_samples.append(sample)
         metrics.transmission_rows.append((e.seq, e.ts, len(res.memberships), len(targets)))
 
     # drain: keep the monitoring and feedback machinery running until every
@@ -392,7 +365,6 @@ def simulate(
     deliver_reports(end_time)
 
     metrics.dropped_closes = splitter.dropped_closes
-    metrics.windows = sorted(window_rows.values(), key=lambda r: r.wid)
     return metrics
 
 

@@ -420,7 +420,7 @@ class Splitter:
         return res
 
 
-def route_event(e: Event, memberships: Sequence[WindowDescriptor]) -> list[int]:
-    """Instances that must receive ``e``: the deduplicated owners of its
-    member windows, in ascending index order."""
+def route_event(memberships: Sequence[WindowDescriptor]) -> list[int]:
+    """Instances that must receive an event with these member windows: the
+    windows' deduplicated owners, in ascending index order."""
     return sorted({w.assigned_instance for w in memberships if w.assigned_instance is not None})

@@ -32,7 +32,7 @@ class ConstantIat:
     kind: ClassVar[str] = "constant"
     mu_ms: float
 
-    def gaps(self, rng: random.Random, t0: float = 0.0) -> Iterator[float]:
+    def gaps(self, rng: random.Random) -> Iterator[float]:
         while True:
             yield self.mu_ms
 
@@ -44,7 +44,7 @@ class ExponentialIat:
     kind: ClassVar[str] = "exponential"
     mu_ms: float
 
-    def gaps(self, rng: random.Random, t0: float = 0.0) -> Iterator[float]:
+    def gaps(self, rng: random.Random) -> Iterator[float]:
         rate = 1.0 / self.mu_ms
         while True:
             yield rng.expovariate(rate)
@@ -64,8 +64,8 @@ class SinusoidalExponentialIat:
         amp = 0.5 * (self.mu_max_ms - self.mu_min_ms)
         return mid + amp * math.sin(2.0 * math.pi * t / self.period_ms)
 
-    def gaps(self, rng: random.Random, t0: float = 0.0) -> Iterator[float]:
-        t = t0
+    def gaps(self, rng: random.Random) -> Iterator[float]:
+        t = 0.0
         while True:
             gap = rng.expovariate(1.0 / self.mu_at(t))
             t += gap
@@ -85,7 +85,7 @@ class BurstIat:
     intra_gap_ms: float
     inter_gap_ms: float
 
-    def gaps(self, rng: random.Random, t0: float = 0.0) -> Iterator[float]:
+    def gaps(self, rng: random.Random) -> Iterator[float]:
         while True:
             for _ in range(self.burst_size - 1):
                 yield self.intra_gap_ms

@@ -190,6 +190,17 @@ class TestConfigErrors:
         assert main(["run", "--config", str(cfg)]) == 2
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("flags", [[], ["--seed", "3"], ["--out", "res"]])
+    @pytest.mark.parametrize("text", ["- 1\n- 2\n", "42\n"])
+    def test_non_mapping_top_level(self, tmp_path, capsys, command, flags, text):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        flags = [str(tmp_path / f) if f == "res" else f for f in flags]
+        assert main([command, "--config", str(cfg), *flags]) == 2
+        assert "must be a mapping" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
     def test_missing_file(self, capsys):
         assert main(["run", "--config", "/nonexistent.yaml"]) == 2
 

@@ -10,8 +10,10 @@ import hashlib
 from pathlib import Path
 
 import pytest
+import yaml
 
 from cepsim.cli import main
+from test_cli import BASE_CONFIG
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -20,6 +22,22 @@ COMMANDS = {
     "traffic_tradeoff.yaml": "sweep",
     "reactive_vs_model.yaml": "run",
     "face_accuracy.yaml": "run",
+    "delays_jitter.yaml": "sweep",
+}
+
+# configs written by the test instead of shipped. delays_jitter reaches what
+# no shipped config does: arrival after the event's timestamp, delayed
+# feedback delivery, payload cost hints and the custom_table cost model.
+INLINE = {
+    "delays_jitter.yaml": {
+        **BASE_CONFIG,
+        "workload": {
+            **BASE_CONFIG["workload"],
+            "cost_jitter_sigma": 0.4,
+            "cost": {"kind": "custom_table", "base_ms": {"A": 1.0, "B": 3.0, "open": 0.1}, "incr_ms": 0.05},
+        },
+        "sim": {**BASE_CONFIG["sim"], "transfer_delay_ms": 2.5, "feedback_delivery_delay_ms": 30},
+    },
 }
 
 # config -> {path under the output root: sha256}
@@ -63,12 +81,37 @@ GOLDEN = {
         "face-2bins/windows.csv": "e386a3acb923af06a59edbe478ff43fd75f54121ddd387ab309ec036f9fe9a0b",
         "summary.csv": "c9a167b5911a34c4918cc59949dce68ed6aa988f7655cd1077e4987979bb7f0c",
     },
+    "delays_jitter.yaml": {
+        "smoke_lb_ms=20/batches.csv": "7ff2146e1aea9e2583e5b760c2ee84db8fdd707a313244d5e299546249e2f80e",
+        "smoke_lb_ms=20/decisions.csv": "98f878a1343f7a0268cc0621bccb3cfe90897a5470049204d6a2e22bb4e5dc29",
+        "smoke_lb_ms=20/latency.csv": "62c4e9124cbef7aa8946dd4ac7e71350a2a778583d50a23ceaab01c8c9eace0b",
+        "smoke_lb_ms=20/predictions.csv": "2946f4cd61632ad94aa9e1f7f0515a4cc5de41f44419ec9c8c601156edb73a3a",
+        "smoke_lb_ms=20/transmissions.csv": "9608036a7ea092929815af6813dfcadc05e8cb04b6cae1ce94845c41c2e1c010",
+        "smoke_lb_ms=20/windows.csv": "f8e602f3a69d5cf811da317fb220b9549f0a321b4747b681b49fce414ae36aab",
+        "smoke_lb_ms=50/batches.csv": "fac065197eb0753167c0a1ef99d15d1107cda5fa172f1dcadeb112a1aff7ba2d",
+        "smoke_lb_ms=50/decisions.csv": "49c63cdd3f5b7d9cdab0a4d8942b8215f142fc4359fb3591ef8bd9a72c9f9657",
+        "smoke_lb_ms=50/latency.csv": "e7de46e05927521c9dfbb2462ffe472fc4fd8f8cf5b1703745dd548985c92941",
+        "smoke_lb_ms=50/predictions.csv": "16b2d87b4b7cf15a7bd8a7bc64d235f66f81b28d0815ce9c1993651d6bc1d922",
+        "smoke_lb_ms=50/transmissions.csv": "3e61bf33bf950c5385383b7bca8525f874173f02776b7957c50b9dcc9cc2b735",
+        "smoke_lb_ms=50/windows.csv": "97bfc0ae7a34fa4a504d2ab6e9267322a2048320637e7f06a52c8c3e4b15fc3a",
+        "smoke_lb_ms=500/batches.csv": "d2cc536b1516148aae8482dff595b31ebf67d55ccde0508df0126ff1a6d320e5",
+        "smoke_lb_ms=500/decisions.csv": "6770532f8506977a75a89e23591bd1968db906a3e536d249a0b11d065d62e5b1",
+        "smoke_lb_ms=500/latency.csv": "13e62b43bb62727db4d239c166d470b5eaeb41950edfa6cebaaf3fe36b7138f2",
+        "smoke_lb_ms=500/predictions.csv": "611d84bdbc34356b5e73248f7232a01a58abc6469a43dd0295f19e4dd2a8ee8d",
+        "smoke_lb_ms=500/transmissions.csv": "1452717e3f1b41054f9d4414dd0b06451fb8b62864e8d069f0c63af4b667b666",
+        "smoke_lb_ms=500/windows.csv": "90946d7e18c4797d7056c9db645721ac4624153dea036a0fc2b9a3cf9bab1b36",
+        "summary.csv": "1859135644c92f8bb413d328f8c97efdf7098f0d965fdbb954dc632a30fd7f66",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_outputs_match_golden_digests(tmp_path, capsys, name):
-    assert main([COMMANDS[name], "--config", str(CONFIG_DIR / name), "--out", str(tmp_path)]) == 0
+    config = CONFIG_DIR / name
+    if name in INLINE:
+        config = tmp_path / name
+        config.write_text(yaml.safe_dump(INLINE[name]))
+    assert main([COMMANDS[name], "--config", str(config), "--out", str(tmp_path)]) == 0
     digests = {
         p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(tmp_path.rglob("*.csv"))

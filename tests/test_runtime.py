@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cepsim.core import Event
 from cepsim.latency_model import ModelParams
-from cepsim.runtime import run, simulate
+from cepsim.runtime import FeedbackDelay, InstanceState, run, simulate
 from cepsim.scheduler import SchedulerConfig, make_scheduler
 from cepsim.splitter import KeyedAperiodicPolicy, TimeWindowPolicy
 from cepsim.workload import CostModel
@@ -119,7 +121,7 @@ class TestConservationAndIdentities:
         m = run_sim(events, policy=TimeWindowPolicy("open", 10_000.0), cost=cost)
         samples = m.latency_samples
         for i in range(len(samples) - 1):
-            iat = m.sample_ts[i + 1] - m.sample_ts[i]
+            iat = samples[i + 1].ts - samples[i].ts
             expected = max(0.0, samples[i].lambda_q + samples[i].lambda_p - iat)
             assert samples[i + 1].lambda_q == pytest.approx(expected)
 
@@ -138,6 +140,21 @@ class TestConservationAndIdentities:
             run_sim(mk_events([(-1, "open")]), policy=TimeWindowPolicy("open", 10.0), cost=cost)
 
 
+@pytest.fixture
+def reports(monkeypatch):
+    """Every feedback report the instances emit, in emission order."""
+    out = []
+    make_feedback = InstanceState.make_feedback
+
+    def recording(self, now):
+        rep = make_feedback(self, now)
+        out.append(rep)
+        return rep
+
+    monkeypatch.setattr(InstanceState, "make_feedback", recording)
+    return out
+
+
 class TestFeedback:
     def queue_scenario(self):
         # two overlapping windows on one instance; X blocks the queue until
@@ -148,36 +165,36 @@ class TestFeedback:
         return run_sim(events, policy=TimeWindowPolicy("open", 600.0), cost=cost,
                        mtime=10_000.0, feedback_interval_ms=10.0)
 
-    def test_queued_counts_and_overlap(self):
-        m = self.queue_scenario()
-        rep = next(r for r in m.feedback_reports if r.emitted_at == 10.0)
+    def test_queued_counts_and_overlap(self, reports):
+        self.queue_scenario()
+        rep = next(r for r in reports if r.emitted_at == 10.0)
         # X started at t=2; the L2 events wait behind it, each in 2 windows
         assert rep.queued_counts == {"L2": 3}
         assert rep.theta_bar_rep == 2.0
 
-    def test_empty_queue_report(self):
+    def test_empty_queue_report(self, reports):
         events = mk_events([(0, "open"), (99, "A")])
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0})
-        m = run_sim(events, policy=TimeWindowPolicy("open", 150.0), cost=cost,
-                    mtime=10_000.0, feedback_interval_ms=100.0)
-        rep = m.feedback_reports[0]
+        run_sim(events, policy=TimeWindowPolicy("open", 150.0), cost=cost,
+                mtime=10_000.0, feedback_interval_ms=100.0)
+        rep = reports[0]
         assert rep.queued_counts == {}
         assert rep.theta_bar_rep == 1.0
 
-    def test_consecutive_reports_identical_without_processing(self):
-        m = self.queue_scenario()
-        reps = [r for r in m.feedback_reports if r.emitted_at in (10.0, 20.0)]
+    def test_consecutive_reports_identical_without_processing(self, reports):
+        self.queue_scenario()
+        reps = [r for r in reports if r.emitted_at in (10.0, 20.0)]
         assert len(reps) == 2
         assert reps[0].queued_counts == reps[1].queued_counts
         assert reps[0].theta_bar_rep == reps[1].theta_bar_rep
 
-    def test_reported_latency_only_after_completion(self):
-        m = self.queue_scenario()
-        early = next(r for r in m.feedback_reports if r.emitted_at == 10.0)
+    def test_reported_latency_only_after_completion(self, reports):
+        self.queue_scenario()
+        early = next(r for r in reports if r.emitted_at == 10.0)
         assert early.last_lambda_o == 0.0  # only the opener events completed by t=10
-        before = next(r for r in m.feedback_reports if r.emitted_at == 500.0)
+        before = next(r for r in reports if r.emitted_at == 500.0)
         assert before.last_lambda_o == 0.0  # X still running at t=500
-        late = next(r for r in m.feedback_reports if r.emitted_at == 510.0)
+        late = next(r for r in reports if r.emitted_at == 510.0)
         # by 510 everything drained; the most recent completion is the last L2
         assert late.last_lambda_o == 503.0
 
@@ -226,7 +243,8 @@ class TestFeedbackDelay:
         busy = 0.0
         qlen_peak, qlen_ts = -1, None
         pending = []
-        for s, ts in zip(m.latency_samples, m.sample_ts):
+        for s in m.latency_samples:
+            ts = s.ts
             start = max(busy, ts)
             pending = [p for p in pending if p > ts]
             pending.append(start)
@@ -244,6 +262,81 @@ class TestFeedbackDelay:
         assert ids  # at least the batches that processed their opener
         for fd in m.feedback_delays():
             assert fd.lat_peak >= 0.0
+
+
+def reference_feedback_delays(m) -> list[FeedbackDelay]:
+    """Per-batch feedback delays by a full scan of the batch instance's
+    samples for every batch, O(batches x samples)."""
+    close_by_wid = {w.wid: w.close_ts for w in m.windows}
+    by_instance: dict[int, list[int]] = {}
+    for i, s in enumerate(m.latency_samples):
+        by_instance.setdefault(s.instance, []).append(i)
+    end_of_run = m.latency_samples[-1].ts if m.latency_samples else 0
+    out = []
+    for b in m.batches:
+        closes = [close_by_wid.get(wid) for wid in b.wids]
+        span_end = max((c for c in closes if c is not None), default=None)
+        if span_end is None or any(c is None for c in closes):
+            span_end = end_of_run
+        lat_peak = -1.0
+        lat_ts = b.first_decision_ts
+        qlen_peak = -1
+        qlen_ts = b.first_decision_ts
+        for i in by_instance.get(b.instance, ()):
+            s = m.latency_samples[i]
+            if s.ts < b.first_decision_ts or s.ts > span_end:
+                continue
+            if s.lambda_o > lat_peak:
+                lat_peak = s.lambda_o
+                lat_ts = s.ts
+            if s.queue_len > qlen_peak:
+                qlen_peak = s.queue_len
+                qlen_ts = s.ts
+        if lat_peak < 0:
+            continue  # batch saw no events
+        out.append(
+            FeedbackDelay(
+                b.batch_id, b.instance, b.first_decision_ts, len(b.wids),
+                lat_peak, float(lat_ts - b.first_decision_ts),
+                qlen_peak, float(qlen_ts - b.first_decision_ts),
+            )
+        )
+    return out
+
+
+@st.composite
+def small_runs(draw):
+    """A short stream of openers and A/B events with integer costs (so peaks
+    tie often), ending in an opener whose window stays open, and a
+    scheduler over 1-4 instances."""
+    gaps = draw(st.lists(st.integers(0, 15), min_size=1, max_size=60))
+    rows, t = [], 0
+    for gap in gaps:
+        t += gap
+        rows.append((t, draw(st.sampled_from(["open", "A", "A", "B"]))))
+    rows.append((t, "open"))
+    kind = draw(st.sampled_from(["round_robin", "reactive", "model_based"]))
+    kw = {"th_ms": draw(st.integers(1, 20))} if kind == "reactive" else {}
+    if kind == "model_based":
+        kw["lb_ms"] = draw(st.integers(1, 40))
+    return dict(
+        events=mk_events(rows),
+        policy=TimeWindowPolicy("open", draw(st.integers(1, 80))),
+        cost=CostModel("flat_per_type", {"open": 0.0, "A": draw(st.integers(1, 6)), "B": 2.0}),
+        kind=kind,
+        n=draw(st.integers(1, 4)),
+        mtime=50.0,
+        transfer_delay_ms=draw(st.sampled_from([0.5, 1.0, 3.0])),
+        **kw,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_runs())
+def test_feedback_delays_match_full_scan(run_kwargs):
+    m = run_sim(**run_kwargs)
+    assert any(w.close_ts is None for w in m.windows)
+    assert m.feedback_delays() == reference_feedback_delays(m)
 
 
 class TestSchedulingIntegration:

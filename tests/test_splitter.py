@@ -198,19 +198,19 @@ class W:
 class TestRouteEvent:
     def test_dedup_same_instance(self):
         members = [W(0, 2), W(1, 2), W(2, 2)]
-        assert route_event(ev(0, 0), members) == [2]
+        assert route_event(members) == [2]
 
     def test_dedup_mixed(self):
         members = [W(0, 0), W(1, 1), W(2, 1)]
-        assert route_event(ev(0, 0), members) == [0, 1]
+        assert route_event(members) == [0, 1]
 
     def test_no_memberships(self):
-        assert route_event(ev(0, 0), []) == []
+        assert route_event([]) == []
 
     def test_transmission_bound(self, rng):
         for _ in range(200):
             members = [W(i, rng.randrange(4)) for i in range(rng.randrange(0, 10))]
-            targets = route_event(ev(0, 0), members)
+            targets = route_event(members)
             assert len(targets) <= len(members)
             distinct = {m.assigned_instance for m in members}
             assert len(targets) == len(distinct)
@@ -223,5 +223,5 @@ def test_batched_overlap_saves_transmissions():
     batched = [W(i, 0) for i in range(k)]
     spread = [W(i, i) for i in range(k)]
     e = ev(0, 0)
-    assert len(route_event(e, batched)) == 1
-    assert len(route_event(e, spread)) == k
+    assert len(route_event(batched)) == 1
+    assert len(route_event(spread)) == k
