@@ -377,10 +377,27 @@ def _apply_overrides(raw: dict, seed: int | None, out: str | None) -> dict:
     return raw
 
 
+def _make_run_dirs(out_dir: Path, run_ids: Sequence[str]) -> None:
+    """Create the output directory and every run's directory in it, so that
+    an unusable ``out_dir`` or ``run_id`` fails before the first run."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"out_dir: cannot create directory {str(out_dir)!r}: {exc}") from None
+    for run_id in run_ids:
+        try:
+            (out_dir / run_id).mkdir(parents=True, exist_ok=True)
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(
+                f"run_id: cannot create directory {run_id!r} in {str(out_dir)!r}: {exc}"
+            ) from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     raw = _apply_overrides(load_config(args.config), args.seed, args.out)
     cfg = build_experiment(raw)
     out_dir = Path(cfg.out_dir)
+    _make_run_dirs(out_dir, [cfg.run_id])
     metrics = run(cfg)
     write_run_outputs(out_dir / cfg.run_id, metrics)
     row = summary_row(cfg, metrics)
@@ -408,6 +425,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _set_by_path(raw_i, fpath, value)
         label = "_".join(f"{f.split('.')[-1]}={v}" for f, v in zip(paths, combo))
         runs.append((f"{cfg.run_id}_{label}", build_experiment(raw_i)))
+    _make_run_dirs(out_dir, [run_id for run_id, _ in runs])
     for run_id, cfg_i in runs:
         metrics = run(cfg_i)
         write_run_outputs(out_dir / run_id, metrics)

@@ -8,7 +8,10 @@ Operator instances are simulated, not real threads: an event's service time
 is the summed in-window cost over its member windows on that instance, and
 the instance's busy-until clock advances accordingly. This yields exactly
 the busy-server recursion lambda_q(e') = max(0, lambda_q(e) + lambda_p(e) -
-iat) per instance, reproducibly and hardware-independently.
+iat) per instance, reproducibly and hardware-independently. Work shared by
+an event's windows on one instance (queueing, the sample, the latency
+observations) runs once per (event, instance); only window counts, the cost
+sum, in wid order, and each window's ground truth are per (event, window).
 
 Monitoring-window freezes and instance feedback reports fire at their
 simulated times between event arrivals; feedback reflects only events whose
@@ -27,7 +30,7 @@ from .core import Event, WindowDescriptor
 from .latency_model import ModelParams
 from .scheduler import Decision, InstanceView, WindowScheduler, make_scheduler
 from .splitter import Splitter, StreamStats, make_policy, route_event
-from .workload import CostModel, generate_stream, in_window_cost
+from .workload import CostModel, generate_stream, in_window_cost, uniform_cost
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cli import ExperimentConfig
@@ -80,7 +83,8 @@ class InstanceState:
     open_windows: dict[int, WindowDescriptor] = field(default_factory=dict)
     last_arrival: float | None = None
     records: list[LatencySample] = field(default_factory=list)
-    pending_obs: deque = field(default_factory=deque)  # (completion, etype, lambda_p_w)
+    # (completion, etype, in-window latencies): one entry per processed event
+    pending_obs: deque = field(default_factory=deque)
     _q_cursor: int = 0  # first record with start > t
     _c_cursor: int = 0  # first record with completion > t
 
@@ -250,8 +254,8 @@ def simulate(
         for inst in instances:
             obs = inst.pending_obs
             while obs and obs[0][0] <= now:
-                _, etype, lam = obs.popleft()
-                stats.observe_latency(etype, lam)
+                _, etype, lams = obs.popleft()
+                stats.observe_latencies(etype, lams)
 
     def deliver_reports(now: float) -> None:
         while pending_reports and pending_reports[0][0] <= now:
@@ -318,44 +322,55 @@ def simulate(
             metrics.batches[-1].wids.append(w.wid)
             metrics.windows.append(w)
 
-        targets = route_event(res.memberships)
-        for idx in targets:
+        groups = route_event(res.memberships)
+        etype = e.etype
+        arrival = e.ts + transfer_delay_ms
+        # priced once per event when every window charges the same
+        cost = uniform_cost(cost_model, e) if groups else None
+        for idx, wins in groups:
             inst = instances[idx]
-            wins = [w for w in res.memberships if w.assigned_instance == idx]
-            arrival = e.ts + transfer_delay_ms
             lambda_q = max(0.0, inst.busy_until - arrival)
             start = arrival + lambda_q
             lambda_p = 0.0
-            costs = []
-            for w in wins:
-                c = in_window_cost(cost_model, e, w.member_count_per_type)
-                w.member_count_per_type[e.etype] = w.member_count_per_type.get(e.etype, 0) + 1
-                costs.append(c)
-                lambda_p += c
+            if cost is None:
+                costs = []
+                for w in wins:
+                    counts = w.member_count_per_type
+                    c = in_window_cost(cost_model, e, counts)
+                    counts[etype] = counts.get(etype, 0) + 1
+                    costs.append(c)
+                    lambda_p += c
+            else:
+                costs = [cost] * len(wins)
+                for w in wins:
+                    counts = w.member_count_per_type
+                    counts[etype] = counts.get(etype, 0) + 1
+                    lambda_p += cost
             completion = start + lambda_p
             inst.busy_until = completion
-            for c in costs:
-                inst.pending_obs.append((completion, e.etype, c))
+            inst.pending_obs.append((completion, etype, costs))
 
             queue_len = len(inst.records) - inst.advance_q_cursor(arrival) + 1
-            gamma = None
             if inst.last_arrival is not None:
                 gamma = lambda_p - (arrival - inst.last_arrival)
-            inst.last_arrival = arrival
-            for w in wins:
-                w.actual_lambda_q_peak = max(w.actual_lambda_q_peak, lambda_q)
-                if gamma is not None:
-                    if gamma > 0:
+                if gamma > 0:
+                    for w in wins:
                         w.actual_gamma_minus += gamma
-                    else:
+                else:
+                    for w in wins:
                         w.actual_gamma_plus += gamma
+            inst.last_arrival = arrival
+            if lambda_q > 0.0:  # peaks start at 0.0
+                for w in wins:
+                    if lambda_q > w.actual_lambda_q_peak:
+                        w.actual_lambda_q_peak = lambda_q
 
             sample = LatencySample(
-                e.seq, idx, e.ts, e.etype, arrival, start, completion, lambda_q, lambda_p, len(wins), queue_len
+                e.seq, idx, e.ts, etype, arrival, start, completion, lambda_q, lambda_p, len(wins), queue_len
             )
             inst.records.append(sample)
             metrics.latency_samples.append(sample)
-        metrics.transmission_rows.append((e.seq, e.ts, len(res.memberships), len(targets)))
+        metrics.transmission_rows.append((e.seq, e.ts, len(res.memberships), len(groups)))
 
     # drain: keep the monitoring and feedback machinery running until every
     # instance finished its queued work

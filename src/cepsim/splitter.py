@@ -12,7 +12,10 @@ clamp into the edge bins.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .core import Event, WindowDescriptor
@@ -115,19 +118,20 @@ def _bin_values(values: Sequence[float], n_bins: int, vrange: tuple[float, float
 
     When ``vrange`` is None (first monitoring window) the values' own range is
     used. Out-of-range values clamp into the edge bins. Also returns the
-    population moments of the values.
+    population moments of the values. Each bin's moments are the Welford
+    updates of :meth:`Bin.add`, applied in value order.
     """
     n = len(values)
     vmin = min(values)
     vmax = max(values)
     mean = math.fsum(values) / n
-    var = math.fsum((v - mean) ** 2 for v in values) / n
+    var = math.fsum([(v - mean) ** 2 for v in values]) / n
     pop = PopulationStat(n, mean, math.sqrt(var), vmin, vmax)
 
     lo, hi = vrange if vrange is not None else (vmin, vmax)
     width = (hi - lo) / n_bins
-    bins = [Bin(lo + i * width, lo + (i + 1) * width) for i in range(n_bins)]
-    if width > 0:
+    if width > 0 and n_bins > 1:
+        members: list[list[float]] = [[] for _ in range(n_bins)]
         last = n_bins - 1
         for v in values:
             idx = int((v - lo) / width)
@@ -135,14 +139,27 @@ def _bin_values(values: Sequence[float], n_bins: int, vrange: tuple[float, float
                 idx = 0
             elif idx > last:
                 idx = last
-            bins[idx].add(v)
+            members[idx].append(v)
     else:
-        for v in values:
-            bins[0].add(v)
-    stats = tuple(
-        BinStat(b.lo, b.hi, b.count, b.mean, b.sigma, b.count / n) for b in bins
-    )
-    return stats, pop
+        members = [values] + [[] for _ in range(n_bins - 1)]
+    stats = []
+    for i, in_bin in enumerate(members):
+        count = len(in_bin)
+        if count and min(in_bin) == max(in_bin):
+            # after the first step the mean equals every value, so each
+            # further step leaves the mean and m2 as they are
+            in_bin = in_bin[:1]
+        k = 0
+        b_mean = 0.0
+        m2 = 0.0
+        for x in in_bin:
+            k += 1
+            d = x - b_mean
+            b_mean += d / k
+            m2 += d * (x - b_mean)
+        sigma = math.sqrt(m2 / count) if count else 0.0
+        stats.append(BinStat(lo + i * width, lo + (i + 1) * width, count, b_mean, sigma, count / n))
+    return tuple(stats), pop
 
 
 def _ratio_split(means: Mapping[str, float]) -> tuple[frozenset[str], frozenset[str]]:
@@ -221,6 +238,10 @@ class StreamStats:
     def observe_latency(self, etype: str, lambda_p_w: float) -> None:
         """Record one reported in-window processing latency for a type."""
         self._lats.setdefault(etype, []).append(lambda_p_w)
+
+    def observe_latencies(self, etype: str, lambda_p_ws: Sequence[float]) -> None:
+        """Record reported in-window processing latencies for a type, in order."""
+        self._lats.setdefault(etype, []).extend(lambda_p_ws)
 
     def observe_window_opened(self, open_ts: float) -> None:
         if self._last_open_ts is not None:
@@ -335,7 +356,12 @@ class KeyedAperiodicPolicy:
 
 class TimeWindowPolicy:
     """Face-style windows: an opener event starts a window that closes at the
-    first event with ts >= open_ts + ws."""
+    first event with ts >= open_ts + ws.
+
+    Every window has the same scope, so windows close in the order they
+    opened: ``closes`` stops at the first open window that has not yet
+    reached its close.
+    """
 
     def __init__(self, opener_etype: str, ws_ms: float):
         self.opener_etype = opener_etype
@@ -345,8 +371,9 @@ class TimeWindowPolicy:
         out = []
         for wid, w in open_windows.items():
             close_ts = w.open_ts + self.ws_ms
-            if e.ts >= close_ts:
-                out.append((wid, int(close_ts)))
+            if e.ts < close_ts:
+                break
+            out.append((wid, int(close_ts)))
         return out
 
     def opens(self, e: Event) -> bool:
@@ -364,6 +391,10 @@ def make_policy(cfg) -> KeyedAperiodicPolicy | TimeWindowPolicy:
     if cfg.scenario == "traffic":
         return KeyedAperiodicPolicy()
     return TimeWindowPolicy(cfg.opener_etype, cfg.scope.ws_ms)
+
+
+_wid = attrgetter("wid")
+_owner = attrgetter("assigned_instance")
 
 
 class Splitter:
@@ -388,6 +419,10 @@ class Splitter:
         Returns windows opened by ``e``, windows closed at ``e`` (the closing
         event is itself a member when its timestamp does not exceed the
         close), and all member windows in wid order.
+
+        ``open_windows`` is in wid order (wids are handed out in opening
+        order), so the few closed members are inserted into it by bisection
+        instead of sorting all members.
         """
         res = SplitResult()
         claimed_close = self.policy.has_pending_close(e)
@@ -409,9 +444,10 @@ class Splitter:
             if self.stats is not None:
                 self.stats.observe_window_opened(float(e.ts))
 
-        members = [w for w in res.closed if e.ts <= w.close_ts]
-        members.extend(self.open_windows.values())
-        members.sort(key=lambda w: w.wid)
+        members = list(self.open_windows.values())
+        for w in res.closed:
+            if e.ts <= w.close_ts:
+                members.insert(bisect_left(members, w.wid, key=_wid), w)
         res.memberships = members
 
         if self.stats is not None:
@@ -420,7 +456,14 @@ class Splitter:
         return res
 
 
-def route_event(memberships: Sequence[WindowDescriptor]) -> list[int]:
-    """Instances that must receive an event with these member windows: the
-    windows' deduplicated owners, in ascending index order."""
-    return sorted({w.assigned_instance for w in memberships if w.assigned_instance is not None})
+def route_event(memberships: Sequence[WindowDescriptor]) -> list[tuple[int, list[WindowDescriptor]]]:
+    """Where an event with these member windows must be sent: one
+    ``(instance, windows)`` group per owning instance, in ascending instance
+    order, each holding that instance's member windows in membership order.
+    Unassigned windows are left out."""
+    groups: dict[int, list[WindowDescriptor]] = {}
+    # consecutive windows usually share an owner (batching), so take runs
+    for idx, run in groupby(memberships, _owner):
+        if idx is not None:
+            groups.setdefault(idx, []).extend(run)
+    return sorted(groups.items())

@@ -172,6 +172,15 @@ def in_window_cost(model: CostModel, e: Event, window_state: Mapping[str, int]) 
     return cost
 
 
+def uniform_cost(model: CostModel, e: Event) -> float | None:
+    """In-window cost of ``e`` if it is the same in every window, i.e. the
+    model does not read the window's counts for it; otherwise None, and each
+    window is priced with :func:`in_window_cost`."""
+    if model.kind == "flat_per_type" or (model.kind == "equi_join" and e.etype != model.probe_etype):
+        return in_window_cost(model, e, {})
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Workload configuration and stream generation
 

@@ -201,6 +201,24 @@ class TestConfigErrors:
         assert "must be a mapping" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("fault", ["out_dir", "run_id"])
+    def test_unusable_output_path(self, tmp_path, capsys, command, fault):
+        # an --out naming a file, or a run_id no directory can have, fails
+        # before the first run instead of with a traceback after it
+        out = tmp_path / "res"
+        overrides = {}
+        if fault == "out_dir":
+            out.write_text("not a directory")
+        else:
+            overrides["run_id"] = "bad\0id"
+        cfg = write_config(tmp_path, overrides)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{fault}:" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
+        if fault == "out_dir":
+            assert out.read_text() == "not a directory"
+
     def test_missing_file(self, capsys):
         assert main(["run", "--config", "/nonexistent.yaml"]) == 2
 

@@ -23,11 +23,16 @@ COMMANDS = {
     "reactive_vs_model.yaml": "run",
     "face_accuracy.yaml": "run",
     "delays_jitter.yaml": "sweep",
+    "face_dense.yaml": "run",
 }
 
 # configs written by the test instead of shipped. delays_jitter reaches what
 # no shipped config does: arrival after the event's timestamp, delayed
 # feedback delivery, payload cost hints and the custom_table cost model.
+# face_dense is perfbench's face-dense-reactive cut to an 8 s horizon: up to
+# 151 (mean 120) open windows per event, on about three instances each, and
+# closing events that are members of the windows they close. The shipped
+# configs have at most about ten windows per event.
 INLINE = {
     "delays_jitter.yaml": {
         **BASE_CONFIG,
@@ -37,6 +42,22 @@ INLINE = {
             "cost": {"kind": "custom_table", "base_ms": {"A": 1.0, "B": 3.0, "open": 0.1}, "incr_ms": 0.05},
         },
         "sim": {**BASE_CONFIG["sim"], "transfer_delay_ms": 2.5, "feedback_delivery_delay_ms": 30},
+    },
+    "face_dense.yaml": {
+        "run_id": "face-dense",
+        "seed": 7,
+        "workload": {
+            "scenario": "face",
+            "duration_ms": 8000,
+            "iat": {"kind": "exponential", "mu_ms": 20},
+            "scope": {"ws_ms": 3000},
+            "opener": {"kind": "constant", "mu_ms": 20},
+            "opener_etype": "query",
+            "cost": {"kind": "flat_per_type", "base_ms": {"face": 0.02, "query": 0.005}},
+        },
+        "scheduler": {"kind": "reactive", "n_instances": 4, "th_ms": 1},
+        "model": {"n_iat_bins": 2, "n_lat_bins": 2},
+        "sim": {"mtime_ms": 500, "feedback_interval_ms": 50, "warmup_ms": 1000},
     },
 }
 
@@ -101,6 +122,15 @@ GOLDEN = {
         "smoke_lb_ms=500/transmissions.csv": "1452717e3f1b41054f9d4414dd0b06451fb8b62864e8d069f0c63af4b667b666",
         "smoke_lb_ms=500/windows.csv": "90946d7e18c4797d7056c9db645721ac4624153dea036a0fc2b9a3cf9bab1b36",
         "summary.csv": "1859135644c92f8bb413d328f8c97efdf7098f0d965fdbb954dc632a30fd7f66",
+    },
+    "face_dense.yaml": {
+        "face-dense/batches.csv": "c8f540161b1de9049d354a275614620ea6f3787b0bd91d89d9627a308e27588e",
+        "face-dense/decisions.csv": "dfa39c83af73d162fefc4435bceaafc20e15c834e497a186767a9d5aa3907268",
+        "face-dense/latency.csv": "1fffa6b43623c25c2832a7e3e81fa92fa526be777b25e89144fe40ce8164ad26",
+        "face-dense/predictions.csv": "94b2874b52cc1d2675bce88e0ce627825b85346bffaece23b054915ccbbd1533",
+        "face-dense/transmissions.csv": "f7b8970b7610583f60f82e86bf32e6581361157897f68dedf6dd26068b1bbeab",
+        "face-dense/windows.csv": "1c71ba3a0475720167d682d6b2bcd97ce18b4992a4701f9c950baf7de1956a47",
+        "summary.csv": "3f8c597e2a692c3524219171b16dabe2e49b6137d2377334b5e4b472e042da28",
     },
 }
 

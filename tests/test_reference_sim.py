@@ -1,0 +1,193 @@
+"""An independent reference simulator for the per-(event, window) path.
+
+``reference_run`` shares no code with ``cepsim.runtime``: it finds every
+window's opening and closing event by scanning the stream, takes each
+window's instance from ``simulate``'s own decisions (the controllers are
+checked elsewhere), derives memberships by brute force, prices every
+(event, window) pair itself and runs the Lindley recursion per instance.
+Everything it computes must equal what ``simulate`` produced, exactly.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cepsim.core import Event
+from cepsim.latency_model import ModelParams
+from cepsim.runtime import simulate
+from cepsim.scheduler import SchedulerConfig, make_scheduler
+from cepsim.splitter import KeyedAperiodicPolicy, TimeWindowPolicy
+from cepsim.workload import CostModel
+
+
+def reference_windows(events, policy):
+    """[(open_seq, close_seq or None, open_ts, close_ts or None)] in opening
+    order, found by scanning the stream for each window separately."""
+    out = []
+    if isinstance(policy, TimeWindowPolicy):
+        for e in events:
+            if e.etype != policy.opener_etype:
+                continue
+            end = e.ts + policy.ws_ms
+            closer = next((c for c in events if c.seq > e.seq and c.ts >= end), None)
+            if closer is None:
+                out.append((e.seq, None, e.ts, None))
+            else:
+                out.append((e.seq, closer.seq, e.ts, int(end)))
+        return out
+    open_until: dict[str, int] = {}  # key -> seq of the closing event
+    for e in events:
+        if e.etype != policy.open_etype or e.key is None:
+            continue
+        if open_until.get(e.key, -1) >= e.seq:
+            continue  # the key already holds an open window
+        closer = next(
+            (c for c in events if c.seq > e.seq and c.etype == policy.close_etype and c.key == e.key), None
+        )
+        if closer is None:
+            open_until[e.key] = len(events)
+            out.append((e.seq, None, e.ts, None))
+        else:
+            open_until[e.key] = closer.seq
+            out.append((e.seq, closer.seq, e.ts, closer.ts))
+    return out
+
+
+def price(cost, e, counts):
+    base = cost.base_ms[e.etype]
+    if cost.kind == "flat_per_type":
+        return base
+    if cost.kind == "equi_join":
+        if e.etype == cost.probe_etype:
+            return base + cost.incr_ms * counts.get(cost.build_etype, 0)
+        return base
+    c = base + cost.incr_ms * sum(counts.values())
+    if e.payload_cost_hint is not None:
+        c *= e.payload_cost_hint
+    return c
+
+
+def reference_run(events, policy, cost, owner, transfer_delay_ms):
+    """Latency rows, transmission rows and per-window ground truth.
+
+    ``owner`` maps wid to instance."""
+    windows = reference_windows(events, policy)
+    counts = [{} for _ in windows]
+    gamma_minus = [0.0] * len(windows)
+    gamma_plus = [0.0] * len(windows)
+    peak = [0.0] * len(windows)
+    busy: dict[int, float] = {}
+    last_arrival: dict[int, float] = {}
+    starts: dict[int, list[float]] = {}
+    samples = []
+    tx_rows = []
+    for e in events:
+        members = [
+            wid for wid, (open_seq, close_seq, _, close_ts) in enumerate(windows)
+            if open_seq <= e.seq and (close_seq is None or (e.seq <= close_seq and e.ts <= close_ts))
+        ]
+        instances = sorted({owner[wid] for wid in members})
+        for inst in instances:
+            mine = [wid for wid in members if owner[wid] == inst]
+            arrival = e.ts + transfer_delay_ms
+            lambda_q = max(0.0, busy.get(inst, 0.0) - arrival)
+            start = arrival + lambda_q
+            lambda_p = 0.0
+            for wid in mine:
+                lambda_p += price(cost, e, counts[wid])
+                counts[wid][e.etype] = counts[wid].get(e.etype, 0) + 1
+            completion = start + lambda_p
+            busy[inst] = completion
+            queue_len = 1 + len([s for s in starts.get(inst, []) if s > arrival])
+            starts.setdefault(inst, []).append(start)
+            if inst in last_arrival:
+                gamma = lambda_p - (arrival - last_arrival[inst])
+                for wid in mine:
+                    if gamma > 0:
+                        gamma_minus[wid] += gamma
+                    else:
+                        gamma_plus[wid] += gamma
+            last_arrival[inst] = arrival
+            for wid in mine:
+                peak[wid] = max(peak[wid], lambda_q)
+            samples.append((e.seq, inst, e.ts, e.etype, arrival, start, completion,
+                            lambda_q, lambda_p, len(mine), queue_len))
+        tx_rows.append((e.seq, e.ts, len(members), len(instances)))
+    truth = [
+        (open_ts, close_ts, counts[wid], gamma_minus[wid], gamma_plus[wid], peak[wid])
+        for wid, (_, _, open_ts, close_ts) in enumerate(windows)
+    ]
+    return samples, tx_rows, truth
+
+
+def as_row(s):
+    return (s.event_seq, s.instance, s.ts, s.etype, s.arrival, s.start, s.completion,
+            s.lambda_q, s.lambda_p, s.n_windows, s.queue_len)
+
+
+def float_bits(rows):
+    # repr tells -0.0 from 0.0, which == does not
+    return [tuple(repr(x) for x in row) for row in rows]
+
+
+@st.composite
+def workloads(draw):
+    """A short stream with time-based or keyed windows, one of the three
+    cost models, a controller over 1-4 instances and a transfer delay."""
+    keyed = draw(st.booleans())
+    gaps = draw(st.lists(st.integers(0, 12), min_size=5, max_size=50))
+    rows, t = [], 0
+    for gap in gaps:
+        t += gap
+        if keyed:
+            # few keys: nested windows, closes out of opening order, closes
+            # with no open window and openers of a key that is still open
+            rows.append((t, draw(st.sampled_from(["L1", "L1", "L2", "L2", "X"])), draw(st.sampled_from("abcd"))))
+        else:
+            rows.append((t, draw(st.sampled_from(["open", "A", "A", "B"])), None))
+    hints = draw(st.booleans())
+    events = [
+        Event(seq, ts, etype, key, draw(st.floats(0.2, 3.0)) if hints else None)
+        for seq, (ts, etype, key) in enumerate(rows)
+    ]
+    types = ["L1", "L2", "X"] if keyed else ["open", "A", "B"]
+    base = {et: draw(st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.5, 7.0])) for et in types}
+    kind = draw(st.sampled_from(["flat_per_type", "equi_join", "custom_table"]))
+    build, probe = ("L1", "L2") if keyed else ("A", "B")
+    cost = CostModel(kind, base, draw(st.sampled_from([0.0, 0.05, 0.7])), build, probe)
+    if keyed:
+        policy = KeyedAperiodicPolicy()
+    else:
+        policy = TimeWindowPolicy("open", draw(st.sampled_from([1, 6, 7.5, 25, 60])))
+    sched = draw(st.sampled_from(["round_robin", "reactive", "model_based"]))
+    kw = {"th_ms": draw(st.sampled_from([0.5, 2.0, 10.0]))} if sched == "reactive" else {}
+    if sched == "model_based":
+        kw["lb_ms"] = draw(st.sampled_from([1.0, 5.0, 40.0]))
+    config = SchedulerConfig(sched, n_instances=draw(st.integers(1, 4)), model=ModelParams(), **kw)
+    return dict(
+        events=events,
+        policy=policy,
+        cost=cost,
+        config=config,
+        transfer_delay_ms=draw(st.sampled_from([0.0, 0.5, 2.5])),
+        feedback_delivery_delay_ms=draw(st.sampled_from([0.0, 3.0])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(workloads())
+def test_simulate_matches_reference(w):
+    m = simulate(
+        w["events"], w["policy"], w["cost"], make_scheduler(w["config"]), ModelParams(),
+        mtime_ms=20.0, feedback_interval_ms=5.0, transfer_delay_ms=w["transfer_delay_ms"],
+        feedback_delivery_delay_ms=w["feedback_delivery_delay_ms"],
+    )
+    owner = {d.wid: d.instance for d in m.decisions}
+    samples, tx_rows, truth = reference_run(w["events"], w["policy"], w["cost"], owner, w["transfer_delay_ms"])
+    assert float_bits(as_row(s) for s in m.latency_samples) == float_bits(samples)
+    assert m.transmission_rows == tx_rows
+    assert len(m.windows) == len(truth)
+    for win, (open_ts, close_ts, counts, g_minus, g_plus, peak) in zip(m.windows, truth):
+        assert (win.open_ts, win.close_ts) == (open_ts, close_ts)
+        assert win.member_count_per_type == counts
+        assert float_bits([(win.actual_gamma_minus, win.actual_gamma_plus, win.actual_lambda_q_peak)]) == \
+            float_bits([(g_minus, g_plus, peak)])

@@ -1,11 +1,18 @@
+from dataclasses import astuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cepsim.core import Event
 from cepsim.splitter import (
+    Bin,
+    BinStat,
     KeyedAperiodicPolicy,
     Splitter,
     StreamStats,
     TimeWindowPolicy,
+    _bin_values,
     route_event,
 )
 from conftest import feed_window, snapshot_from
@@ -54,6 +61,53 @@ class TestBinning:
         stats = StreamStats(1, 1, mtime_ms=1000.0)
         snap = feed_window(stats, iats=[1] * 9, etypes=["A", "B", "A", "B", "A"])
         assert sum(snap.type_ratio.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def reference_bins(values, n_bins, vrange):
+    """Bins filled one value at a time with Bin.add."""
+    lo, hi = vrange if vrange is not None else (min(values), max(values))
+    width = (hi - lo) / n_bins
+    bins = [Bin(lo + i * width, lo + (i + 1) * width) for i in range(n_bins)]
+    for v in values:
+        idx = min(max(int((v - lo) / width), 0), n_bins - 1) if width > 0 else 0
+        bins[idx].add(v)
+    return tuple(BinStat(b.lo, b.hi, b.count, b.mean, b.sigma, b.count / len(values)) for b in bins)
+
+
+def float_bits(stats):
+    # repr tells -0.0 from 0.0, which == does not
+    return [tuple(repr(x) for x in astuple(b)) for b in stats]
+
+
+@st.composite
+def binning_inputs(draw):
+    """Values (often repeated, so ranges of zero width occur), a bin count
+    (often one) and a range from the previous window that may be narrower
+    than the values, so they clamp, or of zero width."""
+    pool = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
+    values = draw(st.lists(st.sampled_from(pool) | st.floats(-1e3, 1e3), min_size=1, max_size=40))
+    n_bins = draw(st.sampled_from([1, 1, 2, 3, 5]))
+    shape = draw(st.sampled_from(["own", "other", "zero"]))
+    if shape == "own":
+        vrange = None
+    elif shape == "zero":
+        vrange = (draw(st.sampled_from(values)),) * 2
+    else:
+        # multiples of 1/8: under a subnormal width (v - lo) / width
+        # overflows, and both binnings raise
+        lo, hi = sorted(draw(st.lists(st.integers(-4000, 4000), min_size=2, max_size=2)))
+        vrange = (lo / 8, hi / 8)
+    return values, n_bins, vrange
+
+
+class TestBinValues:
+    @settings(max_examples=300, deadline=None)
+    @given(binning_inputs())
+    def test_inline_welford_equals_bin_add(self, args):
+        values, n_bins, vrange = args
+        stats, pop = _bin_values(values, n_bins, vrange)
+        assert float_bits(stats) == float_bits(reference_bins(values, n_bins, vrange))
+        assert pop.count == sum(b.count for b in stats) == len(values)
 
 
 class TestFreeze:
@@ -176,6 +230,35 @@ class TestDetectWindows:
         assert r.memberships == [wa]
         assert sp.dropped_closes == 1
 
+    def test_keyed_close_merged_in_wid_order(self):
+        # b closes before a and c, both opened around it: the closing event's
+        # memberships must still come out strictly by wid
+        sp = Splitter(KeyedAperiodicPolicy())
+        wa = sp.process(ev(0, 0, "L1", key="a")).opened[0]
+        wb = sp.process(ev(1, 10, "L1", key="b")).opened[0]
+        wc = sp.process(ev(2, 20, "L1", key="c")).opened[0]
+        r = sp.process(ev(3, 30, "L2", key="b"))
+        assert r.closed == [wb]
+        assert r.memberships == [wa, wb, wc]
+        r = sp.process(ev(4, 40, "L2", key="c"))
+        assert r.memberships == [wa, wc]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 12), st.booleans()), max_size=60),
+           st.sampled_from([1, 5, 7.5, 20, 30.25]))
+    def test_time_closes_equal_full_scan(self, rows, ws):
+        policy = TimeWindowPolicy("query", ws)
+        sp = Splitter(policy)
+        ts = 0
+        for seq, (gap, opener) in enumerate(rows):
+            ts += gap
+            e = ev(seq, ts, "query" if opener else "face")
+            full_scan = [
+                (wid, int(w.open_ts + ws)) for wid, w in sp.open_windows.items() if e.ts >= w.open_ts + ws
+            ]
+            assert policy.closes(e, sp.open_windows) == full_scan
+            sp.process(e)
+
     def test_stats_observed_through_splitter(self):
         stats = StreamStats(1, 1, mtime_ms=10_000.0)
         sp = Splitter(KeyedAperiodicPolicy(), stats)
@@ -198,11 +281,11 @@ class W:
 class TestRouteEvent:
     def test_dedup_same_instance(self):
         members = [W(0, 2), W(1, 2), W(2, 2)]
-        assert route_event(members) == [2]
+        assert route_event(members) == [(2, members)]
 
     def test_dedup_mixed(self):
         members = [W(0, 0), W(1, 1), W(2, 1)]
-        assert route_event(members) == [0, 1]
+        assert route_event(members) == [(0, members[:1]), (1, members[1:])]
 
     def test_no_memberships(self):
         assert route_event([]) == []
@@ -210,10 +293,18 @@ class TestRouteEvent:
     def test_transmission_bound(self, rng):
         for _ in range(200):
             members = [W(i, rng.randrange(4)) for i in range(rng.randrange(0, 10))]
-            targets = route_event(members)
-            assert len(targets) <= len(members)
+            groups = route_event(members)
+            assert len(groups) <= len(members)
             distinct = {m.assigned_instance for m in members}
-            assert len(targets) == len(distinct)
+            assert len(groups) == len(distinct)
+            # ascending owners; each group is its owner's windows in order
+            assert [idx for idx, _ in groups] == sorted(distinct)
+            for idx, wins in groups:
+                assert wins == [m for m in members if m.assigned_instance == idx]
+
+    def test_unassigned_windows_left_out(self):
+        members = [W(0, None), W(1, 3), W(2, None), W(3, 3)]
+        assert route_event(members) == [(3, [members[1], members[3]])]
 
 
 def test_batched_overlap_saves_transmissions():
@@ -222,6 +313,5 @@ def test_batched_overlap_saves_transmissions():
     k = 4
     batched = [W(i, 0) for i in range(k)]
     spread = [W(i, i) for i in range(k)]
-    e = ev(0, 0)
     assert len(route_event(batched)) == 1
     assert len(route_event(spread)) == k
