@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import heapq
 import itertools
 import math
+import operator
+import os
 import random
 import statistics
 import sys
@@ -239,18 +242,12 @@ def load_config(path: str | Path) -> dict:
 # CSV output
 
 
-def _fmt(v: Any) -> Any:
-    if isinstance(v, float):
-        return repr(v)
-    return v
-
-
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    # csv writes a float as its repr, so the files round-trip exactly
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows(rows)
 
 
 def write_run_outputs(run_dir: Path, metrics: RunMetrics) -> None:
@@ -259,9 +256,9 @@ def write_run_outputs(run_dir: Path, metrics: RunMetrics) -> None:
     _write_csv(
         run_dir / "latency.csv",
         ["seq", "instance", "lambda_q", "lambda_p", "lambda_o", "ts"],
-        (
-            (s.event_seq, s.instance, s.lambda_q, s.lambda_p, s.lambda_o, s.ts)
-            for s in metrics.latency_samples
+        zip(
+            metrics.event_seq, metrics.instance, metrics.lambda_q, metrics.lambda_p,
+            map(operator.add, metrics.lambda_q, metrics.lambda_p), metrics.ts,
         ),
     )
     _write_csv(
@@ -271,8 +268,8 @@ def write_run_outputs(run_dir: Path, metrics: RunMetrics) -> None:
             (
                 d.wid,
                 d.instance,
-                _fmt(d.prediction.lambda_o_max) if d.prediction is not None
-                else (_fmt(d.observed_lambda_o) if d.observed_lambda_o is not None else ""),
+                d.prediction.lambda_o_max if d.prediction is not None
+                else (d.observed_lambda_o if d.observed_lambda_o is not None else ""),
                 d.kind,
             )
             for d in metrics.decisions
@@ -294,7 +291,7 @@ def write_run_outputs(run_dir: Path, metrics: RunMetrics) -> None:
     _write_csv(
         run_dir / "transmissions.csv",
         ["seq", "ts", "n_member_windows", "n_instances"],
-        metrics.transmission_rows,
+        zip(metrics.tx_seq, metrics.tx_ts, metrics.tx_members, metrics.tx_instances),
     )
     _write_csv(
         run_dir / "windows.csv",
@@ -324,11 +321,16 @@ def write_run_outputs(run_dir: Path, metrics: RunMetrics) -> None:
 
 
 def p99(values: Sequence[float]) -> float:
-    if not values:
+    """``sorted(values)[max(0, ceil(0.99 n) - 1)]``, 0.0 when empty, found
+    without sorting every value."""
+    n = len(values)
+    if not n:
         return 0.0
-    ordered = sorted(values)
-    idx = max(0, math.ceil(0.99 * len(ordered)) - 1)
-    return ordered[idx]
+    idx = max(0, math.ceil(0.99 * n) - 1)
+    # sorted() and nlargest() are both stable; on the reversed input the
+    # last of the nlargest is the same one of several equal values (0.0 and
+    # -0.0) that sorted(values)[idx] picks
+    return heapq.nlargest(n - idx, reversed(values))[-1]
 
 
 def summary_row(cfg: ExperimentConfig, metrics: RunMetrics, run_id: str | None = None) -> list:
@@ -379,7 +381,14 @@ def _apply_overrides(raw: dict, seed: int | None, out: str | None) -> dict:
 
 def _make_run_dirs(out_dir: Path, run_ids: Sequence[str]) -> None:
     """Create the output directory and every run's directory in it, so that
-    an unusable ``out_dir`` or ``run_id`` fails before the first run."""
+    an unusable ``out_dir`` or ``run_id`` fails before the first run. A run
+    id names one directory directly inside ``out_dir``."""
+    for run_id in run_ids:
+        if run_id in ("", ".", "..") or any(c and c in run_id for c in ("/", os.sep, os.altsep, "\0")):
+            raise ConfigurationError(
+                f"run_id: {run_id!r} must name one directory inside out_dir "
+                "(not empty, '.' or '..', without path separators or NUL)"
+            )
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:

@@ -20,11 +20,11 @@ processing already completed, so controllers see realistically stale data.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import abc, deque
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Mapping, Sequence, TYPE_CHECKING
+from typing import Any, Callable, Mapping, Sequence, TYPE_CHECKING
 
 from .core import Event, WindowDescriptor
 from .latency_model import ModelParams
@@ -76,13 +76,19 @@ class FeedbackReport:
 
 @dataclass
 class InstanceState:
-    """Simulated operator instance: FIFO queue driven by a busy-until clock."""
+    """Simulated operator instance: FIFO queue driven by a busy-until clock.
+
+    ``records`` holds one ``(start, completion, arrival, etype, n_windows,
+    lambda_o)`` tuple per processed event that had not completed at the last
+    feedback instant, after the last one that had; older records are trimmed,
+    so the list is bounded by the instance's backlog.
+    """
 
     idx: int
     busy_until: float = 0.0
     open_windows: dict[int, WindowDescriptor] = field(default_factory=dict)
     last_arrival: float | None = None
-    records: list[LatencySample] = field(default_factory=list)
+    records: list[tuple[float, float, float, str, int, float]] = field(default_factory=list)
     # (completion, etype, in-window latencies): one entry per processed event
     pending_obs: deque = field(default_factory=deque)
     _q_cursor: int = 0  # first record with start > t
@@ -91,7 +97,7 @@ class InstanceState:
     def advance_q_cursor(self, t: float) -> int:
         recs = self.records
         i = self._q_cursor
-        while i < len(recs) and recs[i].start <= t:
+        while i < len(recs) and recs[i][0] <= t:
             i += 1
         self._q_cursor = i
         return i
@@ -102,18 +108,26 @@ class InstanceState:
         i = self.advance_q_cursor(now)
         recs = self.records
         j = self._c_cursor
-        while j < len(recs) and recs[j].completion <= now:
+        while j < len(recs) and recs[j][1] <= now:
             j += 1
+        if j > 1:
+            # completed records before the last one are never read again; a
+            # record completed by now also started by now, so it lies before
+            # the queue cursor
+            del recs[: j - 1]
+            i -= j - 1
+            self._q_cursor = i
+            j = 1
         self._c_cursor = j
-        last_lo = recs[j - 1].lambda_o if j > 0 else None
+        last_lo = recs[j - 1][5] if j > 0 else None
         counts: dict[str, int] = {}
         theta_sum = 0
         queued = 0
-        for r in recs[i:]:
-            if r.arrival > now:
+        for _, _, arrival, etype, n_windows, _ in recs[i:]:
+            if arrival > now:
                 continue
-            counts[r.etype] = counts.get(r.etype, 0) + 1
-            theta_sum += r.n_windows
+            counts[etype] = counts.get(etype, 0) + 1
+            theta_sum += n_windows
             queued += 1
         theta = theta_sum / queued if queued else 1.0
         return FeedbackReport(self.idx, counts, theta, last_lo, now)
@@ -144,43 +158,122 @@ class FeedbackDelay:
     qlen_peak_delay_ms: float
 
 
+class RowView(abc.Sequence):
+    """Read-only sequence of ``length`` rows, built by ``row(i)`` on access."""
+
+    __slots__ = ("_len", "_row")
+
+    def __init__(self, length: int, row: Callable[[int], Any]):
+        self._len = length
+        self._row = row
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._row(j) for j in range(*i.indices(self._len))]
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("row index out of range")
+        return self._row(i)
+
+    def __iter__(self):
+        return map(self._row, range(self._len))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, abc.Sequence):
+            return NotImplemented
+        return len(other) == self._len and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _column(typecode: str):
+    return field(default_factory=lambda: array(typecode))
+
+
 @dataclass
 class RunMetrics:
     """Everything one simulation run produced.
 
-    ``latency_samples`` holds one record per processed (event, instance)
-    pair in event order; ``windows`` holds every scheduled window, indexed
-    by wid.
+    Processed (event, instance) pairs are stored as typed columns, one entry
+    per pair in event order: ``event_seq``, ``instance``, ``ts``,
+    ``etype_code`` (an index into ``etypes``), ``lambda_q``, ``lambda_p``,
+    ``n_windows`` and ``queue_len``. ``latency_samples`` presents them as
+    ``LatencySample`` objects, recomputing arrival, start and completion
+    with the operations ``simulate`` uses. The ``tx_*`` columns hold one
+    transmission row per event. ``windows`` holds every scheduled window,
+    indexed by wid.
     """
 
-    latency_samples: list[LatencySample] = field(default_factory=list)
-    transmission_rows: list[tuple[int, int, int, int]] = field(default_factory=list)
+    event_seq: array = _column("q")
+    instance: array = _column("q")
+    ts: array = _column("q")
+    etype_code: array = _column("q")
+    lambda_q: array = _column("d")
+    lambda_p: array = _column("d")
+    n_windows: array = _column("q")
+    queue_len: array = _column("q")
+    etypes: list[str] = field(default_factory=list)
+    tx_seq: array = _column("q")
+    tx_ts: array = _column("q")
+    tx_members: array = _column("q")
+    tx_instances: array = _column("q")
     decisions: list[Decision] = field(default_factory=list)
     windows: list[WindowDescriptor] = field(default_factory=list)
     batches: list[BatchRecord] = field(default_factory=list)
+    transfer_delay_ms: float = 0.0
     dropped_closes: int = 0
     n_events: int = 0
 
     @property
+    def latency_samples(self) -> RowView:
+        """One ``LatencySample`` per processed (event, instance) pair."""
+        return RowView(len(self.event_seq), self._sample)
+
+    def _sample(self, i: int) -> LatencySample:
+        ts, lambda_q, lambda_p = self.ts[i], self.lambda_q[i], self.lambda_p[i]
+        arrival = ts + self.transfer_delay_ms
+        start = arrival + lambda_q
+        return LatencySample(
+            self.event_seq[i], self.instance[i], ts, self.etypes[self.etype_code[i]],
+            arrival, start, start + lambda_p, lambda_q, lambda_p, self.n_windows[i], self.queue_len[i],
+        )
+
+    @property
+    def transmission_rows(self) -> RowView:
+        """``(seq, ts, n_member_windows, n_instances)`` per event."""
+        return RowView(len(self.tx_seq), self._transmission_row)
+
+    def _transmission_row(self, i: int) -> tuple[int, int, int, int]:
+        return (self.tx_seq[i], self.tx_ts[i], self.tx_members[i], self.tx_instances[i])
+
+    @property
     def transmissions(self) -> int:
         """Events sent to instances: one per processed (event, instance) pair."""
-        return len(self.latency_samples)
+        return len(self.event_seq)
 
-    def lambda_o_values(self, warmup_ms: float = 0.0) -> list[float]:
-        return [s.lambda_o for s in self.latency_samples if s.ts >= warmup_ms]
+    def lambda_o_values(self, warmup_ms: float = 0.0) -> array:
+        return array(
+            "d", (q + p for t, q, p in zip(self.ts, self.lambda_q, self.lambda_p) if t >= warmup_ms)
+        )
 
     def violation_stats(self, lb_ms: float, warmup_ms: float = 0.0) -> tuple[int, float, int]:
         """(violation count, max excess over the bound in ms, samples considered)."""
         count = 0
         worst = 0.0
         considered = 0
-        for s in self.latency_samples:
-            if s.ts < warmup_ms:
+        for t, q, p in zip(self.ts, self.lambda_q, self.lambda_p):
+            if t < warmup_ms:
                 continue
             considered += 1
-            if s.lambda_o > lb_ms:
+            lambda_o = q + p
+            if lambda_o > lb_ms:
                 count += 1
-                worst = max(worst, s.lambda_o - lb_ms)
+                worst = max(worst, lambda_o - lb_ms)
         return count, worst, considered
 
     def feedback_delays(self) -> list[FeedbackDelay]:
@@ -188,33 +281,40 @@ class RunMetrics:
         processed on its instance between the batch's first scheduling
         decision and the close of its last window (the end of the run if one
         of its windows never closed). Peaks are the first maximal samples."""
-        by_instance: dict[int, list[LatencySample]] = {}
-        for s in self.latency_samples:
-            by_instance.setdefault(s.instance, []).append(s)
-        ts_by_instance = {i: [s.ts for s in samples] for i, samples in by_instance.items()}
-        end_of_run = self.latency_samples[-1].ts if self.latency_samples else 0
+        # per instance, in event order: timestamps, lambda_o and queue lengths
+        by_instance: dict[int, tuple[array, array, array]] = {}
+        for inst, t, q, p, n in zip(self.instance, self.ts, self.lambda_q, self.lambda_p, self.queue_len):
+            cols = by_instance.get(inst)
+            if cols is None:
+                cols = by_instance[inst] = (array("q"), array("d"), array("q"))
+            cols[0].append(t)
+            cols[1].append(q + p)
+            cols[2].append(n)
+        end_of_run = self.ts[-1] if self.ts else 0
         out = []
         for b in self.batches:
             closes = [self.windows[wid].close_ts for wid in b.wids]
             span_end = end_of_run if None in closes else max(closes)
-            ts = ts_by_instance.get(b.instance, [])
+            ts, los, qlens = by_instance.get(b.instance, ((), (), ()))
             lo = bisect_left(ts, b.first_decision_ts)
             hi = bisect_right(ts, span_end)
             if lo >= hi:
                 continue  # batch saw no events
-            span = by_instance[b.instance][lo:hi]
-            lat = max(span, key=attrgetter("lambda_o"))
-            qlen = max(span, key=attrgetter("queue_len"))
+            # index() finds the first maximal sample
+            span_los, span_qlens = los[lo:hi], qlens[lo:hi]
+            lat_peak, qlen_peak = max(span_los), max(span_qlens)
+            lat_ts = ts[lo + span_los.index(lat_peak)]
+            qlen_ts = ts[lo + span_qlens.index(qlen_peak)]
             out.append(
                 FeedbackDelay(
                     b.batch_id,
                     b.instance,
                     b.first_decision_ts,
                     len(b.wids),
-                    lat.lambda_o,
-                    float(lat.ts - b.first_decision_ts),
-                    qlen.queue_len,
-                    float(qlen.ts - b.first_decision_ts),
+                    lat_peak,
+                    float(lat_ts - b.first_decision_ts),
+                    qlen_peak,
+                    float(qlen_ts - b.first_decision_ts),
                 )
             )
         return out
@@ -243,7 +343,12 @@ def simulate(
     instances = [InstanceState(i) for i in range(n_instances)]
     delivered: list[FeedbackReport | None] = [None] * n_instances
     pending_reports: deque[tuple[float, FeedbackReport]] = deque()
-    metrics = RunMetrics(n_events=len(events))
+    metrics = RunMetrics(transfer_delay_ms=transfer_delay_ms, n_events=len(events))
+    etype_codes: dict[str, int] = {}
+    # column appends, bound once: the loop below runs once per pair
+    add_seq, add_instance, add_ts = metrics.event_seq.append, metrics.instance.append, metrics.ts.append
+    add_etype, add_lambda_q, add_lambda_p = metrics.etype_code.append, metrics.lambda_q.append, metrics.lambda_p.append
+    add_n_windows, add_queue_len = metrics.n_windows.append, metrics.queue_len.append
     now = 0
 
     next_freeze = mtime_ms
@@ -323,8 +428,12 @@ def simulate(
             metrics.windows.append(w)
 
         groups = route_event(res.memberships)
-        etype = e.etype
-        arrival = e.ts + transfer_delay_ms
+        seq, ts, etype = e.seq, e.ts, e.etype
+        code = etype_codes.get(etype)
+        if code is None:
+            code = etype_codes[etype] = len(metrics.etypes)
+            metrics.etypes.append(etype)
+        arrival = ts + transfer_delay_ms
         # priced once per event when every window charges the same
         cost = uniform_cost(cost_model, e) if groups else None
         for idx, wins in groups:
@@ -365,12 +474,20 @@ def simulate(
                     if lambda_q > w.actual_lambda_q_peak:
                         w.actual_lambda_q_peak = lambda_q
 
-            sample = LatencySample(
-                e.seq, idx, e.ts, etype, arrival, start, completion, lambda_q, lambda_p, len(wins), queue_len
-            )
-            inst.records.append(sample)
-            metrics.latency_samples.append(sample)
-        metrics.transmission_rows.append((e.seq, e.ts, len(res.memberships), len(groups)))
+            n_windows = len(wins)
+            inst.records.append((start, completion, arrival, etype, n_windows, lambda_q + lambda_p))
+            add_seq(seq)
+            add_instance(idx)
+            add_ts(ts)
+            add_etype(code)
+            add_lambda_q(lambda_q)
+            add_lambda_p(lambda_p)
+            add_n_windows(n_windows)
+            add_queue_len(queue_len)
+        metrics.tx_seq.append(seq)
+        metrics.tx_ts.append(ts)
+        metrics.tx_members.append(len(res.memberships))
+        metrics.tx_instances.append(len(groups))
 
     # drain: keep the monitoring and feedback machinery running until every
     # instance finished its queued work

@@ -134,11 +134,10 @@ def _bin_values(values: Sequence[float], n_bins: int, vrange: tuple[float, float
         members: list[list[float]] = [[] for _ in range(n_bins)]
         last = n_bins - 1
         for v in values:
-            idx = int((v - lo) / width)
-            if idx < 0:
-                idx = 0
-            elif idx > last:
-                idx = last
+            # compared before int(), which cannot take the +-inf that a
+            # subnormal width gives for a far value
+            x = (v - lo) / width
+            idx = last if x >= last else int(x) if x > 0 else 0
             members[idx].append(v)
     else:
         members = [values] + [[] for _ in range(n_bins - 1)]

@@ -1,11 +1,15 @@
 import csv
 import filecmp
+import math
+from array import array
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cepsim.cli import build_experiment, main
+from cepsim.cli import build_experiment, main, p99
 
 BASE_CONFIG = {
     "run_id": "smoke",
@@ -219,6 +223,27 @@ class TestConfigErrors:
         if fault == "out_dir":
             assert out.read_text() == "not a directory"
 
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("run", {"run_id": "../escaped"}),
+            ("run", {"run_id": ""}),
+            ("run", {"run_id": "."}),
+            ("run", {"run_id": ".."}),
+            ("run", {"run_id": "a/b"}),
+            ("sweep", {"run_id": "../escaped"}),
+            # the sweep label puts each value into its run id
+            ("sweep", {"sweep": [{"field": "run_id", "values": ["ok", "../escaped"]}]}),
+        ],
+    )
+    def test_run_id_names_one_directory(self, tmp_path, capsys, command, overrides):
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "out" / "res"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "run_id:" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
+
     def test_missing_file(self, capsys):
         assert main(["run", "--config", "/nonexistent.yaml"]) == 2
 
@@ -226,6 +251,19 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, {"scheduler.lb_ms": "inf", "sweep": None})
         exp = build_experiment(yaml.safe_load(cfg.read_text()))
         assert exp.scheduler.lb_ms == float("inf")
+
+
+def sorted_p99(values):
+    if not values:
+        return 0.0
+    return sorted(values)[max(0, math.ceil(0.99 * len(values)) - 1)]
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5]) | st.floats(allow_nan=False), max_size=300))
+def test_p99_equals_sorted_definition(values):
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr(p99(values)) == repr(sorted_p99(values))
+    assert repr(p99(array("d", values))) == repr(sorted_p99(values))
 
 
 class TestConfigBuilder:

@@ -391,3 +391,64 @@ def test_run_with_experiment_config():
     m2 = run(cfg)
     assert m1 == m2
     assert m1.latency_samples
+
+
+class TestColumnStorage:
+    """Samples are typed columns, and instances keep only in-flight work."""
+
+    @staticmethod
+    def traffic_config():
+        from pathlib import Path
+
+        from cepsim.cli import build_experiment, load_config
+
+        raw = load_config(Path(__file__).resolve().parent.parent / "configs" / "traffic_tradeoff.yaml")
+        raw["scheduler"] = {"kind": "round_robin", "n_instances": 8}
+        del raw["sweep"]
+        return build_experiment(raw)
+
+    def test_sample_columns_take_at_most_80_bytes_per_sample(self):
+        m = run(self.traffic_config())
+        columns = [m.event_seq, m.instance, m.ts, m.etype_code, m.lambda_q, m.lambda_p, m.n_windows, m.queue_len]
+        n = m.transmissions
+        assert n > 10_000
+        assert all(len(c) == n for c in columns)
+        assert sum(c.itemsize * len(c) for c in columns) / n <= 80
+
+    def test_instance_records_bounded_by_backlog(self, monkeypatch):
+        longest = []
+        make_feedback = InstanceState.make_feedback
+
+        def checking(self, now):
+            rep = make_feedback(self, now)
+            # records are (start, completion, ...): all but the last
+            # completed one are still queued, in service or in transit
+            in_flight = sum(1 for r in self.records if r[1] > now)
+            assert len(self.records) <= in_flight + 1
+            longest.append(len(self.records))
+            return rep
+
+        monkeypatch.setattr(InstanceState, "make_feedback", checking)
+        m = run(self.traffic_config())
+        assert longest and max(longest) * 100 < m.transmissions
+
+    @pytest.mark.parametrize("delay", [0, 2.5])
+    def test_sample_view_agrees_with_iteration(self, delay):
+        events, _ = TestConservationAndIdentities().traffic_metrics()
+        cost = CostModel("equi_join", {"L1": 1.0, "L2": 2.0}, incr_ms=0.3)
+        m = run_sim(events, policy=KeyedAperiodicPolicy(), cost=cost, n=3, mtime=500.0, transfer_delay_ms=delay)
+        samples = m.latency_samples
+        as_list = list(samples)
+        n = len(samples)
+        assert n == m.transmissions > 0
+        assert [samples[i] for i in range(n)] == as_list
+        assert [samples[i - n] for i in range(n)] == as_list
+        assert samples[1:7:2] == as_list[1:7:2] and samples[::-1] == as_list[::-1]
+        assert samples == as_list and as_list == samples
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                samples[i]
+        for s in as_list:
+            assert s.arrival == s.ts + delay and type(s.arrival) is type(s.ts + delay)
+            assert s.start == s.arrival + s.lambda_q and s.completion == s.start + s.lambda_p
+        assert m.transmission_rows == list(zip(m.tx_seq, m.tx_ts, m.tx_members, m.tx_instances))

@@ -109,6 +109,12 @@ class TestBinValues:
         assert float_bits(stats) == float_bits(reference_bins(values, n_bins, vrange))
         assert pop.count == sum(b.count for b in stats) == len(values)
 
+    @pytest.mark.parametrize("value, counts", [(108.0, [0, 1]), (-108.0, [1, 0])])
+    def test_far_value_under_subnormal_range_clamps(self, value, counts):
+        # (value - lo) / width overflows to +-inf; it clamps like any far value
+        stats, _ = _bin_values([value], 2, (0.0, 1.19e-306))
+        assert [b.count for b in stats] == counts
+
 
 class TestFreeze:
     def test_empty_window_returns_stale_previous(self):
