@@ -48,11 +48,11 @@ class WindowDescriptor:
     """An open or closed window, the operator instance that owns it, and the
     ground truth its member events produced there.
 
-    ``member_count_per_type`` is filled as member events are processed; cost
-    models read it to price an event against the window's accumulated state.
-    The ``actual_*`` fields are the realised queuing gains and queuing peak
-    of the window's members on its instance, for prediction-accuracy
-    analysis.
+    ``member_count_per_type`` counts the member events of each type that
+    occurs among them. The simulation fills it when the window closes, or at
+    the end of the run for a window still open. The ``actual_*`` fields are
+    the realised queuing gains and queuing peak of the window's members on
+    its instance, for prediction-accuracy analysis.
     """
 
     wid: int
@@ -64,10 +64,6 @@ class WindowDescriptor:
     actual_gamma_minus: float = 0.0
     actual_gamma_plus: float = 0.0
     actual_lambda_q_peak: float = 0.0
-
-    @property
-    def is_open(self) -> bool:
-        return self.close_ts is None
 
     @property
     def n_member_events(self) -> int:

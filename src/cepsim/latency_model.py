@@ -251,7 +251,12 @@ def predict_lambda_q_init(
     global_mean = None
     if known:
         total = sum(p.count for p, _ in known)
-        global_mean = sum(p.count * (p.mean + params.delta_lp * p.sigma) for p, _ in known) / total
+        # added in order from 0.0: sum() compensates from Python 3.12 on,
+        # which would make the prediction depend on the Python version
+        weighted = 0.0
+        for p, _ in known:
+            weighted += p.count * (p.mean + params.delta_lp * p.sigma)
+        global_mean = weighted / total
     lam = 0.0
     for etype, count in queued_counts.items():
         mean = type_mean_latency(snapshot, etype, params)

@@ -8,10 +8,16 @@ Operator instances are simulated, not real threads: an event's service time
 is the summed in-window cost over its member windows on that instance, and
 the instance's busy-until clock advances accordingly. This yields exactly
 the busy-server recursion lambda_q(e') = max(0, lambda_q(e) + lambda_p(e) -
-iat) per instance, reproducibly and hardware-independently. Work shared by
-an event's windows on one instance (queueing, the sample, the latency
-observations) runs once per (event, instance); only window counts, the cost
-sum, in wid order, and each window's ground truth are per (event, window).
+iat) per instance, reproducibly and hardware-independently.
+
+An event's work on one instance runs once per (event, instance): routing,
+queueing, the sample and the latency observations. A cost that is the same
+in every window is priced once, its sum is a memoised repeated addition and
+its observations are one run of equal values. Only a cost that reads the
+window's state is priced per (event, window), in wid order, against per-type
+counts derived from counts over the whole stream; and each window's queuing
+gains and queuing peak are accumulated per (event, window). A window's
+per-type member counts are filled when it closes.
 
 Monitoring-window freezes and instance feedback reports fire at their
 simulated times between event arrivals; feedback reflects only events whose
@@ -21,9 +27,10 @@ processing already completed, so controllers see realistically stale data.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import abc, deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Mapping, Sequence, TYPE_CHECKING
 
 from .core import Event, WindowDescriptor
@@ -89,7 +96,8 @@ class InstanceState:
     open_windows: dict[int, WindowDescriptor] = field(default_factory=dict)
     last_arrival: float | None = None
     records: list[tuple[float, float, float, str, int, float]] = field(default_factory=list)
-    # (completion, etype, in-window latencies): one entry per processed event
+    # one entry per processed event: (completion, etype, in-window latencies,
+    # None), or (completion, etype, latency, k) for one latency in k windows
     pending_obs: deque = field(default_factory=deque)
     _q_cursor: int = 0  # first record with start > t
     _c_cursor: int = 0  # first record with completion > t
@@ -189,6 +197,9 @@ class RowView(abc.Sequence):
 
     def __repr__(self) -> str:
         return repr(list(self))
+
+
+_wid = attrgetter("wid")
 
 
 def _column(typecode: str):
@@ -350,6 +361,10 @@ def simulate(
     add_etype, add_lambda_q, add_lambda_p = metrics.etype_code.append, metrics.lambda_q.append, metrics.lambda_p.append
     add_n_windows, add_queue_len = metrics.n_windows.append, metrics.queue_len.append
     now = 0
+    owners: list[int] = []  # instances holding open windows, ascending
+    stream_counts: dict[str, int] = {}  # events of each type before the current one
+    open_counts: dict[int, dict[str, int]] = {}  # wid -> stream_counts at its opening
+    lambda_p_sums: dict[float, list[float]] = {}  # cost -> [0.0, cost, cost + cost, ...]
 
     next_freeze = mtime_ms
     next_feedback = feedback_interval_ms
@@ -359,8 +374,11 @@ def simulate(
         for inst in instances:
             obs = inst.pending_obs
             while obs and obs[0][0] <= now:
-                _, etype, lams = obs.popleft()
-                stats.observe_latencies(etype, lams)
+                _, etype, lams, run = obs.popleft()
+                if run is None:
+                    stats.observe_latencies(etype, lams)
+                else:
+                    stats.observe_latency(etype, lams, run)
 
     def deliver_reports(now: float) -> None:
         while pending_reports and pending_reports[0][0] <= now:
@@ -384,22 +402,23 @@ def simulate(
                 next_feedback += feedback_interval_ms
             deliver_reports(t)
 
-    def views() -> list[InstanceView]:
-        out = []
-        for inst in instances:
-            rep = delivered[inst.idx]
-            if rep is None:
-                out.append(InstanceView(open_window_count=len(inst.open_windows)))
-            else:
-                out.append(
-                    InstanceView(
-                        open_window_count=len(inst.open_windows),
-                        queued_counts=rep.queued_counts,
-                        theta_bar_rep=rep.theta_bar_rep,
-                        last_lambda_o=rep.last_lambda_o,
-                    )
-                )
-        return out
+    def view(i: int) -> InstanceView:
+        n_open = len(instances[i].open_windows)
+        rep = delivered[i]
+        if rep is None:
+            return InstanceView(open_window_count=n_open)
+        return InstanceView(n_open, rep.queued_counts, rep.theta_bar_rep, rep.last_lambda_o)
+
+    # controllers read one instance per decision, so views are built on access
+    views = RowView(n_instances, view)
+
+    def fill_member_counts(w: WindowDescriptor) -> None:
+        # in place: a new dict per window left freed gaps in the heap
+        then = open_counts.pop(w.wid)
+        counts = w.member_count_per_type
+        for t, c in stream_counts.items():
+            if n := c - then.get(t, 0):
+                counts[t] = n
 
     for e in events:
         if e.ts < now:
@@ -410,24 +429,35 @@ def simulate(
         deliver_reports(now)
 
         res = splitter.process(e)
+        closing: dict[int, list[WindowDescriptor]] = {}  # instance -> closed windows e is in
         for w in res.closed:
-            if w.assigned_instance is not None:
-                instances[w.assigned_instance].open_windows.pop(w.wid, None)
+            idx = w.assigned_instance
+            open_windows = instances[idx].open_windows
+            del open_windows[w.wid]
+            if not open_windows:
+                owners.remove(idx)
+            if e.ts <= w.close_ts:
+                closing.setdefault(idx, []).append(w)
+            else:
+                fill_member_counts(w)
 
         for w in res.opened:
-            decision = scheduler.schedule(w, stats.snapshot, views())
-            w.assigned_instance = decision.instance
-            instances[decision.instance].open_windows[w.wid] = w
+            decision = scheduler.schedule(w, stats.snapshot, views)
+            idx = decision.instance
+            w.assigned_instance = idx
+            open_windows = instances[idx].open_windows
+            if not open_windows:
+                insort(owners, idx)
+            open_windows[w.wid] = w
+            open_counts[w.wid] = dict(stream_counts)
             metrics.decisions.append(decision)
-            if decision.instance != last_batch_instance:
-                metrics.batches.append(
-                    BatchRecord(len(metrics.batches), decision.instance, e.ts)
-                )
-                last_batch_instance = decision.instance
+            if idx != last_batch_instance:
+                metrics.batches.append(BatchRecord(len(metrics.batches), idx, e.ts))
+                last_batch_instance = idx
             metrics.batches[-1].wids.append(w.wid)
             metrics.windows.append(w)
 
-        groups = route_event(res.memberships)
+        targets = route_event(owners, closing)
         seq, ts, etype = e.seq, e.ts, e.etype
         code = etype_codes.get(etype)
         if code is None:
@@ -435,29 +465,39 @@ def simulate(
             metrics.etypes.append(etype)
         arrival = ts + transfer_delay_ms
         # priced once per event when every window charges the same
-        cost = uniform_cost(cost_model, e) if groups else None
-        for idx, wins in groups:
+        cost = uniform_cost(cost_model, e) if targets else None
+        if cost is not None:
+            sums = lambda_p_sums.get(cost)
+            if sums is None:
+                sums = lambda_p_sums[cost] = [0.0]
+        for idx in targets:
             inst = instances[idx]
+            wins = inst.open_windows.values()
+            closed = closing.get(idx)
+            if closed is not None:
+                wins = sorted([*wins, *closed], key=_wid)
+            k = len(wins)
             lambda_q = max(0.0, inst.busy_until - arrival)
             start = arrival + lambda_q
-            lambda_p = 0.0
             if cost is None:
-                costs = []
+                lams, run = [], None
+                lambda_p = 0.0
                 for w in wins:
-                    counts = w.member_count_per_type
-                    c = in_window_cost(cost_model, e, counts)
-                    counts[etype] = counts.get(etype, 0) + 1
-                    costs.append(c)
+                    state = stream_counts.copy()  # its keys include every type counted at w's opening
+                    for t, n in open_counts[w.wid].items():
+                        state[t] -= n
+                    c = in_window_cost(cost_model, e, state)
+                    lams.append(c)
                     lambda_p += c
             else:
-                costs = [cost] * len(wins)
-                for w in wins:
-                    counts = w.member_count_per_type
-                    counts[etype] = counts.get(etype, 0) + 1
-                    lambda_p += cost
+                # a repeated addition, as the per-window sum would be
+                while len(sums) <= k:
+                    sums.append(sums[-1] + cost)
+                lambda_p = sums[k]
+                lams, run = cost, k
             completion = start + lambda_p
             inst.busy_until = completion
-            inst.pending_obs.append((completion, etype, costs))
+            inst.pending_obs.append((completion, etype, lams, run))
 
             queue_len = len(inst.records) - inst.advance_q_cursor(arrival) + 1
             if inst.last_arrival is not None:
@@ -474,20 +514,26 @@ def simulate(
                     if lambda_q > w.actual_lambda_q_peak:
                         w.actual_lambda_q_peak = lambda_q
 
-            n_windows = len(wins)
-            inst.records.append((start, completion, arrival, etype, n_windows, lambda_q + lambda_p))
+            inst.records.append((start, completion, arrival, etype, k, lambda_q + lambda_p))
             add_seq(seq)
             add_instance(idx)
             add_ts(ts)
             add_etype(code)
             add_lambda_q(lambda_q)
             add_lambda_p(lambda_p)
-            add_n_windows(n_windows)
+            add_n_windows(k)
             add_queue_len(queue_len)
         metrics.tx_seq.append(seq)
         metrics.tx_ts.append(ts)
         metrics.tx_members.append(len(res.memberships))
-        metrics.tx_instances.append(len(groups))
+        metrics.tx_instances.append(len(targets))
+        stream_counts[etype] = stream_counts.get(etype, 0) + 1
+        for closed in closing.values():
+            for w in closed:
+                fill_member_counts(w)
+
+    for wid in list(open_counts):  # windows still open at the end of the run
+        fill_member_counts(metrics.windows[wid])
 
     # drain: keep the monitoring and feedback machinery running until every
     # instance finished its queued work

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import groupby
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Mapping, Sequence
 
@@ -113,41 +113,85 @@ EMPTY_SNAPSHOT = StreamStatsSnapshot(
 )
 
 
-def _bin_values(values: Sequence[float], n_bins: int, vrange: tuple[float, float] | None) -> tuple[tuple[BinStat, ...], PopulationStat]:
+def _exact_sum(values: Sequence[float], counts: Sequence[int]) -> float:
+    """``math.fsum`` of ``values``, each repeated its count times, without
+    expanding them: the exact rational sum, rounded once. ``fsum`` is
+    correctly rounded too, so the two agree bit for bit."""
+    per_value: dict[float, int] = {}
+    for v, c in zip(values, counts):
+        per_value[v] = per_value.get(v, 0) + c
+    if not all(map(math.isfinite, per_value)):
+        return math.fsum(chain.from_iterable(map(repeat, values, counts)))
+    # every finite float is num / 2**p; sum over the largest denominator
+    ratios = [(v.as_integer_ratio(), c) for v, c in per_value.items()]
+    den = max(d for (_, d), _ in ratios)
+    num = sum(n * c * (den // d) for (n, d), c in ratios)
+    if num == 0:
+        # the sign of an exact zero: fsum's, which only an all-zero input
+        # can make -0.0, and which does not depend on how often a zero occurs
+        return 0.0 if any(values) else math.fsum(values)
+    return num / den  # int / int is correctly rounded
+
+
+def _bin_values(
+    values: Sequence[float],
+    n_bins: int,
+    vrange: tuple[float, float] | None,
+    counts: Sequence[int] | None = None,
+) -> tuple[tuple[BinStat, ...], PopulationStat]:
     """Bin ``values`` into ``n_bins`` equal-width bins over ``vrange``.
 
     When ``vrange`` is None (first monitoring window) the values' own range is
     used. Out-of-range values clamp into the edge bins. Also returns the
     population moments of the values. Each bin's moments are the Welford
     updates of :meth:`Bin.add`, applied in value order.
+
+    ``counts``, when given, holds the length of each value's run: the value
+    occurs that many times in a row. The result is that of the expanded
+    values, but only a bin holding different values is expanded.
     """
-    n = len(values)
     vmin = min(values)
     vmax = max(values)
-    mean = math.fsum(values) / n
-    var = math.fsum([(v - mean) ** 2 for v in values]) / n
+    if counts is None:
+        n = len(values)
+        mean = math.fsum(values) / n
+        var = math.fsum([(v - mean) ** 2 for v in values]) / n
+    else:
+        n = sum(counts)
+        mean = _exact_sum(values, counts) / n
+        var = _exact_sum([(v - mean) ** 2 for v in values], counts) / n
     pop = PopulationStat(n, mean, math.sqrt(var), vmin, vmax)
 
     lo, hi = vrange if vrange is not None else (vmin, vmax)
     width = (hi - lo) / n_bins
     if width > 0 and n_bins > 1:
         members: list[list[float]] = [[] for _ in range(n_bins)]
+        runs: list = [[] for _ in range(n_bins)]
         last = n_bins - 1
-        for v in values:
-            # compared before int(), which cannot take the +-inf that a
-            # subnormal width gives for a far value
-            x = (v - lo) / width
-            idx = last if x >= last else int(x) if x > 0 else 0
-            members[idx].append(v)
+        # x is compared before int(), which cannot take the +-inf that a
+        # subnormal width gives for a far value
+        if counts is None:
+            for v in values:
+                x = (v - lo) / width
+                members[last if x >= last else int(x) if x > 0 else 0].append(v)
+        else:
+            for v, c in zip(values, counts):
+                x = (v - lo) / width
+                idx = last if x >= last else int(x) if x > 0 else 0
+                members[idx].append(v)
+                runs[idx].append(c)
     else:
         members = [values] + [[] for _ in range(n_bins - 1)]
+        runs = [counts] + [[] for _ in range(n_bins - 1)]
     stats = []
     for i, in_bin in enumerate(members):
-        count = len(in_bin)
+        count = len(in_bin) if counts is None else sum(runs[i])
         if count and min(in_bin) == max(in_bin):
             # after the first step the mean equals every value, so each
             # further step leaves the mean and m2 as they are
             in_bin = in_bin[:1]
+        elif counts is not None:
+            in_bin = chain.from_iterable(map(repeat, in_bin, runs[i]))
         k = 0
         b_mean = 0.0
         m2 = 0.0
@@ -197,7 +241,8 @@ class StreamStats:
 
     def _reset_window(self) -> None:
         self._iats: list[float] = []
-        self._lats: dict[str, list[float]] = {}
+        # per type: in-window latencies and the length of each one's run
+        self._lats: dict[str, tuple[list[float], list[int]]] = {}
         self._type_counts: dict[str, int] = {}
         self._ws_sum = 0.0
         self._ws_n = 0
@@ -234,13 +279,18 @@ class StreamStats:
             self._c_trans += 1
         self._last_group = group
 
-    def observe_latency(self, etype: str, lambda_p_w: float) -> None:
-        """Record one reported in-window processing latency for a type."""
-        self._lats.setdefault(etype, []).append(lambda_p_w)
+    def observe_latency(self, etype: str, lambda_p_w: float, count: int = 1) -> None:
+        """Record one reported in-window processing latency for a type,
+        ``count`` times in a row."""
+        values, counts = self._lats.setdefault(etype, ([], []))
+        values.append(lambda_p_w)
+        counts.append(count)
 
     def observe_latencies(self, etype: str, lambda_p_ws: Sequence[float]) -> None:
         """Record reported in-window processing latencies for a type, in order."""
-        self._lats.setdefault(etype, []).extend(lambda_p_ws)
+        values, counts = self._lats.setdefault(etype, ([], []))
+        values.extend(lambda_p_ws)
+        counts.extend(repeat(1, len(lambda_p_ws)))
 
     def observe_window_opened(self, open_ts: float) -> None:
         if self._last_open_ts is not None:
@@ -277,8 +327,9 @@ class StreamStats:
 
         lat_bins: dict[str, tuple[BinStat, ...]] = dict(prev.lat_bins)
         lat_pop: dict[str, PopulationStat] = dict(prev.lat_pop)
-        for etype, values in self._lats.items():
-            bins, pop = _bin_values(values, self.n_lat_bins, self._lat_ranges.get(etype))
+        for etype, (values, counts) in self._lats.items():
+            runs = counts if len(counts) != sum(counts) else None
+            bins, pop = _bin_values(values, self.n_lat_bins, self._lat_ranges.get(etype), runs)
             self._lat_ranges[etype] = (pop.lo, pop.hi)
             lat_bins[etype] = bins
             lat_pop[etype] = pop
@@ -393,7 +444,6 @@ def make_policy(cfg) -> KeyedAperiodicPolicy | TimeWindowPolicy:
 
 
 _wid = attrgetter("wid")
-_owner = attrgetter("assigned_instance")
 
 
 class Splitter:
@@ -455,14 +505,9 @@ class Splitter:
         return res
 
 
-def route_event(memberships: Sequence[WindowDescriptor]) -> list[tuple[int, list[WindowDescriptor]]]:
-    """Where an event with these member windows must be sent: one
-    ``(instance, windows)`` group per owning instance, in ascending instance
-    order, each holding that instance's member windows in membership order.
-    Unassigned windows are left out."""
-    groups: dict[int, list[WindowDescriptor]] = {}
-    # consecutive windows usually share an owner (batching), so take runs
-    for idx, run in groupby(memberships, _owner):
-        if idx is not None:
-            groups.setdefault(idx, []).extend(run)
-    return sorted(groups.items())
+def route_event(owners: Sequence[int], closing: Mapping[int, list[WindowDescriptor]]) -> Sequence[int]:
+    """The instances an event is sent to, once each and in ascending order:
+    ``owners``, the instances holding open windows (ascending; the event is
+    in each of those windows), and the keys of ``closing``, the owners of
+    windows that closed at the event with the event still a member."""
+    return sorted({*owners, *closing}) if closing else owners

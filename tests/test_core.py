@@ -24,7 +24,7 @@ class TestLatencySample:
 class TestWindowDescriptor:
     def test_scope(self):
         w = WindowDescriptor(wid=0, start_seq=0, open_ts=100)
-        assert w.is_open and w.scope_ms is None
+        assert w.close_ts is None and w.scope_ms is None
         w.close_ts = 350
         assert w.scope_ms == 250.0
 

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from cepsim.latency_model import (
     predict_overlap,
     predict_peak,
 )
-from cepsim.splitter import StreamStats
+from cepsim.splitter import EMPTY_SNAPSHOT, PopulationStat, StreamStats
 from conftest import feed_window, snapshot_from
 
 WORKED_MULTISET = [8.0, 8.0, 7.0, 7.0, 4.0, 4.0, 2.0]
@@ -207,6 +208,18 @@ class TestLambdaQInit:
         lam, flags = predict_lambda_q_init({"X": 3}, 1.0, self.snap(), ModelParams())
         global_mean = (2 * 1.0 + 1 * 3.0) / 3
         assert lam == pytest.approx(3 * global_mean)
+        assert flags == ["unknown_type:X"]
+
+    def test_global_mean_is_a_sequential_sum(self):
+        # 0.0 + 1e16 + 1.0 - 1e16 is 0.0 in order; a compensated sum gives 1.0
+        pops = {t: PopulationStat(1, m, 0.0, m, m) for t, m in (("A", 1e16), ("B", 1.0), ("C", -1e16))}
+        snap = replace(EMPTY_SNAPSHOT, lat_pop=pops)
+        sequential = 0.0
+        for m in (1e16, 1.0, -1e16):
+            sequential += m
+        assert sequential == 0.0 and math.fsum([1e16, 1.0, -1e16]) == 1.0
+        lam, flags = predict_lambda_q_init({"X": 3}, 1.0, snap, ModelParams())
+        assert repr(lam) == repr(3 * (sequential / 3))
         assert flags == ["unknown_type:X"]
 
 

@@ -452,3 +452,163 @@ class TestColumnStorage:
             assert s.arrival == s.ts + delay and type(s.arrival) is type(s.ts + delay)
             assert s.start == s.arrival + s.lambda_q and s.completion == s.start + s.lambda_p
         assert m.transmission_rows == list(zip(m.tx_seq, m.tx_ts, m.tx_members, m.tx_instances))
+
+
+def member_owners(m, e):
+    """Owner of each window ``e`` belongs to, in wid order. Reads the
+    windows only, so it needs distinct timestamps: then the members of a
+    window are the events from its opener to the last one at or before its
+    close."""
+    return [
+        w.assigned_instance for w in m.windows
+        if w.start_seq <= e.seq and (w.close_ts is None or e.ts <= w.close_ts)
+    ]
+
+
+def samples_by_event(m):
+    out = {}
+    for s in m.latency_samples:
+        out.setdefault(s.event_seq, []).append(s)
+    return out
+
+
+@st.composite
+def routed_runs(draw):
+    """A short stream with distinct timestamps under time-based or keyed
+    windows (keyed ones close out of opening order), dealt to 1-5 instances
+    by one of the three controllers."""
+    keyed = draw(st.booleans())
+    gaps = draw(st.lists(st.integers(1, 15), min_size=3, max_size=40))
+    rows, t = [], 0
+    for gap in gaps:
+        t += gap
+        if keyed:
+            rows.append((t, draw(st.sampled_from(["L1", "L2"])), draw(st.sampled_from("abc"))))
+        else:
+            rows.append((t, draw(st.sampled_from(["open", "A", "B"]))))
+    events = mk_events(rows)
+    if keyed:
+        policy = KeyedAperiodicPolicy()
+        cost = CostModel("equi_join", {"L1": 0.5, "L2": 1.0}, incr_ms=0.25)
+    else:
+        policy = TimeWindowPolicy("open", draw(st.sampled_from([5, 20, 60])))
+        cost = CostModel("flat_per_type", {"open": 0.1, "A": 2.0, "B": 0.5})
+    kind = draw(st.sampled_from(["round_robin", "reactive", "model_based"]))
+    kw = {"th_ms": 1.0} if kind == "reactive" else {"lb_ms": 4.0} if kind == "model_based" else {}
+    m = run_sim(events, policy=policy, cost=cost, kind=kind, n=draw(st.integers(1, 5)), mtime=50.0, **kw)
+    return events, m
+
+
+class TestRouting:
+    """Each event is sent once to every instance owning one of its member
+    windows, in ascending instance order, and nowhere else."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(routed_runs())
+    def test_one_transmission_per_owning_instance(self, run):
+        events, m = run
+        by_event = samples_by_event(m)
+        for e, (seq, _, n_members, n_instances) in zip(events, m.transmission_rows):
+            owners = member_owners(m, e)
+            got = [s.instance for s in by_event.get(e.seq, [])]
+            assert seq == e.seq and n_members == len(owners)
+            assert sorted(set(got)) == sorted(got) == sorted(set(owners))
+            assert n_instances == len(got)
+            for s in by_event.get(e.seq, []):
+                assert s.n_windows == owners.count(s.instance)
+
+    @settings(max_examples=150, deadline=None)
+    @given(routed_runs())
+    def test_instances_in_ascending_order(self, run):
+        _, m = run
+        for samples in samples_by_event(m).values():
+            instances = [s.instance for s in samples]
+            assert instances == sorted(instances)
+
+    @settings(max_examples=150, deadline=None)
+    @given(routed_runs())
+    def test_instances_without_member_windows_receive_nothing(self, run):
+        events, m = run
+        by_event = samples_by_event(m)
+        for e in events:
+            owners = set(member_owners(m, e))
+            assert {s.instance for s in by_event.get(e.seq, [])} <= owners
+        # an instance owning no window never receives an event
+        assert {s.instance for s in m.latency_samples} <= {w.assigned_instance for w in m.windows}
+
+    def test_batching_saves_transmissions(self):
+        # k fully overlapping windows: one transmission per shared event on
+        # one instance, k under per-window Round-Robin over k instances
+        k = 4
+        events = mk_events([(i, "open") for i in range(k)] + [(10 + i, "A") for i in range(5)])
+        cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0})
+        policy = lambda: TimeWindowPolicy("open", 1000.0)
+        spread = run_sim(events, policy=policy(), cost=cost, n=k)
+        batched = run_sim(events, policy=policy(), cost=cost, n=k, kind="model_based", lb_ms=float("inf"))
+        shared = [row for row in spread.transmission_rows if row[0] >= k]
+        assert [row[3] for row in shared] == [k] * 5
+        assert [row[3] for row in batched.transmission_rows if row[0] >= k] == [1] * 5
+        assert batched.transmissions < spread.transmissions
+
+
+    def test_windows_priced_in_wid_order(self):
+        # the L2 closes w0 while w1 and w2 stay open, all on one instance; it
+        # pays 0.1 per L1 seen: 0.1 * 3 in w0, 0.1 * 2 in w1 and 0.1 in w2,
+        # and that sum is 0.6 in wid order but 0.6000000000000001 from w1
+        events = mk_events([(1, "L1", "a"), (2, "L1", "b"), (3, "L1", "c"), (4, "L2", "a")])
+        cost = CostModel("equi_join", {"L1": 0.0, "L2": 0.0}, incr_ms=0.1)
+        m = run_sim(events, policy=KeyedAperiodicPolicy(), cost=cost)
+        last = m.latency_samples[-1]
+        assert (last.event_seq, last.n_windows) == (3, 3)
+        assert repr(last.lambda_p) == "0.6"
+
+
+class TestUniformCost:
+    def test_lambda_p_is_a_repeated_addition(self):
+        # ten windows charging 0.1 on one instance: 0.1 added ten times is
+        # 0.9999999999999999, while 10 * 0.1 is 1.0
+        events = mk_events([(i, "open") for i in range(10)] + [(20, "A")])
+        cost = CostModel("flat_per_type", {"open": 0.0, "A": 0.1})
+        m = run_sim(events, policy=TimeWindowPolicy("open", 1000.0), cost=cost)
+        last = m.latency_samples[-1]
+        assert (last.event_seq, last.n_windows) == (10, 10)
+        assert repr(last.lambda_p) == "0.9999999999999999"
+        assert 10 * 0.1 == 1.0
+
+
+class TestMemberCounts:
+    def test_counts_at_close_and_at_end_of_run(self):
+        # w0 opens at 0 and closes at 100 on an event at ts 100, a member;
+        # w1 opens at 60 and closes at 160 on an event at ts 170, not a member;
+        # w2 opens at 180 and is still open when the run ends
+        events = mk_events([(0, "open"), (50, "A"), (60, "open"), (100, "B"), (170, "A"), (180, "open"), (190, "B")])
+        cost = CostModel("equi_join", {"open": 0.0, "A": 1.0, "B": 2.0}, incr_ms=0.5, build_etype="A", probe_etype="B")
+        m = run_sim(events, policy=TimeWindowPolicy("open", 100.0), cost=cost, n=2)
+        w0, w1, w2 = m.windows
+        assert (w0.close_ts, w1.close_ts, w2.close_ts) == (100, 160, None)
+        assert w0.member_count_per_type == {"open": 2, "A": 1, "B": 1}
+        # zero counts are left out: no A reached w1, and none w2
+        assert w1.member_count_per_type == {"open": 1, "B": 1}
+        assert w2.member_count_per_type == {"open": 1, "B": 1}
+        # the B at ts 100 is priced in w0 against the one A before it, and in w1 against none
+        first_b = [s for s in m.latency_samples if s.event_seq == 3]
+        assert sorted((s.instance, s.lambda_p) for s in first_b) == [(0, 2.5), (1, 2.0)]
+
+
+def test_controllers_build_only_the_views_they_read(monkeypatch):
+    from cepsim import runtime
+
+    built = []
+    real = runtime.InstanceView
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "InstanceView", counting)
+    events = TestSchedulingIntegration().overlap_stream()
+    cost = CostModel("flat_per_type", {"open": 0.1, "A": 0.5})
+    m = run_sim(events, policy=TimeWindowPolicy("open", 1000.0), cost=cost, n=8)
+    assert len(m.decisions) == 40 and built == []  # Round-Robin reads no view
+    m = run_sim(events, policy=TimeWindowPolicy("open", 1000.0), cost=cost, n=8, kind="reactive", th_ms=1.0)
+    assert len(built) == len(m.decisions) == 40  # one view per decision

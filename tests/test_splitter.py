@@ -1,3 +1,4 @@
+import math
 from dataclasses import astuple
 
 import pytest
@@ -114,6 +115,65 @@ class TestBinValues:
         # (value - lo) / width overflows to +-inf; it clamps like any far value
         stats, _ = _bin_values([value], 2, (0.0, 1.19e-306))
         assert [b.count for b in stats] == counts
+
+
+def expanded(values, counts):
+    return [v for v, c in zip(values, counts) for _ in range(c)]
+
+
+def assert_runs_bin_like_expanded(values, counts, n_bins, vrange):
+    stats, pop = _bin_values(values, n_bins, vrange, counts)
+    want_stats, want_pop = _bin_values(expanded(values, counts), n_bins, vrange)
+    assert float_bits(stats) == float_bits(want_stats)
+    assert float_bits([pop]) == float_bits([want_pop])
+
+
+class TestBinRuns:
+    """A run (value, k) bins exactly like k copies of the value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(binning_inputs(), st.data())
+    def test_runs_equal_expanded_values(self, args, data):
+        values, n_bins, vrange = args
+        counts = data.draw(st.lists(st.integers(1, 5), min_size=len(values), max_size=len(values)))
+        assert_runs_bin_like_expanded(values, counts, n_bins, vrange)
+
+    @pytest.mark.parametrize(
+        "values, counts, n_bins, vrange",
+        [
+            ([1.0, 2.0, 1.0, 1.5], [3, 1, 2, 4], 1, None),  # one bin, repeated and distinct values
+            ([0.1, 0.7, 0.1, 0.3], [5, 2, 1, 7], 2, None),  # the same within each of two bins
+            ([0.0, -0.0], [2, 3], 2, None),
+            ([-0.0], [4], 1, None),
+            ([-0.0, 0.0, -0.0], [1, 1, 2], 3, (0.0, 0.0)),  # zero-width range
+            ([-5.0, 0.5, 9.0, 0.5], [2, 1, 3, 2], 2, (0.0, 1.0)),  # clamped into the edge bins
+            ([108.0, -108.0, 108.0], [2, 3, 1], 2, (0.0, 1.19e-306)),  # subnormal width
+            ([0.1, 0.2, 1e16, 1.0, -1e16], [10, 3, 1, 1, 1], 2, None),  # cancellation
+            ([math.inf, 1.0], [2, 3], 2, None),  # not finite: fsum of the expanded values
+        ],
+    )
+    def test_runs_equal_expanded_examples(self, values, counts, n_bins, vrange):
+        assert_runs_bin_like_expanded(values, counts, n_bins, vrange)
+
+    def test_long_runs_sum_like_fsum(self):
+        values, counts = [0.1, 0.7, 0.1], [1_000_000, 3, 999]
+        _, pop = _bin_values(values, 2, None, counts)
+        n = sum(counts)
+        assert pop.count == n
+        assert repr(pop.mean) == repr(math.fsum(expanded(values, counts)) / n)
+
+    def test_runs_observed_like_single_latencies(self):
+        singles = StreamStats(1, 3, mtime_ms=1000.0)
+        runs = StreamStats(1, 3, mtime_ms=1000.0)
+        for s in (singles, runs):
+            s.observe_event(ev(0, 0), None)
+        for v, k in [(0.02, 61), (0.005, 3), (0.02, 1), (0.3, 2)]:
+            runs.observe_latency("A", v, k)
+            for _ in range(k):
+                singles.observe_latency("A", v)
+        runs.observe_latencies("A", [0.1, 0.02])
+        singles.observe_latencies("A", [0.1, 0.02])
+        assert runs.end_monitoring_window(1000.0) == singles.end_monitoring_window(1000.0)
 
 
 class TestFreeze:
@@ -284,40 +344,43 @@ class W:
         self.assigned_instance = instance
 
 
+def closing_of(*windows):
+    """Windows that closed at the event with the event in them, by owner."""
+    out = {}
+    for w in windows:
+        out.setdefault(w.assigned_instance, []).append(w)
+    return out
+
+
 class TestRouteEvent:
+    """``route_event(owners, closing)``: ``owners`` hold open windows, in
+    ascending order; ``closing`` maps an instance to its windows that closed
+    at the event with the event still in them."""
+
     def test_dedup_same_instance(self):
-        members = [W(0, 2), W(1, 2), W(2, 2)]
-        assert route_event(members) == [(2, members)]
+        # open windows and two closing members on instance 2: sent once
+        assert route_event([2], closing_of(W(0, 2), W(1, 2))) == [2]
 
     def test_dedup_mixed(self):
-        members = [W(0, 0), W(1, 1), W(2, 1)]
-        assert route_event(members) == [(0, members[:1]), (1, members[1:])]
+        assert route_event([0, 2], closing_of(W(1, 1), W(3, 2), W(4, 1))) == [0, 1, 2]
+        assert route_event([], closing_of(W(1, 3), W(4, 3))) == [3]
 
     def test_no_memberships(self):
-        assert route_event([]) == []
+        assert route_event([], {}) == []
 
     def test_transmission_bound(self, rng):
         for _ in range(200):
-            members = [W(i, rng.randrange(4)) for i in range(rng.randrange(0, 10))]
-            groups = route_event(members)
-            assert len(groups) <= len(members)
-            distinct = {m.assigned_instance for m in members}
-            assert len(groups) == len(distinct)
-            # ascending owners; each group is its owner's windows in order
-            assert [idx for idx, _ in groups] == sorted(distinct)
-            for idx, wins in groups:
-                assert wins == [m for m in members if m.assigned_instance == idx]
-
-    def test_unassigned_windows_left_out(self):
-        members = [W(0, None), W(1, 3), W(2, None), W(3, 3)]
-        assert route_event(members) == [(3, [members[1], members[3]])]
+            owners = sorted(rng.sample(range(6), rng.randrange(0, 4)))
+            closing = closing_of(*(W(i, rng.randrange(6)) for i in range(rng.randrange(0, 4))))
+            targets = route_event(owners, closing)
+            # each owning instance once, ascending
+            assert targets == sorted(set(owners) | set(closing))
+            assert len(targets) <= len(owners) + sum(map(len, closing.values()))
 
 
 def test_batched_overlap_saves_transmissions():
     """k fully-overlapping windows on one instance: 1 transmission per shared
     event, vs k distinct instances under per-window round-robin."""
     k = 4
-    batched = [W(i, 0) for i in range(k)]
-    spread = [W(i, i) for i in range(k)]
-    assert len(route_event(batched)) == 1
-    assert len(route_event(spread)) == k
+    assert len(route_event([0], {})) == 1
+    assert len(route_event(list(range(k)), {})) == k
