@@ -25,7 +25,6 @@ from .latency_model import (
 from .runtime import (
     FeedbackReport,
     InstanceState,
-    LatencySample,
     RunMetrics,
     run,
     simulate,

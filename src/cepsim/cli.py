@@ -336,9 +336,7 @@ def p99(values: Sequence[float]) -> float:
 def summary_row(cfg: ExperimentConfig, metrics: RunMetrics, run_id: str | None = None) -> list:
     los = metrics.lambda_o_values(cfg.warmup_ms)
     lb = cfg.effective_lb_eval_ms
-    violations = 0
-    if lb is not None:
-        violations = metrics.violation_stats(lb, cfg.warmup_ms)[0]
+    violations = 0 if lb is None else sum(lo > lb for lo in los)
     sched = cfg.scheduler
     param = ""
     if sched.kind == "model_based":
@@ -413,7 +411,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     append_summary(out_dir, row)
     print(
         f"{cfg.run_id}: scheduler={cfg.scheduler.kind} events={metrics.n_events} "
-        f"samples={len(metrics.latency_samples)} transmissions={metrics.transmissions} "
+        f"samples={metrics.transmissions} transmissions={metrics.transmissions} "
         f"max_lo={row[3]} p99_lo={row[4]} violations={row[6]}"
     )
     return 0
@@ -465,29 +463,24 @@ def cmd_selftest_fig45(args: argparse.Namespace | None = None) -> int:
 def _synthetic_snapshot(n_types: int, n_iat_bins: int, n_lat_bins: int, entries: int = 4000, seed: int = 7):
     """A warmed-up snapshot with n_iat_bins + n_types * n_lat_bins bins."""
     rng = random.Random(seed)
-    stats = StreamStats(n_iat_bins, n_lat_bins, mtime_ms=1e12)
+    stats = StreamStats(n_iat_bins, n_lat_bins)
     etypes = [f"T{i}" for i in range(n_types)]
-    ts = 0
-    prev = None
-    for i in range(entries):
-        ts += rng.randint(1, 40)
-        e = Event(i, ts, etypes[i % n_types])
-        stats.observe_event(e, prev)
-        prev = ts
-        stats.observe_latency(e.etype, rng.uniform(1.0, 10.0) * (1 + i % n_types))
+    # window scope and shift are observed in the first monitoring window only
     stats.observe_window_opened(0.0)
     stats.observe_window_opened(1000.0)
     stats.observe_window_closed(10_000.0)
-    stats.end_monitoring_window(float(ts))
-    # second window so bin ranges are warmed
-    prev = ts
-    for i in range(entries):
-        ts += rng.randint(1, 40)
-        e = Event(entries + i, ts, etypes[i % n_types])
-        stats.observe_event(e, prev)
-        prev = ts
-        stats.observe_latency(e.etype, rng.uniform(1.0, 10.0) * (1 + i % n_types))
-    return stats.end_monitoring_window(float(ts))
+    ts = 0
+    prev = None
+    # two monitoring windows, so the second one's bin ranges are warmed
+    for first_seq in (0, entries):
+        for i in range(entries):
+            ts += rng.randint(1, 40)
+            e = Event(first_seq + i, ts, etypes[i % n_types])
+            stats.observe_event(e, prev)
+            prev = ts
+            stats.observe_latency(e.etype, rng.uniform(1.0, 10.0) * (1 + i % n_types))
+        snapshot = stats.end_monitoring_window(float(ts))
+    return snapshot
 
 
 def bench_decision_ms(total_bins: int = 32, calls: int = 2001) -> float:
@@ -510,7 +503,7 @@ def bench_stats_update_s(entries: int, n_bins: int = 32, seed: int = 11) -> floa
     rng = random.Random(seed)
     gaps = [rng.randint(1, 40) for _ in range(entries)]
     lats = [rng.uniform(1.0, 10.0) for _ in range(entries)]
-    stats = StreamStats(n_iat_bins=n_bins // 2, n_lat_bins=n_bins // 2, mtime_ms=1e15)
+    stats = StreamStats(n_iat_bins=n_bins // 2, n_lat_bins=n_bins // 2)
     t0 = time.perf_counter()
     ts = 0
     prev = None

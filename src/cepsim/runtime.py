@@ -11,12 +11,13 @@ the busy-server recursion lambda_q(e') = max(0, lambda_q(e) + lambda_p(e) -
 iat) per instance, reproducibly and hardware-independently.
 
 An event's work on one instance runs once per (event, instance): routing,
-queueing, the sample and the latency observations. A cost that is the same
-in every window is priced once, its sum is a memoised repeated addition and
-its observations are one run of equal values. Only a cost that reads the
-window's state is priced per (event, window), in wid order, against per-type
-counts derived from counts over the whole stream; and each window's queuing
-gains and queuing peak are accumulated per (event, window). A window's
+queueing, one entry in each of ``RunMetrics``' typed columns and the latency
+observations. A cost that is the same in every window is priced once, its
+sum is a memoised repeated addition and its observations are one run of
+equal values. Only a cost that reads the window's state is priced per
+(event, window), in wid order, against per-type counts derived from counts
+over the whole stream; and each window's queuing gains and queuing peak are
+accumulated per (event, window). A window's
 per-type member counts are filled when it closes.
 
 Monitoring-window freezes and instance feedback reports fire at their
@@ -41,33 +42,6 @@ from .workload import CostModel, generate_stream, in_window_cost, uniform_cost
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cli import ExperimentConfig
-
-
-@dataclass(slots=True)
-class LatencySample:
-    """One processed (event, instance) pair, kept for feedback and metrics.
-
-    ``ts`` is the event's timestamp and ``arrival`` the time it reached the
-    instance; ``queue_len`` counts the events waiting or in service there on
-    its arrival, itself included. The operational latency ``lambda_o`` is
-    ``lambda_q + lambda_p``.
-    """
-
-    event_seq: int
-    instance: int
-    ts: int
-    etype: str
-    arrival: float
-    start: float
-    completion: float
-    lambda_q: float
-    lambda_p: float
-    n_windows: int
-    queue_len: int
-
-    @property
-    def lambda_o(self) -> float:
-        return self.lambda_q + self.lambda_p
 
 
 @dataclass(frozen=True)
@@ -178,25 +152,10 @@ class RowView(abc.Sequence):
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._row(j) for j in range(*i.indices(self._len))]
-        if i < 0:
-            i += self._len
+    def __getitem__(self, i: int):
         if not 0 <= i < self._len:
             raise IndexError("row index out of range")
         return self._row(i)
-
-    def __iter__(self):
-        return map(self._row, range(self._len))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, abc.Sequence):
-            return NotImplemented
-        return len(other) == self._len and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 _wid = attrgetter("wid")
@@ -213,10 +172,11 @@ class RunMetrics:
     Processed (event, instance) pairs are stored as typed columns, one entry
     per pair in event order: ``event_seq``, ``instance``, ``ts``,
     ``etype_code`` (an index into ``etypes``), ``lambda_q``, ``lambda_p``,
-    ``n_windows`` and ``queue_len``. ``latency_samples`` presents them as
-    ``LatencySample`` objects, recomputing arrival, start and completion
-    with the operations ``simulate`` uses. The ``tx_*`` columns hold one
-    transmission row per event. ``windows`` holds every scheduled window,
+    ``n_windows`` and ``queue_len``; a pair's operational latency lambda_o
+    is ``lambda_q + lambda_p``. The ``tx_*`` columns hold one transmission
+    row per event: its seq, timestamp, member-window count and the number of
+    instances it was sent to. The columns are the record of the run; nothing
+    re-presents them per sample. ``windows`` holds every scheduled window,
     indexed by wid.
     """
 
@@ -236,31 +196,8 @@ class RunMetrics:
     decisions: list[Decision] = field(default_factory=list)
     windows: list[WindowDescriptor] = field(default_factory=list)
     batches: list[BatchRecord] = field(default_factory=list)
-    transfer_delay_ms: float = 0.0
     dropped_closes: int = 0
     n_events: int = 0
-
-    @property
-    def latency_samples(self) -> RowView:
-        """One ``LatencySample`` per processed (event, instance) pair."""
-        return RowView(len(self.event_seq), self._sample)
-
-    def _sample(self, i: int) -> LatencySample:
-        ts, lambda_q, lambda_p = self.ts[i], self.lambda_q[i], self.lambda_p[i]
-        arrival = ts + self.transfer_delay_ms
-        start = arrival + lambda_q
-        return LatencySample(
-            self.event_seq[i], self.instance[i], ts, self.etypes[self.etype_code[i]],
-            arrival, start, start + lambda_p, lambda_q, lambda_p, self.n_windows[i], self.queue_len[i],
-        )
-
-    @property
-    def transmission_rows(self) -> RowView:
-        """``(seq, ts, n_member_windows, n_instances)`` per event."""
-        return RowView(len(self.tx_seq), self._transmission_row)
-
-    def _transmission_row(self, i: int) -> tuple[int, int, int, int]:
-        return (self.tx_seq[i], self.tx_ts[i], self.tx_members[i], self.tx_instances[i])
 
     @property
     def transmissions(self) -> int:
@@ -271,21 +208,6 @@ class RunMetrics:
         return array(
             "d", (q + p for t, q, p in zip(self.ts, self.lambda_q, self.lambda_p) if t >= warmup_ms)
         )
-
-    def violation_stats(self, lb_ms: float, warmup_ms: float = 0.0) -> tuple[int, float, int]:
-        """(violation count, max excess over the bound in ms, samples considered)."""
-        count = 0
-        worst = 0.0
-        considered = 0
-        for t, q, p in zip(self.ts, self.lambda_q, self.lambda_p):
-            if t < warmup_ms:
-                continue
-            considered += 1
-            lambda_o = q + p
-            if lambda_o > lb_ms:
-                count += 1
-                worst = max(worst, lambda_o - lb_ms)
-        return count, worst, considered
 
     def feedback_delays(self) -> list[FeedbackDelay]:
         """Per-batch feedback delays, attributing to a batch every event
@@ -349,12 +271,12 @@ def simulate(
     if feedback_interval_ms is None:
         feedback_interval_ms = mtime_ms / 10.0
     n_instances = scheduler.n
-    stats = StreamStats(model_params.n_iat_bins, model_params.n_lat_bins, mtime_ms)
+    stats = StreamStats(model_params.n_iat_bins, model_params.n_lat_bins)
     splitter = Splitter(policy, stats)
     instances = [InstanceState(i) for i in range(n_instances)]
     delivered: list[FeedbackReport | None] = [None] * n_instances
     pending_reports: deque[tuple[float, FeedbackReport]] = deque()
-    metrics = RunMetrics(transfer_delay_ms=transfer_delay_ms, n_events=len(events))
+    metrics = RunMetrics(n_events=len(events))
     etype_codes: dict[str, int] = {}
     # column appends, bound once: the loop below runs once per pair
     add_seq, add_instance, add_ts = metrics.event_seq.append, metrics.instance.append, metrics.ts.append

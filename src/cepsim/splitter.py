@@ -1,12 +1,12 @@
 """Window detection, event routing, and the splitter's monitoring statistics.
 
 The splitter watches the inbound stream inside tumbling monitoring windows of
-``mtime_ms``. At the end of each monitoring window it freezes a snapshot:
-equal-width bins over inter-arrival times and per-type in-window processing
-latencies, event-type ratios, measured window scope and shift, and the
-T-COUNT transition counters. Bin boundaries for a monitoring window come from
-the observed [min, max] range of the previous one; values outside that range
-clamp into the edge bins.
+``mtime_ms``, whose boundaries the simulation loop drives. At the end of each
+monitoring window it freezes a snapshot: equal-width bins over inter-arrival
+times and per-type in-window processing latencies, event-type ratios,
+measured window scope and shift, and the T-COUNT transition counters. Bin
+boundaries for a monitoring window come from the observed [min, max] range of
+the previous one; values outside that range clamp into the edge bins.
 """
 
 from __future__ import annotations
@@ -228,12 +228,11 @@ class StreamStats:
     by :meth:`end_monitoring_window` are immutable.
     """
 
-    def __init__(self, n_iat_bins: int, n_lat_bins: int, mtime_ms: float):
+    def __init__(self, n_iat_bins: int, n_lat_bins: int):
         if n_iat_bins < 1 or n_lat_bins < 1:
             raise ValueError("bin counts must be >= 1")
         self.n_iat_bins = n_iat_bins
         self.n_lat_bins = n_lat_bins
-        self.mtime_ms = mtime_ms
         self.snapshot = EMPTY_SNAPSHOT
         self._iat_range: tuple[float, float] | None = None
         self._lat_ranges: dict[str, tuple[float, float]] = {}

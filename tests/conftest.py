@@ -55,10 +55,9 @@ def snapshot_from(
     n_lat_bins=1,
     ws_samples=(),
     open_gaps=(),
-    mtime_ms=60_000.0,
 ) -> StreamStatsSnapshot:
     """One-shot snapshot built from explicit observation values."""
-    stats = StreamStats(n_iat_bins, n_lat_bins, mtime_ms)
+    stats = StreamStats(n_iat_bins, n_lat_bins)
     return feed_window(stats, iats=iats, lats=lats, ws_samples=ws_samples, open_gaps=open_gaps)
 
 

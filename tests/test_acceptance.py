@@ -108,8 +108,8 @@ def post_warmup_peak(metrics, warmup_ms):
 
 
 def within_fraction(metrics, lb, warmup_ms):
-    violations, _, considered = metrics.violation_stats(lb, warmup_ms)
-    return 1.0 - violations / considered
+    los = metrics.lambda_o_values(warmup_ms)
+    return 1.0 - sum(lo > lb for lo in los) / len(los)
 
 
 # -- criteria ----------------------------------------------------------------

@@ -76,6 +76,13 @@ class TestRunCommand:
         summary = read_csv(tmp_path / "res" / "summary.csv")
         assert len(summary) == 1
         assert summary[0]["scheduler"] == "model_based"
+        # one processed (event, instance) pair per latency row
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("smoke: scheduler=model_based ")
+        fields = dict(f.split("=", 1) for f in line.split()[1:])
+        assert fields["samples"] == fields["transmissions"] == str(len(rows))
+        s = summary[0]
+        assert (fields["max_lo"], fields["p99_lo"], fields["violations"]) == (s["max_lo"], s["p99_lo"], s["violations"])
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -50,7 +50,7 @@ class TestPredictEventCounts:
         assert per_type == {"A": 10.0, "B": 15.0}
 
     def test_type_ratio_measured_from_arrivals(self):
-        stats = StreamStats(1, 1, 1000.0)
+        stats = StreamStats(1, 1)
         etypes = ["A", "B", "B", "A", "B", "B", "A", "B", "A", "B"]
         snap = feed_window(stats, iats=[100] * 9, etypes=etypes)
         assert snap.type_ratio == {"A": 0.4, "B": 0.6}
@@ -64,7 +64,7 @@ class TestPredictEventCounts:
         assert n == 1000.0 / 0.01
 
     def test_stale_flagged(self):
-        stats = StreamStats(1, 1, 1000.0)
+        stats = StreamStats(1, 1)
         snap = stats.end_monitoring_window(1000.0)
         n, _, flags = predict_event_counts(snap, 1000.0, ModelParams())
         assert n == 0.0
@@ -253,7 +253,7 @@ class TestPredictPeak:
 
 class TestFullPredict:
     def warmed_stats(self):
-        stats = StreamStats(2, 2, 10_000.0)
+        stats = StreamStats(2, 2)
         feed_window(
             stats,
             iats=[5, 15] * 8,
@@ -288,7 +288,7 @@ class TestFullPredict:
         assert pred.alpha == 0.4
 
     def test_empty_snapshot_predicts_zero(self):
-        stats = StreamStats(2, 2, 10_000.0)
+        stats = StreamStats(2, 2)
         snap = stats.end_monitoring_window(10_000.0)
         pred = predict(snap, theta_hat=1, params=ModelParams())
         assert pred.lambda_o_max == 0.0

@@ -6,14 +6,21 @@ window's instance from ``simulate``'s own decisions (the controllers are
 checked elsewhere), derives memberships by brute force, prices every
 (event, window) pair itself and runs the Lindley recursion per instance.
 Everything it computes must equal what ``simulate`` produced, exactly.
+
+``reference_reports`` derives every feedback report from the reference's
+samples: at each feedback instant, from the events processed before it.
 """
 
+from collections import namedtuple
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cepsim.core import Event
 from cepsim.latency_model import ModelParams
-from cepsim.runtime import simulate
+from cepsim.runtime import InstanceState, simulate
 from cepsim.scheduler import SchedulerConfig, make_scheduler
 from cepsim.splitter import KeyedAperiodicPolicy, TimeWindowPolicy
 from cepsim.workload import CostModel
@@ -66,8 +73,13 @@ def price(cost, e, counts):
     return c
 
 
+Sample = namedtuple(
+    "Sample", "seq instance ts etype arrival start completion lambda_q lambda_p n_windows queue_len"
+)
+
+
 def reference_run(events, policy, cost, owner, transfer_delay_ms):
-    """Latency rows, transmission rows and per-window ground truth.
+    """Samples, transmission rows and per-window ground truth.
 
     ``owner`` maps wid to instance."""
     windows = reference_windows(events, policy)
@@ -109,8 +121,8 @@ def reference_run(events, policy, cost, owner, transfer_delay_ms):
             last_arrival[inst] = arrival
             for wid in mine:
                 peak[wid] = max(peak[wid], lambda_q)
-            samples.append((e.seq, inst, e.ts, e.etype, arrival, start, completion,
-                            lambda_q, lambda_p, len(mine), queue_len))
+            samples.append(Sample(e.seq, inst, e.ts, e.etype, arrival, start, completion,
+                                  lambda_q, lambda_p, len(mine), queue_len))
         tx_rows.append((e.seq, e.ts, len(members), len(instances)))
     truth = [
         (open_ts, close_ts, counts[wid], gamma_minus[wid], gamma_plus[wid], peak[wid])
@@ -119,9 +131,45 @@ def reference_run(events, policy, cost, owner, transfer_delay_ms):
     return samples, tx_rows, truth
 
 
-def as_row(s):
-    return (s.event_seq, s.instance, s.ts, s.etype, s.arrival, s.start, s.completion,
-            s.lambda_q, s.lambda_p, s.n_windows, s.queue_len)
+def reference_reports(events, samples, n_instances, interval):
+    """``(instance, queued_counts, theta_bar_rep, last_lambda_o, emitted_at)``
+    of every report, in emission order: at each t = k * interval up to the
+    last arrival or completion, one per instance, ascending. An event counts
+    when it was processed before t (ts < t); it is queued at t when it has
+    arrived but not started, and the last one completed by t gives the
+    reported latency."""
+    end = max([events[-1].ts] + [s.completion for s in samples])
+    out = []
+    k = 1
+    while k * interval <= end:
+        t = k * interval
+        for inst in range(n_instances):
+            mine = [s for s in samples if s.instance == inst and s.ts < t]
+            queued = [s for s in mine if s.arrival <= t < s.start]
+            counts = {}
+            for s in queued:
+                counts[s.etype] = counts.get(s.etype, 0) + 1
+            theta = sum(s.n_windows for s in queued) / len(queued) if queued else 1.0
+            done = [s for s in mine if s.completion <= t]
+            last_lo = done[-1].lambda_q + done[-1].lambda_p if done else None
+            out.append((inst, counts, theta, last_lo, t))
+        k += 1
+    return out
+
+
+def simulate_recording_reports(w):
+    """``simulate`` the workload ``w``; return its metrics and every report
+    an instance made, in emission order."""
+    out = []
+    make_feedback = InstanceState.make_feedback
+
+    def recording(self, now):
+        rep = make_feedback(self, now)
+        out.append((rep.instance, rep.queued_counts, rep.theta_bar_rep, rep.last_lambda_o, rep.emitted_at))
+        return rep
+
+    with mock.patch.object(InstanceState, "make_feedback", recording):
+        return run_workload(w), out
 
 
 def float_bits(rows):
@@ -173,21 +221,69 @@ def workloads(draw):
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(workloads())
-def test_simulate_matches_reference(w):
-    m = simulate(
+def run_workload(w):
+    return simulate(
         w["events"], w["policy"], w["cost"], make_scheduler(w["config"]), ModelParams(),
         mtime_ms=20.0, feedback_interval_ms=5.0, transfer_delay_ms=w["transfer_delay_ms"],
         feedback_delivery_delay_ms=w["feedback_delivery_delay_ms"],
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(workloads())
+def test_simulate_matches_reference(w):
+    m, reports = simulate_recording_reports(w)
     owner = {d.wid: d.instance for d in m.decisions}
     samples, tx_rows, truth = reference_run(w["events"], w["policy"], w["cost"], owner, w["transfer_delay_ms"])
-    assert float_bits(as_row(s) for s in m.latency_samples) == float_bits(samples)
-    assert m.transmission_rows == tx_rows
+    columns = zip(m.event_seq, m.instance, m.ts, (m.etypes[c] for c in m.etype_code),
+                  m.lambda_q, m.lambda_p, m.n_windows, m.queue_len)
+    assert float_bits(columns) == float_bits(
+        (s.seq, s.instance, s.ts, s.etype, s.lambda_q, s.lambda_p, s.n_windows, s.queue_len) for s in samples
+    )
+    assert list(zip(m.tx_seq, m.tx_ts, m.tx_members, m.tx_instances)) == tx_rows
     assert len(m.windows) == len(truth)
     for win, (open_ts, close_ts, counts, g_minus, g_plus, peak) in zip(m.windows, truth):
         assert (win.open_ts, win.close_ts) == (open_ts, close_ts)
         assert win.member_count_per_type == counts
         assert float_bits([(win.actual_gamma_minus, win.actual_gamma_plus, win.actual_lambda_q_peak)]) == \
             float_bits([(g_minus, g_plus, peak)])
+    if w["transfer_delay_ms"] == 0:
+        # under a transfer delay the reports undercount; see the xfail below
+        assert repr(reports) == repr(reference_reports(w["events"], samples, w["config"].n_instances, 5.0))
+
+
+UNDERCOUNT = (
+    "InstanceState.make_feedback undercounts queued events under a transfer delay: simulate advances "
+    "the queue cursor to each later event's arrival ts + transfer_delay_ms before the feedback instant, "
+    "so an event that arrived by then but had not started is skipped"
+)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=UNDERCOUNT)
+def test_report_counts_event_queued_behind_a_later_arrival():
+    # records are (start, completion, arrival, etype, n_windows, lambda_o):
+    # A runs from 0 to 10, X arrived at 2 and waits for it
+    inst = InstanceState(0)
+    inst.records += [(0.0, 10.0, 0.0, "A", 1, 10.0), (10.0, 11.0, 2.0, "X", 1, 9.0)]
+    inst.advance_q_cursor(12.0)  # the arrival of an event sent before t=5
+    assert inst.make_feedback(5.0).queued_counts == {"X": 1}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=UNDERCOUNT)
+def test_reports_match_reference_under_a_transfer_delay():
+    # delay 7.5: A is in service from 7.5 to 11.5 and X, arrived at 8.5,
+    # waits for it; Y (ts 4) arrives at 11.5, before the report at t=10 is made
+    w = dict(
+        events=[Event(0, 0, "open"), Event(1, 0, "A"), Event(2, 1, "X"), Event(3, 4, "Y")],
+        policy=TimeWindowPolicy("open", 100),
+        cost=CostModel("flat_per_type", {"open": 0.0, "A": 4.0, "X": 1.0, "Y": 1.0}),
+        config=SchedulerConfig("round_robin", n_instances=1, model=ModelParams()),
+        transfer_delay_ms=7.5,
+        feedback_delivery_delay_ms=0.0,
+    )
+    m, reports = simulate_recording_reports(w)
+    owner = {d.wid: d.instance for d in m.decisions}
+    samples, _, _ = reference_run(w["events"], w["policy"], w["cost"], owner, w["transfer_delay_ms"])
+    expected = reference_reports(w["events"], samples, 1, 5.0)
+    assert expected[1] == (0, {"X": 1}, 1.0, 0.0, 10.0)
+    assert repr(reports) == repr(expected)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cepsim.core import Event
 from cepsim.latency_model import ModelParams
-from cepsim.runtime import FeedbackDelay, InstanceState, run, simulate
+from cepsim.runtime import FeedbackDelay, InstanceState, RowView, run, simulate
 from cepsim.scheduler import SchedulerConfig, make_scheduler
 from cepsim.splitter import KeyedAperiodicPolicy, TimeWindowPolicy
 from cepsim.workload import CostModel
@@ -50,25 +50,25 @@ class TestWorkedExamples:
         events = mk_events(rows)
         m = run_sim(events, policy=TimeWindowPolicy("open", 90.0),
                     cost=CostModel("flat_per_type", {"open": 0.0, "A": 5.0}))
-        a_samples = [s for s in m.latency_samples if s.lambda_p > 0]
-        assert a_samples, "no A samples routed"
-        assert all(s.lambda_q == 0.0 for s in m.latency_samples)
-        assert all(s.lambda_o == 5.0 for s in a_samples)
+        a_los = [q + p for q, p in zip(m.lambda_q, m.lambda_p) if p > 0]
+        assert a_los, "no A samples routed"
+        assert all(q == 0.0 for q in m.lambda_q)
+        assert all(lo == 5.0 for lo in a_los)
 
     def test_worked_example_worst_order_peak(self):
         events = worked_example_events(["A", "A", "B", "B", "C", "C", "D"])
         m = run_sim(events, policy=TimeWindowPolicy("open", 30.0), cost=WORKED_COSTS)
-        assert max(s.lambda_q for s in m.latency_samples) == 10.0
+        assert max(m.lambda_q) == 10.0
 
     def test_worked_example_best_order_peak(self):
         events = worked_example_events(["C", "A", "C", "A", "D", "B", "B"])
         m = run_sim(events, policy=TimeWindowPolicy("open", 30.0), cost=WORKED_COSTS)
-        assert max(s.lambda_q for s in m.latency_samples) == 5.0
+        assert max(m.lambda_q) == 5.0
 
     def test_worked_example_mid_order_peak(self):
         events = worked_example_events(["A", "C", "A", "C", "B", "D", "B"])
         m = run_sim(events, policy=TimeWindowPolicy("open", 30.0), cost=WORKED_COSTS)
-        assert max(s.lambda_q for s in m.latency_samples) == 6.0
+        assert max(m.lambda_q) == 6.0
 
 
 class TestConservationAndIdentities:
@@ -87,23 +87,19 @@ class TestConservationAndIdentities:
 
     def test_every_routed_pair_processed_once(self):
         _, m = self.traffic_metrics()
-        assert len(m.latency_samples) == m.transmissions
-        assert m.transmissions == sum(r[3] for r in m.transmission_rows)
-        seen = {}
-        for s in m.latency_samples:
-            key = (s.event_seq, s.instance)
-            assert key not in seen, "pair processed twice"
-            seen[key] = True
+        assert len(m.event_seq) == m.transmissions
+        assert m.transmissions == sum(m.tx_instances)
+        pairs = list(zip(m.event_seq, m.instance))
+        assert len(set(pairs)) == len(pairs), "pair processed twice"
 
     def test_latency_identities(self):
         _, m = self.traffic_metrics()
-        for s in m.latency_samples:
-            assert s.lambda_o == s.lambda_q + s.lambda_p
-            assert s.lambda_q >= 0.0 and s.lambda_p >= 0.0
+        assert list(m.lambda_o_values()) == [q + p for q, p in zip(m.lambda_q, m.lambda_p)]
+        assert all(q >= 0.0 for q in m.lambda_q) and all(p >= 0.0 for p in m.lambda_p)
 
     def test_transmissions_bounded_by_memberships(self):
         _, m = self.traffic_metrics()
-        for seq, ts, n_wins, n_inst in m.transmission_rows:
+        for n_wins, n_inst in zip(m.tx_members, m.tx_instances):
             assert n_inst <= n_wins
             if n_wins > 0:
                 assert n_inst >= 1  # every windowed event is transmitted
@@ -119,11 +115,11 @@ class TestConservationAndIdentities:
         events = mk_events(rows)
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 8.0, "B": 2.0})
         m = run_sim(events, policy=TimeWindowPolicy("open", 10_000.0), cost=cost)
-        samples = m.latency_samples
-        for i in range(len(samples) - 1):
-            iat = samples[i + 1].ts - samples[i].ts
-            expected = max(0.0, samples[i].lambda_q + samples[i].lambda_p - iat)
-            assert samples[i + 1].lambda_q == pytest.approx(expected)
+        ts, lambda_q, lambda_p = m.ts, m.lambda_q, m.lambda_p
+        for i in range(len(ts) - 1):
+            iat = ts[i + 1] - ts[i]
+            expected = max(0.0, lambda_q[i] + lambda_p[i] - iat)
+            assert lambda_q[i + 1] == pytest.approx(expected)
 
     def test_determinism(self):
         events1, m1 = self.traffic_metrics(seed=3)
@@ -208,8 +204,7 @@ class TestMerge:
         rows.sort(key=lambda r: r[0])
         events = mk_events(rows)
         m = run_sim(events, policy=TimeWindowPolicy("open", 1000.0), cost=CostModel("flat_per_type", {"open": 0.0, "A": 2.0}), n=3)
-        seqs = [s.event_seq for s in m.latency_samples]
-        assert seqs == sorted(seqs)
+        assert list(m.event_seq) == sorted(m.event_seq)
 
 
 class TestFeedbackDelay:
@@ -243,12 +238,11 @@ class TestFeedbackDelay:
         busy = 0.0
         qlen_peak, qlen_ts = -1, None
         pending = []
-        for s in m.latency_samples:
-            ts = s.ts
+        for ts, lambda_p in zip(m.ts, m.lambda_p):
             start = max(busy, ts)
             pending = [p for p in pending if p > ts]
             pending.append(start)
-            busy = start + s.lambda_p
+            busy = start + lambda_p
             if len(pending) > qlen_peak:
                 qlen_peak, qlen_ts = len(pending), ts
         assert fd.qlen_peak == qlen_peak
@@ -269,9 +263,9 @@ def reference_feedback_delays(m) -> list[FeedbackDelay]:
     samples for every batch, O(batches x samples)."""
     close_by_wid = {w.wid: w.close_ts for w in m.windows}
     by_instance: dict[int, list[int]] = {}
-    for i, s in enumerate(m.latency_samples):
-        by_instance.setdefault(s.instance, []).append(i)
-    end_of_run = m.latency_samples[-1].ts if m.latency_samples else 0
+    for i, inst in enumerate(m.instance):
+        by_instance.setdefault(inst, []).append(i)
+    end_of_run = m.ts[-1] if m.ts else 0
     out = []
     for b in m.batches:
         closes = [close_by_wid.get(wid) for wid in b.wids]
@@ -283,15 +277,16 @@ def reference_feedback_delays(m) -> list[FeedbackDelay]:
         qlen_peak = -1
         qlen_ts = b.first_decision_ts
         for i in by_instance.get(b.instance, ()):
-            s = m.latency_samples[i]
-            if s.ts < b.first_decision_ts or s.ts > span_end:
+            ts = m.ts[i]
+            if ts < b.first_decision_ts or ts > span_end:
                 continue
-            if s.lambda_o > lat_peak:
-                lat_peak = s.lambda_o
-                lat_ts = s.ts
-            if s.queue_len > qlen_peak:
-                qlen_peak = s.queue_len
-                qlen_ts = s.ts
+            lambda_o = m.lambda_q[i] + m.lambda_p[i]
+            if lambda_o > lat_peak:
+                lat_peak = lambda_o
+                lat_ts = ts
+            if m.queue_len[i] > qlen_peak:
+                qlen_peak = m.queue_len[i]
+                qlen_ts = ts
         if lat_peak < 0:
             continue  # batch saw no events
         out.append(
@@ -354,10 +349,10 @@ class TestSchedulingIntegration:
         m_batch = run_sim(events, policy=policy(), cost=cost, n=8,
                           kind="model_based", lb_ms=float("inf"))
         assert m_batch.transmissions < m_rr.transmissions
-        assert {s.instance for s in m_batch.latency_samples} == {0}
-        assert len({s.instance for s in m_rr.latency_samples}) == 8
+        assert set(m_batch.instance) == {0}
+        assert len(set(m_rr.instance)) == 8
         # every event is transmitted once under full batching
-        assert m_batch.transmissions == len({s.event_seq for s in m_batch.latency_samples})
+        assert m_batch.transmissions == len(set(m_batch.event_seq))
 
     def test_dropped_close_counted(self):
         events = mk_events([(0, "L2", "ghost"), (10, "L1", "a"), (20, "L2", "a")])
@@ -390,7 +385,7 @@ def test_run_with_experiment_config():
     m1 = run(cfg)
     m2 = run(cfg)
     assert m1 == m2
-    assert m1.latency_samples
+    assert m1.transmissions
 
 
 class TestColumnStorage:
@@ -432,27 +427,6 @@ class TestColumnStorage:
         m = run(self.traffic_config())
         assert longest and max(longest) * 100 < m.transmissions
 
-    @pytest.mark.parametrize("delay", [0, 2.5])
-    def test_sample_view_agrees_with_iteration(self, delay):
-        events, _ = TestConservationAndIdentities().traffic_metrics()
-        cost = CostModel("equi_join", {"L1": 1.0, "L2": 2.0}, incr_ms=0.3)
-        m = run_sim(events, policy=KeyedAperiodicPolicy(), cost=cost, n=3, mtime=500.0, transfer_delay_ms=delay)
-        samples = m.latency_samples
-        as_list = list(samples)
-        n = len(samples)
-        assert n == m.transmissions > 0
-        assert [samples[i] for i in range(n)] == as_list
-        assert [samples[i - n] for i in range(n)] == as_list
-        assert samples[1:7:2] == as_list[1:7:2] and samples[::-1] == as_list[::-1]
-        assert samples == as_list and as_list == samples
-        for i in (n, -n - 1):
-            with pytest.raises(IndexError):
-                samples[i]
-        for s in as_list:
-            assert s.arrival == s.ts + delay and type(s.arrival) is type(s.ts + delay)
-            assert s.start == s.arrival + s.lambda_q and s.completion == s.start + s.lambda_p
-        assert m.transmission_rows == list(zip(m.tx_seq, m.tx_ts, m.tx_members, m.tx_instances))
-
 
 def member_owners(m, e):
     """Owner of each window ``e`` belongs to, in wid order. Reads the
@@ -466,9 +440,10 @@ def member_owners(m, e):
 
 
 def samples_by_event(m):
+    """Event seq -> [(instance, n_windows)] of its processed pairs, in order."""
     out = {}
-    for s in m.latency_samples:
-        out.setdefault(s.event_seq, []).append(s)
+    for seq, inst, k in zip(m.event_seq, m.instance, m.n_windows):
+        out.setdefault(seq, []).append((inst, k))
     return out
 
 
@@ -508,21 +483,22 @@ class TestRouting:
     def test_one_transmission_per_owning_instance(self, run):
         events, m = run
         by_event = samples_by_event(m)
-        for e, (seq, _, n_members, n_instances) in zip(events, m.transmission_rows):
+        for e, seq, n_members, n_instances in zip(events, m.tx_seq, m.tx_members, m.tx_instances):
             owners = member_owners(m, e)
-            got = [s.instance for s in by_event.get(e.seq, [])]
+            pairs = by_event.get(e.seq, [])
+            got = [inst for inst, _ in pairs]
             assert seq == e.seq and n_members == len(owners)
             assert sorted(set(got)) == sorted(got) == sorted(set(owners))
             assert n_instances == len(got)
-            for s in by_event.get(e.seq, []):
-                assert s.n_windows == owners.count(s.instance)
+            for inst, k in pairs:
+                assert k == owners.count(inst)
 
     @settings(max_examples=150, deadline=None)
     @given(routed_runs())
     def test_instances_in_ascending_order(self, run):
         _, m = run
-        for samples in samples_by_event(m).values():
-            instances = [s.instance for s in samples]
+        for pairs in samples_by_event(m).values():
+            instances = [inst for inst, _ in pairs]
             assert instances == sorted(instances)
 
     @settings(max_examples=150, deadline=None)
@@ -532,9 +508,9 @@ class TestRouting:
         by_event = samples_by_event(m)
         for e in events:
             owners = set(member_owners(m, e))
-            assert {s.instance for s in by_event.get(e.seq, [])} <= owners
+            assert {inst for inst, _ in by_event.get(e.seq, [])} <= owners
         # an instance owning no window never receives an event
-        assert {s.instance for s in m.latency_samples} <= {w.assigned_instance for w in m.windows}
+        assert set(m.instance) <= {w.assigned_instance for w in m.windows}
 
     def test_batching_saves_transmissions(self):
         # k fully overlapping windows: one transmission per shared event on
@@ -545,9 +521,8 @@ class TestRouting:
         policy = lambda: TimeWindowPolicy("open", 1000.0)
         spread = run_sim(events, policy=policy(), cost=cost, n=k)
         batched = run_sim(events, policy=policy(), cost=cost, n=k, kind="model_based", lb_ms=float("inf"))
-        shared = [row for row in spread.transmission_rows if row[0] >= k]
-        assert [row[3] for row in shared] == [k] * 5
-        assert [row[3] for row in batched.transmission_rows if row[0] >= k] == [1] * 5
+        assert [n for seq, n in zip(spread.tx_seq, spread.tx_instances) if seq >= k] == [k] * 5
+        assert [n for seq, n in zip(batched.tx_seq, batched.tx_instances) if seq >= k] == [1] * 5
         assert batched.transmissions < spread.transmissions
 
 
@@ -558,9 +533,8 @@ class TestRouting:
         events = mk_events([(1, "L1", "a"), (2, "L1", "b"), (3, "L1", "c"), (4, "L2", "a")])
         cost = CostModel("equi_join", {"L1": 0.0, "L2": 0.0}, incr_ms=0.1)
         m = run_sim(events, policy=KeyedAperiodicPolicy(), cost=cost)
-        last = m.latency_samples[-1]
-        assert (last.event_seq, last.n_windows) == (3, 3)
-        assert repr(last.lambda_p) == "0.6"
+        assert (m.event_seq[-1], m.n_windows[-1]) == (3, 3)
+        assert repr(m.lambda_p[-1]) == "0.6"
 
 
 class TestUniformCost:
@@ -570,9 +544,8 @@ class TestUniformCost:
         events = mk_events([(i, "open") for i in range(10)] + [(20, "A")])
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 0.1})
         m = run_sim(events, policy=TimeWindowPolicy("open", 1000.0), cost=cost)
-        last = m.latency_samples[-1]
-        assert (last.event_seq, last.n_windows) == (10, 10)
-        assert repr(last.lambda_p) == "0.9999999999999999"
+        assert (m.event_seq[-1], m.n_windows[-1]) == (10, 10)
+        assert repr(m.lambda_p[-1]) == "0.9999999999999999"
         assert 10 * 0.1 == 1.0
 
 
@@ -591,8 +564,8 @@ class TestMemberCounts:
         assert w1.member_count_per_type == {"open": 1, "B": 1}
         assert w2.member_count_per_type == {"open": 1, "B": 1}
         # the B at ts 100 is priced in w0 against the one A before it, and in w1 against none
-        first_b = [s for s in m.latency_samples if s.event_seq == 3]
-        assert sorted((s.instance, s.lambda_p) for s in first_b) == [(0, 2.5), (1, 2.0)]
+        first_b = [(inst, p) for seq, inst, p in zip(m.event_seq, m.instance, m.lambda_p) if seq == 3]
+        assert sorted(first_b) == [(0, 2.5), (1, 2.0)]
 
 
 def test_controllers_build_only_the_views_they_read(monkeypatch):
@@ -612,3 +585,14 @@ def test_controllers_build_only_the_views_they_read(monkeypatch):
     assert len(m.decisions) == 40 and built == []  # Round-Robin reads no view
     m = run_sim(events, policy=TimeWindowPolicy("open", 1000.0), cost=cost, n=8, kind="reactive", th_ms=1.0)
     assert len(built) == len(m.decisions) == 40  # one view per decision
+
+
+def test_row_view_builds_rows_on_access():
+    built = []
+    view = RowView(3, lambda i: built.append(i) or i * 10)
+    assert len(view) == 3 and built == []
+    assert view[2] == 20 and built == [2]
+    assert list(view) == [0, 10, 20]
+    for i in (3, -1):
+        with pytest.raises(IndexError):
+            view[i]

@@ -48,7 +48,7 @@ class TestBinning:
         assert sum(b.count for b in snap.iat_bins) == len(gaps)
 
     def test_boundaries_come_from_previous_window_and_clamp(self):
-        stats = StreamStats(2, 1, mtime_ms=1000.0)
+        stats = StreamStats(2, 1)
         feed_window(stats, iats=[10, 10, 90, 90])  # range [10, 90] -> bins [10,50),[50,90]
         snap = feed_window(stats, iats=[5, 20, 200], start_ts=1000)
         lo_bin, hi_bin = snap.iat_bins
@@ -59,7 +59,7 @@ class TestBinning:
         assert hi_bin.mean == 200.0
 
     def test_type_ratio_sums_to_one(self):
-        stats = StreamStats(1, 1, mtime_ms=1000.0)
+        stats = StreamStats(1, 1)
         snap = feed_window(stats, iats=[1] * 9, etypes=["A", "B", "A", "B", "A"])
         assert sum(snap.type_ratio.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -163,8 +163,8 @@ class TestBinRuns:
         assert repr(pop.mean) == repr(math.fsum(expanded(values, counts)) / n)
 
     def test_runs_observed_like_single_latencies(self):
-        singles = StreamStats(1, 3, mtime_ms=1000.0)
-        runs = StreamStats(1, 3, mtime_ms=1000.0)
+        singles = StreamStats(1, 3)
+        runs = StreamStats(1, 3)
         for s in (singles, runs):
             s.observe_event(ev(0, 0), None)
         for v, k in [(0.02, 61), (0.005, 3), (0.02, 1), (0.3, 2)]:
@@ -178,7 +178,7 @@ class TestBinRuns:
 
 class TestFreeze:
     def test_empty_window_returns_stale_previous(self):
-        stats = StreamStats(2, 2, mtime_ms=1000.0)
+        stats = StreamStats(2, 2)
         first = feed_window(stats, iats=[10, 20, 30], lats={"A": [1.0, 2.0]})
         assert not first.stale
         again = stats.end_monitoring_window(2000.0)
@@ -187,21 +187,21 @@ class TestFreeze:
         assert again.type_ratio == first.type_ratio
 
     def test_identical_windows_identical_snapshots(self):
-        s1 = StreamStats(3, 2, mtime_ms=1000.0)
-        s2 = StreamStats(3, 2, mtime_ms=1000.0)
+        s1 = StreamStats(3, 2)
+        s2 = StreamStats(3, 2)
         kw = dict(iats=[10, 25, 40, 5], lats={"A": [1.0, 3.0], "B": [9.0]}, ws_samples=[500.0], open_gaps=[0.0, 100.0])
         a = feed_window(s1, **kw)
         b = feed_window(s2, **kw)
         assert a == b
 
     def test_ws_and_delta_estimates(self):
-        stats = StreamStats(1, 1, mtime_ms=1000.0)
+        stats = StreamStats(1, 1)
         snap = feed_window(stats, iats=[10], ws_samples=[100.0, 300.0], open_gaps=[0.0, 40.0, 60.0])
         assert snap.ws_est == 200.0
         assert snap.delta_est == 50.0
 
     def test_estimates_inherited_when_no_new_samples(self):
-        stats = StreamStats(1, 1, mtime_ms=1000.0)
+        stats = StreamStats(1, 1)
         feed_window(stats, iats=[10], ws_samples=[100.0], open_gaps=[0.0, 40.0])
         snap = feed_window(stats, iats=[10], start_ts=1000)
         assert snap.ws_est == 100.0
@@ -211,7 +211,7 @@ class TestFreeze:
 class TestTCount:
     def grouped_stats(self):
         # window 1 establishes the type ranking: A is expensive, B is cheap
-        stats = StreamStats(1, 1, mtime_ms=1000.0)
+        stats = StreamStats(1, 1)
         snap = feed_window(stats, iats=[1, 1], lats={"A": [10.0, 10.0], "B": [1.0]})
         assert snap.t_minus_types == {"A"}
         assert snap.t_plus_types == {"B"}
@@ -240,7 +240,7 @@ class TestTCount:
         assert snap.c_trans >= 1
 
     def test_odd_type_count_median_goes_high(self):
-        stats = StreamStats(1, 1, mtime_ms=1000.0)
+        stats = StreamStats(1, 1)
         snap = feed_window(stats, iats=[1, 1], lats={"A": [10.0], "B": [5.0], "C": [1.0]})
         assert snap.t_minus_types == {"A", "B"}
         assert snap.t_plus_types == {"C"}
@@ -326,7 +326,7 @@ class TestDetectWindows:
             sp.process(e)
 
     def test_stats_observed_through_splitter(self):
-        stats = StreamStats(1, 1, mtime_ms=10_000.0)
+        stats = StreamStats(1, 1)
         sp = Splitter(KeyedAperiodicPolicy(), stats)
         sp.process(ev(0, 0, "L1", key="a"))
         sp.process(ev(1, 300, "L1", key="b"))
