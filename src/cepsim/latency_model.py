@@ -23,6 +23,9 @@ from typing import Iterable, Mapping, Sequence
 from .splitter import StreamStatsSnapshot
 
 _EPS = 1e-12
+# every freeze allocates each bin, so a larger count costs memory and time
+# per monitoring window without a finer answer
+MAX_BINS = 1024
 
 
 @dataclass(frozen=True)
@@ -46,10 +49,12 @@ class ModelParams:
     def validate(self) -> None:
         from .core import ConfigurationError
 
-        if self.n_iat_bins < 1 or self.n_lat_bins < 1:
-            raise ConfigurationError("model bin counts must be >= 1")
-        if self.delta_iat < 0 or self.delta_lp < 0:
-            raise ConfigurationError("model bias factors must be >= 0")
+        for name in ("n_iat_bins", "n_lat_bins"):
+            if not 1 <= getattr(self, name) <= MAX_BINS:
+                raise ConfigurationError(f"model.{name} must be in [1, {MAX_BINS}], got {getattr(self, name)}")
+        for name in ("delta_iat", "delta_lp"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"model.{name} must be >= 0, got {getattr(self, name)}")
         if self.alpha_mode not in ("tcount", "fixed"):
             raise ConfigurationError(f"model.alpha_mode must be tcount|fixed, got {self.alpha_mode!r}")
         if not 0.0 <= self.alpha_fixed <= 1.0:
@@ -195,11 +200,17 @@ def predict_gains(
     params: ModelParams,
 ) -> tuple[float, float]:
     """Total negative and positive gains (gamma_minus >= 0 >= gamma_plus)."""
-    pairs = pair_bins(
-        biased_latency_bins(snapshot, per_type_counts, params),
-        biased_iat_bins(snapshot, n, params),
-        theta_bar,
+    return _split_gains(
+        pair_bins(
+            biased_latency_bins(snapshot, per_type_counts, params),
+            biased_iat_bins(snapshot, n, params),
+            theta_bar,
+        )
     )
+
+
+def _split_gains(pairs: Iterable[tuple[float, float]]) -> tuple[float, float]:
+    """Sums of the positive and of the other ``count * gain`` of ``pairs``."""
     gamma_minus = 0.0
     gamma_plus = 0.0
     for count, gain in pairs:
@@ -364,17 +375,7 @@ def gains_from_event_values(
         iats = [float(iats)] * len(lambda_ps)
     if len(iats) != len(lambda_ps):
         raise ValueError("lambda_ps and iats must have equal length")
-    lat = [(v, 1.0) for v in lambda_ps]
-    iat = [(v, 1.0) for v in iats]
-    gamma_minus = 0.0
-    gamma_plus = 0.0
-    for count, gain in pair_bins(lat, iat, theta_bar):
-        total = count * gain
-        if total > 0:
-            gamma_minus += total
-        else:
-            gamma_plus += total
-    return gamma_minus, gamma_plus
+    return _split_gains(pair_bins([(v, 1.0) for v in lambda_ps], [(v, 1.0) for v in iats], theta_bar))
 
 
 def lindley_peak(

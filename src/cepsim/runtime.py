@@ -59,60 +59,46 @@ class FeedbackReport:
 class InstanceState:
     """Simulated operator instance: FIFO queue driven by a busy-until clock.
 
-    ``records`` holds one ``(start, completion, arrival, etype, n_windows,
-    lambda_o)`` tuple per processed event that had not completed at the last
-    feedback instant, after the last one that had; older records are trimmed,
-    so the list is bounded by the instance's backlog.
+    An instance holds only its in-flight work: ``work`` has one ``(start,
+    completion, arrival, etype, n_windows, lambda_o, latencies, run)`` tuple
+    per processed event that has not completed by the last ``complete``, in
+    processing order, so starts, completions and arrivals all go up along
+    it. ``latencies`` is a list of in-window latencies with ``run`` None, or
+    one latency shared by ``run`` windows.
     """
 
     idx: int
     busy_until: float = 0.0
     open_windows: dict[int, WindowDescriptor] = field(default_factory=dict)
     last_arrival: float | None = None
-    records: list[tuple[float, float, float, str, int, float]] = field(default_factory=list)
-    # one entry per processed event: (completion, etype, in-window latencies,
-    # None), or (completion, etype, latency, k) for one latency in k windows
-    pending_obs: deque = field(default_factory=deque)
-    _q_cursor: int = 0  # first record with start > t
-    _c_cursor: int = 0  # first record with completion > t
+    work: deque = field(default_factory=deque)
+    last_lambda_o: float | None = None  # of the last completed event
 
-    def advance_q_cursor(self, t: float) -> int:
-        recs = self.records
-        i = self._q_cursor
-        while i < len(recs) and recs[i][0] <= t:
-            i += 1
-        self._q_cursor = i
-        return i
+    def complete(self, now: float, stats: StreamStats) -> None:
+        """Retire the work completed by ``now``, reporting its latencies."""
+        work = self.work
+        while work and work[0][1] <= now:
+            _, _, _, etype, _, self.last_lambda_o, lams, run = work.popleft()
+            if run is None:
+                stats.observe_latencies(etype, lams)
+            else:
+                stats.observe_latency(etype, lams, run)
 
     def make_feedback(self, now: float) -> FeedbackReport:
         """Snapshot of the queue at ``now``; only completed events count as
         reported latency, only arrived-but-unstarted events count as queued."""
-        i = self.advance_q_cursor(now)
-        recs = self.records
-        j = self._c_cursor
-        while j < len(recs) and recs[j][1] <= now:
-            j += 1
-        if j > 1:
-            # completed records before the last one are never read again; a
-            # record completed by now also started by now, so it lies before
-            # the queue cursor
-            del recs[: j - 1]
-            i -= j - 1
-            self._q_cursor = i
-            j = 1
-        self._c_cursor = j
-        last_lo = recs[j - 1][5] if j > 0 else None
         counts: dict[str, int] = {}
         theta_sum = 0
         queued = 0
-        for _, _, arrival, etype, n_windows, _ in recs[i:]:
+        for start, _, arrival, etype, n_windows, *_ in self.work:
             if arrival > now:
-                continue
-            counts[etype] = counts.get(etype, 0) + 1
-            theta_sum += n_windows
-            queued += 1
+                break
+            if now < start:
+                counts[etype] = counts.get(etype, 0) + 1
+                theta_sum += n_windows
+                queued += 1
         theta = theta_sum / queued if queued else 1.0
-        return FeedbackReport(self.idx, counts, theta, last_lo, now)
+        return FeedbackReport(self.idx, counts, theta, self.last_lambda_o, now)
 
 
 @dataclass
@@ -292,37 +278,27 @@ def simulate(
     next_feedback = feedback_interval_ms
     last_batch_instance: int | None = None
 
-    def drain_observations(now: float) -> None:
-        for inst in instances:
-            obs = inst.pending_obs
-            while obs and obs[0][0] <= now:
-                _, etype, lams, run = obs.popleft()
-                if run is None:
-                    stats.observe_latencies(etype, lams)
-                else:
-                    stats.observe_latency(etype, lams, run)
-
-    def deliver_reports(now: float) -> None:
-        while pending_reports and pending_reports[0][0] <= now:
-            _, rep = pending_reports.popleft()
-            delivered[rep.instance] = rep
-
-    def handle_boundaries(now: float) -> None:
+    def advance_to(now: float) -> None:
+        """Fire each monitoring freeze and feedback instant up to ``now`` in
+        time order, each after the work completed by its instant, then
+        retire the work completed by ``now``; deliver reports once due."""
         nonlocal next_freeze, next_feedback
-        while min(next_freeze, next_feedback) <= now:
-            if next_freeze <= next_feedback:
-                t = next_freeze
-                drain_observations(t)
+        while True:
+            t = min(next_freeze, next_feedback, now)  # on a tie: freeze, feedback, now
+            for inst in instances:
+                inst.complete(t, stats)
+            if t == next_freeze:
                 stats.end_monitoring_window(t)
                 next_freeze += mtime_ms
-            else:
-                t = next_feedback
-                drain_observations(t)
+            elif t == next_feedback:
                 for inst in instances:
-                    rep = inst.make_feedback(t)
-                    pending_reports.append((t + feedback_delivery_delay_ms, rep))
+                    pending_reports.append((t + feedback_delivery_delay_ms, inst.make_feedback(t)))
                 next_feedback += feedback_interval_ms
-            deliver_reports(t)
+            while pending_reports and pending_reports[0][0] <= t:
+                rep = pending_reports.popleft()[1]
+                delivered[rep.instance] = rep
+            if t == now and now < next_freeze and now < next_feedback:
+                return
 
     def view(i: int) -> InstanceView:
         n_open = len(instances[i].open_windows)
@@ -346,9 +322,7 @@ def simulate(
         if e.ts < now:
             raise ValueError(f"event timestamps cannot go backwards: {e.ts} < {now}")
         now = e.ts
-        handle_boundaries(now)
-        drain_observations(now)
-        deliver_reports(now)
+        advance_to(now)
 
         res = splitter.process(e)
         closing: dict[int, list[WindowDescriptor]] = {}  # instance -> closed windows e is in
@@ -419,9 +393,14 @@ def simulate(
                 lams, run = cost, k
             completion = start + lambda_p
             inst.busy_until = completion
-            inst.pending_obs.append((completion, etype, lams, run))
-
-            queue_len = len(inst.records) - inst.advance_q_cursor(arrival) + 1
+            # the work left is what had not completed by ts, in start order:
+            # all but the leading records started by arrival are queued
+            work = inst.work
+            queue_len = len(work) + 1
+            for r in work:
+                if r[0] > arrival:
+                    break
+                queue_len -= 1
             if inst.last_arrival is not None:
                 gamma = lambda_p - (arrival - inst.last_arrival)
                 if gamma > 0:
@@ -436,7 +415,7 @@ def simulate(
                     if lambda_q > w.actual_lambda_q_peak:
                         w.actual_lambda_q_peak = lambda_q
 
-            inst.records.append((start, completion, arrival, etype, k, lambda_q + lambda_p))
+            work.append((start, completion, arrival, etype, k, lambda_q + lambda_p, lams, run))
             add_seq(seq)
             add_instance(idx)
             add_ts(ts)
@@ -459,10 +438,7 @@ def simulate(
 
     # drain: keep the monitoring and feedback machinery running until every
     # instance finished its queued work
-    end_time = max([now] + [inst.busy_until for inst in instances])
-    handle_boundaries(end_time)
-    drain_observations(end_time)
-    deliver_reports(end_time)
+    advance_to(max([now] + [inst.busy_until for inst in instances]))
 
     metrics.dropped_closes = splitter.dropped_closes
     return metrics

@@ -379,9 +379,10 @@ class KeyedAperiodicPolicy:
     """Traffic-style windows: an open-type event with a fresh key opens a
     window; the close-type event with the matching key closes it."""
 
-    def __init__(self, open_etype: str = "L1", close_etype: str = "L2"):
-        self.open_etype = open_etype
-        self.close_etype = close_etype
+    open_etype = "L1"
+    close_etype = "L2"
+
+    def __init__(self):
         self._by_key: dict[str, int] = {}  # key -> wid
 
     def closes(self, e: Event, open_windows: Mapping[int, WindowDescriptor]) -> list[tuple[int, int]]:
@@ -453,7 +454,7 @@ class Splitter:
     are fixed by the policy.
     """
 
-    def __init__(self, policy, stats: StreamStats | None = None):
+    def __init__(self, policy, stats: StreamStats):
         self.policy = policy
         self.stats = stats
         self.open_windows: dict[int, WindowDescriptor] = {}
@@ -478,8 +479,7 @@ class Splitter:
             w = self.open_windows.pop(wid)
             w.close_ts = close_ts
             res.closed.append(w)
-            if self.stats is not None:
-                self.stats.observe_window_closed(w.scope_ms)
+            self.stats.observe_window_closed(w.scope_ms)
         if claimed_close and not res.closed:
             self.dropped_closes += 1
 
@@ -489,8 +489,7 @@ class Splitter:
             self.open_windows[w.wid] = w
             self.policy.register(e, w.wid)
             res.opened.append(w)
-            if self.stats is not None:
-                self.stats.observe_window_opened(float(e.ts))
+            self.stats.observe_window_opened(float(e.ts))
 
         members = list(self.open_windows.values())
         for w in res.closed:
@@ -498,8 +497,7 @@ class Splitter:
                 members.insert(bisect_left(members, w.wid, key=_wid), w)
         res.memberships = members
 
-        if self.stats is not None:
-            self.stats.observe_event(e, self._prev_ts)
+        self.stats.observe_event(e, self._prev_ts)
         self._prev_ts = e.ts
         return res
 

@@ -1,3 +1,4 @@
+import copy
 import csv
 import filecmp
 import math
@@ -6,10 +7,11 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cepsim.cli import build_experiment, main, p99
+from cepsim.core import ConfigurationError
 
 BASE_CONFIG = {
     "run_id": "smoke",
@@ -194,6 +196,13 @@ class TestConfigErrors:
             ({"seed": 1.5}, "seed"),
             ({"workload.opener": None}, "workload.opener"),
             ({"workload.scenario": "face", "workload.opener": None}, "workload.opener"),
+            ({"model.n_iat_bins": 0}, "model.n_iat_bins"),
+            ({"model.n_lat_bins": 0}, "model.n_lat_bins"),
+            # every freeze allocates each bin: 30M bins ended in a MemoryError
+            ({"model.n_lat_bins": 30_000_000}, "model.n_lat_bins"),
+            ({"model.n_iat_bins": 1025}, "model.n_iat_bins"),
+            ({"model.delta_iat": -1}, "model.delta_iat"),
+            ({"model.delta_lp": -0.5}, "model.delta_lp"),
         ],
     )
     def test_field_level_messages(self, tmp_path, capsys, overrides, needle):
@@ -259,6 +268,11 @@ class TestConfigErrors:
         exp = build_experiment(yaml.safe_load(cfg.read_text()))
         assert exp.scheduler.lb_ms == float("inf")
 
+    def test_largest_bin_counts_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, {"model.n_iat_bins": 1024, "model.n_lat_bins": 1024})
+        exp = build_experiment(yaml.safe_load(cfg.read_text()))
+        assert (exp.model.n_iat_bins, exp.model.n_lat_bins) == (1024, 1024)
+
 
 def sorted_p99(values):
     if not values:
@@ -289,6 +303,38 @@ class TestConfigBuilder:
         raw["model"] = None
         expected = build_experiment(yaml.safe_load(yaml.safe_dump({**BASE_CONFIG, "model": {}})))
         assert repr(build_experiment(raw)) == repr(expected)
+
+
+def config_paths(node, path=()):
+    """The key path of every node of a config tree below its root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield path + (k,)
+        yield from config_paths(v, path + (k,))
+
+
+HOSTILE = [None, 0, 0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 2**63, -(2**63), True, False,
+           "", "inf", [], {}, {"kind": "x"}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(config_paths(BASE_CONFIG))), st.sampled_from(HOSTILE)),
+                min_size=1, max_size=2))
+def test_hostile_values_are_configuration_errors(mutations):
+    # a config either builds or is rejected with a message; no other
+    # exception may escape, as `main` turns only ConfigurationError into exit 2
+    paths = [p for p, _ in mutations]
+    assume(not any(p != q and q[: len(p)] == p for p in paths for q in paths))
+    raw = copy.deepcopy(BASE_CONFIG)
+    for path, value in mutations:
+        node = raw
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = copy.deepcopy(value)
+    try:
+        build_experiment(raw)
+    except ConfigurationError:
+        pass
 
 
 class TestBench:

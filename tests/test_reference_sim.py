@@ -14,7 +14,6 @@ samples: at each feedback instant, from the events processed before it.
 from collections import namedtuple
 from unittest import mock
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +21,7 @@ from cepsim.core import Event
 from cepsim.latency_model import ModelParams
 from cepsim.runtime import InstanceState, simulate
 from cepsim.scheduler import SchedulerConfig, make_scheduler
-from cepsim.splitter import KeyedAperiodicPolicy, TimeWindowPolicy
+from cepsim.splitter import KeyedAperiodicPolicy, StreamStats, TimeWindowPolicy
 from cepsim.workload import CostModel
 
 
@@ -247,29 +246,20 @@ def test_simulate_matches_reference(w):
         assert win.member_count_per_type == counts
         assert float_bits([(win.actual_gamma_minus, win.actual_gamma_plus, win.actual_lambda_q_peak)]) == \
             float_bits([(g_minus, g_plus, peak)])
-    if w["transfer_delay_ms"] == 0:
-        # under a transfer delay the reports undercount; see the xfail below
-        assert repr(reports) == repr(reference_reports(w["events"], samples, w["config"].n_instances, 5.0))
+    assert repr(reports) == repr(reference_reports(w["events"], samples, w["config"].n_instances, 5.0))
 
 
-UNDERCOUNT = (
-    "InstanceState.make_feedback undercounts queued events under a transfer delay: simulate advances "
-    "the queue cursor to each later event's arrival ts + transfer_delay_ms before the feedback instant, "
-    "so an event that arrived by then but had not started is skipped"
-)
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=UNDERCOUNT)
 def test_report_counts_event_queued_behind_a_later_arrival():
-    # records are (start, completion, arrival, etype, n_windows, lambda_o):
-    # A runs from 0 to 10, X arrived at 2 and waits for it
+    # work is (start, completion, arrival, etype, n_windows, lambda_o,
+    # latencies, run): A runs from 0 to 10, X arrived at 2 and waits for it,
+    # and Y, sent before t=5, arrives at 12
     inst = InstanceState(0)
-    inst.records += [(0.0, 10.0, 0.0, "A", 1, 10.0), (10.0, 11.0, 2.0, "X", 1, 9.0)]
-    inst.advance_q_cursor(12.0)  # the arrival of an event sent before t=5
+    inst.work += [(0.0, 10.0, 0.0, "A", 1, 10.0, 10.0, 1), (10.0, 11.0, 2.0, "X", 1, 9.0, 1.0, 1),
+                  (12.0, 13.0, 12.0, "Y", 1, 1.0, 1.0, 1)]
+    inst.complete(5.0, StreamStats(1, 1))
     assert inst.make_feedback(5.0).queued_counts == {"X": 1}
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=UNDERCOUNT)
 def test_reports_match_reference_under_a_transfer_delay():
     # delay 7.5: A is in service from 7.5 to 11.5 and X, arrived at 8.5,
     # waits for it; Y (ts 4) arrives at 11.5, before the report at t=10 is made

@@ -416,11 +416,10 @@ class TestColumnStorage:
 
         def checking(self, now):
             rep = make_feedback(self, now)
-            # records are (start, completion, ...): all but the last
-            # completed one are still queued, in service or in transit
-            in_flight = sum(1 for r in self.records if r[1] > now)
-            assert len(self.records) <= in_flight + 1
-            longest.append(len(self.records))
+            # work is (start, completion, ...): all of it is still queued,
+            # in service or in transit
+            assert all(r[1] > now for r in self.work)
+            longest.append(len(self.work))
             return rep
 
         monkeypatch.setattr(InstanceState, "make_feedback", checking)

@@ -248,7 +248,7 @@ class TestTCount:
 
 class TestDetectWindows:
     def test_traffic_minimal_window(self):
-        sp = Splitter(KeyedAperiodicPolicy())
+        sp = Splitter(KeyedAperiodicPolicy(), StreamStats(1, 1))
         r1 = sp.process(ev(0, 100, "L1", key="a"))
         assert len(r1.opened) == 1 and not r1.closed
         w = r1.opened[0]
@@ -260,7 +260,7 @@ class TestDetectWindows:
         assert not sp.open_windows
 
     def test_time_window_closes_at_scope(self):
-        sp = Splitter(TimeWindowPolicy("query", 10_000.0))
+        sp = Splitter(TimeWindowPolicy("query", 10_000.0), StreamStats(1, 1))
         r1 = sp.process(ev(0, 0, "query"))
         w = r1.opened[0]
         r2 = sp.process(ev(1, 9_999, "face"))
@@ -271,14 +271,14 @@ class TestDetectWindows:
         assert r3.memberships == []  # arrived after the scope ended
 
     def test_time_window_boundary_event_is_member(self):
-        sp = Splitter(TimeWindowPolicy("query", 10_000.0))
+        sp = Splitter(TimeWindowPolicy("query", 10_000.0), StreamStats(1, 1))
         w = sp.process(ev(0, 0, "query")).opened[0]
         r = sp.process(ev(1, 10_000, "face"))
         assert r.closed == [w]
         assert r.memberships == [w]
 
     def test_nested_vehicle_windows(self):
-        sp = Splitter(KeyedAperiodicPolicy())
+        sp = Splitter(KeyedAperiodicPolicy(), StreamStats(1, 1))
         wa = sp.process(ev(0, 0, "L1", key="a")).opened[0]      # slow vehicle
         wb = sp.process(ev(1, 100, "L1", key="b")).opened[0]    # fast vehicle
         mid = sp.process(ev(2, 150, "L1", key="c"))
@@ -289,7 +289,7 @@ class TestDetectWindows:
         assert wa in ra.closed and wb not in ra.memberships
 
     def test_unmatched_close_is_dropped_but_membership_kept(self):
-        sp = Splitter(KeyedAperiodicPolicy())
+        sp = Splitter(KeyedAperiodicPolicy(), StreamStats(1, 1))
         wa = sp.process(ev(0, 0, "L1", key="a")).opened[0]
         r = sp.process(ev(1, 50, "L2", key="zzz"))
         assert not r.opened and not r.closed
@@ -299,7 +299,7 @@ class TestDetectWindows:
     def test_keyed_close_merged_in_wid_order(self):
         # b closes before a and c, both opened around it: the closing event's
         # memberships must still come out strictly by wid
-        sp = Splitter(KeyedAperiodicPolicy())
+        sp = Splitter(KeyedAperiodicPolicy(), StreamStats(1, 1))
         wa = sp.process(ev(0, 0, "L1", key="a")).opened[0]
         wb = sp.process(ev(1, 10, "L1", key="b")).opened[0]
         wc = sp.process(ev(2, 20, "L1", key="c")).opened[0]
@@ -314,7 +314,7 @@ class TestDetectWindows:
            st.sampled_from([1, 5, 7.5, 20, 30.25]))
     def test_time_closes_equal_full_scan(self, rows, ws):
         policy = TimeWindowPolicy("query", ws)
-        sp = Splitter(policy)
+        sp = Splitter(policy, StreamStats(1, 1))
         ts = 0
         for seq, (gap, opener) in enumerate(rows):
             ts += gap
