@@ -91,7 +91,12 @@ class ExperimentConfig:
         # timestamps are integer ms: a shorter boundary interval only multiplies work
         if self.mtime_ms < 1:
             raise ConfigurationError(f"sim.mtime_ms must be >= 1, got {self.mtime_ms}")
-        if self.feedback_interval_ms is not None and self.feedback_interval_ms < 1:
+        if self.feedback_interval_ms is None:
+            if self.mtime_ms / 10 < 1:  # the interval simulate() defaults to
+                raise ConfigurationError(
+                    f"sim.feedback_interval_ms must be >= 1, got its default sim.mtime_ms / 10 = {self.mtime_ms / 10}"
+                )
+        elif self.feedback_interval_ms < 1:
             raise ConfigurationError(f"sim.feedback_interval_ms must be >= 1, got {self.feedback_interval_ms}")
         for name in ("transfer_delay_ms", "feedback_delivery_delay_ms", "warmup_ms"):
             if getattr(self, name) < 0:
@@ -175,6 +180,9 @@ def _value(tp: Any, v: Any, path: str, meta: Mapping = {}) -> Any:
     if tp is Any:
         return v
     if tp is str:
+        # a number is read as its text; null, a boolean, a list or a mapping is an error
+        if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+            raise ConfigurationError(f"{path} must be a string, got {v!r}")
         return str(v)
     if tp is float:
         return _number(v, path, meta)

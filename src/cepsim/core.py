@@ -6,7 +6,7 @@ arithmetic is done in double precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class CepSimError(Exception):
@@ -48,11 +48,11 @@ class WindowDescriptor:
     """An open or closed window, the operator instance that owns it, and the
     ground truth its member events produced there.
 
-    ``member_count_per_type`` counts the member events of each type that
-    occurs among them. The simulation fills it when the window closes, or at
-    the end of the run for a window still open. The ``actual_*`` fields are
-    the realised queuing gains and queuing peak of the window's members on
-    its instance, for prediction-accuracy analysis.
+    ``n_member_events`` counts its member events, of every type. The
+    simulation sets it when the window closes, or at the end of the run for
+    a window still open. The ``actual_*`` fields are the realised queuing
+    gains and queuing peak of the window's members on its instance, for
+    prediction-accuracy analysis.
     """
 
     wid: int
@@ -60,14 +60,10 @@ class WindowDescriptor:
     open_ts: int
     close_ts: int | None = None
     assigned_instance: int | None = None
-    member_count_per_type: dict[str, int] = field(default_factory=dict)
+    n_member_events: int = 0
     actual_gamma_minus: float = 0.0
     actual_gamma_plus: float = 0.0
     actual_lambda_q_peak: float = 0.0
-
-    @property
-    def n_member_events(self) -> int:
-        return sum(self.member_count_per_type.values())
 
     @property
     def scope_ms(self) -> float | None:

@@ -63,12 +63,13 @@ class ModelParams:
             raise ConfigurationError(f"model.iat_floor_ms must be > 0, got {self.iat_floor_ms}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatencyPrediction:
-    """All intermediates of one candidate scheduling decision."""
+    """The intermediates of one candidate scheduling decision that the
+    outputs and the controllers read; the per-type split of ``n`` feeds
+    :func:`predict_gains` and is not kept."""
 
     n: float
-    per_type_counts: Mapping[str, float]
     theta_hat: int
     theta_bar: float
     gamma_minus: float
@@ -342,7 +343,6 @@ def predict(
     lambda_q_max, lambda_o_max = predict_peak(gamma_minus, gamma_plus, alpha, lambda_q_init, lambda_p_max)
     return LatencyPrediction(
         n=n,
-        per_type_counts=per_type,
         theta_hat=theta_hat,
         theta_bar=theta_bar,
         gamma_minus=gamma_minus,

@@ -17,8 +17,8 @@ sum is a memoised repeated addition and its observations are one run of
 equal values. Only a cost that reads the window's state is priced per
 (event, window), in wid order, against per-type counts derived from counts
 over the whole stream; and each window's queuing gains and queuing peak are
-accumulated per (event, window). A window's
-per-type member counts are filled when it closes.
+accumulated per (event, window). A window's member count is set when it
+closes, from the events processed since its opener.
 
 Monitoring-window freezes and instance feedback reports fire at their
 simulated times between event arrivals; feedback reflects only events whose
@@ -101,7 +101,7 @@ class InstanceState:
         return FeedbackReport(self.idx, counts, theta, self.last_lambda_o, now)
 
 
-@dataclass
+@dataclass(slots=True)
 class BatchRecord:
     """A maximal run of consecutive windows scheduled to one instance."""
 
@@ -155,26 +155,22 @@ def _column(typecode: str):
 class RunMetrics:
     """Everything one simulation run produced.
 
-    Processed (event, instance) pairs are stored as typed columns, one entry
-    per pair in event order: ``event_seq``, ``instance``, ``ts``,
-    ``etype_code`` (an index into ``etypes``), ``lambda_q``, ``lambda_p``,
-    ``n_windows`` and ``queue_len``; a pair's operational latency lambda_o
-    is ``lambda_q + lambda_p``. The ``tx_*`` columns hold one transmission
-    row per event: its seq, timestamp, member-window count and the number of
-    instances it was sent to. The columns are the record of the run; nothing
-    re-presents them per sample. ``windows`` holds every scheduled window,
-    indexed by wid.
+    Processed (event, instance) pairs are stored as six typed columns, one
+    entry per pair in event order: ``event_seq``, ``instance``, ``ts``,
+    ``lambda_q``, ``lambda_p`` and ``queue_len``, the fields the outputs
+    read; a pair's operational latency lambda_o is ``lambda_q + lambda_p``.
+    The ``tx_*`` columns hold one transmission row per event: its seq,
+    timestamp, member-window count and the number of instances it was sent
+    to. The columns are the record of the run; nothing re-presents them per
+    sample. ``windows`` holds every scheduled window, indexed by wid.
     """
 
     event_seq: array = _column("q")
     instance: array = _column("q")
     ts: array = _column("q")
-    etype_code: array = _column("q")
     lambda_q: array = _column("d")
     lambda_p: array = _column("d")
-    n_windows: array = _column("q")
     queue_len: array = _column("q")
-    etypes: list[str] = field(default_factory=list)
     tx_seq: array = _column("q")
     tx_ts: array = _column("q")
     tx_members: array = _column("q")
@@ -263,11 +259,10 @@ def simulate(
     delivered: list[FeedbackReport | None] = [None] * n_instances
     pending_reports: deque[tuple[float, FeedbackReport]] = deque()
     metrics = RunMetrics(n_events=len(events))
-    etype_codes: dict[str, int] = {}
     # column appends, bound once: the loop below runs once per pair
     add_seq, add_instance, add_ts = metrics.event_seq.append, metrics.instance.append, metrics.ts.append
-    add_etype, add_lambda_q, add_lambda_p = metrics.etype_code.append, metrics.lambda_q.append, metrics.lambda_p.append
-    add_n_windows, add_queue_len = metrics.n_windows.append, metrics.queue_len.append
+    add_lambda_q, add_lambda_p = metrics.lambda_q.append, metrics.lambda_p.append
+    add_queue_len = metrics.queue_len.append
     now = 0
     owners: list[int] = []  # instances holding open windows, ascending
     stream_counts: dict[str, int] = {}  # events of each type before the current one
@@ -310,15 +305,11 @@ def simulate(
     # controllers read one instance per decision, so views are built on access
     views = RowView(n_instances, view)
 
-    def fill_member_counts(w: WindowDescriptor) -> None:
-        # in place: a new dict per window left freed gaps in the heap
-        then = open_counts.pop(w.wid)
-        counts = w.member_count_per_type
-        for t, c in stream_counts.items():
-            if n := c - then.get(t, 0):
-                counts[t] = n
+    def count_members(w: WindowDescriptor, processed: int) -> None:
+        # the events processed so far, less those before its opener
+        w.n_member_events = processed - sum(open_counts.pop(w.wid).values())
 
-    for e in events:
+    for processed, e in enumerate(events):
         if e.ts < now:
             raise ValueError(f"event timestamps cannot go backwards: {e.ts} < {now}")
         now = e.ts
@@ -335,7 +326,7 @@ def simulate(
             if e.ts <= w.close_ts:
                 closing.setdefault(idx, []).append(w)
             else:
-                fill_member_counts(w)
+                count_members(w, processed)
 
         for w in res.opened:
             decision = scheduler.schedule(w, stats.snapshot, views)
@@ -355,10 +346,6 @@ def simulate(
 
         targets = route_event(owners, closing)
         seq, ts, etype = e.seq, e.ts, e.etype
-        code = etype_codes.get(etype)
-        if code is None:
-            code = etype_codes[etype] = len(metrics.etypes)
-            metrics.etypes.append(etype)
         arrival = ts + transfer_delay_ms
         # priced once per event when every window charges the same
         cost = uniform_cost(cost_model, e) if targets else None
@@ -419,10 +406,8 @@ def simulate(
             add_seq(seq)
             add_instance(idx)
             add_ts(ts)
-            add_etype(code)
             add_lambda_q(lambda_q)
             add_lambda_p(lambda_p)
-            add_n_windows(k)
             add_queue_len(queue_len)
         metrics.tx_seq.append(seq)
         metrics.tx_ts.append(ts)
@@ -431,10 +416,10 @@ def simulate(
         stream_counts[etype] = stream_counts.get(etype, 0) + 1
         for closed in closing.values():
             for w in closed:
-                fill_member_counts(w)
+                count_members(w, processed + 1)
 
     for wid in list(open_counts):  # windows still open at the end of the run
-        fill_member_counts(metrics.windows[wid])
+        count_members(metrics.windows[wid], len(events))
 
     # drain: keep the monitoring and feedback machinery running until every
     # instance finished its queued work

@@ -52,7 +52,7 @@ class InstanceView:
     last_lambda_o: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     wid: int
     instance: int

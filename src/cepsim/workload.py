@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import itemgetter
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterator, Mapping
 
@@ -253,15 +254,6 @@ class WorkloadConfig:
         self.cost.validate()
 
 
-@dataclass(frozen=True)
-class _Raw:
-    # pre-merge event record; order index keeps ties deterministic
-    ts: float
-    order: int
-    etype: str
-    key: str | None
-
-
 def _arrival_times(profile: IatProfile, rng: random.Random, duration_ms: float) -> list[float]:
     times = []
     t = 0.0
@@ -281,44 +273,32 @@ def generate_stream(cfg: WorkloadConfig) -> list[Event]:
     """
     cfg.validate()
     rng = random.Random(cfg.seed)
-    raw: list[_Raw] = []
-    order = 0
+    raw: list[tuple[float, str, str | None]] = []  # (ts, etype, key), in generation order
 
     if cfg.scenario == "traffic":
         lo, hi = cfg.scope.ws_min_ms, cfg.scope.ws_max_ms
         for i, t in enumerate(_arrival_times(cfg.iat, rng, cfg.duration_ms)):
             key = f"v{i}"
-            travel = rng.uniform(lo, hi)
-            raw.append(_Raw(t, order, "L1", key))
-            order += 1
+            raw.append((t, "L1", key))
             # L2 may fall past duration_ms so every window eventually closes
-            raw.append(_Raw(t + travel, order, "L2", key))
-            order += 1
-    elif cfg.scenario == "face":
-        for t in _arrival_times(cfg.iat, rng, cfg.duration_ms):
-            raw.append(_Raw(t, order, "face", None))
-            order += 1
+            raw.append((t + rng.uniform(lo, hi), "L2", key))
+    else:
+        times = _arrival_times(cfg.iat, rng, cfg.duration_ms)
+        if cfg.scenario == "face":
+            raw += [(t, "face", None) for t in times]
+        else:  # custom
+            etypes = sorted(cfg.type_mix)
+            weights = [cfg.type_mix[t] for t in etypes]
+            raw += [(t, rng.choices(etypes, weights)[0], None) for t in times]
         if cfg.opener is not None:
-            for t in _arrival_times(cfg.opener, rng, cfg.duration_ms):
-                raw.append(_Raw(t, order, cfg.opener_etype, None))
-                order += 1
-    else:  # custom
-        etypes = sorted(cfg.type_mix)
-        weights = [cfg.type_mix[t] for t in etypes]
-        for t in _arrival_times(cfg.iat, rng, cfg.duration_ms):
-            etype = rng.choices(etypes, weights)[0]
-            raw.append(_Raw(t, order, etype, None))
-            order += 1
-        if cfg.opener is not None:
-            for t in _arrival_times(cfg.opener, rng, cfg.duration_ms):
-                raw.append(_Raw(t, order, cfg.opener_etype, None))
-                order += 1
+            raw += [(t, cfg.opener_etype, None) for t in _arrival_times(cfg.opener, rng, cfg.duration_ms)]
 
-    raw.sort(key=lambda r: (r.ts, r.order))
+    # the sort is stable, so events at the same time keep generation order
+    raw.sort(key=itemgetter(0))
     events: list[Event] = []
     jitter = cfg.cost_jitter_sigma
     mu = -0.5 * jitter * jitter  # lognormal multiplier with mean 1
-    for seq, r in enumerate(raw):
+    for seq, (ts, etype, key) in enumerate(raw):
         hint = rng.lognormvariate(mu, jitter) if jitter > 0 else None
-        events.append(Event(seq=seq, ts=round(r.ts), etype=r.etype, key=r.key, payload_cost_hint=hint))
+        events.append(Event(seq=seq, ts=round(ts), etype=etype, key=key, payload_cost_hint=hint))
     return events

@@ -33,6 +33,10 @@ BASE_CONFIG = {
 }
 
 
+# an override value that writes an explicit null; None removes the key
+YAML_NULL = object()
+
+
 def write_config(tmp_path: Path, overrides=None, name="cfg.yaml") -> Path:
     raw = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
     for path, value in (overrides or {}).items():
@@ -43,7 +47,7 @@ def write_config(tmp_path: Path, overrides=None, name="cfg.yaml") -> Path:
         if value is None:
             node.pop(parts[-1], None)
         else:
-            node[parts[-1]] = value
+            node[parts[-1]] = None if value is YAML_NULL else value
     out = tmp_path / name
     out.write_text(yaml.safe_dump(raw))
     return out
@@ -203,6 +207,15 @@ class TestConfigErrors:
             ({"model.n_iat_bins": 1025}, "model.n_iat_bins"),
             ({"model.delta_iat": -1}, "model.delta_iat"),
             ({"model.delta_lp": -0.5}, "model.delta_lp"),
+            # and so does the default interval, sim.mtime_ms / 10, below 1
+            ({"sim.mtime_ms": 1}, "sim.feedback_interval_ms must be >= 1, got its default sim.mtime_ms / 10"),
+            ({"sim.mtime_ms": 9.5}, "sim.feedback_interval_ms must be >= 1, got its default sim.mtime_ms / 10"),
+            # a string field takes a string or a number, nothing else
+            ({"run_id": YAML_NULL}, "run_id must be a string"),
+            ({"run_id": ["a", "b"]}, "run_id must be a string"),
+            ({"out_dir": True}, "out_dir must be a string"),
+            ({"workload.cost.build_etype": YAML_NULL}, "workload.cost.build_etype must be a string"),
+            ({"workload.opener_etype": {"a": 1}}, "workload.opener_etype must be a string"),
         ],
     )
     def test_field_level_messages(self, tmp_path, capsys, overrides, needle):
@@ -267,6 +280,11 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, {"scheduler.lb_ms": "inf", "sweep": None})
         exp = build_experiment(yaml.safe_load(cfg.read_text()))
         assert exp.scheduler.lb_ms == float("inf")
+
+    def test_numeric_strings_and_smallest_default_interval_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, {"run_id": 7, "workload.cost.build_etype": 1.5, "sim.mtime_ms": 10})
+        exp = build_experiment(yaml.safe_load(cfg.read_text()))
+        assert (exp.run_id, exp.workload.cost.build_etype, exp.feedback_interval_ms) == ("7", "1.5", None)
 
     def test_largest_bin_counts_accepted(self, tmp_path):
         cfg = write_config(tmp_path, {"model.n_iat_bins": 1024, "model.n_lat_bins": 1024})

@@ -266,7 +266,8 @@ class TestFullPredict:
 
     def test_prediction_consistency(self):
         snap = self.warmed_stats().snapshot
-        pred = predict(snap, theta_hat=3, params=ModelParams(n_iat_bins=2, n_lat_bins=2))
+        params = ModelParams(n_iat_bins=2, n_lat_bins=2)
+        pred = predict(snap, theta_hat=3, params=params)
         assert pred.gamma_minus >= 0.0 >= pred.gamma_plus
         assert pred.lambda_q_max == max(
             pred.lambda_q_init,
@@ -274,7 +275,9 @@ class TestFullPredict:
         )
         assert pred.lambda_o_max == pred.lambda_q_max + pred.lambda_p_max
         assert 1.0 <= pred.theta_bar <= 3.0
-        assert pred.n == pytest.approx(sum(pred.per_type_counts.values()), rel=1e-9)
+        # the per-type split that predict_gains reads adds up to n
+        n, per_type, _ = predict_event_counts(snap, snap.ws_est, params)
+        assert pred.n == n == pytest.approx(sum(per_type.values()), rel=1e-9)
 
     def test_lambda_p_max_uses_most_expensive_bin(self):
         snap = self.warmed_stats().snapshot

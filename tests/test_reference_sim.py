@@ -234,16 +234,17 @@ def test_simulate_matches_reference(w):
     m, reports = simulate_recording_reports(w)
     owner = {d.wid: d.instance for d in m.decisions}
     samples, tx_rows, truth = reference_run(w["events"], w["policy"], w["cost"], owner, w["transfer_delay_ms"])
-    columns = zip(m.event_seq, m.instance, m.ts, (m.etypes[c] for c in m.etype_code),
-                  m.lambda_q, m.lambda_p, m.n_windows, m.queue_len)
+    # a pair's type and window count reach the reports below, as queued
+    # counts and theta_bar
+    columns = zip(m.event_seq, m.instance, m.ts, m.lambda_q, m.lambda_p, m.queue_len)
     assert float_bits(columns) == float_bits(
-        (s.seq, s.instance, s.ts, s.etype, s.lambda_q, s.lambda_p, s.n_windows, s.queue_len) for s in samples
+        (s.seq, s.instance, s.ts, s.lambda_q, s.lambda_p, s.queue_len) for s in samples
     )
     assert list(zip(m.tx_seq, m.tx_ts, m.tx_members, m.tx_instances)) == tx_rows
     assert len(m.windows) == len(truth)
     for win, (open_ts, close_ts, counts, g_minus, g_plus, peak) in zip(m.windows, truth):
         assert (win.open_ts, win.close_ts) == (open_ts, close_ts)
-        assert win.member_count_per_type == counts
+        assert win.n_member_events == sum(counts.values())
         assert float_bits([(win.actual_gamma_minus, win.actual_gamma_plus, win.actual_lambda_q_peak)]) == \
             float_bits([(g_minus, g_plus, peak)])
     assert repr(reports) == repr(reference_reports(w["events"], samples, w["config"].n_instances, 5.0))

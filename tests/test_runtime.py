@@ -1,4 +1,6 @@
 import random
+from array import array
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from cepsim.latency_model import ModelParams
 from cepsim.runtime import FeedbackDelay, InstanceState, RowView, run, simulate
 from cepsim.scheduler import SchedulerConfig, make_scheduler
 from cepsim.splitter import KeyedAperiodicPolicy, TimeWindowPolicy
-from cepsim.workload import CostModel
+from cepsim.workload import CostModel, in_window_cost
 
 
 def mk_events(rows):
@@ -402,13 +404,17 @@ class TestColumnStorage:
         del raw["sweep"]
         return build_experiment(raw)
 
-    def test_sample_columns_take_at_most_80_bytes_per_sample(self):
+    def test_sample_columns_take_48_bytes_per_sample(self):
         m = run(self.traffic_config())
-        columns = [m.event_seq, m.instance, m.ts, m.etype_code, m.lambda_q, m.lambda_p, m.n_windows, m.queue_len]
+        # one column per field the outputs read, and no other per-pair column
+        per_pair = ["event_seq", "instance", "ts", "lambda_q", "lambda_p", "queue_len"]
+        arrays = [f.name for f in fields(m) if isinstance(getattr(m, f.name), array)]
+        assert [a for a in arrays if not a.startswith("tx_")] == per_pair
+        columns = [getattr(m, name) for name in per_pair]
         n = m.transmissions
         assert n > 10_000
         assert all(len(c) == n for c in columns)
-        assert sum(c.itemsize * len(c) for c in columns) / n <= 80
+        assert sum(c.itemsize * len(c) for c in columns) / n == 48
 
     def test_instance_records_bounded_by_backlog(self, monkeypatch):
         longest = []
@@ -438,10 +444,17 @@ def member_owners(m, e):
     ]
 
 
-def samples_by_event(m):
-    """Event seq -> [(instance, n_windows)] of its processed pairs, in order."""
+def samples_by_event(m, events, cost):
+    """Event seq -> [(instance, k)] of its processed pairs, in order. Every
+    window charges an event the same under ``cost``, so a pair's lambda_p is
+    that charge added k times, once per member window on its instance."""
     out = {}
-    for seq, inst, k in zip(m.event_seq, m.instance, m.n_windows):
+    for seq, inst, lambda_p in zip(m.event_seq, m.instance, m.lambda_p):
+        charge = in_window_cost(cost, events[seq], {})
+        k, total = 0, 0.0
+        while total < lambda_p:
+            k, total = k + 1, total + charge
+        assert total == lambda_p
         out.setdefault(seq, []).append((inst, k))
     return out
 
@@ -450,7 +463,9 @@ def samples_by_event(m):
 def routed_runs(draw):
     """A short stream with distinct timestamps under time-based or keyed
     windows (keyed ones close out of opening order), dealt to 1-5 instances
-    by one of the three controllers."""
+    by one of the three controllers. Each cost charges an event the same,
+    nonzero amount in every window; the keyed one is still priced per
+    window."""
     keyed = draw(st.booleans())
     gaps = draw(st.lists(st.integers(1, 15), min_size=3, max_size=40))
     rows, t = [], 0
@@ -463,14 +478,14 @@ def routed_runs(draw):
     events = mk_events(rows)
     if keyed:
         policy = KeyedAperiodicPolicy()
-        cost = CostModel("equi_join", {"L1": 0.5, "L2": 1.0}, incr_ms=0.25)
+        cost = CostModel("equi_join", {"L1": 0.5, "L2": 1.0}, incr_ms=0.0)
     else:
         policy = TimeWindowPolicy("open", draw(st.sampled_from([5, 20, 60])))
         cost = CostModel("flat_per_type", {"open": 0.1, "A": 2.0, "B": 0.5})
     kind = draw(st.sampled_from(["round_robin", "reactive", "model_based"]))
     kw = {"th_ms": 1.0} if kind == "reactive" else {"lb_ms": 4.0} if kind == "model_based" else {}
     m = run_sim(events, policy=policy, cost=cost, kind=kind, n=draw(st.integers(1, 5)), mtime=50.0, **kw)
-    return events, m
+    return events, m, cost
 
 
 class TestRouting:
@@ -480,8 +495,8 @@ class TestRouting:
     @settings(max_examples=150, deadline=None)
     @given(routed_runs())
     def test_one_transmission_per_owning_instance(self, run):
-        events, m = run
-        by_event = samples_by_event(m)
+        events, m, cost = run
+        by_event = samples_by_event(m, events, cost)
         for e, seq, n_members, n_instances in zip(events, m.tx_seq, m.tx_members, m.tx_instances):
             owners = member_owners(m, e)
             pairs = by_event.get(e.seq, [])
@@ -495,16 +510,16 @@ class TestRouting:
     @settings(max_examples=150, deadline=None)
     @given(routed_runs())
     def test_instances_in_ascending_order(self, run):
-        _, m = run
-        for pairs in samples_by_event(m).values():
+        events, m, cost = run
+        for pairs in samples_by_event(m, events, cost).values():
             instances = [inst for inst, _ in pairs]
             assert instances == sorted(instances)
 
     @settings(max_examples=150, deadline=None)
     @given(routed_runs())
     def test_instances_without_member_windows_receive_nothing(self, run):
-        events, m = run
-        by_event = samples_by_event(m)
+        events, m, cost = run
+        by_event = samples_by_event(m, events, cost)
         for e in events:
             owners = set(member_owners(m, e))
             assert {inst for inst, _ in by_event.get(e.seq, [])} <= owners
@@ -532,7 +547,7 @@ class TestRouting:
         events = mk_events([(1, "L1", "a"), (2, "L1", "b"), (3, "L1", "c"), (4, "L2", "a")])
         cost = CostModel("equi_join", {"L1": 0.0, "L2": 0.0}, incr_ms=0.1)
         m = run_sim(events, policy=KeyedAperiodicPolicy(), cost=cost)
-        assert (m.event_seq[-1], m.n_windows[-1]) == (3, 3)
+        assert (m.event_seq[-1], m.tx_members[-1], m.tx_instances[-1]) == (3, 3, 1)
         assert repr(m.lambda_p[-1]) == "0.6"
 
 
@@ -543,7 +558,7 @@ class TestUniformCost:
         events = mk_events([(i, "open") for i in range(10)] + [(20, "A")])
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 0.1})
         m = run_sim(events, policy=TimeWindowPolicy("open", 1000.0), cost=cost)
-        assert (m.event_seq[-1], m.n_windows[-1]) == (10, 10)
+        assert (m.event_seq[-1], m.tx_members[-1], m.tx_instances[-1]) == (10, 10, 1)
         assert repr(m.lambda_p[-1]) == "0.9999999999999999"
         assert 10 * 0.1 == 1.0
 
@@ -558,10 +573,8 @@ class TestMemberCounts:
         m = run_sim(events, policy=TimeWindowPolicy("open", 100.0), cost=cost, n=2)
         w0, w1, w2 = m.windows
         assert (w0.close_ts, w1.close_ts, w2.close_ts) == (100, 160, None)
-        assert w0.member_count_per_type == {"open": 2, "A": 1, "B": 1}
-        # zero counts are left out: no A reached w1, and none w2
-        assert w1.member_count_per_type == {"open": 1, "B": 1}
-        assert w2.member_count_per_type == {"open": 1, "B": 1}
+        # w0 holds open, A, open and B; w1 open and B; w2 open and B
+        assert (w0.n_member_events, w1.n_member_events, w2.n_member_events) == (4, 2, 2)
         # the B at ts 100 is priced in w0 against the one A before it, and in w1 against none
         first_b = [(inst, p) for seq, inst, p in zip(m.event_seq, m.instance, m.lambda_p) if seq == 3]
         assert sorted(first_b) == [(0, 2.5), (1, 2.0)]
@@ -595,3 +608,15 @@ def test_row_view_builds_rows_on_access():
     for i in (3, -1):
         with pytest.raises(IndexError):
             view[i]
+
+
+def test_run_records_are_slotted():
+    # one decision, prediction, batch and window per opened window: none
+    # carries a per-instance __dict__
+    events = mk_events([(0, "open"), (5, "A"), (10, "open"), (15, "A")])
+    cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0})
+    m = run_sim(events, policy=TimeWindowPolicy("open", 100.0), cost=cost, n=2, kind="model_based", lb_ms=0.5)
+    d = m.decisions[0]
+    assert d.prediction is not None
+    for record in (d, d.prediction, m.batches[0], m.windows[0]):
+        assert not hasattr(record, "__dict__")
