@@ -16,10 +16,7 @@ import itertools
 import math
 import operator
 import os
-import random
-import statistics
 import sys
-import time
 from collections import abc
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -28,16 +25,15 @@ from typing import Any, Mapping, Sequence, Union, get_args, get_origin, get_type
 
 import yaml
 
-from .core import ConfigurationError, Event
+from .bench import cmd_bench
+from .core import ConfigurationError
 from .latency_model import (
     ModelParams,
     gains_from_event_values,
-    predict,
     predict_peak,
 )
 from .runtime import RunMetrics, run
 from .scheduler import SchedulerConfig
-from .splitter import StreamStats
 from .workload import WorkloadConfig
 
 SUMMARY_HEADER = ["run_id", "scheduler", "param", "max_lo", "p99_lo", "transmissions", "violations"]
@@ -466,75 +462,6 @@ def cmd_selftest_fig45(args: argparse.Namespace | None = None) -> int:
         ok = ok and lq == want
     print("selftest-fig45:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
-
-
-def _synthetic_snapshot(n_types: int, n_iat_bins: int, n_lat_bins: int, entries: int = 4000, seed: int = 7):
-    """A warmed-up snapshot with n_iat_bins + n_types * n_lat_bins bins."""
-    rng = random.Random(seed)
-    stats = StreamStats(n_iat_bins, n_lat_bins)
-    etypes = [f"T{i}" for i in range(n_types)]
-    # window scope and shift are observed in the first monitoring window only
-    stats.observe_window_opened(0.0)
-    stats.observe_window_opened(1000.0)
-    stats.observe_window_closed(10_000.0)
-    ts = 0
-    prev = None
-    # two monitoring windows, so the second one's bin ranges are warmed
-    for first_seq in (0, entries):
-        for i in range(entries):
-            ts += rng.randint(1, 40)
-            e = Event(first_seq + i, ts, etypes[i % n_types])
-            stats.observe_event(e, prev)
-            prev = ts
-            stats.observe_latency(e.etype, rng.uniform(1.0, 10.0) * (1 + i % n_types))
-        snapshot = stats.end_monitoring_window(float(ts))
-    return snapshot
-
-
-def bench_decision_ms(total_bins: int = 32, calls: int = 2001) -> float:
-    """Median model-based decision time in ms with ``total_bins`` bins."""
-    n_types = 3
-    n_lat_bins = max(1, (total_bins - 8) // n_types)
-    snapshot = _synthetic_snapshot(n_types, 8, n_lat_bins)
-    params = ModelParams(n_iat_bins=8, n_lat_bins=n_lat_bins, delta_iat=0.5, delta_lp=0.5)
-    queued = {"T0": 3, "T1": 2, "T2": 1}
-    times = []
-    for i in range(calls):
-        t0 = time.perf_counter()
-        predict(snapshot, theta_hat=4 + i % 4, params=params, queued_counts=queued, theta_bar_rep=1.5)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times) * 1000.0
-
-
-def bench_stats_update_s(entries: int, n_bins: int = 32, seed: int = 11) -> float:
-    """Seconds to feed ``entries`` monitoring observations and freeze."""
-    rng = random.Random(seed)
-    gaps = [rng.randint(1, 40) for _ in range(entries)]
-    lats = [rng.uniform(1.0, 10.0) for _ in range(entries)]
-    stats = StreamStats(n_iat_bins=n_bins // 2, n_lat_bins=n_bins // 2)
-    t0 = time.perf_counter()
-    ts = 0
-    prev = None
-    for i in range(entries):
-        ts += gaps[i]
-        stats.observe_event(Event(i, ts, "T0"), prev)
-        prev = ts
-        stats.observe_latency("T0", lats[i])
-    stats.end_monitoring_window(float(ts))
-    return time.perf_counter() - t0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    dec = bench_decision_ms(total_bins=args.bins)
-    print(f"model-based decision, {args.bins} bins: median {dec:.4f} ms")
-    small = bench_stats_update_s(args.entries // 10)
-    large = bench_stats_update_s(args.entries)
-    ratio = large / small if small > 0 else float("inf")
-    print(
-        f"statistics update: {args.entries // 10} entries {small * 1000:.1f} ms, "
-        f"{args.entries} entries {large * 1000:.1f} ms (ratio {ratio:.1f})"
-    )
-    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

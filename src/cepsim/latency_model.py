@@ -17,7 +17,7 @@ Everything here is a pure function over an immutable statistics snapshot.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .splitter import StreamStatsSnapshot
@@ -160,17 +160,13 @@ def biased_iat_bins(snapshot: StreamStatsSnapshot, n: float, params: ModelParams
     ]
 
 
-def pair_bins(
-    lat_bins: Iterable[tuple[float, float]],
-    iat_bins: Iterable[tuple[float, float]],
-    theta_bar: float,
-) -> list[tuple[float, float]]:
-    """Combine latency and iat bins: highest latency against lowest iat.
-
-    Sorts latency bins by value descending and iat bins ascending, then
-    repeatedly pairs min-available counts; each pairing contributes
-    (count, theta_bar * latency - iat). Stops when either side is exhausted.
-    """
+def _pairing(
+    lat_bins: Iterable[tuple[float, float]], iat_bins: Iterable[tuple[float, float]]
+) -> list[tuple[float, float, float]]:
+    """The worst-case pairing of latency and iat bins, as (count, latency,
+    iat) triples: latency bins by value descending against iat bins
+    ascending, repeatedly taking the min-available count, until either side
+    is exhausted. It does not depend on theta_bar."""
     lat = sorted(((v, c) for v, c in lat_bins if c > _EPS), key=lambda x: -x[0])
     iat = sorted(((v, c) for v, c in iat_bins if c > _EPS), key=lambda x: x[0])
     pairs = []
@@ -179,7 +175,7 @@ def pair_bins(
     iat_left = iat[0][1] if iat else 0.0
     while li < len(lat) and ii < len(iat):
         take = min(lat_left, iat_left)
-        pairs.append((take, theta_bar * lat[li][0] - iat[ii][0]))
+        pairs.append((take, lat[li][0], iat[ii][0]))
         lat_left -= take
         iat_left -= take
         if lat_left <= _EPS:
@@ -193,6 +189,16 @@ def pair_bins(
     return pairs
 
 
+def pair_bins(
+    lat_bins: Iterable[tuple[float, float]],
+    iat_bins: Iterable[tuple[float, float]],
+    theta_bar: float,
+) -> list[tuple[float, float]]:
+    """Combine latency and iat bins, highest latency against lowest iat:
+    (count, theta_bar * latency - iat) per pairing of :func:`_pairing`."""
+    return [(take, theta_bar * lat - iat) for take, lat, iat in _pairing(lat_bins, iat_bins)]
+
+
 def predict_gains(
     snapshot: StreamStatsSnapshot,
     per_type_counts: Mapping[str, float],
@@ -201,21 +207,19 @@ def predict_gains(
     params: ModelParams,
 ) -> tuple[float, float]:
     """Total negative and positive gains (gamma_minus >= 0 >= gamma_plus)."""
-    return _split_gains(
-        pair_bins(
-            biased_latency_bins(snapshot, per_type_counts, params),
-            biased_iat_bins(snapshot, n, params),
-            theta_bar,
-        )
+    pairing = _pairing(
+        biased_latency_bins(snapshot, per_type_counts, params), biased_iat_bins(snapshot, n, params)
     )
+    return _split_gains(pairing, theta_bar)
 
 
-def _split_gains(pairs: Iterable[tuple[float, float]]) -> tuple[float, float]:
-    """Sums of the positive and of the other ``count * gain`` of ``pairs``."""
+def _split_gains(pairing: Iterable[tuple[float, float, float]], theta_bar: float) -> tuple[float, float]:
+    """Sums of the positive and of the other ``count * gain`` of a pairing,
+    where gain is ``theta_bar * latency - iat``."""
     gamma_minus = 0.0
     gamma_plus = 0.0
-    for count, gain in pairs:
-        total = count * gain
+    for count, lat, iat in pairing:
+        total = count * (theta_bar * lat - iat)
         if total > 0:
             gamma_minus += total
         else:
@@ -233,16 +237,36 @@ def predict_alpha_tcount(c_minus: int, c_plus: int, c_trans: int) -> float:
     return min(max(alpha, 0.0), 1.0)
 
 
-def type_mean_latency(snapshot: StreamStatsSnapshot, etype: str, params: ModelParams) -> float | None:
-    """Bin-weight averaged biased in-window latency of a type.
+def _mean_latencies(snapshot: StreamStatsSnapshot, params: ModelParams) -> tuple[dict[str, float], float | None]:
+    """The biased mean in-window latency, mean + delta_lp * sigma, of each
+    type with latency data (bin weights are entry ratios, so the weighted
+    mean of its bins), and their count-weighted mean (None without data)."""
+    pops = snapshot.lat_pop
+    means = {t: p.mean + params.delta_lp * p.sigma for t, p in pops.items() if p.count > 0}
+    if not means:
+        return means, None
+    # added in order from 0.0: sum() compensates from Python 3.12 on,
+    # which would make the prediction depend on the Python version
+    weighted = 0.0
+    for t, mean in means.items():
+        weighted += pops[t].count * mean
+    return means, weighted / sum(pops[t].count for t in means)
 
-    Since bin weights are entry ratios, the weighted average of bin means is
-    the population mean, so this is mean + delta_lp * sigma.
-    """
-    pop = snapshot.lat_pop.get(etype)
-    if pop is None or pop.count == 0:
-        return None
-    return pop.mean + params.delta_lp * pop.sigma
+
+def _lambda_q_init(
+    queued_counts: Mapping[str, float], theta_bar_rep: float, means: Mapping[str, float], global_mean: float | None
+) -> tuple[float, list[str]]:
+    flags = []
+    lam = 0.0
+    for etype, count in queued_counts.items():
+        mean = means.get(etype)
+        if mean is None:
+            flags.append(f"unknown_type:{etype}")
+            if global_mean is None:
+                continue
+            mean = global_mean
+        lam += count * theta_bar_rep * mean
+    return lam, flags
 
 
 def predict_lambda_q_init(
@@ -256,30 +280,7 @@ def predict_lambda_q_init(
     overlap."""
     if not queued_counts:
         return 0.0, []
-    flags = []
-    known = [
-        (snapshot.lat_pop[t], t) for t in snapshot.lat_pop if snapshot.lat_pop[t].count > 0
-    ]
-    global_mean = None
-    if known:
-        total = sum(p.count for p, _ in known)
-        # added in order from 0.0: sum() compensates from Python 3.12 on,
-        # which would make the prediction depend on the Python version
-        weighted = 0.0
-        for p, _ in known:
-            weighted += p.count * (p.mean + params.delta_lp * p.sigma)
-        global_mean = weighted / total
-    lam = 0.0
-    for etype, count in queued_counts.items():
-        mean = type_mean_latency(snapshot, etype, params)
-        if mean is None:
-            if global_mean is None:
-                flags.append(f"unknown_type:{etype}")
-                continue
-            mean = global_mean
-            flags.append(f"unknown_type:{etype}")
-        lam += count * theta_bar_rep * mean
-    return lam, flags
+    return _lambda_q_init(queued_counts, theta_bar_rep, *_mean_latencies(snapshot, params))
 
 
 def peak_processing_latency(
@@ -319,6 +320,27 @@ def predict_peak(
     return lambda_q_max, lambda_q_max + lambda_p_max
 
 
+def _compile(snapshot: StreamStatsSnapshot, params: ModelParams) -> tuple:
+    """What :func:`predict` reads of a snapshot and params, computed once,
+    and an empty memo of its empty-queue predictions by theta_hat."""
+    n, per_type, flags = predict_event_counts(snapshot, snapshot.ws_est, params)
+    pairing = _pairing(biased_latency_bins(snapshot, per_type, params), biased_iat_bins(snapshot, n, params))
+    if params.alpha_mode == "fixed":
+        alpha = params.alpha_fixed
+    else:
+        alpha = predict_alpha_tcount(snapshot.c_minus, snapshot.c_plus, snapshot.c_trans)
+    # theta_bar >= 1 is finite, so theta_bar * (1 * best) is theta_bar * best,
+    # and theta_bar * 0.0 without latency data is the 0.0 that is returned then
+    peak_lat, f4 = peak_processing_latency(snapshot, 1.0, params)
+    return (snapshot, params, n, flags, pairing, alpha, *_mean_latencies(snapshot, params),
+            peak_lat, tuple(f4), {})
+
+
+# One slot, as the controller asks about one snapshot until the next freeze. Keyed by identity: a
+# result never comes from another snapshot (a stale copy included) or params.
+_compiled: tuple = (None, None)
+
+
 def predict(
     snapshot: StreamStatsSnapshot,
     theta_hat: int,
@@ -327,33 +349,44 @@ def predict(
     theta_bar_rep: float = 1.0,
 ) -> LatencyPrediction:
     """Full prediction for batching a new window onto an instance whose open
-    batch currently holds ``theta_hat - 1`` windows."""
-    n, per_type, flags = predict_event_counts(snapshot, snapshot.ws_est, params)
-    theta_bar, f2 = predict_overlap(theta_hat, snapshot.ws_est, snapshot.delta_est)
-    flags += f2
-    gamma_minus, gamma_plus = predict_gains(snapshot, per_type, n, theta_bar, params)
-    if params.alpha_mode == "fixed":
-        alpha = params.alpha_fixed
-    else:
-        alpha = predict_alpha_tcount(snapshot.c_minus, snapshot.c_plus, snapshot.c_trans)
-    lambda_q_init, f3 = predict_lambda_q_init(queued_counts, theta_bar_rep, snapshot, params)
-    flags += f3
-    lambda_p_max, f4 = peak_processing_latency(snapshot, theta_bar, params)
-    flags += f4
-    lambda_q_max, lambda_o_max = predict_peak(gamma_minus, gamma_plus, alpha, lambda_q_init, lambda_p_max)
-    return LatencyPrediction(
-        n=n,
-        theta_hat=theta_hat,
-        theta_bar=theta_bar,
-        gamma_minus=gamma_minus,
-        gamma_plus=gamma_plus,
-        alpha=alpha,
-        lambda_q_init=lambda_q_init,
-        lambda_q_max=lambda_q_max,
-        lambda_p_max=lambda_p_max,
-        lambda_o_max=lambda_o_max,
-        flags=tuple(flags),
-    )
+    batch currently holds ``theta_hat - 1`` windows.
+
+    The composition of the ``predict_*`` steps, compiled for the last
+    snapshot and params asked about (by identity: snapshots are immutable).
+    The prediction for an empty queue is memoised per theta_hat; a call with
+    a queue pays for lambda_q_init and the peak."""
+    global _compiled
+    c = _compiled  # read once: another thread may replace it
+    if c[0] is not snapshot or c[1] is not params:
+        c = _compiled = _compile(snapshot, params)
+    _, _, n, flags, pairing, alpha, means, global_mean, peak_lat, f4, memo = c
+    pred = memo.get(theta_hat)  # the prediction for an empty queue
+    if pred is None:
+        theta_bar, f2 = predict_overlap(theta_hat, snapshot.ws_est, snapshot.delta_est)
+        gamma_minus, gamma_plus = _split_gains(pairing, theta_bar)
+        lambda_p_max = theta_bar * peak_lat
+        lambda_q_max, lambda_o_max = predict_peak(gamma_minus, gamma_plus, alpha, 0.0, lambda_p_max)
+        pred = memo[theta_hat] = LatencyPrediction(
+            n=n,
+            theta_hat=theta_hat,
+            theta_bar=theta_bar,
+            gamma_minus=gamma_minus,
+            gamma_plus=gamma_plus,
+            alpha=alpha,
+            lambda_q_init=0.0,
+            lambda_q_max=lambda_q_max,
+            lambda_p_max=lambda_p_max,
+            lambda_o_max=lambda_o_max,
+            flags=(*flags, *f2, *f4),
+        )
+    if not queued_counts:
+        return pred
+    lambda_q_init, f3 = _lambda_q_init(queued_counts, theta_bar_rep, means, global_mean)
+    lambda_q_max, lambda_o_max = predict_peak(
+        pred.gamma_minus, pred.gamma_plus, alpha, lambda_q_init, pred.lambda_p_max)
+    head = pred.flags[: len(pred.flags) - len(f4)]
+    return replace(pred, lambda_q_init=lambda_q_init, lambda_q_max=lambda_q_max, lambda_o_max=lambda_o_max,
+                   flags=(*head, *f3, *f4))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +408,7 @@ def gains_from_event_values(
         iats = [float(iats)] * len(lambda_ps)
     if len(iats) != len(lambda_ps):
         raise ValueError("lambda_ps and iats must have equal length")
-    return _split_gains(pair_bins([(v, 1.0) for v in lambda_ps], [(v, 1.0) for v in iats], theta_bar))
+    return _split_gains(_pairing([(v, 1.0) for v in lambda_ps], [(v, 1.0) for v in iats]), theta_bar)
 
 
 def lindley_peak(

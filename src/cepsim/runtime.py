@@ -15,10 +15,10 @@ queueing, one entry in each of ``RunMetrics``' typed columns and the latency
 observations. A cost that is the same in every window is priced once, its
 sum is a memoised repeated addition and its observations are one run of
 equal values. Only a cost that reads the window's state is priced per
-(event, window), in wid order, against per-type counts derived from counts
-over the whole stream; and each window's queuing gains and queuing peak are
-accumulated per (event, window). A window's member count is set when it
-closes, from the events processed since its opener.
+(event, window), in wid order, from one count: the stream-wide count of the
+type it reads less that count at the window's opening. Each window's queuing
+gains and peak are also accumulated per (event, window). A window's member
+count is set when it closes, from the events processed since its opener.
 
 Monitoring-window freezes and instance feedback reports fire at their
 simulated times between event arrivals; feedback reflects only events whose
@@ -38,7 +38,8 @@ from .core import Event, WindowDescriptor
 from .latency_model import ModelParams
 from .scheduler import Decision, InstanceView, WindowScheduler, make_scheduler
 from .splitter import Splitter, StreamStats, make_policy, route_event
-from .workload import CostModel, generate_stream, in_window_cost, uniform_cost
+# simulate calls no in_window_cost (perfbench counts the calls made through this name)
+from .workload import CostModel, generate_stream, in_window_cost, uniform_cost, window_cost_terms  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cli import ExperimentConfig
@@ -265,8 +266,13 @@ def simulate(
     add_queue_len = metrics.queue_len.append
     now = 0
     owners: list[int] = []  # instances holding open windows, ascending
-    stream_counts: dict[str, int] = {}  # events of each type before the current one
-    open_counts: dict[int, dict[str, int]] = {}  # wid -> stream_counts at its opening
+    # a window-state cost counts the window's events of the build type
+    # (equi_join) or of every type (None, custom_table): the events before the
+    # current one, less those before the window's opener
+    counted_etype = None if cost_model.kind == "custom_table" else cost_model.build_etype
+    counted = 0
+    counted_at_open = array("q")  # by wid
+    open_at: dict[int, int] = {}  # wid -> events processed at its opening
     lambda_p_sums: dict[float, list[float]] = {}  # cost -> [0.0, cost, cost + cost, ...]
 
     next_freeze = mtime_ms
@@ -281,7 +287,8 @@ def simulate(
         while True:
             t = min(next_freeze, next_feedback, now)  # on a tie: freeze, feedback, now
             for inst in instances:
-                inst.complete(t, stats)
+                if inst.work and inst.work[0][1] <= t:
+                    inst.complete(t, stats)
             if t == next_freeze:
                 stats.end_monitoring_window(t)
                 next_freeze += mtime_ms
@@ -307,7 +314,7 @@ def simulate(
 
     def count_members(w: WindowDescriptor, processed: int) -> None:
         # the events processed so far, less those before its opener
-        w.n_member_events = processed - sum(open_counts.pop(w.wid).values())
+        w.n_member_events = processed - open_at.pop(w.wid)
 
     for processed, e in enumerate(events):
         if e.ts < now:
@@ -336,7 +343,8 @@ def simulate(
             if not open_windows:
                 insort(owners, idx)
             open_windows[w.wid] = w
-            open_counts[w.wid] = dict(stream_counts)
+            open_at[w.wid] = processed
+            counted_at_open.append(counted)
             metrics.decisions.append(decision)
             if idx != last_batch_instance:
                 metrics.batches.append(BatchRecord(len(metrics.batches), idx, e.ts))
@@ -353,6 +361,8 @@ def simulate(
             sums = lambda_p_sums.get(cost)
             if sums is None:
                 sums = lambda_p_sums[cost] = [0.0]
+        elif targets:
+            base, incr, hint = window_cost_terms(cost_model, e)
         for idx in targets:
             inst = instances[idx]
             wins = inst.open_windows.values()
@@ -366,10 +376,9 @@ def simulate(
                 lams, run = [], None
                 lambda_p = 0.0
                 for w in wins:
-                    state = stream_counts.copy()  # its keys include every type counted at w's opening
-                    for t, n in open_counts[w.wid].items():
-                        state[t] -= n
-                    c = in_window_cost(cost_model, e, state)
+                    c = base + incr * (counted - counted_at_open[w.wid])
+                    if hint is not None:
+                        c *= hint
                     lams.append(c)
                     lambda_p += c
             else:
@@ -413,12 +422,13 @@ def simulate(
         metrics.tx_ts.append(ts)
         metrics.tx_members.append(len(res.memberships))
         metrics.tx_instances.append(len(targets))
-        stream_counts[etype] = stream_counts.get(etype, 0) + 1
+        if counted_etype is None or etype == counted_etype:
+            counted += 1
         for closed in closing.values():
             for w in closed:
                 count_members(w, processed + 1)
 
-    for wid in list(open_counts):  # windows still open at the end of the run
+    for wid in list(open_at):  # windows still open at the end of the run
         count_members(metrics.windows[wid], len(events))
 
     # drain: keep the monitoring and feedback machinery running until every

@@ -173,10 +173,20 @@ def in_window_cost(model: CostModel, e: Event, window_state: Mapping[str, int]) 
     return cost
 
 
+def window_cost_terms(model: CostModel, e: Event) -> tuple[float, float, float | None]:
+    """``(base, incr, hint)`` of an event whose cost reads the window's state:
+    :func:`in_window_cost` is ``base + incr * n``, times ``hint`` unless None, where
+    n is the window's count of build events (equi_join) or of all events (custom_table)."""
+    base = model.base_ms.get(e.etype)
+    if base is None:
+        raise CostModelError(f"cost model has no base cost for event type {e.etype!r}")
+    return base, model.incr_ms, e.payload_cost_hint if model.kind == "custom_table" else None
+
+
 def uniform_cost(model: CostModel, e: Event) -> float | None:
     """In-window cost of ``e`` if it is the same in every window, i.e. the
     model does not read the window's counts for it; otherwise None, and each
-    window is priced with :func:`in_window_cost`."""
+    window is priced from :func:`window_cost_terms`."""
     if model.kind == "flat_per_type" or (model.kind == "equi_join" and e.etype != model.probe_etype):
         return in_window_cost(model, e, {})
     return None

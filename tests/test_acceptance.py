@@ -257,17 +257,18 @@ def test_criterion_6_bin_count_accuracy_trend():
 
 
 def test_criterion_7_scheduling_cost():
-    from cepsim.cli import bench_decision_ms, bench_stats_update_s
+    from cepsim.bench import bench_decision_ms, bench_stats_update_s
 
-    decision_ms = bench_decision_ms(total_bins=32, calls=501)
+    # the bound is on the first decision on a snapshot, which compiles it
+    cold_ms, warm_ms = bench_decision_ms(total_bins=32, calls=501)
     small = bench_stats_update_s(100_000)
     large = bench_stats_update_s(1_000_000)
     ratio = large / small
-    ok = decision_ms <= 1.0 and 5.0 <= ratio <= 20.0
+    ok = cold_ms <= 1.0 and 5.0 <= ratio <= 20.0
     verdict(
         7,
         ok,
-        f"32-bin decision median {decision_ms:.4f} ms; statistics update "
+        f"32-bin decision median {cold_ms:.4f} ms on a fresh snapshot, {warm_ms:.4f} ms after; statistics update "
         f"1e5={small * 1000:.0f} ms, 1e6={large * 1000:.0f} ms (ratio {ratio:.1f})",
     )
 

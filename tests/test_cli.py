@@ -218,7 +218,11 @@ class TestConfigErrors:
             ({"workload.opener_etype": {"a": 1}}, "workload.opener_etype must be a string"),
         ],
     )
-    def test_field_level_messages(self, tmp_path, capsys, overrides, needle):
+    def test_field_level_messages(self, tmp_path, capsys, monkeypatch, overrides, needle):
+        # a row the config would accept runs in full and writes its outputs
+        # to out_dir, relative to the working directory; --out would
+        # override the out_dir rows
+        monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, overrides)
         assert main(["run", "--config", str(cfg)]) == 2
         assert needle in capsys.readouterr().err

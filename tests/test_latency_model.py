@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cepsim.latency_model import (
+    LatencyPrediction,
     ModelParams,
     biased_iat_bins,
     biased_latency_bins,
     gains_from_event_values,
     lindley_peak,
     pair_bins,
+    peak_processing_latency,
     predict,
     predict_alpha_tcount,
     predict_event_counts,
@@ -296,6 +298,96 @@ class TestFullPredict:
         pred = predict(snap, theta_hat=1, params=ModelParams())
         assert pred.lambda_o_max == 0.0
         assert "stale_snapshot" in pred.flags
+
+
+def composed_prediction(snapshot, theta_hat, params, queued_counts, theta_bar_rep):
+    """``predict`` composed from its steps, with nothing remembered."""
+    n, per_type, flags = predict_event_counts(snapshot, snapshot.ws_est, params)
+    theta_bar, f2 = predict_overlap(theta_hat, snapshot.ws_est, snapshot.delta_est)
+    gamma_minus, gamma_plus = predict_gains(snapshot, per_type, n, theta_bar, params)
+    if params.alpha_mode == "fixed":
+        alpha = params.alpha_fixed
+    else:
+        alpha = predict_alpha_tcount(snapshot.c_minus, snapshot.c_plus, snapshot.c_trans)
+    lambda_q_init, f3 = predict_lambda_q_init(queued_counts, theta_bar_rep, snapshot, params)
+    lambda_p_max, f4 = peak_processing_latency(snapshot, theta_bar, params)
+    lambda_q_max, lambda_o_max = predict_peak(gamma_minus, gamma_plus, alpha, lambda_q_init, lambda_p_max)
+    return LatencyPrediction(
+        n=n, theta_hat=theta_hat, theta_bar=theta_bar, gamma_minus=gamma_minus,
+        gamma_plus=gamma_plus, alpha=alpha, lambda_q_init=lambda_q_init,
+        lambda_q_max=lambda_q_max, lambda_p_max=lambda_p_max, lambda_o_max=lambda_o_max,
+        flags=tuple(flags + f2 + f3 + f4),
+    )
+
+
+ORACLE_TYPES = ["A", "B", "C"]
+
+
+@st.composite
+def snapshot_pools(draw):
+    """Snapshots frozen by one or two ``StreamStats``, each followed by a
+    stale copy from an empty monitoring window, plus the empty snapshot."""
+    pool = [EMPTY_SNAPSHOT]
+    for _ in range(draw(st.integers(1, 2))):
+        stats = StreamStats(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        start = 0
+        for _ in range(draw(st.integers(1, 3))):
+            snap = feed_window(
+                stats,
+                iats=draw(st.lists(st.integers(0, 60), max_size=12)),
+                lats=draw(st.dictionaries(
+                    st.sampled_from(ORACLE_TYPES),
+                    st.lists(st.floats(0.0, 40.0), min_size=1, max_size=6),
+                    max_size=3,
+                )),
+                ws_samples=draw(st.lists(st.floats(1.0, 600.0), max_size=3)),
+                open_gaps=draw(st.lists(st.floats(0.0, 200.0), max_size=4)),
+                etypes=draw(st.lists(st.sampled_from(ORACLE_TYPES), min_size=1, max_size=4)),
+                start_ts=start,
+            )
+            start = int(snap.frozen_at) + draw(st.integers(1, 50))
+            stale = stats.end_monitoring_window(float(start))
+            assert stale.stale and stale == replace(snap, stale=True, frozen_at=float(start))
+            pool += [snap, stale]
+    return pool
+
+
+model_params = st.builds(
+    ModelParams,
+    delta_iat=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 3.0),
+    delta_lp=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 3.0),
+    alpha_mode=st.sampled_from(["tcount", "fixed"]),
+    alpha_fixed=st.floats(0.0, 1.0),
+    iat_floor_ms=st.sampled_from([0.01, 5.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    snapshot_pools(),
+    st.lists(model_params, min_size=1, max_size=3),
+    st.lists(
+        st.tuples(
+            st.integers(0, 20),  # snapshot
+            st.integers(0, 2),  # params
+            st.integers(1, 6),  # theta_hat
+            st.none() | st.dictionaries(st.sampled_from(ORACLE_TYPES + ["Z"]), st.integers(0, 5), max_size=3),
+            st.floats(1.0, 4.0),  # theta_bar_rep
+            st.integers(1, 3),  # calls in a row
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+)
+def test_compiled_predict_equals_composed_steps(pool, params, calls):
+    # interleaved snapshots and params: a result remembered for another
+    # snapshot (a stale copy included) or params would differ from the oracle
+    for snap_i, params_i, theta_hat, queued, rep, repeat in calls:
+        snap, p = pool[snap_i % len(pool)], params[params_i % len(params)]
+        want = composed_prediction(snap, theta_hat, p, queued, rep)
+        for _ in range(repeat):
+            got = predict(snap, theta_hat=theta_hat, params=p, queued_counts=queued, theta_bar_rep=rep)
+            assert got == want and repr(got) == repr(want)
 
 
 class TestOracleBracket:

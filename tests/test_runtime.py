@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cepsim.core import Event
+from cepsim.core import CostModelError, Event
 from cepsim.latency_model import ModelParams
 from cepsim.runtime import FeedbackDelay, InstanceState, RowView, run, simulate
 from cepsim.scheduler import SchedulerConfig, make_scheduler
@@ -561,6 +561,66 @@ class TestUniformCost:
         assert (m.event_seq[-1], m.tx_members[-1], m.tx_instances[-1]) == (10, 10, 1)
         assert repr(m.lambda_p[-1]) == "0.9999999999999999"
         assert 10 * 0.1 == 1.0
+
+
+class TestWindowCountPricing:
+    """A cost that reads the window's state is priced from one count per
+    window; each pair's lambda_p must equal the wid-order sum of
+    ``in_window_cost`` over its windows on its instance, each window priced
+    against its own per-type counts."""
+
+    @staticmethod
+    def priced_by_definition(m, events, cost):
+        out = []
+        for seq, inst in zip(m.event_seq, m.instance):
+            e = events[seq]
+            total = 0.0
+            for w in m.windows:  # in wid order
+                if w.assigned_instance != inst or not (
+                    w.start_seq <= seq and (w.close_ts is None or e.ts <= w.close_ts)
+                ):
+                    continue
+                counts = {}
+                for before in events[w.start_seq:seq]:
+                    counts[before.etype] = counts.get(before.etype, 0) + 1
+                total += in_window_cost(cost, e, counts)
+            out.append(total)
+        return out
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_custom_table_with_payload_hints(self, seed):
+        rng = random.Random(seed)
+        events, t = [], 0
+        for seq in range(150):
+            t += rng.randint(1, 9)  # distinct timestamps
+            etype = rng.choice(["open", "A", "A", "B"])
+            events.append(Event(seq, t, etype, payload_cost_hint=rng.uniform(0.5, 1.5)))
+        cost = CostModel("custom_table", {"open": 0.5, "A": 1.0, "B": 2.0}, incr_ms=0.1)
+        m = run_sim(events, policy=TimeWindowPolicy("open", 60.0), cost=cost, n=3)
+        assert max(m.tx_members) >= 3
+        assert list(m.lambda_p) == self.priced_by_definition(m, events, cost)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equi_join_probes_in_several_windows(self, seed):
+        rng = random.Random(seed)
+        times = rng.sample(range(1, 2000), 160)  # distinct timestamps
+        rows = []
+        for i in range(80):
+            a, b = sorted(times[2 * i:2 * i + 2])
+            rows += [(a, "L1", f"v{i}"), (b, "L2", f"v{i}")]
+        events = mk_events(sorted(rows))
+        cost = CostModel("equi_join", {"L1": 1.0, "L2": 2.0}, incr_ms=0.3)
+        m = run_sim(events, policy=KeyedAperiodicPolicy(), cost=cost, n=2)
+        probes_in = [k for seq, k in zip(m.tx_seq, m.tx_members) if events[seq].etype == "L2"]
+        assert max(probes_in) >= 3
+        assert list(m.lambda_p) == self.priced_by_definition(m, events, cost)
+
+    @pytest.mark.parametrize("kind", ["equi_join", "custom_table"])
+    def test_type_without_base_cost_raises(self, kind):
+        events = mk_events([(0, "L1", "a"), (1, "L2", "a")])
+        cost = CostModel(kind, {"L1": 1.0}, incr_ms=0.3)
+        with pytest.raises(CostModelError, match="'L2'"):
+            run_sim(events, policy=KeyedAperiodicPolicy(), cost=cost)
 
 
 class TestMemberCounts:
