@@ -39,11 +39,11 @@ def _synthetic_snapshot(
     return snapshot
 
 
-def bench_decision_ms(total_bins: int = 32, calls: int = 2001, per_snapshot: int = 20) -> tuple[float, float]:
+def bench_decision_ms(total_bins: int = 32, calls: int = 2001) -> tuple[float, float]:
     """Model-based decision times in ms with ``total_bins`` bins, as the
     median of the first decision on each fresh snapshot (it compiles the
     snapshot) and the median of the later ones. A fresh snapshot is a new
-    copy every ``per_snapshot`` calls."""
+    copy every 20 calls."""
     n_types = 3
     n_lat_bins = max(1, (total_bins - 8) // n_types)
     snapshot = _synthetic_snapshot(n_types, 8, n_lat_bins)
@@ -51,11 +51,11 @@ def bench_decision_ms(total_bins: int = 32, calls: int = 2001, per_snapshot: int
     queued = {"T0": 3, "T1": 2, "T2": 1}
     cold, warm = [], []
     for i in range(calls):
-        if i % per_snapshot == 0:
+        if i % 20 == 0:
             snapshot = replace(snapshot)
         t0 = time.perf_counter()
         predict(snapshot, theta_hat=4 + i % 4, params=params, queued_counts=queued, theta_bar_rep=1.5)
-        (warm if i % per_snapshot else cold).append(time.perf_counter() - t0)
+        (warm if i % 20 else cold).append(time.perf_counter() - t0)
     return statistics.median(cold) * 1000.0, statistics.median(warm) * 1000.0
 
 

@@ -11,7 +11,10 @@ window onto an instance already holding ``theta_hat - 1`` open windows:
 * the initial queue already present on the instance,
 
 and from those the peak queuing latency and peak operational latency.
-Everything here is a pure function over an immutable statistics snapshot.
+The steps are pure functions over an immutable statistics snapshot.
+:func:`predict` composes them and keeps one mutable module-level slot: what
+it computed of the last (snapshot, params) asked about, with its empty-queue
+predictions by theta_hat, which it hands to every caller asking for them.
 """
 
 from __future__ import annotations
@@ -320,9 +323,25 @@ def predict_peak(
     return lambda_q_max, lambda_q_max + lambda_p_max
 
 
-def _compile(snapshot: StreamStatsSnapshot, params: ModelParams) -> tuple:
-    """What :func:`predict` reads of a snapshot and params, computed once,
-    and an empty memo of its empty-queue predictions by theta_hat."""
+@dataclass(slots=True)
+class _Compiled:
+    """What :func:`predict` reads of one snapshot and params, computed once,
+    and its empty-queue predictions by theta_hat."""
+
+    snapshot: StreamStatsSnapshot
+    params: ModelParams
+    n: float
+    flags: tuple[str, ...]
+    pairing: list[tuple[float, float, float]]
+    alpha: float
+    means: dict[str, float]
+    global_mean: float | None
+    peak_lat: float
+    peak_flags: tuple[str, ...]
+    memo: dict[int, LatencyPrediction]
+
+
+def _compile(snapshot: StreamStatsSnapshot, params: ModelParams) -> _Compiled:
     n, per_type, flags = predict_event_counts(snapshot, snapshot.ws_est, params)
     pairing = _pairing(biased_latency_bins(snapshot, per_type, params), biased_iat_bins(snapshot, n, params))
     if params.alpha_mode == "fixed":
@@ -331,14 +350,15 @@ def _compile(snapshot: StreamStatsSnapshot, params: ModelParams) -> tuple:
         alpha = predict_alpha_tcount(snapshot.c_minus, snapshot.c_plus, snapshot.c_trans)
     # theta_bar >= 1 is finite, so theta_bar * (1 * best) is theta_bar * best,
     # and theta_bar * 0.0 without latency data is the 0.0 that is returned then
-    peak_lat, f4 = peak_processing_latency(snapshot, 1.0, params)
-    return (snapshot, params, n, flags, pairing, alpha, *_mean_latencies(snapshot, params),
-            peak_lat, tuple(f4), {})
+    peak_lat, peak_flags = peak_processing_latency(snapshot, 1.0, params)
+    means, global_mean = _mean_latencies(snapshot, params)
+    return _Compiled(snapshot, params, n, tuple(flags), pairing, alpha, means, global_mean,
+                     peak_lat, tuple(peak_flags), {})
 
 
 # One slot, as the controller asks about one snapshot until the next freeze. Keyed by identity: a
 # result never comes from another snapshot (a stale copy included) or params.
-_compiled: tuple = (None, None)
+_compiled: _Compiled | None = None
 
 
 def predict(
@@ -357,36 +377,35 @@ def predict(
     a queue pays for lambda_q_init and the peak."""
     global _compiled
     c = _compiled  # read once: another thread may replace it
-    if c[0] is not snapshot or c[1] is not params:
+    if c is None or c.snapshot is not snapshot or c.params is not params:
         c = _compiled = _compile(snapshot, params)
-    _, _, n, flags, pairing, alpha, means, global_mean, peak_lat, f4, memo = c
-    pred = memo.get(theta_hat)  # the prediction for an empty queue
+    pred = c.memo.get(theta_hat)  # the prediction for an empty queue
     if pred is None:
         theta_bar, f2 = predict_overlap(theta_hat, snapshot.ws_est, snapshot.delta_est)
-        gamma_minus, gamma_plus = _split_gains(pairing, theta_bar)
-        lambda_p_max = theta_bar * peak_lat
-        lambda_q_max, lambda_o_max = predict_peak(gamma_minus, gamma_plus, alpha, 0.0, lambda_p_max)
-        pred = memo[theta_hat] = LatencyPrediction(
-            n=n,
+        gamma_minus, gamma_plus = _split_gains(c.pairing, theta_bar)
+        lambda_p_max = theta_bar * c.peak_lat
+        lambda_q_max, lambda_o_max = predict_peak(gamma_minus, gamma_plus, c.alpha, 0.0, lambda_p_max)
+        pred = c.memo[theta_hat] = LatencyPrediction(
+            n=c.n,
             theta_hat=theta_hat,
             theta_bar=theta_bar,
             gamma_minus=gamma_minus,
             gamma_plus=gamma_plus,
-            alpha=alpha,
+            alpha=c.alpha,
             lambda_q_init=0.0,
             lambda_q_max=lambda_q_max,
             lambda_p_max=lambda_p_max,
             lambda_o_max=lambda_o_max,
-            flags=(*flags, *f2, *f4),
+            flags=(*c.flags, *f2, *c.peak_flags),
         )
     if not queued_counts:
         return pred
-    lambda_q_init, f3 = _lambda_q_init(queued_counts, theta_bar_rep, means, global_mean)
+    lambda_q_init, f3 = _lambda_q_init(queued_counts, theta_bar_rep, c.means, c.global_mean)
     lambda_q_max, lambda_o_max = predict_peak(
-        pred.gamma_minus, pred.gamma_plus, alpha, lambda_q_init, pred.lambda_p_max)
-    head = pred.flags[: len(pred.flags) - len(f4)]
+        pred.gamma_minus, pred.gamma_plus, c.alpha, lambda_q_init, pred.lambda_p_max)
+    head = pred.flags[: len(pred.flags) - len(c.peak_flags)]
     return replace(pred, lambda_q_init=lambda_q_init, lambda_q_max=lambda_q_max, lambda_o_max=lambda_o_max,
-                   flags=(*head, *f3, *f4))
+                   flags=(*head, *f3, *c.peak_flags))
 
 
 # ---------------------------------------------------------------------------

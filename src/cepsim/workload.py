@@ -173,10 +173,16 @@ def in_window_cost(model: CostModel, e: Event, window_state: Mapping[str, int]) 
     return cost
 
 
+def counted_etype(model: CostModel) -> str | None:
+    """The event type whose count in a window a window-reading cost reads:
+    the build type (equi_join), or None for every type (custom_table)."""
+    return None if model.kind == "custom_table" else model.build_etype
+
+
 def window_cost_terms(model: CostModel, e: Event) -> tuple[float, float, float | None]:
     """``(base, incr, hint)`` of an event whose cost reads the window's state:
-    :func:`in_window_cost` is ``base + incr * n``, times ``hint`` unless None, where
-    n is the window's count of build events (equi_join) or of all events (custom_table)."""
+    :func:`in_window_cost` is ``base + incr * n``, times ``hint`` unless None,
+    where n is the window's count of :func:`counted_etype` events."""
     base = model.base_ms.get(e.etype)
     if base is None:
         raise CostModelError(f"cost model has no base cost for event type {e.etype!r}")
