@@ -13,7 +13,6 @@ from .latency_model import (
     LatencyPrediction,
     ModelParams,
     gains_from_event_values,
-    lindley_peak,
     predict,
     predict_alpha_tcount,
     predict_event_counts,
@@ -31,7 +30,6 @@ from .runtime import (
 )
 from .scheduler import Decision, InstanceView, SchedulerConfig, make_scheduler
 from .splitter import (
-    Bin,
     KeyedAperiodicPolicy,
     Splitter,
     StreamStats,

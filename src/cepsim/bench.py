@@ -14,11 +14,10 @@ from .latency_model import ModelParams, predict
 from .splitter import StreamStats, StreamStatsSnapshot
 
 
-def _synthetic_snapshot(
-    n_types: int, n_iat_bins: int, n_lat_bins: int, entries: int = 4000, seed: int = 7
-) -> StreamStatsSnapshot:
+def _synthetic_snapshot(n_types: int, n_iat_bins: int, n_lat_bins: int) -> StreamStatsSnapshot:
     """A warmed-up snapshot with n_iat_bins + n_types * n_lat_bins bins."""
-    rng = random.Random(seed)
+    entries = 4000
+    rng = random.Random(7)
     stats = StreamStats(n_iat_bins, n_lat_bins)
     etypes = [f"T{i}" for i in range(n_types)]
     # window scope and shift are observed in the first monitoring window only
@@ -59,12 +58,12 @@ def bench_decision_ms(total_bins: int = 32, calls: int = 2001) -> tuple[float, f
     return statistics.median(cold) * 1000.0, statistics.median(warm) * 1000.0
 
 
-def bench_stats_update_s(entries: int, n_bins: int = 32, seed: int = 11) -> float:
-    """Seconds to feed ``entries`` monitoring observations and freeze."""
-    rng = random.Random(seed)
+def bench_stats_update_s(entries: int) -> float:
+    """Seconds to feed ``entries`` monitoring observations into 32 bins and freeze."""
+    rng = random.Random(11)
     gaps = [rng.randint(1, 40) for _ in range(entries)]
     lats = [rng.uniform(1.0, 10.0) for _ in range(entries)]
-    stats = StreamStats(n_iat_bins=n_bins // 2, n_lat_bins=n_bins // 2)
+    stats = StreamStats(n_iat_bins=16, n_lat_bins=16)
     t0 = time.perf_counter()
     ts = 0
     prev = None

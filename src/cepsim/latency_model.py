@@ -19,10 +19,10 @@ predictions by theta_hat, which it hands to every caller asking for them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
+from .core import ConfigurationError
 from .splitter import StreamStatsSnapshot
 
 _EPS = 1e-12
@@ -50,8 +50,6 @@ class ModelParams:
     iat_floor_ms: float = 0.01
 
     def validate(self) -> None:
-        from .core import ConfigurationError
-
         for name in ("n_iat_bins", "n_lat_bins"):
             if not 1 <= getattr(self, name) <= MAX_BINS:
                 raise ConfigurationError(f"model.{name} must be in [1, {MAX_BINS}], got {getattr(self, name)}")
@@ -190,16 +188,6 @@ def _pairing(
             if ii < len(iat):
                 iat_left = iat[ii][1]
     return pairs
-
-
-def pair_bins(
-    lat_bins: Iterable[tuple[float, float]],
-    iat_bins: Iterable[tuple[float, float]],
-    theta_bar: float,
-) -> list[tuple[float, float]]:
-    """Combine latency and iat bins, highest latency against lowest iat:
-    (count, theta_bar * latency - iat) per pairing of :func:`_pairing`."""
-    return [(take, theta_bar * lat - iat) for take, lat, iat in _pairing(lat_bins, iat_bins)]
 
 
 def predict_gains(
@@ -428,25 +416,3 @@ def gains_from_event_values(
     if len(iats) != len(lambda_ps):
         raise ValueError("lambda_ps and iats must have equal length")
     return _split_gains(_pairing([(v, 1.0) for v in lambda_ps], [(v, 1.0) for v in iats]), theta_bar)
-
-
-def lindley_peak(
-    lambda_ps: Sequence[float],
-    iats: Sequence[float] | float,
-    lambda_q_init: float = 0.0,
-) -> float:
-    """Brute-force queuing peak of a concrete event sequence.
-
-    Runs the busy-server recursion s_k = max(0, s_{k-1} + lambda_p_k - iat_k)
-    where iat_k is the gap to the successor event, and returns the largest
-    queue state reached. This is the independent oracle the gain model is
-    checked against.
-    """
-    if isinstance(iats, (int, float)):
-        iats = itertools.repeat(float(iats))
-    s = lambda_q_init
-    peak = 0.0
-    for lam, iat in zip(lambda_ps, iats):
-        s = max(0.0, s + lam - iat)
-        peak = max(peak, s)
-    return peak

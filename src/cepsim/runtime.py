@@ -31,6 +31,7 @@ from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import abc, deque
 from dataclasses import dataclass, field
+from itertools import groupby
 from operator import attrgetter
 from typing import Any, Callable, Mapping, Sequence, TYPE_CHECKING
 
@@ -103,16 +104,6 @@ class InstanceState:
         return FeedbackReport(self.idx, counts, theta, self.last_lambda_o, now)
 
 
-@dataclass(slots=True)
-class BatchRecord:
-    """A maximal run of consecutive windows scheduled to one instance."""
-
-    batch_id: int
-    instance: int
-    first_decision_ts: int
-    wids: list[int] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class FeedbackDelay:
     """Delay between a batch's first scheduling decision and the latency and
@@ -164,7 +155,8 @@ class RunMetrics:
     The ``tx_*`` columns hold one transmission row per event: its seq,
     timestamp, member-window count and the number of instances it was sent
     to. The columns are the record of the run; nothing re-presents them per
-    sample. ``windows`` holds every scheduled window, indexed by wid.
+    sample. ``windows`` holds every scheduled window, indexed by wid: the
+    scheduling order, from which :meth:`feedback_delays` derives the batches.
     """
 
     event_seq: array = _column("q")
@@ -179,7 +171,6 @@ class RunMetrics:
     tx_instances: array = _column("q")
     decisions: list[Decision] = field(default_factory=list)
     windows: list[WindowDescriptor] = field(default_factory=list)
-    batches: list[BatchRecord] = field(default_factory=list)
     dropped_closes: int = 0
     n_events: int = 0
 
@@ -197,7 +188,9 @@ class RunMetrics:
         """Per-batch feedback delays, attributing to a batch every event
         processed on its instance between the batch's first scheduling
         decision and the close of its last window (the end of the run if one
-        of its windows never closed). Peaks are the first maximal samples."""
+        of its windows never closed). Peaks are the first maximal samples. A
+        batch is a maximal run of consecutive ``windows`` on one instance; its
+        id is the run's index."""
         # per instance, in event order: timestamps, lambda_o and queue lengths
         by_instance: dict[int, tuple[array, array, array]] = {}
         for inst, t, q, p, n in zip(self.instance, self.ts, self.lambda_q, self.lambda_p, self.queue_len):
@@ -209,11 +202,13 @@ class RunMetrics:
             cols[2].append(n)
         end_of_run = self.ts[-1] if self.ts else 0
         out = []
-        for b in self.batches:
-            closes = [self.windows[wid].close_ts for wid in b.wids]
+        for batch_id, (instance, batch) in enumerate(groupby(self.windows, attrgetter("assigned_instance"))):
+            batch = list(batch)
+            first_decision_ts = batch[0].open_ts  # decided at the event that opened it
+            closes = [w.close_ts for w in batch]
             span_end = end_of_run if None in closes else max(closes)
-            ts, los, qlens = by_instance.get(b.instance, ((), (), ()))
-            lo = bisect_left(ts, b.first_decision_ts)
+            ts, los, qlens = by_instance.get(instance, ((), (), ()))
+            lo = bisect_left(ts, first_decision_ts)
             hi = bisect_right(ts, span_end)
             if lo >= hi:
                 continue  # batch saw no events
@@ -224,14 +219,14 @@ class RunMetrics:
             qlen_ts = ts[lo + span_qlens.index(qlen_peak)]
             out.append(
                 FeedbackDelay(
-                    b.batch_id,
-                    b.instance,
-                    b.first_decision_ts,
-                    len(b.wids),
+                    batch_id,
+                    instance,
+                    first_decision_ts,
+                    len(batch),
                     lat_peak,
-                    float(lat_ts - b.first_decision_ts),
+                    float(lat_ts - first_decision_ts),
                     qlen_peak,
-                    float(qlen_ts - b.first_decision_ts),
+                    float(qlen_ts - first_decision_ts),
                 )
             )
         return out
@@ -277,7 +272,6 @@ def simulate(
 
     next_freeze = mtime_ms
     next_feedback = feedback_interval_ms
-    last_batch_instance: int | None = None
 
     def advance_to(now: float) -> None:
         """Fire each monitoring freeze and feedback instant up to ``now`` in
@@ -346,10 +340,6 @@ def simulate(
             open_at[w.wid] = processed
             counted_at_open.append(counted)
             metrics.decisions.append(decision)
-            if idx != last_batch_instance:
-                metrics.batches.append(BatchRecord(len(metrics.batches), idx, e.ts))
-                last_batch_instance = idx
-            metrics.batches[-1].wids.append(w.wid)
             metrics.windows.append(w)
 
         targets = route_event(owners, closing)

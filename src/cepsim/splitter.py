@@ -21,30 +21,6 @@ from typing import Mapping, Sequence
 from .core import Event, WindowDescriptor
 
 
-@dataclass
-class Bin:
-    """One equal-width bin with Welford accumulators."""
-
-    lo: float
-    hi: float
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def add(self, x: float) -> None:
-        self.count += 1
-        d = x - self.mean
-        self.mean += d / self.count
-        self.m2 += d * (x - self.mean)
-
-    @property
-    def sigma(self) -> float:
-        # population standard deviation; 0 for empty bins
-        if self.count == 0:
-            return 0.0
-        return math.sqrt(self.m2 / self.count)
-
-
 @dataclass(frozen=True)
 class BinStat:
     """Frozen view of one bin inside a snapshot."""
@@ -143,8 +119,9 @@ def _bin_values(
 
     When ``vrange`` is None (first monitoring window) the values' own range is
     used. Out-of-range values clamp into the edge bins. Also returns the
-    population moments of the values. Each bin's moments are the Welford
-    updates of :meth:`Bin.add`, applied in value order.
+    population moments of the values. Each bin's moments are Welford's
+    running count, mean and sum of squared deviations, updated one value at
+    a time in value order.
 
     ``counts``, when given, holds the length of each value's run: the value
     occurs that many times in a row. The result is that of the expanded

@@ -14,13 +14,7 @@ from pathlib import Path
 import pytest
 
 from cepsim.cli import ExperimentConfig, main
-from cepsim.latency_model import (
-    ModelParams,
-    gains_from_event_values,
-    lindley_peak,
-    pair_bins,
-    predict_peak,
-)
+from cepsim.latency_model import ModelParams, gains_from_event_values, predict_peak
 from cepsim.runtime import run
 from cepsim.scheduler import SchedulerConfig
 from cepsim.workload import (
@@ -31,6 +25,7 @@ from cepsim.workload import (
     SinusoidalExponentialIat,
     WorkloadConfig,
 )
+from oracles import lindley_peak, pair_bins
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

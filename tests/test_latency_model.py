@@ -12,8 +12,6 @@ from cepsim.latency_model import (
     biased_iat_bins,
     biased_latency_bins,
     gains_from_event_values,
-    lindley_peak,
-    pair_bins,
     peak_processing_latency,
     predict,
     predict_alpha_tcount,
@@ -25,6 +23,7 @@ from cepsim.latency_model import (
 )
 from cepsim.splitter import EMPTY_SNAPSHOT, PopulationStat, StreamStats
 from conftest import feed_window, snapshot_from
+from oracles import lindley_peak, pair_bins
 
 WORKED_MULTISET = [8.0, 8.0, 7.0, 7.0, 4.0, 4.0, 2.0]
 

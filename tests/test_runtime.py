@@ -262,25 +262,33 @@ class TestFeedbackDelay:
 
 def reference_feedback_delays(m) -> list[FeedbackDelay]:
     """Per-batch feedback delays by a full scan of the batch instance's
-    samples for every batch, O(batches x samples)."""
-    close_by_wid = {w.wid: w.close_ts for w in m.windows}
+    samples for every batch, O(batches x samples). Batches come from the
+    decisions, in order: a decision for another instance than the one
+    before it starts a new batch, first decided when its window opened."""
+    window_by_wid = {w.wid: w for w in m.windows}
+    batches: list[tuple[int, list[int]]] = []  # (instance, wids)
+    for d in m.decisions:
+        if not batches or batches[-1][0] != d.instance:
+            batches.append((d.instance, []))
+        batches[-1][1].append(d.wid)
     by_instance: dict[int, list[int]] = {}
     for i, inst in enumerate(m.instance):
         by_instance.setdefault(inst, []).append(i)
     end_of_run = m.ts[-1] if m.ts else 0
     out = []
-    for b in m.batches:
-        closes = [close_by_wid.get(wid) for wid in b.wids]
+    for batch_id, (instance, wids) in enumerate(batches):
+        first_decision_ts = window_by_wid[wids[0]].open_ts
+        closes = [window_by_wid[wid].close_ts for wid in wids]
         span_end = max((c for c in closes if c is not None), default=None)
         if span_end is None or any(c is None for c in closes):
             span_end = end_of_run
         lat_peak = -1.0
-        lat_ts = b.first_decision_ts
+        lat_ts = first_decision_ts
         qlen_peak = -1
-        qlen_ts = b.first_decision_ts
-        for i in by_instance.get(b.instance, ()):
+        qlen_ts = first_decision_ts
+        for i in by_instance.get(instance, ()):
             ts = m.ts[i]
-            if ts < b.first_decision_ts or ts > span_end:
+            if ts < first_decision_ts or ts > span_end:
                 continue
             lambda_o = m.lambda_q[i] + m.lambda_p[i]
             if lambda_o > lat_peak:
@@ -293,9 +301,9 @@ def reference_feedback_delays(m) -> list[FeedbackDelay]:
             continue  # batch saw no events
         out.append(
             FeedbackDelay(
-                b.batch_id, b.instance, b.first_decision_ts, len(b.wids),
-                lat_peak, float(lat_ts - b.first_decision_ts),
-                qlen_peak, float(qlen_ts - b.first_decision_ts),
+                batch_id, instance, first_decision_ts, len(wids),
+                lat_peak, float(lat_ts - first_decision_ts),
+                qlen_peak, float(qlen_ts - first_decision_ts),
             )
         )
     return out
@@ -671,12 +679,12 @@ def test_row_view_builds_rows_on_access():
 
 
 def test_run_records_are_slotted():
-    # one decision, prediction, batch and window per opened window: none
-    # carries a per-instance __dict__
+    # one decision, prediction and window per opened window: none carries a
+    # per-instance __dict__
     events = mk_events([(0, "open"), (5, "A"), (10, "open"), (15, "A")])
     cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0})
     m = run_sim(events, policy=TimeWindowPolicy("open", 100.0), cost=cost, n=2, kind="model_based", lb_ms=0.5)
     d = m.decisions[0]
     assert d.prediction is not None
-    for record in (d, d.prediction, m.batches[0], m.windows[0]):
+    for record in (d, d.prediction, m.windows[0]):
         assert not hasattr(record, "__dict__")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cepsim.core import Event
 from cepsim.splitter import (
-    Bin,
     BinStat,
     KeyedAperiodicPolicy,
     Splitter,
@@ -17,6 +16,7 @@ from cepsim.splitter import (
     route_event,
 )
 from conftest import feed_window, snapshot_from
+from oracles import Bin
 
 
 def ev(seq, ts, etype="A", key=None):
