@@ -4,7 +4,10 @@ Configs are YAML files; see README.md for the full schema. Per-run detail
 CSVs (latency, decisions, predictions, transmissions, windows, batches) land
 in ``<out_dir>/<run_id>/`` and one summary row per completed run is appended
 to ``<out_dir>/summary.csv``. Summary rows are only written after a run
-finished, so an aborted sweep never leaves truncated rows.
+finished, so an aborted sweep never leaves truncated rows. ``latency.csv``
+and ``transmissions.csv`` are written straight from the typed columns of
+``RunMetrics``, formatting each distinct value once, byte for byte what
+``csv.writer`` writes; the other files go through ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -247,23 +250,53 @@ def load_config(path: str | Path) -> dict:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    # csv writes a float as its repr, so the files round-trip exactly
+    # csv writes a float as its repr, so the files round-trip exactly; used
+    # for the files whose cells mix numbers with strings and empty cells
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
 
 
+def _write_columns(path: Path, header: Sequence[str], *columns) -> None:
+    """One row per position of ``columns``, each cell an int, a float or a
+    float's repr: for such cells csv.writer writes ``str(cell)`` unquoted,
+    comma-separated, with ``\r\n`` line ends, and so does this."""
+    row = ",".join(["{}"] * len(columns)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(map(row.format, *columns))
+
+
+class _Reprs(dict):
+    """``repr`` of each value of one typed column, formatted once. A dict
+    cannot tell 1, 1.0 and True apart, nor 0.0 from -0.0, so one memo serves
+    one typed column holding no -0.0. Cleared when full, so a column of
+    mostly distinct values keeps no string per row."""
+
+    def __missing__(self, v):
+        if len(self) >= 4096:
+            self.clear()
+        s = self[v] = repr(v)
+        return s
+
+
+def _memoised(column):
+    return map(_Reprs().__getitem__, column)
+
+
 def write_run_outputs(run_dir: Path, metrics: RunMetrics) -> None:
     """Write all per-run detail CSVs into ``run_dir``."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
+    q, p = metrics.lambda_q, metrics.lambda_p
+    floats = (q, p, map(operator.add, q, p))
+    # memoised only without the bits of -0.0; q + p is -0.0 only when both are
+    if not any(1 << 63 in memoryview(c).cast("B").cast("Q") for c in (q, p)):
+        floats = map(_memoised, floats)
+    _write_columns(
         run_dir / "latency.csv",
         ["seq", "instance", "lambda_q", "lambda_p", "lambda_o", "ts"],
-        zip(
-            metrics.event_seq, metrics.instance, metrics.lambda_q, metrics.lambda_p,
-            map(operator.add, metrics.lambda_q, metrics.lambda_p), metrics.ts,
-        ),
+        metrics.event_seq, _memoised(metrics.instance), *floats, metrics.ts,
     )
     _write_csv(
         run_dir / "decisions.csv",
@@ -292,10 +325,10 @@ def write_run_outputs(run_dir: Path, metrics: RunMetrics) -> None:
             if (p := d.prediction) is not None
         ),
     )
-    _write_csv(
+    _write_columns(
         run_dir / "transmissions.csv",
         ["seq", "ts", "n_member_windows", "n_instances"],
-        zip(metrics.tx_seq, metrics.tx_ts, metrics.tx_members, metrics.tx_instances),
+        metrics.tx_seq, metrics.tx_ts, _memoised(metrics.tx_members), _memoised(metrics.tx_instances),
     )
     _write_csv(
         run_dir / "windows.csv",

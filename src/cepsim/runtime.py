@@ -104,7 +104,7 @@ class InstanceState:
         return FeedbackReport(self.idx, counts, theta, self.last_lambda_o, now)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeedbackDelay:
     """Delay between a batch's first scheduling decision and the latency and
     queue-length peaks it caused on its instance."""
@@ -210,9 +210,8 @@ class RunMetrics:
             ts, los, qlens = by_instance.get(instance, ((), (), ()))
             lo = bisect_left(ts, first_decision_ts)
             hi = bisect_right(ts, span_end)
-            if lo >= hi:
-                continue  # batch saw no events
-            # index() finds the first maximal sample
+            # never empty: the instance processed the event that opened the
+            # batch's first window; index() finds the first maximal sample
             span_los, span_qlens = los[lo:hi], qlens[lo:hi]
             lat_peak, qlen_peak = max(span_los), max(span_qlens)
             lat_ts = ts[lo + span_los.index(lat_peak)]

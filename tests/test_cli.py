@@ -1,7 +1,9 @@
 import copy
 import csv
 import filecmp
+import io
 import math
+import tempfile
 from array import array
 from pathlib import Path
 
@@ -10,8 +12,9 @@ import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cepsim.cli import build_experiment, main, p99
+from cepsim.cli import build_experiment, main, p99, write_run_outputs
 from cepsim.core import ConfigurationError
+from cepsim.runtime import RunMetrics
 
 BASE_CONFIG = {
     "run_id": "smoke",
@@ -307,6 +310,56 @@ def test_p99_equals_sorted_definition(values):
     # repr tells -0.0 from 0.0, which == does not
     assert repr(p99(values)) == repr(sorted_p99(values))
     assert repr(p99(array("d", values))) == repr(sorted_p99(values))
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().encode()
+
+
+# 0 and 0.0, 1 and 1.0 are equal dict keys; -0.0 equals 0.0
+CELL_INTS = st.sampled_from([0, 1, 2, -1, 2**63 - 1, -(2**63)]) | st.integers(-(2**63), 2**63 - 1)
+CELL_FLOATS = st.sampled_from(
+    [0.0, 1.0, 2.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072e-308, 1e300]
+) | st.floats()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(st.tuples(CELL_INTS, CELL_INTS, CELL_INTS, CELL_FLOATS, CELL_FLOATS), max_size=40),
+    tx=st.lists(st.tuples(CELL_INTS, CELL_INTS, CELL_INTS, CELL_INTS), max_size=20),
+    negative_zero_in=st.sampled_from(["", "q", "p", "qp"]),
+    many_distinct=st.booleans(),
+)
+def test_column_writer_matches_csv_writer(rows, tx, negative_zero_in, many_distinct):
+    # latency.csv and transmissions.csv are written from the typed columns,
+    # each distinct value formatted once; the bytes are csv.writer's
+    nz_q, nz_p = "q" in negative_zero_in, "p" in negative_zero_in
+    # a column holding -0.0 also holds 0.0; one without it has only 0.0
+    rows = [(s, i, t, a if nz_q or a != 0.0 else 0.0, b if nz_p or b != 0.0 else 0.0) for s, i, t, a, b in rows]
+    rows += [(7, 0, 1, 0.0, 0.0), (7, 1, 1, -0.0 if nz_q else 0.0, -0.0 if nz_p else 0.0), (7, 2, 1, 0.0, 0.0)]
+    if many_distinct:  # more distinct values than a memo keeps, then some again
+        extra = [v % 4500 for v in range(5000)]
+        rows += [(v, v, v, v / 4, -v / 8) for v in extra]
+        tx = tx + [(v, v, v, -v) for v in extra]
+    seq, inst, ts, q, p = zip(*rows)
+    m = RunMetrics(
+        event_seq=array("q", seq), instance=array("q", inst), ts=array("q", ts),
+        lambda_q=array("d", q), lambda_p=array("d", p), queue_len=array("q", [0] * len(rows)),
+        **{f"tx_{c}": array("q", col) for c, col in zip(("seq", "ts", "members", "instances"), zip(*tx))},
+    )
+    with tempfile.TemporaryDirectory() as d:
+        write_run_outputs(Path(d), m)
+        latency = (Path(d) / "latency.csv").read_bytes()
+        transmissions = (Path(d) / "transmissions.csv").read_bytes()
+    assert latency == csv_writer_bytes(
+        ["seq", "instance", "lambda_q", "lambda_p", "lambda_o", "ts"],
+        zip(seq, inst, q, p, [a + b for a, b in zip(q, p)], ts),
+    )
+    assert transmissions == csv_writer_bytes(["seq", "ts", "n_member_windows", "n_instances"], tx)
 
 
 class TestConfigBuilder:

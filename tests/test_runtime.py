@@ -250,13 +250,18 @@ class TestFeedbackDelay:
         assert fd.qlen_peak == qlen_peak
         assert fd.qlen_peak_delay_ms == qlen_ts - 0
 
-    def test_batch_with_no_events_omitted(self):
+    def test_every_batch_is_reported(self):
+        # a batch's instance processes the event that opened its first
+        # window, so no batch goes without a row
         events = mk_events([(0, "open"), (50, "open")])
         cost = CostModel("flat_per_type", {"open": 1.0})
         m = run_sim(events, policy=TimeWindowPolicy("open", 10.0), cost=cost, n=2)
-        ids = {fd.batch_id for fd in m.feedback_delays()}
-        assert ids  # at least the batches that processed their opener
-        for fd in m.feedback_delays():
+        # a batch is a run of decisions for one instance
+        n_batches = 1 + sum(a.instance != b.instance for a, b in zip(m.decisions, m.decisions[1:]))
+        assert n_batches == 2
+        fds = m.feedback_delays()
+        assert [fd.batch_id for fd in fds] == list(range(n_batches))
+        for fd in fds:
             assert fd.lat_peak >= 0.0
 
 
@@ -297,8 +302,6 @@ def reference_feedback_delays(m) -> list[FeedbackDelay]:
             if m.queue_len[i] > qlen_peak:
                 qlen_peak = m.queue_len[i]
                 qlen_ts = ts
-        if lat_peak < 0:
-            continue  # batch saw no events
         out.append(
             FeedbackDelay(
                 batch_id, instance, first_decision_ts, len(wids),
@@ -679,12 +682,12 @@ def test_row_view_builds_rows_on_access():
 
 
 def test_run_records_are_slotted():
-    # one decision, prediction and window per opened window: none carries a
-    # per-instance __dict__
+    # one decision, prediction and window per opened window, one feedback
+    # delay per batch: none carries a per-instance __dict__
     events = mk_events([(0, "open"), (5, "A"), (10, "open"), (15, "A")])
     cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0})
     m = run_sim(events, policy=TimeWindowPolicy("open", 100.0), cost=cost, n=2, kind="model_based", lb_ms=0.5)
     d = m.decisions[0]
     assert d.prediction is not None
-    for record in (d, d.prediction, m.windows[0]):
+    for record in (d, d.prediction, m.windows[0], m.feedback_delays()[0]):
         assert not hasattr(record, "__dict__")
