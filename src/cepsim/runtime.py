@@ -21,12 +21,15 @@ gains and peak are also accumulated per (event, window). A window's member
 count is set when it closes, from the events processed since its opener.
 
 Monitoring-window freezes and instance feedback reports fire at their
-simulated times between event arrivals; feedback reflects only events whose
-processing already completed, so controllers see realistically stale data.
+simulated times between event arrivals, and only for a controller that reads
+them (one that reads no snapshot gets the empty one, and nothing is observed);
+feedback reflects only events whose processing already completed, so
+controllers see realistically stale data.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import abc, deque
@@ -38,7 +41,7 @@ from typing import Any, Callable, Mapping, Sequence, TYPE_CHECKING
 from .core import Event, WindowDescriptor
 from .latency_model import ModelParams
 from .scheduler import Decision, InstanceView, WindowScheduler, make_scheduler
-from .splitter import Splitter, StreamStats, make_policy, route_event
+from .splitter import EMPTY_SNAPSHOT, Splitter, StreamStats, make_policy, route_event
 from .workload import CostModel, counted_etype, generate_stream, uniform_cost, window_cost_terms
 # uncalled: perfbench's self-test needs its in_window_cost boundary, which wraps this name, to exist
 from .workload import in_window_cost  # noqa: F401
@@ -77,11 +80,13 @@ class InstanceState:
     work: deque = field(default_factory=deque)
     last_lambda_o: float | None = None  # of the last completed event
 
-    def complete(self, now: float, stats: StreamStats) -> None:
-        """Retire the work completed by ``now``, reporting its latencies."""
+    def complete(self, now: float, stats: StreamStats | None) -> None:
+        """Retire the work completed by ``now``, reporting its latencies to ``stats``, if any."""
         work = self.work
         while work and work[0][1] <= now:
             _, _, _, etype, _, self.last_lambda_o, lams, run = work.popleft()
+            if stats is None:
+                continue
             if run is None:
                 stats.observe_latencies(etype, lams)
             else:
@@ -249,7 +254,8 @@ def simulate(
     if feedback_interval_ms is None:
         feedback_interval_ms = mtime_ms / 10.0
     n_instances = scheduler.n
-    stats = StreamStats(model_params.n_iat_bins, model_params.n_lat_bins)
+    # monitoring and reports only for a controller that reads them
+    stats = StreamStats(model_params.n_iat_bins, model_params.n_lat_bins) if scheduler.reads_snapshot else None
     splitter = Splitter(policy, stats)
     instances = [InstanceState(i) for i in range(n_instances)]
     delivered: list[FeedbackReport | None] = [None] * n_instances
@@ -269,13 +275,14 @@ def simulate(
     open_at: dict[int, int] = {}  # wid -> events processed at its opening
     lambda_p_sums: dict[float, list[float]] = {}  # cost -> [0.0, cost, cost + cost, ...]
 
-    next_freeze = mtime_ms
-    next_feedback = feedback_interval_ms
+    next_freeze = mtime_ms if scheduler.reads_snapshot else math.inf
+    next_feedback = feedback_interval_ms if scheduler.reads_reports else math.inf
 
     def advance_to(now: float) -> None:
         """Fire each monitoring freeze and feedback instant up to ``now`` in
         time order, each after the work completed by its instant, then
-        retire the work completed by ``now``; deliver reports once due."""
+        retire the work completed by ``now``; deliver reports once due.
+        Freezes and feedback instants are scheduled only when read."""
         nonlocal next_freeze, next_feedback
         while True:
             t = min(next_freeze, next_feedback, now)  # on a tie: freeze, feedback, now
@@ -329,7 +336,7 @@ def simulate(
                 count_members(w, processed)
 
         for w in res.opened:
-            decision = scheduler.schedule(w, stats.snapshot, views)
+            decision = scheduler.schedule(w, stats.snapshot if stats is not None else EMPTY_SNAPSHOT, views)
             idx = decision.instance
             w.assigned_instance = idx
             open_windows = instances[idx].open_windows

@@ -2,6 +2,9 @@
 
 All three share one interface: given a newly opened window and the current
 view of the operator instances, pick the instance the window is assigned to.
+Each declares the inputs its ``schedule`` reads, ``reads_snapshot`` (the
+monitoring snapshot) and ``reads_reports`` (the instances' feedback reports),
+and the simulation computes only the inputs its controller reads.
 The reactive and model-based controllers batch onto the current instance
 until their criterion fails, then move to the next instance Round-Robin
 style and adopt it as the new batching target without re-checking.
@@ -70,6 +73,8 @@ class RoundRobinScheduler:
         self.n = cfg.n_instances
         self.cursor = 0
 
+    reads_snapshot = reads_reports = False
+
     def schedule(
         self,
         window: WindowDescriptor,
@@ -91,6 +96,8 @@ class ReactiveScheduler:
         self.n = cfg.n_instances
         self.th_ms = cfg.th_ms
         self.cursor = 0
+
+    reads_snapshot, reads_reports = False, True
 
     def schedule(
         self,
@@ -116,6 +123,8 @@ class ModelBasedScheduler:
         self.lb_ms = cfg.lb_ms
         self.params = cfg.model
         self.cursor = 0
+
+    reads_snapshot = reads_reports = True
 
     def schedule(
         self,

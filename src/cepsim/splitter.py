@@ -428,10 +428,10 @@ class Splitter:
 
     Windows comprise every event between their opening and closing event
     (inclusive), so membership is purely temporal once open/close instants
-    are fixed by the policy.
+    are fixed by the policy. With no ``stats``, nothing is observed.
     """
 
-    def __init__(self, policy, stats: StreamStats):
+    def __init__(self, policy, stats: StreamStats | None):
         self.policy = policy
         self.stats = stats
         self.open_windows: dict[int, WindowDescriptor] = {}
@@ -456,7 +456,8 @@ class Splitter:
             w = self.open_windows.pop(wid)
             w.close_ts = close_ts
             res.closed.append(w)
-            self.stats.observe_window_closed(w.scope_ms)
+            if self.stats is not None:
+                self.stats.observe_window_closed(w.scope_ms)
         if claimed_close and not res.closed:
             self.dropped_closes += 1
 
@@ -466,7 +467,8 @@ class Splitter:
             self.open_windows[w.wid] = w
             self.policy.register(e, w.wid)
             res.opened.append(w)
-            self.stats.observe_window_opened(float(e.ts))
+            if self.stats is not None:
+                self.stats.observe_window_opened(float(e.ts))
 
         members = list(self.open_windows.values())
         for w in res.closed:
@@ -474,8 +476,9 @@ class Splitter:
                 members.insert(bisect_left(members, w.wid, key=_wid), w)
         res.memberships = members
 
-        self.stats.observe_event(e, self._prev_ts)
-        self._prev_ts = e.ts
+        if self.stats is not None:
+            self.stats.observe_event(e, self._prev_ts)
+            self._prev_ts = e.ts
         return res
 
 

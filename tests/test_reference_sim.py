@@ -11,7 +11,10 @@ Everything it computes must equal what ``simulate`` produced, exactly.
 samples: at each feedback instant, from the events processed before it.
 """
 
+import copy
 from collections import namedtuple
+from contextlib import ExitStack, contextmanager
+from dataclasses import astuple
 from unittest import mock
 
 from hypothesis import given, settings
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 from cepsim.core import Event
 from cepsim.latency_model import ModelParams
 from cepsim.runtime import InstanceState, simulate
-from cepsim.scheduler import SchedulerConfig, make_scheduler
+from cepsim.scheduler import ReactiveScheduler, RoundRobinScheduler, SchedulerConfig, make_scheduler
 from cepsim.splitter import KeyedAperiodicPolicy, StreamStats, TimeWindowPolicy
 from cepsim.workload import CostModel
 
@@ -220,15 +223,18 @@ def workloads(draw):
     )
 
 
-def run_workload(w):
+def run_workload(w, scheduler=None):
+    """``simulate`` the workload ``w`` under its own controller or ``scheduler``."""
+    scheduler = scheduler or make_scheduler(w["config"])
+    # a fresh policy per run: a keyed one holds the keys of the windows it opened
     return simulate(
-        w["events"], w["policy"], w["cost"], make_scheduler(w["config"]), ModelParams(),
+        w["events"], copy.deepcopy(w["policy"]), w["cost"], scheduler, ModelParams(),
         mtime_ms=20.0, feedback_interval_ms=5.0, transfer_delay_ms=w["transfer_delay_ms"],
         feedback_delivery_delay_ms=w["feedback_delivery_delay_ms"],
     )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=450, deadline=None)
 @given(workloads())
 def test_simulate_matches_reference(w):
     m, reports = simulate_recording_reports(w)
@@ -247,7 +253,64 @@ def test_simulate_matches_reference(w):
         assert win.n_member_events == sum(counts.values())
         assert float_bits([(win.actual_gamma_minus, win.actual_gamma_plus, win.actual_lambda_q_peak)]) == \
             float_bits([(g_minus, g_plus, peak)])
-    assert repr(reports) == repr(reference_reports(w["events"], samples, w["config"].n_instances, 5.0))
+    # only a controller that reads reports gets them made
+    if make_scheduler(w["config"]).reads_reports:
+        assert repr(reports) == repr(reference_reports(w["events"], samples, w["config"].n_instances, 5.0))
+    else:
+        assert reports == []
+
+
+class RoundRobinReadingAll(RoundRobinScheduler):
+    reads_snapshot = reads_reports = True
+
+
+class ReactiveReadingAll(ReactiveScheduler):
+    reads_snapshot = reads_reports = True
+
+
+@contextmanager
+def counting_calls(cls, names):
+    """Record the name of each call to the methods ``names`` of ``cls``."""
+    calls = []
+    with ExitStack() as stack:
+        for name in names:
+            def counting(*args, _name=name, _method=getattr(cls, name), **kwargs):
+                calls.append(_name)
+                return _method(*args, **kwargs)
+
+            stack.enter_context(mock.patch.object(cls, name, counting))
+        yield calls
+
+
+STREAM_STATS_METHODS = [name for name, v in vars(StreamStats).items() if callable(v)]
+
+
+def run_outputs(m):
+    """Everything a run records that the outputs read, floats by their bits."""
+    return (
+        float_bits(zip(m.event_seq, m.instance, m.ts, m.lambda_q, m.lambda_p, m.queue_len)),
+        list(zip(m.tx_seq, m.tx_ts, m.tx_members, m.tx_instances)),
+        float_bits(astuple(w) for w in m.windows),
+        m.decisions,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(workloads().filter(lambda w: w["config"].kind != "model_based"))
+def test_skipping_unread_inputs_changes_nothing(w):
+    # the same controller declaring both inputs read makes the monitor
+    # freeze and the instances report; its decisions must not change
+    cfg = w["config"]
+    reading_all = {"round_robin": RoundRobinReadingAll, "reactive": ReactiveReadingAll}[cfg.kind](cfg)
+    with counting_calls(StreamStats, STREAM_STATS_METHODS) as monitored, \
+            counting_calls(InstanceState, ["make_feedback"]) as reported:
+        plain = run_outputs(run_workload(w))
+    assert monitored == []
+    if cfg.kind == "round_robin":
+        assert reported == []
+    with counting_calls(StreamStats, STREAM_STATS_METHODS) as monitored:
+        assert run_outputs(run_workload(w, reading_all)) == plain
+    assert monitored  # the counting itself works
 
 
 def test_report_counts_event_queued_behind_a_later_arrival():
@@ -268,7 +331,8 @@ def test_reports_match_reference_under_a_transfer_delay():
         events=[Event(0, 0, "open"), Event(1, 0, "A"), Event(2, 1, "X"), Event(3, 4, "Y")],
         policy=TimeWindowPolicy("open", 100),
         cost=CostModel("flat_per_type", {"open": 0.0, "A": 4.0, "X": 1.0, "Y": 1.0}),
-        config=SchedulerConfig("round_robin", n_instances=1, model=ModelParams()),
+        # reactive on one instance: windows placed as Round-Robin places them
+        config=SchedulerConfig("reactive", n_instances=1, th_ms=1.0, model=ModelParams()),
         transfer_delay_ms=7.5,
         feedback_delivery_delay_ms=0.0,
     )

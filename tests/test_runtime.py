@@ -154,6 +154,9 @@ def reports(monkeypatch):
 
 
 class TestFeedback:
+    """Reports of a controller that reads them: the reactive one, on one
+    instance, places windows as Round-Robin does."""
+
     def queue_scenario(self):
         # two overlapping windows on one instance; X blocks the queue until
         # t=502 (cost 250 in each of 2 windows), three L2 events wait behind
@@ -161,7 +164,7 @@ class TestFeedback:
         events = mk_events(rows)
         cost = CostModel("flat_per_type", {"open": 0.0, "X": 250.0, "L2": 1.0, "Z": 0.0})
         return run_sim(events, policy=TimeWindowPolicy("open", 600.0), cost=cost,
-                       mtime=10_000.0, feedback_interval_ms=10.0)
+                       kind="reactive", th_ms=1.0, mtime=10_000.0, feedback_interval_ms=10.0)
 
     def test_queued_counts_and_overlap(self, reports):
         self.queue_scenario()
@@ -174,7 +177,7 @@ class TestFeedback:
         events = mk_events([(0, "open"), (99, "A")])
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0})
         run_sim(events, policy=TimeWindowPolicy("open", 150.0), cost=cost,
-                mtime=10_000.0, feedback_interval_ms=100.0)
+                kind="reactive", th_ms=1.0, mtime=10_000.0, feedback_interval_ms=100.0)
         rep = reports[0]
         assert rep.queued_counts == {}
         assert rep.theta_bar_rep == 1.0
@@ -429,17 +432,16 @@ class TestColumnStorage:
 
     def test_instance_records_bounded_by_backlog(self, monkeypatch):
         longest = []
-        make_feedback = InstanceState.make_feedback
+        complete = InstanceState.complete
 
-        def checking(self, now):
-            rep = make_feedback(self, now)
+        def checking(self, now, stats):
+            complete(self, now, stats)
             # work is (start, completion, ...): all of it is still queued,
             # in service or in transit
             assert all(r[1] > now for r in self.work)
             longest.append(len(self.work))
-            return rep
 
-        monkeypatch.setattr(InstanceState, "make_feedback", checking)
+        monkeypatch.setattr(InstanceState, "complete", checking)
         m = run(self.traffic_config())
         assert longest and max(longest) * 100 < m.transmissions
 

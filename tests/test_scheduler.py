@@ -105,6 +105,52 @@ class TestModelBased:
         assert d.prediction.theta_hat == 4
 
 
+class Unread:
+    """An input declared unread: reading an attribute of it fails."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"read {name} of an input declared unread")
+
+
+class UnreadViews:
+    """Instance views of a controller that reads none: indexing them fails."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        raise AssertionError(f"read view {i}, which the controller reads no part of")
+
+
+@pytest.mark.parametrize(
+    "cfg, reads_snapshot, reads_reports, reads_views",
+    [
+        pytest.param(SchedulerConfig("round_robin", n_instances=4), False, False, False, id="round_robin"),
+        pytest.param(SchedulerConfig("reactive", n_instances=4, th_ms=100.0), False, True, True, id="reactive"),
+        pytest.param(
+            SchedulerConfig("model_based", n_instances=4, lb_ms=5.0, model=ModelParams()), True, True, True,
+            id="model_based",
+        ),
+    ],
+)
+def test_controllers_read_only_the_inputs_they_declare(cfg, reads_snapshot, reads_reports, reads_views):
+    # simulate computes no snapshot and no report for a controller that
+    # declares it unread, so reading one would silently see stale defaults
+    sched = make_scheduler(cfg)
+    assert (sched.reads_snapshot, sched.reads_reports) == (reads_snapshot, reads_reports)
+    for i in range(12):
+        # below and at the threshold, within and beyond the bound: every branch
+        snap = flat_snapshot(lam=4.0 if i % 3 else 6.0) if reads_snapshot else Unread()
+        if reads_views:
+            seen = views(4, open_counts=[i % 2] * 4, last_lo=[None, 50.0, 100.0][i % 3])
+        else:
+            seen = UnreadViews(4)
+        assert sched.schedule(win(i), snap, seen).wid == i
+
+
 class TestConfigValidation:
     def test_bad_kind(self):
         with pytest.raises(ConfigurationError, match="kind"):
