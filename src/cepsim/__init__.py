@@ -22,7 +22,6 @@ from .latency_model import (
     predict_peak,
 )
 from .runtime import (
-    FeedbackReport,
     InstanceState,
     RunMetrics,
     run,

@@ -462,15 +462,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.out_dir)
     paths = [s.field for s in cfg.sweep]
     # build every combination first, so a bad value fails before any run
-    runs = []
-    for combo in itertools.product(*(s.values for s in cfg.sweep)):
+    runs: dict[str, tuple] = {}  # run id -> (value indices, config)
+    for picks in itertools.product(*(range(len(s.values)) for s in cfg.sweep)):
+        combo = [s.values[k] for s, k in zip(cfg.sweep, picks)]
+        label = "_".join(f"{f.split('.')[-1]}={v}" for f, v in zip(paths, combo))
+        run_id = f"{cfg.run_id}_{label}"
+        if run_id in runs:  # the second run would overwrite the first
+            i = next(i for i, (a, b) in enumerate(zip(runs[run_id][0], picks)) if a != b)
+            raise ConfigurationError(f"sweep[{i}].values: two values give run id {run_id!r}")
         raw_i = yaml.safe_load(yaml.safe_dump(raw))  # deep copy
         for fpath, value in zip(paths, combo):
             _set_by_path(raw_i, fpath, value)
-        label = "_".join(f"{f.split('.')[-1]}={v}" for f, v in zip(paths, combo))
-        runs.append((f"{cfg.run_id}_{label}", build_experiment(raw_i)))
-    _make_run_dirs(out_dir, [run_id for run_id, _ in runs])
-    for run_id, cfg_i in runs:
+        runs[run_id] = picks, build_experiment(raw_i)
+    _make_run_dirs(out_dir, list(runs))
+    for run_id, (_, cfg_i) in runs.items():
         metrics = run(cfg_i)
         write_run_outputs(out_dir / run_id, metrics)
         row = summary_row(cfg_i, metrics, run_id=run_id)

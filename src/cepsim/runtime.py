@@ -32,11 +32,11 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right, insort
-from collections import abc, deque
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
-from typing import Any, Callable, Mapping, Sequence, TYPE_CHECKING
+from typing import Sequence, TYPE_CHECKING
 
 from .core import Event, WindowDescriptor
 from .latency_model import ModelParams
@@ -48,17 +48,6 @@ from .workload import in_window_cost  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cli import ExperimentConfig
-
-
-@dataclass(frozen=True)
-class FeedbackReport:
-    """Queue summary an instance sends to the splitter at feedback instants."""
-
-    instance: int
-    queued_counts: Mapping[str, int]
-    theta_bar_rep: float
-    last_lambda_o: float | None
-    emitted_at: float
 
 
 @dataclass
@@ -73,7 +62,6 @@ class InstanceState:
     one latency shared by ``run`` windows.
     """
 
-    idx: int
     busy_until: float = 0.0
     open_windows: dict[int, WindowDescriptor] = field(default_factory=dict)
     last_arrival: float | None = None
@@ -92,9 +80,10 @@ class InstanceState:
             else:
                 stats.observe_latency(etype, lams, run)
 
-    def make_feedback(self, now: float) -> FeedbackReport:
-        """Snapshot of the queue at ``now``; only completed events count as
-        reported latency, only arrived-but-unstarted events count as queued."""
+    def make_feedback(self, now: float) -> tuple[dict[str, int], float, float | None]:
+        """The report at ``now``: ``(queued_counts, theta_bar_rep, last_lambda_o)``.
+        Only arrived-but-unstarted events count as queued, only completed
+        events as reported latency."""
         counts: dict[str, int] = {}
         theta_sum = 0
         queued = 0
@@ -106,7 +95,7 @@ class InstanceState:
                 theta_sum += n_windows
                 queued += 1
         theta = theta_sum / queued if queued else 1.0
-        return FeedbackReport(self.idx, counts, theta, self.last_lambda_o, now)
+        return counts, theta, self.last_lambda_o
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,24 +111,6 @@ class FeedbackDelay:
     lat_peak_delay_ms: float
     qlen_peak: int
     qlen_peak_delay_ms: float
-
-
-class RowView(abc.Sequence):
-    """Read-only sequence of ``length`` rows, built by ``row(i)`` on access."""
-
-    __slots__ = ("_len", "_row")
-
-    def __init__(self, length: int, row: Callable[[int], Any]):
-        self._len = length
-        self._row = row
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i: int):
-        if not 0 <= i < self._len:
-            raise IndexError("row index out of range")
-        return self._row(i)
 
 
 _wid = attrgetter("wid")
@@ -257,9 +228,10 @@ def simulate(
     # monitoring and reports only for a controller that reads them
     stats = StreamStats(model_params.n_iat_bins, model_params.n_lat_bins) if scheduler.reads_snapshot else None
     splitter = Splitter(policy, stats)
-    instances = [InstanceState(i) for i in range(n_instances)]
-    delivered: list[FeedbackReport | None] = [None] * n_instances
-    pending_reports: deque[tuple[float, FeedbackReport]] = deque()
+    instances = [InstanceState() for _ in range(n_instances)]
+    # the reports last delivered, by instance: the empty one until the first
+    delivered = [({}, 1.0, None)] * n_instances
+    pending_reports: deque[tuple[float, list]] = deque()  # (due, every instance's report)
     metrics = RunMetrics(n_events=len(events))
     # column appends, bound once: the loop below runs once per pair
     add_seq, add_instance, add_ts = metrics.event_seq.append, metrics.instance.append, metrics.ts.append
@@ -283,7 +255,7 @@ def simulate(
         time order, each after the work completed by its instant, then
         retire the work completed by ``now``; deliver reports once due.
         Freezes and feedback instants are scheduled only when read."""
-        nonlocal next_freeze, next_feedback
+        nonlocal next_freeze, next_feedback, delivered
         while True:
             t = min(next_freeze, next_feedback, now)  # on a tie: freeze, feedback, now
             for inst in instances:
@@ -293,24 +265,17 @@ def simulate(
                 stats.end_monitoring_window(t)
                 next_freeze += mtime_ms
             elif t == next_feedback:
-                for inst in instances:
-                    pending_reports.append((t + feedback_delivery_delay_ms, inst.make_feedback(t)))
+                reports = [inst.make_feedback(t) for inst in instances]
+                pending_reports.append((t + feedback_delivery_delay_ms, reports))
                 next_feedback += feedback_interval_ms
             while pending_reports and pending_reports[0][0] <= t:
-                rep = pending_reports.popleft()[1]
-                delivered[rep.instance] = rep
+                delivered = pending_reports.popleft()[1]
             if t == now and now < next_freeze and now < next_feedback:
                 return
 
     def view(i: int) -> InstanceView:
-        n_open = len(instances[i].open_windows)
-        rep = delivered[i]
-        if rep is None:
-            return InstanceView(open_window_count=n_open)
-        return InstanceView(n_open, rep.queued_counts, rep.theta_bar_rep, rep.last_lambda_o)
-
-    # controllers read one instance per decision, so views are built on access
-    views = RowView(n_instances, view)
+        # controllers read one instance per decision, so views are built on call
+        return InstanceView(len(instances[i].open_windows), *delivered[i])
 
     def count_members(w: WindowDescriptor, processed: int) -> None:
         # the events processed so far, less those before its opener
@@ -336,7 +301,7 @@ def simulate(
                 count_members(w, processed)
 
         for w in res.opened:
-            decision = scheduler.schedule(w, stats.snapshot if stats is not None else EMPTY_SNAPSHOT, views)
+            decision = scheduler.schedule(w, stats.snapshot if stats is not None else EMPTY_SNAPSHOT, view)
             idx = decision.instance
             w.assigned_instance = idx
             open_windows = instances[idx].open_windows
@@ -431,7 +396,7 @@ def simulate(
     # instance finished its queued work
     advance_to(max([now] + [inst.busy_until for inst in instances]))
 
-    metrics.dropped_closes = splitter.dropped_closes
+    metrics.dropped_closes = policy.dropped_closes
     return metrics
 
 

@@ -1,10 +1,10 @@
 """Window-scheduling controllers: Round-Robin, latency-reactive, model-based.
 
-All three share one interface: given a newly opened window and the current
-view of the operator instances, pick the instance the window is assigned to.
-Each declares the inputs its ``schedule`` reads, ``reads_snapshot`` (the
-monitoring snapshot) and ``reads_reports`` (the instances' feedback reports),
-and the simulation computes only the inputs its controller reads.
+All three share one interface: ``schedule(window, snapshot, view)`` picks
+the instance a newly opened window is assigned to; ``view(i)`` builds the
+:class:`InstanceView` of instance ``i``. Each declares the inputs it reads,
+``reads_snapshot`` (the monitoring snapshot) and ``reads_reports`` (the
+instances' feedback reports), and the simulation computes only those.
 The reactive and model-based controllers batch onto the current instance
 until their criterion fails, then move to the next instance Round-Robin
 style and adopt it as the new batching target without re-checking.
@@ -13,7 +13,7 @@ style and adopt it as the new batching target without re-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping
 
 from .core import INHERITED, ConfigurationError, WindowDescriptor
 from .latency_model import LatencyPrediction, ModelParams, predict
@@ -47,10 +47,11 @@ class SchedulerConfig:
 @dataclass(frozen=True)
 class InstanceView:
     """What a controller may see of one operator instance: its open-window
-    count and the content of its last delivered feedback report."""
+    count, then its last delivered feedback report as ``make_feedback``
+    returns it; by default, the empty report delivered before the first."""
 
     open_window_count: int = 0
-    queued_counts: Mapping[str, float] = field(default_factory=dict)
+    queued_counts: Mapping[str, int] = field(default_factory=dict)
     theta_bar_rep: float = 1.0
     last_lambda_o: float | None = None
 
@@ -79,7 +80,7 @@ class RoundRobinScheduler:
         self,
         window: WindowDescriptor,
         snapshot: StreamStatsSnapshot,
-        instances: Sequence[InstanceView],
+        view: Callable[[int], InstanceView],
     ) -> Decision:
         idx = self.cursor
         self.cursor = (self.cursor + 1) % self.n
@@ -103,9 +104,9 @@ class ReactiveScheduler:
         self,
         window: WindowDescriptor,
         snapshot: StreamStatsSnapshot,
-        instances: Sequence[InstanceView],
+        view: Callable[[int], InstanceView],
     ) -> Decision:
-        observed = instances[self.cursor].last_lambda_o
+        observed = view(self.cursor).last_lambda_o
         if observed is not None and observed >= self.th_ms:
             self.cursor = (self.cursor + 1) % self.n
         return Decision(window.wid, self.cursor, self.kind, observed_lambda_o=observed)
@@ -130,9 +131,9 @@ class ModelBasedScheduler:
         self,
         window: WindowDescriptor,
         snapshot: StreamStatsSnapshot,
-        instances: Sequence[InstanceView],
+        view: Callable[[int], InstanceView],
     ) -> Decision:
-        cand = instances[self.cursor]
+        cand = view(self.cursor)
         pred = predict(
             snapshot,
             theta_hat=cand.open_window_count + 1,

@@ -361,24 +361,24 @@ class KeyedAperiodicPolicy:
 
     def __init__(self):
         self._by_key: dict[str, int] = {}  # key -> wid
+        self.dropped_closes = 0  # close-type events that closed no window
 
     def closes(self, e: Event, open_windows: Mapping[int, WindowDescriptor]) -> list[tuple[int, int]]:
-        if e.etype != self.close_etype or e.key is None:
+        if e.etype != self.close_etype:
             return []
-        wid = self._by_key.pop(e.key, None)
+        wid = self._by_key.pop(e.key, None)  # no window has key None
         if wid is None:
+            self.dropped_closes += 1
             return []
         return [(wid, e.ts)]
 
-    def opens(self, e: Event) -> bool:
-        # a key already holding an open window cannot open a second one
-        return e.etype == self.open_etype and e.key is not None and e.key not in self._by_key
-
-    def register(self, e: Event, wid: int) -> None:
+    def opens(self, e: Event, wid: int) -> bool:
+        """Whether ``e`` opens window ``wid``, which its key then holds; a key
+        already holding an open window cannot open a second one."""
+        if e.etype != self.open_etype or e.key is None or e.key in self._by_key:
+            return False
         self._by_key[e.key] = wid
-
-    def has_pending_close(self, e: Event) -> bool:
-        return e.etype == self.close_etype
+        return True
 
 
 class TimeWindowPolicy:
@@ -389,6 +389,8 @@ class TimeWindowPolicy:
     opened: ``closes`` stops at the first open window that has not yet
     reached its close.
     """
+
+    dropped_closes = 0  # a time window always closes
 
     def __init__(self, opener_etype: str, ws_ms: float):
         self.opener_etype = opener_etype
@@ -403,14 +405,8 @@ class TimeWindowPolicy:
             out.append((wid, int(close_ts)))
         return out
 
-    def opens(self, e: Event) -> bool:
+    def opens(self, e: Event, wid: int) -> bool:
         return e.etype == self.opener_etype
-
-    def register(self, e: Event, wid: int) -> None:
-        pass
-
-    def has_pending_close(self, e: Event) -> bool:
-        return False
 
 
 def make_policy(cfg) -> KeyedAperiodicPolicy | TimeWindowPolicy:
@@ -435,7 +431,6 @@ class Splitter:
         self.policy = policy
         self.stats = stats
         self.open_windows: dict[int, WindowDescriptor] = {}
-        self.dropped_closes = 0
         self._next_wid = 0
         self._prev_ts: int | None = None
 
@@ -451,21 +446,17 @@ class Splitter:
         instead of sorting all members.
         """
         res = SplitResult()
-        claimed_close = self.policy.has_pending_close(e)
         for wid, close_ts in self.policy.closes(e, self.open_windows):
             w = self.open_windows.pop(wid)
             w.close_ts = close_ts
             res.closed.append(w)
             if self.stats is not None:
                 self.stats.observe_window_closed(w.scope_ms)
-        if claimed_close and not res.closed:
-            self.dropped_closes += 1
 
-        if self.policy.opens(e):
+        if self.policy.opens(e, self._next_wid):
             w = WindowDescriptor(wid=self._next_wid, start_seq=e.seq, open_ts=e.ts)
             self._next_wid += 1
             self.open_windows[w.wid] = w
-            self.policy.register(e, w.wid)
             res.opened.append(w)
             if self.stats is not None:
                 self.stats.observe_window_opened(float(e.ts))

@@ -160,6 +160,16 @@ class TestSweepCommand:
         assert "scheduler.lb_ms" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
 
+    def test_repeated_run_id_rejected_before_any_run(self, tmp_path, capsys):
+        # both runs would write lb_ms=8/, the second over the first
+        cfg = write_config(tmp_path, {"sweep": [{"field": "seed", "values": [1, 2]},
+                                                {"field": "scheduler.lb_ms", "values": [8, 8]}]})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 2
+        err = capsys.readouterr().err
+        assert "sweep[1].values" in err and "'smoke_seed=1_lb_ms=8'" in err
+        assert not (tmp_path / "res" / "summary.csv").exists()
+        assert not (tmp_path / "res").exists()
+
     def test_unknown_sweep_field_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"sweep": [{"field": "scheduler.nope", "values": [1]}]})
         assert main(["run", "--config", str(cfg)]) == 2

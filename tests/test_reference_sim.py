@@ -9,6 +9,8 @@ Everything it computes must equal what ``simulate`` produced, exactly.
 
 ``reference_reports`` derives every feedback report from the reference's
 samples: at each feedback instant, from the events processed before it.
+``reference_view`` derives from those the report a controller must be shown
+at each decision.
 """
 
 import copy
@@ -23,7 +25,13 @@ from hypothesis import strategies as st
 from cepsim.core import Event
 from cepsim.latency_model import ModelParams
 from cepsim.runtime import InstanceState, simulate
-from cepsim.scheduler import ReactiveScheduler, RoundRobinScheduler, SchedulerConfig, make_scheduler
+from cepsim.scheduler import (
+    ModelBasedScheduler,
+    ReactiveScheduler,
+    RoundRobinScheduler,
+    SchedulerConfig,
+    make_scheduler,
+)
 from cepsim.splitter import KeyedAperiodicPolicy, StreamStats, TimeWindowPolicy
 from cepsim.workload import CostModel
 
@@ -134,9 +142,9 @@ def reference_run(events, policy, cost, owner, transfer_delay_ms):
 
 
 def reference_reports(events, samples, n_instances, interval):
-    """``(instance, queued_counts, theta_bar_rep, last_lambda_o, emitted_at)``
-    of every report, in emission order: at each t = k * interval up to the
-    last arrival or completion, one per instance, ascending. An event counts
+    """``(emitted_at, queued_counts, theta_bar_rep, last_lambda_o)`` of every
+    report, in emission order: at each t = k * interval up to the last
+    arrival or completion, one per instance, ascending. An event counts
     when it was processed before t (ts < t); it is queued at t when it has
     arrived but not started, and the last one completed by t gives the
     reported latency."""
@@ -154,24 +162,43 @@ def reference_reports(events, samples, n_instances, interval):
             theta = sum(s.n_windows for s in queued) / len(queued) if queued else 1.0
             done = [s for s in mine if s.completion <= t]
             last_lo = done[-1].lambda_q + done[-1].lambda_p if done else None
-            out.append((inst, counts, theta, last_lo, t))
+            out.append((t, counts, theta, last_lo))
         k += 1
     return out
 
 
-def simulate_recording_reports(w):
-    """``simulate`` the workload ``w``; return its metrics and every report
-    an instance made, in emission order."""
+def reference_view(reports, n_instances, delay, ts, inst):
+    """``(queued_counts, theta_bar_rep, last_lambda_o)`` a decision at ``ts``
+    must see of instance ``inst``: its report last due by then (emitted at
+    t with t + delay <= ts), or the empty report before the first is due."""
+    due = [r[1:] for k, r in enumerate(reports) if k % n_instances == inst and r[0] + delay <= ts]
+    return due[-1] if due else ({}, 1.0, None)
+
+
+def reference_open_counts(windows, owner, wid, inst):
+    """Windows of ``inst`` open when window ``wid`` is scheduled: opened
+    before it and not closed by its opening event."""
+    open_seq = windows[wid][0]
+    return sum(
+        1 for v, (_, close_seq, _, _) in enumerate(windows[:wid])
+        if owner[v] == inst and (close_seq is None or close_seq > open_seq)
+    )
+
+
+def simulate_recording_reports(w, scheduler=None):
+    """``simulate`` the workload ``w`` as :func:`run_workload` does; return
+    its metrics and ``(now, *report)`` of every report an instance made, in
+    emission order."""
     out = []
     make_feedback = InstanceState.make_feedback
 
     def recording(self, now):
         rep = make_feedback(self, now)
-        out.append((rep.instance, rep.queued_counts, rep.theta_bar_rep, rep.last_lambda_o, rep.emitted_at))
+        out.append((now, *rep))
         return rep
 
     with mock.patch.object(InstanceState, "make_feedback", recording):
-        return run_workload(w), out
+        return run_workload(w, scheduler), out
 
 
 def float_bits(rows):
@@ -219,7 +246,9 @@ def workloads(draw):
         cost=cost,
         config=config,
         transfer_delay_ms=draw(st.sampled_from([0.0, 0.5, 2.5])),
-        feedback_delivery_delay_ms=draw(st.sampled_from([0.0, 3.0])),
+        # at and beyond the 5.0 feedback interval, several instants are
+        # pending at once and deliveries tie with decisions
+        feedback_delivery_delay_ms=draw(st.sampled_from([0.0, 3.0, 5.0, 12.0])),
     )
 
 
@@ -234,10 +263,39 @@ def run_workload(w, scheduler=None):
     )
 
 
+class RecordingViews:
+    """Records ``(wid, i, view(i))`` of each view ``schedule`` reads."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.seen = []
+
+    def schedule(self, window, snapshot, view):
+        def recording(i):
+            v = view(i)
+            self.seen.append((window.wid, i, v))
+            return v
+
+        return super().schedule(window, snapshot, recording)
+
+
+class ReactiveRecordingViews(RecordingViews, ReactiveScheduler):
+    pass
+
+
+class ModelBasedRecordingViews(RecordingViews, ModelBasedScheduler):
+    pass
+
+
+RECORDING_VIEWS = {"reactive": ReactiveRecordingViews, "model_based": ModelBasedRecordingViews}
+
+
 @settings(max_examples=450, deadline=None)
 @given(workloads())
 def test_simulate_matches_reference(w):
-    m, reports = simulate_recording_reports(w)
+    cfg = w["config"]
+    recorder = RECORDING_VIEWS[cfg.kind](cfg) if cfg.kind in RECORDING_VIEWS else None
+    m, reports = simulate_recording_reports(w, recorder)
     owner = {d.wid: d.instance for d in m.decisions}
     samples, tx_rows, truth = reference_run(w["events"], w["policy"], w["cost"], owner, w["transfer_delay_ms"])
     # a pair's type and window count reach the reports below, as queued
@@ -254,10 +312,20 @@ def test_simulate_matches_reference(w):
         assert float_bits([(win.actual_gamma_minus, win.actual_gamma_plus, win.actual_lambda_q_peak)]) == \
             float_bits([(g_minus, g_plus, peak)])
     # only a controller that reads reports gets them made
-    if make_scheduler(w["config"]).reads_reports:
-        assert repr(reports) == repr(reference_reports(w["events"], samples, w["config"].n_instances, 5.0))
-    else:
+    if recorder is None:
+        assert not make_scheduler(cfg).reads_reports
         assert reports == []
+        return
+    expected = reference_reports(w["events"], samples, cfg.n_instances, 5.0)
+    assert repr(reports) == repr(expected)
+    # each decision reads one view: the open windows of the instance read
+    # and its report last due by the decision
+    assert [wid for wid, _, _ in recorder.seen] == [d.wid for d in m.decisions]
+    windows = reference_windows(w["events"], w["policy"])
+    for wid, inst, v in recorder.seen:
+        assert v.open_window_count == reference_open_counts(windows, owner, wid, inst)
+        due = reference_view(expected, cfg.n_instances, w["feedback_delivery_delay_ms"], windows[wid][2], inst)
+        assert repr((v.queued_counts, v.theta_bar_rep, v.last_lambda_o)) == repr(due)
 
 
 class RoundRobinReadingAll(RoundRobinScheduler):
@@ -317,11 +385,11 @@ def test_report_counts_event_queued_behind_a_later_arrival():
     # work is (start, completion, arrival, etype, n_windows, lambda_o,
     # latencies, run): A runs from 0 to 10, X arrived at 2 and waits for it,
     # and Y, sent before t=5, arrives at 12
-    inst = InstanceState(0)
+    inst = InstanceState()
     inst.work += [(0.0, 10.0, 0.0, "A", 1, 10.0, 10.0, 1), (10.0, 11.0, 2.0, "X", 1, 9.0, 1.0, 1),
                   (12.0, 13.0, 12.0, "Y", 1, 1.0, 1.0, 1)]
     inst.complete(5.0, StreamStats(1, 1))
-    assert inst.make_feedback(5.0).queued_counts == {"X": 1}
+    assert inst.make_feedback(5.0)[0] == {"X": 1}
 
 
 def test_reports_match_reference_under_a_transfer_delay():
@@ -340,5 +408,5 @@ def test_reports_match_reference_under_a_transfer_delay():
     owner = {d.wid: d.instance for d in m.decisions}
     samples, _, _ = reference_run(w["events"], w["policy"], w["cost"], owner, w["transfer_delay_ms"])
     expected = reference_reports(w["events"], samples, 1, 5.0)
-    assert expected[1] == (0, {"X": 1}, 1.0, 0.0, 10.0)
+    assert expected[1] == (10.0, {"X": 1}, 1.0, 0.0)
     assert repr(reports) == repr(expected)

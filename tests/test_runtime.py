@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cepsim.core import CostModelError, Event
 from cepsim.latency_model import ModelParams
-from cepsim.runtime import FeedbackDelay, InstanceState, RowView, run, simulate
+from cepsim.runtime import FeedbackDelay, InstanceState, run, simulate
 from cepsim.scheduler import SchedulerConfig, make_scheduler
 from cepsim.splitter import KeyedAperiodicPolicy, TimeWindowPolicy
 from cepsim.workload import CostModel, in_window_cost
@@ -140,13 +140,14 @@ class TestConservationAndIdentities:
 
 @pytest.fixture
 def reports(monkeypatch):
-    """Every feedback report the instances emit, in emission order."""
+    """``(now, queued_counts, theta_bar_rep, last_lambda_o)`` of every
+    feedback report the instances emit, in emission order."""
     out = []
     make_feedback = InstanceState.make_feedback
 
     def recording(self, now):
         rep = make_feedback(self, now)
-        out.append(rep)
+        out.append((now, *rep))
         return rep
 
     monkeypatch.setattr(InstanceState, "make_feedback", recording)
@@ -168,36 +169,33 @@ class TestFeedback:
 
     def test_queued_counts_and_overlap(self, reports):
         self.queue_scenario()
-        rep = next(r for r in reports if r.emitted_at == 10.0)
+        _, queued_counts, theta_bar_rep, _ = next(r for r in reports if r[0] == 10.0)
         # X started at t=2; the L2 events wait behind it, each in 2 windows
-        assert rep.queued_counts == {"L2": 3}
-        assert rep.theta_bar_rep == 2.0
+        assert queued_counts == {"L2": 3}
+        assert theta_bar_rep == 2.0
 
     def test_empty_queue_report(self, reports):
         events = mk_events([(0, "open"), (99, "A")])
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0})
         run_sim(events, policy=TimeWindowPolicy("open", 150.0), cost=cost,
                 kind="reactive", th_ms=1.0, mtime=10_000.0, feedback_interval_ms=100.0)
-        rep = reports[0]
-        assert rep.queued_counts == {}
-        assert rep.theta_bar_rep == 1.0
+        _, queued_counts, theta_bar_rep, _ = reports[0]
+        assert queued_counts == {}
+        assert theta_bar_rep == 1.0
 
     def test_consecutive_reports_identical_without_processing(self, reports):
         self.queue_scenario()
-        reps = [r for r in reports if r.emitted_at in (10.0, 20.0)]
+        reps = [r for r in reports if r[0] in (10.0, 20.0)]
         assert len(reps) == 2
-        assert reps[0].queued_counts == reps[1].queued_counts
-        assert reps[0].theta_bar_rep == reps[1].theta_bar_rep
+        assert reps[0][1:3] == reps[1][1:3]  # queued_counts and theta_bar_rep
 
     def test_reported_latency_only_after_completion(self, reports):
         self.queue_scenario()
-        early = next(r for r in reports if r.emitted_at == 10.0)
-        assert early.last_lambda_o == 0.0  # only the opener events completed by t=10
-        before = next(r for r in reports if r.emitted_at == 500.0)
-        assert before.last_lambda_o == 0.0  # X still running at t=500
-        late = next(r for r in reports if r.emitted_at == 510.0)
+        last_lambda_o = {now: lo for now, _, _, lo in reports}
+        assert last_lambda_o[10.0] == 0.0  # only the opener events completed by t=10
+        assert last_lambda_o[500.0] == 0.0  # X still running at t=500
         # by 510 everything drained; the most recent completion is the last L2
-        assert late.last_lambda_o == 503.0
+        assert last_lambda_o[510.0] == 503.0
 
 
 class TestMerge:
@@ -670,17 +668,6 @@ def test_controllers_build_only_the_views_they_read(monkeypatch):
     assert len(m.decisions) == 40 and built == []  # Round-Robin reads no view
     m = run_sim(events, policy=TimeWindowPolicy("open", 1000.0), cost=cost, n=8, kind="reactive", th_ms=1.0)
     assert len(built) == len(m.decisions) == 40  # one view per decision
-
-
-def test_row_view_builds_rows_on_access():
-    built = []
-    view = RowView(3, lambda i: built.append(i) or i * 10)
-    assert len(view) == 3 and built == []
-    assert view[2] == 20 and built == [2]
-    assert list(view) == [0, 10, 20]
-    for i in (3, -1):
-        with pytest.raises(IndexError):
-            view[i]
 
 
 def test_run_records_are_slotted():

@@ -11,11 +11,12 @@ def win(wid):
 
 
 def views(n, open_counts=None, last_lo=None):
+    """The view function over ``n`` instances: ``view(i)`` is instance ``i``'s."""
     open_counts = open_counts or [0] * n
     return [
         InstanceView(open_window_count=open_counts[i], last_lambda_o=last_lo)
         for i in range(n)
-    ]
+    ].__getitem__
 
 
 def flat_snapshot(lam=4.0, iat=1000.0):
@@ -112,17 +113,9 @@ class Unread:
         raise AssertionError(f"read {name} of an input declared unread")
 
 
-class UnreadViews:
-    """Instance views of a controller that reads none: indexing them fails."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, i):
-        raise AssertionError(f"read view {i}, which the controller reads no part of")
+def unread_view(i):
+    """The view function of a controller that reads no view: calling it fails."""
+    raise AssertionError(f"read view {i}, which the controller reads no part of")
 
 
 @pytest.mark.parametrize(
@@ -147,7 +140,7 @@ def test_controllers_read_only_the_inputs_they_declare(cfg, reads_snapshot, read
         if reads_views:
             seen = views(4, open_counts=[i % 2] * 4, last_lo=[None, 50.0, 100.0][i % 3])
         else:
-            seen = UnreadViews(4)
+            seen = unread_view
         assert sched.schedule(win(i), snap, seen).wid == i
 
 

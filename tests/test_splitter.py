@@ -294,7 +294,7 @@ class TestDetectWindows:
         r = sp.process(ev(1, 50, "L2", key="zzz"))
         assert not r.opened and not r.closed
         assert r.memberships == [wa]
-        assert sp.dropped_closes == 1
+        assert sp.policy.dropped_closes == 1
 
     def test_keyed_close_merged_in_wid_order(self):
         # b closes before a and c, both opened around it: the closing event's
