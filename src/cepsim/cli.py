@@ -4,10 +4,11 @@ Configs are YAML files; see README.md for the full schema. Per-run detail
 CSVs (latency, decisions, predictions, transmissions, windows, batches) land
 in ``<out_dir>/<run_id>/`` and one summary row per completed run is appended
 to ``<out_dir>/summary.csv``. Summary rows are only written after a run
-finished, so an aborted sweep never leaves truncated rows. ``latency.csv``
-and ``transmissions.csv`` are written straight from the typed columns of
-``RunMetrics``, formatting each distinct value once, byte for byte what
-``csv.writer`` writes; the other files go through ``csv.writer``.
+finished, so an aborted sweep never leaves truncated rows. All six detail
+files share one row writer: the header through ``csv.writer``, then one
+format string per row, byte for byte what ``csv.writer`` writes. Each
+distinct value of a typed column, each prediction and each text cell is
+formatted once; text cells are quoted by ``csv`` itself.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import heapq
+import io
 import itertools
 import math
 import operator
@@ -24,7 +26,7 @@ from collections import abc
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
-from typing import Any, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Any, Iterable, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -36,7 +38,7 @@ from .latency_model import (
     predict_peak,
 )
 from .runtime import RunMetrics, run
-from .scheduler import SchedulerConfig
+from .scheduler import Decision, SchedulerConfig
 from .workload import WorkloadConfig
 
 SUMMARY_HEADER = ["run_id", "scheduler", "param", "max_lo", "p99_lo", "transmissions", "violations"]
@@ -249,23 +251,19 @@ def load_config(path: str | Path) -> dict:
 # CSV output
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    # csv writes a float as its repr, so the files round-trip exactly; used
-    # for the files whose cells mix numbers with strings and empty cells
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _write_columns(path: Path, header: Sequence[str], *columns) -> None:
-    """One row per position of ``columns``, each cell an int, a float or a
-    float's repr: for such cells csv.writer writes ``str(cell)`` unquoted,
-    comma-separated, with ``\r\n`` line ends, and so does this."""
-    row = ",".join(["{}"] * len(columns)) + "\r\n"
+def _write_rows(path: Path, header: Sequence[str], rows: Iterable[str]) -> None:
+    """The header through csv.writer, then ``rows`` as they are."""
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(map(row.format, *columns))
+        fh.writelines(rows)
+
+
+def _row(n_cells: int) -> str:
+    """The ``str.format`` string of a row of ``n_cells`` cells. A cell that
+    is an int, a float (str is repr), a float's repr or a text cell from
+    :class:`_Quoted` formats as csv.writer writes it, and the row ends in
+    its ``\r\n``; csv.writer writes None as the empty cell, "" here."""
+    return ",".join(["{}"] * n_cells) + "\r\n"
 
 
 class _Reprs(dict):
@@ -285,6 +283,51 @@ def _memoised(column):
     return map(_Reprs().__getitem__, column)
 
 
+class _Quoted(dict):
+    """Each text cell as csv.writer writes it, quoted once per distinct value."""
+
+    def __missing__(self, text: str) -> str:
+        buf = io.StringIO(newline="")
+        # followed by an empty cell, as alone on a row an empty cell is '""'
+        csv.writer(buf).writerow((text, ""))
+        cell = self[text] = buf.getvalue()[:-3]  # less ",\r\n"
+        return cell
+
+
+# a prediction's cells in predictions.csv, from theta_hat to lambda_o_max
+_PREDICTION_CELLS = (
+    "{0.theta_hat},{0.theta_bar},{0.n},{0.gamma_minus},{0.gamma_plus},{0.alpha},{0.lambda_q_init},{0.lambda_o_max}"
+)
+
+
+def _write_decisions(run_dir: Path, decisions: Sequence[Decision]) -> None:
+    """decisions.csv and predictions.csv. The cells of a prediction shared by
+    many decisions are formatted once, in a memo keyed by identity: two
+    predictions equal by value may differ in the sign of a zero."""
+    quoted = _Quoted()
+    preds = {id(p): p for _, _, _, p, _ in decisions if p is not None}
+    # by id: its decisions.csv cell, its _PREDICTION_CELLS, its flags
+    cells = {k: (str(p.lambda_o_max), _PREDICTION_CELLS.format(p), quoted["|".join(p.flags)])
+             for k, p in preds.items()}
+    row = _row(4).format
+    _write_rows(
+        run_dir / "decisions.csv",
+        ["wid", "instance", "predicted_lambda_o_max", "kind"],
+        (
+            row(wid, instance, cells[id(p)][0] if p is not None else "" if observed is None else observed,
+                quoted[kind])
+            for wid, instance, kind, p, observed in decisions
+        ),
+    )
+    row = "{0},{1[1]},{2},{1[2]}\r\n".format  # wid, the prediction's cells, instance, flags
+    _write_rows(
+        run_dir / "predictions.csv",
+        ["wid", "theta_hat", "theta_bar", "n", "gamma_minus", "gamma_plus", "alpha",
+         "lambda_q_init", "lambda_o_max", "instance", "flags"],
+        (row(wid, cells[id(p)], instance) for wid, instance, _, p, _ in decisions if p is not None),
+    )
+
+
 def write_run_outputs(run_dir: Path, metrics: RunMetrics) -> None:
     """Write all per-run detail CSVs into ``run_dir``."""
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -293,67 +336,34 @@ def write_run_outputs(run_dir: Path, metrics: RunMetrics) -> None:
     # memoised only without the bits of -0.0; q + p is -0.0 only when both are
     if not any(1 << 63 in memoryview(c).cast("B").cast("Q") for c in (q, p)):
         floats = map(_memoised, floats)
-    _write_columns(
+    _write_rows(
         run_dir / "latency.csv",
         ["seq", "instance", "lambda_q", "lambda_p", "lambda_o", "ts"],
-        metrics.event_seq, _memoised(metrics.instance), *floats, metrics.ts,
+        map(_row(6).format, metrics.event_seq, _memoised(metrics.instance), *floats, metrics.ts),
     )
-    _write_csv(
-        run_dir / "decisions.csv",
-        ["wid", "instance", "predicted_lambda_o_max", "kind"],
-        (
-            (
-                d.wid,
-                d.instance,
-                d.prediction.lambda_o_max if d.prediction is not None
-                else (d.observed_lambda_o if d.observed_lambda_o is not None else ""),
-                d.kind,
-            )
-            for d in metrics.decisions
-        ),
-    )
-    _write_csv(
-        run_dir / "predictions.csv",
-        ["wid", "theta_hat", "theta_bar", "n", "gamma_minus", "gamma_plus", "alpha",
-         "lambda_q_init", "lambda_o_max", "instance", "flags"],
-        (
-            (
-                d.wid, p.theta_hat, p.theta_bar, p.n, p.gamma_minus, p.gamma_plus,
-                p.alpha, p.lambda_q_init, p.lambda_o_max, d.instance, "|".join(p.flags),
-            )
-            for d in metrics.decisions
-            if (p := d.prediction) is not None
-        ),
-    )
-    _write_columns(
+    _write_decisions(run_dir, metrics.decisions)
+    _write_rows(
         run_dir / "transmissions.csv",
         ["seq", "ts", "n_member_windows", "n_instances"],
-        metrics.tx_seq, metrics.tx_ts, _memoised(metrics.tx_members), _memoised(metrics.tx_instances),
+        map(_row(4).format, metrics.tx_seq, metrics.tx_ts, _memoised(metrics.tx_members),
+            _memoised(metrics.tx_instances)),
     )
-    _write_csv(
+    row = _row(8).format
+    _write_rows(
         run_dir / "windows.csv",
         ["wid", "open_ts", "close_ts", "instance", "n_member_events",
          "actual_gamma_minus", "actual_gamma_plus", "actual_lambda_q_peak"],
         (
-            (
-                w.wid, w.open_ts, w.close_ts if w.close_ts is not None else "",
-                w.assigned_instance, w.n_member_events, w.actual_gamma_minus,
-                w.actual_gamma_plus, w.actual_lambda_q_peak,
-            )
+            row(w.wid, w.open_ts, "" if w.close_ts is None else w.close_ts, w.assigned_instance,
+                w.n_member_events, w.actual_gamma_minus, w.actual_gamma_plus, w.actual_lambda_q_peak)
             for w in metrics.windows
         ),
     )
-    _write_csv(
+    _write_rows(
         run_dir / "batches.csv",
         ["batch_id", "instance", "first_decision_ts", "n_windows",
          "lat_peak", "lat_peak_delay_ms", "qlen_peak", "qlen_peak_delay_ms"],
-        (
-            (
-                fd.batch_id, fd.instance, fd.first_decision_ts, fd.n_windows,
-                fd.lat_peak, fd.lat_peak_delay_ms, fd.qlen_peak, fd.qlen_peak_delay_ms,
-            )
-            for fd in metrics.feedback_delays()
-        ),
+        itertools.starmap(_row(8).format, metrics.feedback_delays()),
     )
 
 

@@ -7,6 +7,7 @@ arithmetic is done in double precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class CepSimError(Exception):
@@ -28,8 +29,7 @@ class CostModelError(CepSimError):
 INHERITED = {"inherited": True}
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """One stream element; the unit of transmission and processing cost.
 
     ``seq`` strictly increases in arrival order and ``ts`` is non-decreasing

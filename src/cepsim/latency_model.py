@@ -19,8 +19,8 @@ predictions by theta_hat, which it hands to every caller asking for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import ConfigurationError
 from .splitter import StreamStatsSnapshot
@@ -64,8 +64,7 @@ class ModelParams:
             raise ConfigurationError(f"model.iat_floor_ms must be > 0, got {self.iat_floor_ms}")
 
 
-@dataclass(frozen=True, slots=True)
-class LatencyPrediction:
+class LatencyPrediction(NamedTuple):
     """The intermediates of one candidate scheduling decision that the
     outputs and the controllers read; the per-type split of ``n`` feeds
     :func:`predict_gains` and is not kept."""
@@ -392,8 +391,8 @@ def predict(
     lambda_q_max, lambda_o_max = predict_peak(
         pred.gamma_minus, pred.gamma_plus, c.alpha, lambda_q_init, pred.lambda_p_max)
     head = pred.flags[: len(pred.flags) - len(c.peak_flags)]
-    return replace(pred, lambda_q_init=lambda_q_init, lambda_q_max=lambda_q_max, lambda_o_max=lambda_o_max,
-                   flags=(*head, *f3, *c.peak_flags))
+    return pred._replace(lambda_q_init=lambda_q_init, lambda_q_max=lambda_q_max, lambda_o_max=lambda_o_max,
+                         flags=(*head, *f3, *c.peak_flags))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
-from typing import Sequence, TYPE_CHECKING
+from typing import NamedTuple, Sequence, TYPE_CHECKING
 
 from .core import Event, WindowDescriptor
 from .latency_model import ModelParams
@@ -98,8 +98,7 @@ class InstanceState:
         return counts, theta, self.last_lambda_o
 
 
-@dataclass(frozen=True, slots=True)
-class FeedbackDelay:
+class FeedbackDelay(NamedTuple):
     """Delay between a batch's first scheduling decision and the latency and
     queue-length peaks it caused on its instance."""
 

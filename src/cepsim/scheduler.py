@@ -13,7 +13,8 @@ style and adopt it as the new batching target without re-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from .core import INHERITED, ConfigurationError, WindowDescriptor
 from .latency_model import LatencyPrediction, ModelParams, predict
@@ -44,20 +45,18 @@ class SchedulerConfig:
             self.model.validate()
 
 
-@dataclass(frozen=True)
-class InstanceView:
+class InstanceView(NamedTuple):
     """What a controller may see of one operator instance: its open-window
     count, then its last delivered feedback report as ``make_feedback``
     returns it; by default, the empty report delivered before the first."""
 
     open_window_count: int = 0
-    queued_counts: Mapping[str, int] = field(default_factory=dict)
+    queued_counts: Mapping[str, int] = MappingProxyType({})
     theta_bar_rep: float = 1.0
     last_lambda_o: float | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
+class Decision(NamedTuple):
     wid: int
     instance: int
     kind: str

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import Event, WindowDescriptor
 
@@ -89,24 +90,15 @@ EMPTY_SNAPSHOT = StreamStatsSnapshot(
 )
 
 
-def _exact_sum(values: Sequence[float], counts: Sequence[int]) -> float:
-    """``math.fsum`` of ``values``, each repeated its count times, without
+def _exact_sum(pairs: Iterable[tuple[float, int]]) -> float:
+    """``math.fsum`` of finite values, each repeated its count times, without
     expanding them: the exact rational sum, rounded once. ``fsum`` is
-    correctly rounded too, so the two agree bit for bit."""
-    per_value: dict[float, int] = {}
-    for v, c in zip(values, counts):
-        per_value[v] = per_value.get(v, 0) + c
-    if not all(map(math.isfinite, per_value)):
-        return math.fsum(chain.from_iterable(map(repeat, values, counts)))
+    correctly rounded too, so the two agree bit for bit, except that an
+    exact zero is 0.0; fsum's is -0.0 when every value is -0.0."""
     # every finite float is num / 2**p; sum over the largest denominator
-    ratios = [(v.as_integer_ratio(), c) for v, c in per_value.items()]
+    ratios = [(v.as_integer_ratio(), c) for v, c in pairs]
     den = max(d for (_, d), _ in ratios)
-    num = sum(n * c * (den // d) for (n, d), c in ratios)
-    if num == 0:
-        # the sign of an exact zero: fsum's, which only an all-zero input
-        # can make -0.0, and which does not depend on how often a zero occurs
-        return 0.0 if any(values) else math.fsum(values)
-    return num / den  # int / int is correctly rounded
+    return sum(n * c * (den // d) for (n, d), c in ratios) / den  # int / int is correctly rounded
 
 
 def _bin_values(
@@ -129,14 +121,22 @@ def _bin_values(
     """
     vmin = min(values)
     vmax = max(values)
+    if counts is not None:
+        per_value: dict[float, int] = {}  # each distinct value once, with its total count
+        for v, c in zip(values, counts):
+            per_value[v] = per_value.get(v, 0) + c
+        if not all(map(math.isfinite, per_value)):
+            # fsum's inf, nan or error, from the expanded values
+            values, counts = list(chain.from_iterable(map(repeat, values, counts))), None
     if counts is None:
         n = len(values)
         mean = math.fsum(values) / n
         var = math.fsum([(v - mean) ** 2 for v in values]) / n
     else:
         n = sum(counts)
-        mean = _exact_sum(values, counts) / n
-        var = _exact_sum([(v - mean) ** 2 for v in values], counts) / n
+        # zeros alone sum to fsum's signed zero, which the merged 0.0 and -0.0 keys cannot tell
+        mean = (math.fsum(values) if vmin == vmax == 0 else _exact_sum(per_value.items())) / n
+        var = _exact_sum([((v - mean) ** 2, c) for v, c in per_value.items()]) / n
     pop = PopulationStat(n, mean, math.sqrt(var), vmin, vmax)
 
     lo, hi = vrange if vrange is not None else (vmin, vmax)
@@ -217,8 +217,9 @@ class StreamStats:
 
     def _reset_window(self) -> None:
         self._iats: list[float] = []
-        # per type: in-window latencies and the length of each one's run
-        self._lats: dict[str, tuple[list[float], list[int]]] = {}
+        # per type: in-window latencies and the length of each one's run;
+        # a type's lists are made on its first observation only
+        self._lats: defaultdict[str, tuple[list[float], list[int]]] = defaultdict(lambda: ([], []))
         self._type_counts: dict[str, int] = {}
         self._ws_sum = 0.0
         self._ws_n = 0
@@ -258,13 +259,13 @@ class StreamStats:
     def observe_latency(self, etype: str, lambda_p_w: float, count: int = 1) -> None:
         """Record one reported in-window processing latency for a type,
         ``count`` times in a row."""
-        values, counts = self._lats.setdefault(etype, ([], []))
+        values, counts = self._lats[etype]
         values.append(lambda_p_w)
         counts.append(count)
 
     def observe_latencies(self, etype: str, lambda_p_ws: Sequence[float]) -> None:
         """Record reported in-window processing latencies for a type, in order."""
-        values, counts = self._lats.setdefault(etype, ([], []))
+        values, counts = self._lats[etype]
         values.extend(lambda_p_ws)
         counts.extend(repeat(1, len(lambda_p_ws)))
 

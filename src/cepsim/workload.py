@@ -316,5 +316,5 @@ def generate_stream(cfg: WorkloadConfig) -> list[Event]:
     mu = -0.5 * jitter * jitter  # lognormal multiplier with mean 1
     for seq, (ts, etype, key) in enumerate(raw):
         hint = rng.lognormvariate(mu, jitter) if jitter > 0 else None
-        events.append(Event(seq=seq, ts=round(ts), etype=etype, key=key, payload_cost_hint=hint))
+        events.append(Event(seq, round(ts), etype, key, hint))
     return events

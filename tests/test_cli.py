@@ -13,8 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cepsim.cli import build_experiment, main, p99, write_run_outputs
-from cepsim.core import ConfigurationError
-from cepsim.runtime import RunMetrics
+from cepsim.core import ConfigurationError, WindowDescriptor
+from cepsim.latency_model import LatencyPrediction
+from cepsim.runtime import FeedbackDelay, RunMetrics
+from cepsim.scheduler import Decision
 
 BASE_CONFIG = {
     "run_id": "smoke",
@@ -370,6 +372,103 @@ def test_column_writer_matches_csv_writer(rows, tx, negative_zero_in, many_disti
         zip(seq, inst, q, p, [a + b for a, b in zip(q, p)], ts),
     )
     assert transmissions == csv_writer_bytes(["seq", "ts", "n_member_windows", "n_instances"], tx)
+
+
+# text that csv.writer must quote: a delimiter, a quote, either line-end character
+CELL_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", "|", " ", "a", "é", ":"]), max_size=6)
+QUOTED_TEXTS = ["a,b", 'say "x"', "cr\rin", "lf\nin", "unknown_type:e,\r\n"]
+OPTIONAL_FLOATS = st.sampled_from([None, 0.0, -0.0]) | CELL_FLOATS
+
+
+@st.composite
+def predictions(draw):
+    ints = draw(st.lists(CELL_INTS, min_size=1, max_size=1))
+    floats = draw(st.lists(CELL_FLOATS | st.just(-0.0), min_size=9, max_size=9))
+    flags = draw(st.lists(CELL_TEXT, max_size=3).map(tuple))
+    return LatencyPrediction(floats[0], ints[0], *floats[1:], flags)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    preds=st.lists(predictions(), max_size=4),
+    decisions=st.lists(
+        st.tuples(CELL_INTS, CELL_INTS, CELL_TEXT, st.integers(-1, 3), OPTIONAL_FLOATS), max_size=20
+    ),
+    windows=st.lists(
+        st.tuples(CELL_INTS, CELL_INTS, st.none() | CELL_INTS, CELL_INTS, CELL_INTS,
+                  CELL_FLOATS, CELL_FLOATS | st.just(-0.0), CELL_FLOATS),
+        max_size=10,
+    ),
+    batches=st.lists(
+        st.tuples(CELL_INTS, CELL_INTS, CELL_INTS, CELL_INTS, CELL_FLOATS, CELL_FLOATS, CELL_INTS, CELL_FLOATS),
+        max_size=10,
+    ),
+)
+def test_row_writers_match_csv_writer(preds, decisions, windows, batches):
+    # decisions, predictions, windows and batches are written one format
+    # string per row, each prediction's cells formatted once and each text
+    # cell quoted once; the bytes are those of csv.writer over the rows
+    # built cell by cell
+    base = LatencyPrediction(1.5, 2, 1.0, 0.0, -0.5, 0.25, 0.0, 0.5, 1.0, 1.5, ("a,b",))
+    # equal by value, and so as a dict key, but for the sign of one zero
+    negative_zero = base._replace(lambda_q_init=-0.0)
+    assert negative_zero == base
+    preds = [base, negative_zero, *preds]
+    ds = [Decision(w, i, k, preds[p % len(preds)] if p >= 0 else None, lo) for w, i, k, p, lo in decisions]
+    # every text to quote, and one prediction shared by many decisions
+    ds += [Decision(7, 0, text, preds[n % 2], None) for n, text in enumerate(QUOTED_TEXTS)]
+    ds += [Decision(8, 1, "reactive", None, None), Decision(9, 1, "reactive", None, 0.0)]
+    ds += [Decision(10, 2, "model_based", base._replace(flags=(text, "b")), None) for text in QUOTED_TEXTS]
+    ws = [WindowDescriptor(wid, 0, *rest) for wid, *rest in windows]
+    ws += [WindowDescriptor(1, 0, 0, None, 0, 3, -0.0, math.nan, math.inf)]
+    fds = [FeedbackDelay(*b) for b in batches] + [FeedbackDelay(0, 0, 5, 1, -0.0, math.nan, 2, -math.inf)]
+    m = RunMetrics(decisions=ds, windows=ws)
+    m.feedback_delays = lambda: fds
+    with tempfile.TemporaryDirectory() as d:
+        write_run_outputs(Path(d), m)
+        written = {name: (Path(d) / f"{name}.csv").read_bytes() for name in ("decisions", "predictions", "windows", "batches")}
+    assert written["decisions"] == csv_writer_bytes(
+        ["wid", "instance", "predicted_lambda_o_max", "kind"],
+        [
+            (
+                d.wid,
+                d.instance,
+                d.prediction.lambda_o_max if d.prediction is not None
+                else (d.observed_lambda_o if d.observed_lambda_o is not None else ""),
+                d.kind,
+            )
+            for d in ds
+        ],
+    )
+    assert written["predictions"] == csv_writer_bytes(
+        ["wid", "theta_hat", "theta_bar", "n", "gamma_minus", "gamma_plus", "alpha",
+         "lambda_q_init", "lambda_o_max", "instance", "flags"],
+        [
+            (
+                d.wid, p.theta_hat, p.theta_bar, p.n, p.gamma_minus, p.gamma_plus,
+                p.alpha, p.lambda_q_init, p.lambda_o_max, d.instance, "|".join(p.flags),
+            )
+            for d in ds
+            if (p := d.prediction) is not None
+        ],
+    )
+    assert written["windows"] == csv_writer_bytes(
+        ["wid", "open_ts", "close_ts", "instance", "n_member_events",
+         "actual_gamma_minus", "actual_gamma_plus", "actual_lambda_q_peak"],
+        [
+            (
+                w.wid, w.open_ts, w.close_ts if w.close_ts is not None else "",
+                w.assigned_instance, w.n_member_events, w.actual_gamma_minus,
+                w.actual_gamma_plus, w.actual_lambda_q_peak,
+            )
+            for w in ws
+        ],
+    )
+    assert written["batches"] == csv_writer_bytes(
+        ["batch_id", "instance", "first_decision_ts", "n_windows",
+         "lat_peak", "lat_peak_delay_ms", "qlen_peak", "qlen_peak_delay_ms"],
+        fds,
+    )
 
 
 class TestConfigBuilder:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cepsim.core import CostModelError, Event
 from cepsim.latency_model import ModelParams
 from cepsim.runtime import FeedbackDelay, InstanceState, run, simulate
-from cepsim.scheduler import SchedulerConfig, make_scheduler
+from cepsim.scheduler import InstanceView, SchedulerConfig, make_scheduler
 from cepsim.splitter import KeyedAperiodicPolicy, TimeWindowPolicy
 from cepsim.workload import CostModel, in_window_cost
 
@@ -671,12 +671,21 @@ def test_controllers_build_only_the_views_they_read(monkeypatch):
 
 
 def test_run_records_are_slotted():
-    # one decision, prediction and window per opened window, one feedback
-    # delay per batch: none carries a per-instance __dict__
+    # one event per arrival, one decision, prediction and window per opened
+    # window, one instance view per reactive decision, one feedback delay
+    # per batch: none carries a per-instance __dict__, and only the window
+    # can be changed
     events = mk_events([(0, "open"), (5, "A"), (10, "open"), (15, "A")])
     cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0})
     m = run_sim(events, policy=TimeWindowPolicy("open", 100.0), cost=cost, n=2, kind="model_based", lb_ms=0.5)
     d = m.decisions[0]
     assert d.prediction is not None
-    for record in (d, d.prediction, m.windows[0], m.feedback_delays()[0]):
+    records = (events[0], d, d.prediction, InstanceView(), m.feedback_delays()[0])
+    for record in (*records, m.windows[0]):
         assert not hasattr(record, "__dict__")
+    for record in records:
+        for name in type(record)._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+    with pytest.raises(TypeError):  # the default report's counts are immutable too
+        InstanceView().queued_counts["A"] = 1
