@@ -16,8 +16,6 @@ from .latency_model import (
     predict,
     predict_alpha_tcount,
     predict_event_counts,
-    predict_gains,
-    predict_lambda_q_init,
     predict_overlap,
     predict_peak,
 )

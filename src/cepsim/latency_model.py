@@ -66,8 +66,8 @@ class ModelParams:
 
 class LatencyPrediction(NamedTuple):
     """The intermediates of one candidate scheduling decision that the
-    outputs and the controllers read; the per-type split of ``n`` feeds
-    :func:`predict_gains` and is not kept."""
+    outputs and the controllers read; the per-type split of ``n`` feeds the
+    gains and is not kept."""
 
     n: float
     theta_hat: int
@@ -189,20 +189,6 @@ def _pairing(
     return pairs
 
 
-def predict_gains(
-    snapshot: StreamStatsSnapshot,
-    per_type_counts: Mapping[str, float],
-    n: float,
-    theta_bar: float,
-    params: ModelParams,
-) -> tuple[float, float]:
-    """Total negative and positive gains (gamma_minus >= 0 >= gamma_plus)."""
-    pairing = _pairing(
-        biased_latency_bins(snapshot, per_type_counts, params), biased_iat_bins(snapshot, n, params)
-    )
-    return _split_gains(pairing, theta_bar)
-
-
 def _split_gains(pairing: Iterable[tuple[float, float, float]], theta_bar: float) -> tuple[float, float]:
     """Sums of the positive and of the other ``count * gain`` of a pairing,
     where gain is ``theta_bar * latency - iat``."""
@@ -257,20 +243,6 @@ def _lambda_q_init(
             mean = global_mean
         lam += count * theta_bar_rep * mean
     return lam, flags
-
-
-def predict_lambda_q_init(
-    queued_counts: Mapping[str, float] | None,
-    theta_bar_rep: float,
-    snapshot: StreamStatsSnapshot,
-    params: ModelParams,
-) -> tuple[float, list[str]]:
-    """Initial queuing latency of an instance from its feedback report: the
-    summed processing latencies of every queued event at its reported average
-    overlap."""
-    if not queued_counts:
-        return 0.0, []
-    return _lambda_q_init(queued_counts, theta_bar_rep, *_mean_latencies(snapshot, params))
 
 
 def peak_processing_latency(
@@ -358,7 +330,7 @@ def predict(
     """Full prediction for batching a new window onto an instance whose open
     batch currently holds ``theta_hat - 1`` windows.
 
-    The composition of the ``predict_*`` steps, compiled for the last
+    The composition of the steps above, compiled for the last
     snapshot and params asked about (by identity: snapshots are immutable).
     The prediction for an empty queue is memoised per theta_hat; a call with
     a queue pays for lambda_q_init and the peak."""

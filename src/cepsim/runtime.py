@@ -20,11 +20,21 @@ type it reads less that count at the window's opening. Each window's queuing
 gains and peak are also accumulated per (event, window). A window's member
 count is set when it closes, from the events processed since its opener.
 
+A pair's queue length is one plus the number of events on its instance that
+start after its arrival: those queued or still in transit. Each instance
+keeps, in order, the starts still ahead at its last arrival. Starts and
+arrivals never go down on one instance (an arrival is the event's timestamp
+plus a fixed delay >= 0), so a start dropped at one arrival is at or before
+every later one.
+
 Monitoring-window freezes and instance feedback reports fire at their
 simulated times between event arrivals, and only for a controller that reads
 them (one that reads no snapshot gets the empty one, and nothing is observed);
 feedback reflects only events whose processing already completed, so
-controllers see realistically stale data.
+controllers see realistically stale data. The in-flight work that feeds them
+is kept only for such a controller: Round-Robin's instances keep a
+busy-until clock, their open windows, their last arrival and the starts
+after it, and nothing completes or is retired.
 """
 
 from __future__ import annotations
@@ -54,17 +64,25 @@ if TYPE_CHECKING:  # pragma: no cover
 class InstanceState:
     """Simulated operator instance: FIFO queue driven by a busy-until clock.
 
-    An instance holds only its in-flight work: ``work`` has one ``(start,
-    completion, arrival, etype, n_windows, lambda_o, latencies, run)`` tuple
-    per processed event that has not completed by the last ``complete``, in
-    processing order, so starts, completions and arrivals all go up along
-    it. ``latencies`` is a list of in-window latencies with ``run`` None, or
-    one latency shared by ``run`` windows.
+    ``pending`` holds, in processing order, the starts still ahead at its
+    last arrival (the events queued or in transit then), and that last
+    pair's own start. A pair's queue length is one more than the count of
+    starts after its arrival.
+
+    ``work`` holds in-flight work, and only for a controller that reads the
+    snapshot or the reports: one ``(start, completion, arrival, etype,
+    n_windows, lambda_o, latencies, run)`` tuple per processed event that
+    has not completed by the last ``complete``, in processing order, so
+    starts, completions and arrivals all go up along it. ``latencies`` is a
+    list of in-window latencies with ``run`` None, or one latency shared by
+    ``run`` windows; only a read snapshot observes them, so without one the
+    list is None.
     """
 
     busy_until: float = 0.0
     open_windows: dict[int, WindowDescriptor] = field(default_factory=dict)
     last_arrival: float | None = None
+    pending: deque = field(default_factory=deque)
     work: deque = field(default_factory=deque)
     last_lambda_o: float | None = None  # of the last completed event
 
@@ -221,11 +239,17 @@ def simulate(
 
     Deterministic: the same inputs produce identical metrics.
     """
+    for name, delay in (("transfer_delay_ms", transfer_delay_ms),
+                        ("feedback_delivery_delay_ms", feedback_delivery_delay_ms)):
+        if not 0 <= delay < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {delay}")
     if feedback_interval_ms is None:
         feedback_interval_ms = mtime_ms / 10.0
     n_instances = scheduler.n
-    # monitoring and reports only for a controller that reads them
+    # monitoring and reports only for a controller that reads them, and
+    # in-flight work only for one of those
     stats = StreamStats(model_params.n_iat_bins, model_params.n_lat_bins) if scheduler.reads_snapshot else None
+    keeps_work = scheduler.reads_snapshot or scheduler.reads_reports
     splitter = Splitter(policy, stats)
     instances = [InstanceState() for _ in range(n_instances)]
     # the reports last delivered, by instance: the empty one until the first
@@ -284,7 +308,8 @@ def simulate(
         if e.ts < now:
             raise ValueError(f"event timestamps cannot go backwards: {e.ts} < {now}")
         now = e.ts
-        advance_to(now)
+        if keeps_work:
+            advance_to(now)
 
         res = splitter.process(e)
         closing: dict[int, list[WindowDescriptor]] = {}  # instance -> closed windows e is in
@@ -333,13 +358,15 @@ def simulate(
             lambda_q = max(0.0, inst.busy_until - arrival)
             start = arrival + lambda_q
             if cost is None:
-                lams, run = [], None
+                # the latencies are kept only to be observed
+                lams, run = [] if stats is not None else None, None
                 lambda_p = 0.0
                 for w in wins:
                     c = base + incr * (counted - counted_at_open[w.wid])
                     if hint is not None:
                         c *= hint
-                    lams.append(c)
+                    if lams is not None:
+                        lams.append(c)
                     lambda_p += c
             else:
                 # a repeated addition, as the per-window sum would be
@@ -349,14 +376,14 @@ def simulate(
                 lams, run = cost, k
             completion = start + lambda_p
             inst.busy_until = completion
-            # the work left is what had not completed by ts, in start order:
-            # all but the leading records started by arrival are queued
-            work = inst.work
-            queue_len = len(work) + 1
-            for r in work:
-                if r[0] > arrival:
-                    break
-                queue_len -= 1
+            # queued or in transit: the events that start after this arrival
+            # (starts and arrivals never go down, so a start dropped here is
+            # at or before every later arrival)
+            pending = inst.pending
+            while pending and pending[0] <= arrival:
+                pending.popleft()
+            queue_len = len(pending) + 1
+            pending.append(start)
             if inst.last_arrival is not None:
                 gamma = lambda_p - (arrival - inst.last_arrival)
                 if gamma > 0:
@@ -371,7 +398,8 @@ def simulate(
                     if lambda_q > w.actual_lambda_q_peak:
                         w.actual_lambda_q_peak = lambda_q
 
-            work.append((start, completion, arrival, etype, k, lambda_q + lambda_p, lams, run))
+            if keeps_work:
+                inst.work.append((start, completion, arrival, etype, k, lambda_q + lambda_p, lams, run))
             add_seq(seq)
             add_instance(idx)
             add_ts(ts)
@@ -391,9 +419,10 @@ def simulate(
     for wid in list(open_at):  # windows still open at the end of the run
         count_members(metrics.windows[wid], len(events))
 
-    # drain: keep the monitoring and feedback machinery running until every
-    # instance finished its queued work
-    advance_to(max([now] + [inst.busy_until for inst in instances]))
+    if keeps_work:
+        # drain: keep the monitoring and feedback machinery running until
+        # every instance finished its queued work
+        advance_to(max([now] + [inst.busy_until for inst in instances]))
 
     metrics.dropped_closes = policy.dropped_closes
     return metrics

@@ -93,8 +93,7 @@ EMPTY_SNAPSHOT = StreamStatsSnapshot(
 def _exact_sum(pairs: Iterable[tuple[float, int]]) -> float:
     """``math.fsum`` of finite values, each repeated its count times, without
     expanding them: the exact rational sum, rounded once. ``fsum`` is
-    correctly rounded too, so the two agree bit for bit, except that an
-    exact zero is 0.0; fsum's is -0.0 when every value is -0.0."""
+    correctly rounded too, so the two agree bit for bit."""
     # every finite float is num / 2**p; sum over the largest denominator
     ratios = [(v.as_integer_ratio(), c) for v, c in pairs]
     den = max(d for (_, d), _ in ratios)
@@ -134,8 +133,7 @@ def _bin_values(
         var = math.fsum([(v - mean) ** 2 for v in values]) / n
     else:
         n = sum(counts)
-        # zeros alone sum to fsum's signed zero, which the merged 0.0 and -0.0 keys cannot tell
-        mean = (math.fsum(values) if vmin == vmax == 0 else _exact_sum(per_value.items())) / n
+        mean = _exact_sum(per_value.items()) / n
         var = _exact_sum([((v - mean) ** 2, c) for v, c in per_value.items()]) / n
     pop = PopulationStat(n, mean, math.sqrt(var), vmin, vmax)
 

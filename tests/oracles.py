@@ -9,9 +9,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from cepsim.latency_model import _pairing
+from cepsim.latency_model import (
+    ModelParams,
+    _lambda_q_init,
+    _mean_latencies,
+    _pairing,
+    _split_gains,
+    biased_iat_bins,
+    biased_latency_bins,
+)
+from cepsim.splitter import StreamStatsSnapshot
 
 
 @dataclass
@@ -69,3 +78,33 @@ def lindley_peak(
         s = max(0.0, s + lam - iat)
         peak = max(peak, s)
     return peak
+
+
+def predict_gains(
+    snapshot: StreamStatsSnapshot,
+    per_type_counts: Mapping[str, float],
+    n: float,
+    theta_bar: float,
+    params: ModelParams,
+) -> tuple[float, float]:
+    """Total negative and positive gains (gamma_minus >= 0 >= gamma_plus):
+    the gains step of :func:`cepsim.latency_model.predict`, uncompiled."""
+    pairing = _pairing(
+        biased_latency_bins(snapshot, per_type_counts, params), biased_iat_bins(snapshot, n, params)
+    )
+    return _split_gains(pairing, theta_bar)
+
+
+def predict_lambda_q_init(
+    queued_counts: Mapping[str, float] | None,
+    theta_bar_rep: float,
+    snapshot: StreamStatsSnapshot,
+    params: ModelParams,
+) -> tuple[float, list[str]]:
+    """Initial queuing latency of an instance from its feedback report: the
+    summed processing latencies of every queued event at its reported average
+    overlap. The queue step of :func:`cepsim.latency_model.predict`,
+    uncompiled."""
+    if not queued_counts:
+        return 0.0, []
+    return _lambda_q_init(queued_counts, theta_bar_rep, *_mean_latencies(snapshot, params))

@@ -16,14 +16,12 @@ from cepsim.latency_model import (
     predict,
     predict_alpha_tcount,
     predict_event_counts,
-    predict_gains,
-    predict_lambda_q_init,
     predict_overlap,
     predict_peak,
 )
 from cepsim.splitter import EMPTY_SNAPSHOT, PopulationStat, StreamStats
 from conftest import feed_window, snapshot_from
-from oracles import lindley_peak, pair_bins
+from oracles import lindley_peak, pair_bins, predict_gains, predict_lambda_q_init
 
 WORKED_MULTISET = [8.0, 8.0, 7.0, 7.0, 4.0, 4.0, 2.0]
 

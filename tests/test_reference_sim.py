@@ -22,6 +22,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cepsim import runtime
 from cepsim.core import Event
 from cepsim.latency_model import ModelParams
 from cepsim.runtime import InstanceState, simulate
@@ -350,6 +351,20 @@ def counting_calls(cls, names):
         yield calls
 
 
+@contextmanager
+def keeping_instances():
+    """Collect every ``InstanceState`` that ``simulate`` builds."""
+    made = []
+
+    class Kept(InstanceState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with mock.patch.object(runtime, "InstanceState", Kept):
+        yield made
+
+
 STREAM_STATS_METHODS = [name for name, v in vars(StreamStats).items() if callable(v)]
 
 
@@ -371,11 +386,16 @@ def test_skipping_unread_inputs_changes_nothing(w):
     cfg = w["config"]
     reading_all = {"round_robin": RoundRobinReadingAll, "reactive": ReactiveReadingAll}[cfg.kind](cfg)
     with counting_calls(StreamStats, STREAM_STATS_METHODS) as monitored, \
-            counting_calls(InstanceState, ["make_feedback"]) as reported:
+            counting_calls(InstanceState, ["make_feedback", "complete"]) as instance_calls, \
+            keeping_instances() as instances:
         plain = run_outputs(run_workload(w))
     assert monitored == []
+    assert len(instances) == cfg.n_instances
     if cfg.kind == "round_robin":
-        assert reported == []
+        # no report, and no work kept to make one from: nothing is retired,
+        # so a record ever kept would still be there
+        assert instance_calls == []
+        assert not any(inst.work for inst in instances)
     with counting_calls(StreamStats, STREAM_STATS_METHODS) as monitored:
         assert run_outputs(run_workload(w, reading_all)) == plain
     assert monitored  # the counting itself works

@@ -1,11 +1,14 @@
+import math
 import random
 from array import array
+from collections import deque
 from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cepsim import runtime
 from cepsim.core import CostModelError, Event
 from cepsim.latency_model import ModelParams
 from cepsim.runtime import FeedbackDelay, InstanceState, run, simulate
@@ -136,6 +139,16 @@ class TestConservationAndIdentities:
             run_sim(mk_events([(0, "open"), (5, "A"), (4, "A")]), policy=TimeWindowPolicy("open", 10.0), cost=cost)
         with pytest.raises(ValueError, match="backwards"):
             run_sim(mk_events([(-1, "open")]), policy=TimeWindowPolicy("open", 10.0), cost=cost)
+
+    @pytest.mark.parametrize("name", ["transfer_delay_ms", "feedback_delivery_delay_ms"])
+    @pytest.mark.parametrize("delay", [-1.0, -1e-300, math.inf, -math.inf, math.nan])
+    def test_bad_delays_rejected(self, name, delay):
+        # an arrival before its event's timestamp would break queue lengths
+        cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0})
+        events = mk_events([(0, "open"), (5, "A")])
+        run_sim(events, policy=TimeWindowPolicy("open", 10.0), cost=cost, **{name: 0.0})
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got {delay}"):
+            run_sim(events, policy=TimeWindowPolicy("open", 10.0), cost=cost, **{name: delay})
 
 
 @pytest.fixture
@@ -406,13 +419,13 @@ class TestColumnStorage:
     """Samples are typed columns, and instances keep only in-flight work."""
 
     @staticmethod
-    def traffic_config():
+    def traffic_config(scheduler=None):
         from pathlib import Path
 
         from cepsim.cli import build_experiment, load_config
 
         raw = load_config(Path(__file__).resolve().parent.parent / "configs" / "traffic_tradeoff.yaml")
-        raw["scheduler"] = {"kind": "round_robin", "n_instances": 8}
+        raw["scheduler"] = scheduler or {"kind": "round_robin", "n_instances": 8}
         del raw["sweep"]
         return build_experiment(raw)
 
@@ -429,6 +442,39 @@ class TestColumnStorage:
         assert sum(c.itemsize * len(c) for c in columns) / n == 48
 
     def test_instance_records_bounded_by_backlog(self, monkeypatch):
+        # Round-Robin keeps no work, only the starts still ahead of each
+        # instance's last arrival: one fewer than each of its pairs' queue
+        # lengths, which are checked against the reference elsewhere
+        class RecordingStarts(deque):
+            def __init__(self):
+                super().__init__()
+                self.lengths = []  # starts held before each append
+
+            def append(self, start):
+                assert all(s <= start for s in self)  # starts never go down
+                self.lengths.append(len(self))
+                super().append(start)
+
+        instances = []
+
+        class RecordingInstance(InstanceState):
+            def __init__(self):
+                super().__init__(pending=RecordingStarts())
+                instances.append(self)
+
+        monkeypatch.setattr(runtime, "InstanceState", RecordingInstance)
+        m = run(self.traffic_config())
+        assert len(instances) == 8
+        assert all(not inst.work for inst in instances)
+        for i, inst in enumerate(instances):
+            assert inst.pending.lengths == [n - 1 for j, n in zip(m.instance, m.queue_len) if j == i]
+            # all but the last pair's own start lie after the last arrival
+            assert all(s > inst.last_arrival for s in list(inst.pending)[:-1])
+        assert max(m.queue_len) * 100 < m.transmissions
+
+    def test_work_records_bounded_by_backlog(self, monkeypatch):
+        # a controller that reads the snapshot keeps in-flight work until it
+        # completes, and no longer
         longest = []
         complete = InstanceState.complete
 
@@ -440,7 +486,8 @@ class TestColumnStorage:
             longest.append(len(self.work))
 
         monkeypatch.setattr(InstanceState, "complete", checking)
-        m = run(self.traffic_config())
+        m = run(self.traffic_config({"kind": "model_based", "n_instances": 8, "lb_ms": 8}))
+        assert m.transmissions > 5_000
         assert longest and max(longest) * 100 < m.transmissions
 
 

@@ -135,8 +135,7 @@ class TestBinRuns:
     @given(binning_inputs(), st.data())
     def test_runs_equal_expanded_values(self, args, data):
         values, n_bins, vrange = args
-        # a dict merges 0.0 and -0.0, but the sign of an all-zero sum is
-        # fsum's over the values: mixes of zeros alone or among the values
+        # a dict merges 0.0 and -0.0: mixes of zeros alone or among the values
         zeros = data.draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=5))
         values = data.draw(st.sampled_from([values + zeros, zeros or values]))
         counts = data.draw(st.lists(st.integers(1, 5), min_size=len(values), max_size=len(values)))
