@@ -12,6 +12,7 @@ from .core import (
 from .latency_model import (
     LatencyPrediction,
     ModelParams,
+    compile_model,
     gains_from_event_values,
     predict,
     predict_alpha_tcount,

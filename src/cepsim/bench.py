@@ -7,10 +7,9 @@ import argparse
 import random
 import statistics
 import time
-from dataclasses import replace
 
 from .core import Event
-from .latency_model import ModelParams, predict
+from .latency_model import ModelParams, compile_model, predict
 from .splitter import StreamStats, StreamStatsSnapshot
 
 
@@ -34,15 +33,15 @@ def _synthetic_snapshot(n_types: int, n_iat_bins: int, n_lat_bins: int) -> Strea
             stats.observe_event(e, prev)
             prev = ts
             stats.observe_latency(e.etype, rng.uniform(1.0, 10.0) * (1 + i % n_types))
-        snapshot = stats.end_monitoring_window(float(ts))
+        snapshot = stats.end_monitoring_window()
     return snapshot
 
 
 def bench_decision_ms(total_bins: int = 32, calls: int = 2001) -> tuple[float, float]:
     """Model-based decision times in ms with ``total_bins`` bins, as the
-    median of the first decision on each fresh snapshot (it compiles the
-    snapshot) and the median of the later ones. A fresh snapshot is a new
-    copy every 20 calls."""
+    median of the first decision after each compile (it includes the
+    compile) and the median of the later ones. The snapshot is compiled
+    afresh every 20 calls."""
     n_types = 3
     n_lat_bins = max(1, (total_bins - 8) // n_types)
     snapshot = _synthetic_snapshot(n_types, 8, n_lat_bins)
@@ -50,10 +49,10 @@ def bench_decision_ms(total_bins: int = 32, calls: int = 2001) -> tuple[float, f
     queued = {"T0": 3, "T1": 2, "T2": 1}
     cold, warm = [], []
     for i in range(calls):
-        if i % 20 == 0:
-            snapshot = replace(snapshot)
         t0 = time.perf_counter()
-        predict(snapshot, theta_hat=4 + i % 4, params=params, queued_counts=queued, theta_bar_rep=1.5)
+        if i % 20 == 0:
+            model = compile_model(snapshot, params)
+        predict(model, 4 + i % 4, queued, 1.5)
         (warm if i % 20 else cold).append(time.perf_counter() - t0)
     return statistics.median(cold) * 1000.0, statistics.median(warm) * 1000.0
 
@@ -72,7 +71,7 @@ def bench_stats_update_s(entries: int) -> float:
         stats.observe_event(Event(i, ts, "T0"), prev)
         prev = ts
         stats.observe_latency("T0", lats[i])
-    stats.end_monitoring_window(float(ts))
+    stats.end_monitoring_window()
     return time.perf_counter() - t0
 
 

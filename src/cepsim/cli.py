@@ -63,7 +63,7 @@ class ExperimentConfig:
     transfer_delay_ms: float = field(default=0.0, metadata=SIM)
     feedback_delivery_delay_ms: float = field(default=0.0, metadata=SIM)
     warmup_ms: float = field(default=0.0, metadata=SIM)
-    # bound used for violation accounting; default scheduler.lb_ms
+    # bound used for violation accounting, > 0; default scheduler.lb_ms
     lb_eval_ms: float | None = field(default=None, metadata={**SIM, "inf": ()})
     run_id: str = "run"
     seed: int = 0
@@ -102,6 +102,8 @@ class ExperimentConfig:
         for name in ("transfer_delay_ms", "feedback_delivery_delay_ms", "warmup_ms"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"sim.{name} must be >= 0, got {getattr(self, name)}")
+        if self.lb_eval_ms is not None and not self.lb_eval_ms > 0:
+            raise ConfigurationError(f"sim.lb_eval_ms must be > 0, got {self.lb_eval_ms}")
         for i, spec in enumerate(self.sweep):
             if not spec.values:
                 raise ConfigurationError(f"sweep[{i}].values must be a non-empty list")
@@ -128,7 +130,10 @@ def _number(v: Any, path: str, meta: Mapping = {}) -> int | float:
         return math.inf
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ConfigurationError(f"{path} must be a number, got {v!r}")
-    if isinstance(v, float) and not math.isfinite(v) and inf_words is None:
+    if isinstance(v, float) and math.isnan(v):
+        raise ConfigurationError(f"{path} must be a number, got nan")
+    # a field with "inf" metadata takes +-inf; its bounds reject -inf
+    if isinstance(v, float) and math.isinf(v) and inf_words is None:
         raise ConfigurationError(f"{path} must be finite, got {v}")
     return v  # ints stay ints: they print differently in the CSVs
 

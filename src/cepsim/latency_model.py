@@ -12,9 +12,10 @@ window onto an instance already holding ``theta_hat - 1`` open windows:
 
 and from those the peak queuing latency and peak operational latency.
 The steps are pure functions over an immutable statistics snapshot.
-:func:`predict` composes them and keeps one mutable module-level slot: what
-it computed of the last (snapshot, params) asked about, with its empty-queue
-predictions by theta_hat, which it hands to every caller asking for them.
+:func:`compile_model` computes once what the steps read of one snapshot and
+params, and :func:`predict` composes the rest from that record. The module
+keeps no state: the caller owns the record, which memoises the empty-queue
+prediction per theta_hat.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ class LatencyPrediction(NamedTuple):
     gamma_plus: float
     alpha: float
     lambda_q_init: float
-    lambda_q_max: float
     lambda_p_max: float
     lambda_o_max: float
     flags: tuple[str, ...] = ()
@@ -283,12 +283,11 @@ def predict_peak(
 
 
 @dataclass(slots=True)
-class _Compiled:
-    """What :func:`predict` reads of one snapshot and params, computed once,
-    and its empty-queue predictions by theta_hat."""
+class CompiledModel:
+    """What :func:`predict` reads of one snapshot and params, computed once
+    by :func:`compile_model`, and its empty-queue predictions by theta_hat."""
 
     snapshot: StreamStatsSnapshot
-    params: ModelParams
     n: float
     flags: tuple[str, ...]
     pairing: list[tuple[float, float, float]]
@@ -300,7 +299,7 @@ class _Compiled:
     memo: dict[int, LatencyPrediction]
 
 
-def _compile(snapshot: StreamStatsSnapshot, params: ModelParams) -> _Compiled:
+def compile_model(snapshot: StreamStatsSnapshot, params: ModelParams) -> CompiledModel:
     n, per_type, flags = predict_event_counts(snapshot, snapshot.ws_est, params)
     pairing = _pairing(biased_latency_bins(snapshot, per_type, params), biased_iat_bins(snapshot, n, params))
     if params.alpha_mode == "fixed":
@@ -311,60 +310,50 @@ def _compile(snapshot: StreamStatsSnapshot, params: ModelParams) -> _Compiled:
     # and theta_bar * 0.0 without latency data is the 0.0 that is returned then
     peak_lat, peak_flags = peak_processing_latency(snapshot, 1.0, params)
     means, global_mean = _mean_latencies(snapshot, params)
-    return _Compiled(snapshot, params, n, tuple(flags), pairing, alpha, means, global_mean,
-                     peak_lat, tuple(peak_flags), {})
-
-
-# One slot, as the controller asks about one snapshot until the next freeze. Keyed by identity: a
-# result never comes from another snapshot (a stale copy included) or params.
-_compiled: _Compiled | None = None
+    return CompiledModel(snapshot, n, tuple(flags), pairing, alpha, means, global_mean,
+                         peak_lat, tuple(peak_flags), {})
 
 
 def predict(
-    snapshot: StreamStatsSnapshot,
+    model: CompiledModel,
     theta_hat: int,
-    params: ModelParams,
     queued_counts: Mapping[str, float] | None = None,
     theta_bar_rep: float = 1.0,
 ) -> LatencyPrediction:
     """Full prediction for batching a new window onto an instance whose open
     batch currently holds ``theta_hat - 1`` windows.
 
-    The composition of the steps above, compiled for the last
-    snapshot and params asked about (by identity: snapshots are immutable).
-    The prediction for an empty queue is memoised per theta_hat; a call with
-    a queue pays for lambda_q_init and the peak."""
-    global _compiled
-    c = _compiled  # read once: another thread may replace it
-    if c is None or c.snapshot is not snapshot or c.params is not params:
-        c = _compiled = _compile(snapshot, params)
-    pred = c.memo.get(theta_hat)  # the prediction for an empty queue
+    The composition of the steps above for the snapshot and params ``model``
+    was compiled from. The prediction for an empty queue is memoised in
+    ``model`` per theta_hat; a call with a queue pays for lambda_q_init and
+    the peak."""
+    pred = model.memo.get(theta_hat)  # the prediction for an empty queue
     if pred is None:
+        snapshot = model.snapshot
         theta_bar, f2 = predict_overlap(theta_hat, snapshot.ws_est, snapshot.delta_est)
-        gamma_minus, gamma_plus = _split_gains(c.pairing, theta_bar)
-        lambda_p_max = theta_bar * c.peak_lat
-        lambda_q_max, lambda_o_max = predict_peak(gamma_minus, gamma_plus, c.alpha, 0.0, lambda_p_max)
-        pred = c.memo[theta_hat] = LatencyPrediction(
-            n=c.n,
+        gamma_minus, gamma_plus = _split_gains(model.pairing, theta_bar)
+        lambda_p_max = theta_bar * model.peak_lat
+        _, lambda_o_max = predict_peak(gamma_minus, gamma_plus, model.alpha, 0.0, lambda_p_max)
+        pred = model.memo[theta_hat] = LatencyPrediction(
+            n=model.n,
             theta_hat=theta_hat,
             theta_bar=theta_bar,
             gamma_minus=gamma_minus,
             gamma_plus=gamma_plus,
-            alpha=c.alpha,
+            alpha=model.alpha,
             lambda_q_init=0.0,
-            lambda_q_max=lambda_q_max,
             lambda_p_max=lambda_p_max,
             lambda_o_max=lambda_o_max,
-            flags=(*c.flags, *f2, *c.peak_flags),
+            flags=(*model.flags, *f2, *model.peak_flags),
         )
     if not queued_counts:
         return pred
-    lambda_q_init, f3 = _lambda_q_init(queued_counts, theta_bar_rep, c.means, c.global_mean)
-    lambda_q_max, lambda_o_max = predict_peak(
-        pred.gamma_minus, pred.gamma_plus, c.alpha, lambda_q_init, pred.lambda_p_max)
-    head = pred.flags[: len(pred.flags) - len(c.peak_flags)]
-    return pred._replace(lambda_q_init=lambda_q_init, lambda_q_max=lambda_q_max, lambda_o_max=lambda_o_max,
-                         flags=(*head, *f3, *c.peak_flags))
+    lambda_q_init, f3 = _lambda_q_init(queued_counts, theta_bar_rep, model.means, model.global_mean)
+    _, lambda_o_max = predict_peak(
+        pred.gamma_minus, pred.gamma_plus, model.alpha, lambda_q_init, pred.lambda_p_max)
+    head = pred.flags[: len(pred.flags) - len(model.peak_flags)]
+    return pred._replace(lambda_q_init=lambda_q_init, lambda_o_max=lambda_o_max,
+                         flags=(*head, *f3, *model.peak_flags))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from operator import attrgetter
 from typing import NamedTuple, Sequence, TYPE_CHECKING
 
 from .core import Event, WindowDescriptor
-from .latency_model import ModelParams
 from .scheduler import Decision, InstanceView, WindowScheduler, make_scheduler
 from .splitter import EMPTY_SNAPSHOT, Splitter, StreamStats, make_policy, route_event
 from .workload import CostModel, counted_etype, generate_stream, uniform_cost, window_cost_terms
@@ -229,7 +228,6 @@ def simulate(
     policy,
     cost_model: CostModel,
     scheduler: WindowScheduler,
-    model_params: ModelParams,
     mtime_ms: float,
     feedback_interval_ms: float | None = None,
     transfer_delay_ms: float = 0.0,
@@ -237,7 +235,8 @@ def simulate(
 ) -> RunMetrics:
     """Run the split--process--merge pipeline over a prepared event stream.
 
-    Deterministic: the same inputs produce identical metrics.
+    Deterministic: the same inputs produce identical metrics. A controller
+    that reads the snapshot sizes the monitor's bins by its ``params``.
     """
     for name, delay in (("transfer_delay_ms", transfer_delay_ms),
                         ("feedback_delivery_delay_ms", feedback_delivery_delay_ms)):
@@ -245,10 +244,18 @@ def simulate(
             raise ValueError(f"{name} must be finite and >= 0, got {delay}")
     if feedback_interval_ms is None:
         feedback_interval_ms = mtime_ms / 10.0
+    # timestamps are integer ms: a shorter interval only multiplies work, and
+    # one that is 0, negative or nan never passes the next event (inf never fires)
+    for name, interval in (("mtime_ms", mtime_ms), ("feedback_interval_ms", feedback_interval_ms)):
+        if not interval >= 1:
+            raise ValueError(f"{name} must be >= 1, got {interval}")
     n_instances = scheduler.n
     # monitoring and reports only for a controller that reads them, and
     # in-flight work only for one of those
-    stats = StreamStats(model_params.n_iat_bins, model_params.n_lat_bins) if scheduler.reads_snapshot else None
+    if scheduler.reads_snapshot:
+        stats = StreamStats(scheduler.params.n_iat_bins, scheduler.params.n_lat_bins)
+    else:
+        stats = None
     keeps_work = scheduler.reads_snapshot or scheduler.reads_reports
     splitter = Splitter(policy, stats)
     instances = [InstanceState() for _ in range(n_instances)]
@@ -285,7 +292,7 @@ def simulate(
                 if inst.work and inst.work[0][1] <= t:
                     inst.complete(t, stats)
             if t == next_freeze:
-                stats.end_monitoring_window(t)
+                stats.end_monitoring_window()
                 next_freeze += mtime_ms
             elif t == next_feedback:
                 reports = [inst.make_feedback(t) for inst in instances]
@@ -439,7 +446,6 @@ def run(cfg: "ExperimentConfig") -> RunMetrics:
         policy,
         cfg.workload.cost,
         scheduler,
-        cfg.model,
         mtime_ms=cfg.mtime_ms,
         feedback_interval_ms=cfg.feedback_interval_ms,
         transfer_delay_ms=cfg.transfer_delay_ms,

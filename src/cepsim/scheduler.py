@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 from .core import INHERITED, ConfigurationError, WindowDescriptor
-from .latency_model import LatencyPrediction, ModelParams, predict
+from .latency_model import CompiledModel, LatencyPrediction, ModelParams, compile_model, predict
 from .splitter import StreamStatsSnapshot
 
 
@@ -26,7 +26,7 @@ class SchedulerConfig:
     kind: str = "round_robin"  # round_robin | reactive | model_based
     n_instances: int = 1
     th_ms: float | None = None  # reactive threshold
-    # model_based latency bound; inf batches everything onto one instance
+    # model_based latency bound, > 0; inf batches everything onto one instance
     lb_ms: float | None = field(default=None, metadata={"inf": ("inf", ".inf", "infinity")})
     model: ModelParams = field(default_factory=ModelParams, metadata=INHERITED)
 
@@ -39,9 +39,12 @@ class SchedulerConfig:
             raise ConfigurationError(f"scheduler.n_instances must be >= 1, got {self.n_instances}")
         if self.kind == "reactive" and (self.th_ms is None or self.th_ms <= 0):
             raise ConfigurationError(f"scheduler.th_ms must be > 0 for reactive, got {self.th_ms}")
+        if self.kind == "model_based" and self.lb_ms is None:
+            raise ConfigurationError("scheduler.lb_ms is required for model_based")
+        # also the violation bound of a run without sim.lb_eval_ms; "not >" rejects nan
+        if self.lb_ms is not None and not self.lb_ms > 0:
+            raise ConfigurationError(f"scheduler.lb_ms must be > 0, got {self.lb_ms}")
         if self.kind == "model_based":
-            if self.lb_ms is None or self.lb_ms <= 0:
-                raise ConfigurationError(f"scheduler.lb_ms must be > 0 for model_based, got {self.lb_ms}")
             self.model.validate()
 
 
@@ -114,7 +117,12 @@ class ReactiveScheduler:
 class ModelBasedScheduler:
     """Batches onto the current instance while the predicted operational
     latency peak stays within the latency bound; otherwise assigns to the
-    next instance without re-checking it."""
+    next instance without re-checking it.
+
+    ``params`` also sizes the monitor's bins. The model is compiled once per
+    snapshot: ``compiled`` holds it for the last snapshot decided on, and is
+    replaced when another snapshot object arrives (snapshots are immutable).
+    """
 
     kind = "model_based"
 
@@ -123,6 +131,7 @@ class ModelBasedScheduler:
         self.lb_ms = cfg.lb_ms
         self.params = cfg.model
         self.cursor = 0
+        self.compiled: CompiledModel | None = None
 
     reads_snapshot = reads_reports = True
 
@@ -132,14 +141,11 @@ class ModelBasedScheduler:
         snapshot: StreamStatsSnapshot,
         view: Callable[[int], InstanceView],
     ) -> Decision:
+        model = self.compiled
+        if model is None or model.snapshot is not snapshot:
+            model = self.compiled = compile_model(snapshot, self.params)
         cand = view(self.cursor)
-        pred = predict(
-            snapshot,
-            theta_hat=cand.open_window_count + 1,
-            params=self.params,
-            queued_counts=cand.queued_counts,
-            theta_bar_rep=cand.theta_bar_rep,
-        )
+        pred = predict(model, cand.open_window_count + 1, cand.queued_counts, cand.theta_bar_rep)
         if pred.lambda_o_max > self.lb_ms:
             self.cursor = (self.cursor + 1) % self.n
         return Decision(window.wid, self.cursor, self.kind, prediction=pred)

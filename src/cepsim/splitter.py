@@ -24,13 +24,10 @@ from .core import Event, WindowDescriptor
 
 @dataclass(frozen=True)
 class BinStat:
-    """Frozen view of one bin inside a snapshot."""
+    """Frozen view of one bin inside a snapshot: what the latency model reads."""
 
-    lo: float
-    hi: float
     count: int
     mean: float
-    sigma: float
     weight: float
 
 
@@ -52,10 +49,7 @@ _EMPTY_POP = PopulationStat(0, 0.0, 0.0, 0.0, 0.0)
 class StreamStatsSnapshot:
     """Immutable statistics frozen at the end of one monitoring window."""
 
-    index: int
-    frozen_at: float
     stale: bool
-    event_count: int
     iat_bins: tuple[BinStat, ...]
     iat_pop: PopulationStat
     lat_bins: Mapping[str, tuple[BinStat, ...]]
@@ -71,10 +65,7 @@ class StreamStatsSnapshot:
 
 
 EMPTY_SNAPSHOT = StreamStatsSnapshot(
-    index=-1,
-    frozen_at=0.0,
     stale=True,
-    event_count=0,
     iat_bins=(),
     iat_pop=_EMPTY_POP,
     lat_bins={},
@@ -110,9 +101,8 @@ def _bin_values(
 
     When ``vrange`` is None (first monitoring window) the values' own range is
     used. Out-of-range values clamp into the edge bins. Also returns the
-    population moments of the values. Each bin's moments are Welford's
-    running count, mean and sum of squared deviations, updated one value at
-    a time in value order.
+    population moments of the values. Each bin's mean is Welford's running
+    mean, updated one value at a time in value order.
 
     ``counts``, when given, holds the length of each value's run: the value
     occurs that many times in a row. The result is that of the expanded
@@ -163,20 +153,16 @@ def _bin_values(
         count = len(in_bin) if counts is None else sum(runs[i])
         if count and min(in_bin) == max(in_bin):
             # after the first step the mean equals every value, so each
-            # further step leaves the mean and m2 as they are
+            # further step leaves it as it is
             in_bin = in_bin[:1]
         elif counts is not None:
             in_bin = chain.from_iterable(map(repeat, in_bin, runs[i]))
         k = 0
         b_mean = 0.0
-        m2 = 0.0
         for x in in_bin:
             k += 1
-            d = x - b_mean
-            b_mean += d / k
-            m2 += d * (x - b_mean)
-        sigma = math.sqrt(m2 / count) if count else 0.0
-        stats.append(BinStat(lo + i * width, lo + (i + 1) * width, count, b_mean, sigma, count / n))
+            b_mean += (x - b_mean) / k
+        stats.append(BinStat(count, b_mean, count / n))
     return tuple(stats), pop
 
 
@@ -279,16 +265,17 @@ class StreamStats:
 
     # -- freezing ----------------------------------------------------------
 
-    def end_monitoring_window(self, now: float) -> StreamStatsSnapshot:
+    def end_monitoring_window(self) -> StreamStatsSnapshot:
         """Freeze the current monitoring window into a snapshot and reset.
 
-        An empty window returns the previous snapshot flagged stale; bin
-        boundaries and estimates are left untouched so scheduling never
-        blocks on statistics.
+        An empty window returns the previous snapshot flagged stale (the same
+        object when it already is); bin boundaries and estimates are left
+        untouched so scheduling never blocks on statistics.
         """
         observed = bool(self._iats) or bool(self._lats) or bool(self._type_counts)
         if not observed:
-            self.snapshot = replace(self.snapshot, stale=True, frozen_at=now)
+            if not self.snapshot.stale:
+                self.snapshot = replace(self.snapshot, stale=True)
             return self.snapshot
 
         prev = self.snapshot
@@ -319,10 +306,7 @@ class StreamStats:
         t_minus, t_plus = _ratio_split({t: p.mean for t, p in lat_pop.items()})
 
         self.snapshot = StreamStatsSnapshot(
-            index=prev.index + 1,
-            frozen_at=now,
             stale=False,
-            event_count=total,
             iat_bins=iat_bins,
             iat_pop=iat_pop,
             lat_bins=lat_bins,

@@ -14,7 +14,6 @@ def feed_window(
     open_gaps=None,
     etypes=None,
     start_ts=0,
-    freeze_at=None,
 ):
     """Push one monitoring window of observations into ``stats`` and freeze.
 
@@ -45,7 +44,7 @@ def feed_window(
         last_open = t
     for ws in ws_samples or []:
         stats.observe_window_closed(ws)
-    return stats.end_monitoring_window(freeze_at if freeze_at is not None else float(ts))
+    return stats.end_monitoring_window()
 
 
 def snapshot_from(

@@ -7,11 +7,11 @@ plainest form.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from cepsim.latency_model import (
+    LatencyPrediction,
     ModelParams,
     _lambda_q_init,
     _mean_latencies,
@@ -19,32 +19,25 @@ from cepsim.latency_model import (
     _split_gains,
     biased_iat_bins,
     biased_latency_bins,
+    peak_processing_latency,
+    predict_alpha_tcount,
+    predict_event_counts,
+    predict_overlap,
+    predict_peak,
 )
 from cepsim.splitter import StreamStatsSnapshot
 
 
 @dataclass
 class Bin:
-    """One equal-width bin with Welford accumulators."""
+    """One bin with Welford's running count and mean."""
 
-    lo: float
-    hi: float
     count: int = 0
     mean: float = 0.0
-    m2: float = 0.0
 
     def add(self, x: float) -> None:
         self.count += 1
-        d = x - self.mean
-        self.mean += d / self.count
-        self.m2 += d * (x - self.mean)
-
-    @property
-    def sigma(self) -> float:
-        # population standard deviation; 0 for empty bins
-        if self.count == 0:
-            return 0.0
-        return math.sqrt(self.m2 / self.count)
+        self.mean += (x - self.mean) / self.count
 
 
 def pair_bins(
@@ -108,3 +101,23 @@ def predict_lambda_q_init(
     if not queued_counts:
         return 0.0, []
     return _lambda_q_init(queued_counts, theta_bar_rep, *_mean_latencies(snapshot, params))
+
+
+def composed_prediction(snapshot, theta_hat, params, queued_counts, theta_bar_rep):
+    """``predict`` composed from its steps, with nothing remembered."""
+    n, per_type, flags = predict_event_counts(snapshot, snapshot.ws_est, params)
+    theta_bar, f2 = predict_overlap(theta_hat, snapshot.ws_est, snapshot.delta_est)
+    gamma_minus, gamma_plus = predict_gains(snapshot, per_type, n, theta_bar, params)
+    if params.alpha_mode == "fixed":
+        alpha = params.alpha_fixed
+    else:
+        alpha = predict_alpha_tcount(snapshot.c_minus, snapshot.c_plus, snapshot.c_trans)
+    lambda_q_init, f3 = predict_lambda_q_init(queued_counts, theta_bar_rep, snapshot, params)
+    lambda_p_max, f4 = peak_processing_latency(snapshot, theta_bar, params)
+    _, lambda_o_max = predict_peak(gamma_minus, gamma_plus, alpha, lambda_q_init, lambda_p_max)
+    return LatencyPrediction(
+        n=n, theta_hat=theta_hat, theta_bar=theta_bar, gamma_minus=gamma_minus,
+        gamma_plus=gamma_plus, alpha=alpha, lambda_q_init=lambda_q_init,
+        lambda_p_max=lambda_p_max, lambda_o_max=lambda_o_max,
+        flags=tuple(flags + f2 + f3 + f4),
+    )

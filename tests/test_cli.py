@@ -231,6 +231,19 @@ class TestConfigErrors:
             ({"out_dir": True}, "out_dir must be a string"),
             ({"workload.cost.build_etype": YAML_NULL}, "workload.cost.build_etype must be a string"),
             ({"workload.opener_etype": {"a": 1}}, "workload.opener_etype must be a string"),
+            # a latency bound is a number > 0 wherever it is given: nan batched
+            # as if unbounded or counted no violation, and a bound <= 0 counted
+            # every sample as one, under every controller
+            ({"scheduler.lb_ms": float("nan")}, "scheduler.lb_ms must be a number, got nan"),
+            ({"scheduler.lb_ms": float("-inf")}, "scheduler.lb_ms must be > 0"),
+            ({"scheduler.lb_ms": 0}, "scheduler.lb_ms must be > 0"),
+            ({"scheduler.kind": "round_robin", "scheduler.lb_ms": -3}, "scheduler.lb_ms must be > 0"),
+            ({"scheduler.kind": "reactive", "scheduler.th_ms": 5, "scheduler.lb_ms": -3},
+             "scheduler.lb_ms must be > 0"),
+            ({"sim.lb_eval_ms": float("nan")}, "sim.lb_eval_ms must be a number, got nan"),
+            ({"sim.lb_eval_ms": -1}, "sim.lb_eval_ms must be > 0"),
+            ({"sim.lb_eval_ms": 0}, "sim.lb_eval_ms must be > 0"),
+            ({"sim.lb_eval_ms": float("-inf")}, "sim.lb_eval_ms must be > 0"),
         ],
     )
     def test_field_level_messages(self, tmp_path, capsys, monkeypatch, overrides, needle):
@@ -383,7 +396,7 @@ OPTIONAL_FLOATS = st.sampled_from([None, 0.0, -0.0]) | CELL_FLOATS
 @st.composite
 def predictions(draw):
     ints = draw(st.lists(CELL_INTS, min_size=1, max_size=1))
-    floats = draw(st.lists(CELL_FLOATS | st.just(-0.0), min_size=9, max_size=9))
+    floats = draw(st.lists(CELL_FLOATS | st.just(-0.0), min_size=8, max_size=8))
     flags = draw(st.lists(CELL_TEXT, max_size=3).map(tuple))
     return LatencyPrediction(floats[0], ints[0], *floats[1:], flags)
 
@@ -409,7 +422,7 @@ def test_row_writers_match_csv_writer(preds, decisions, windows, batches):
     # string per row, each prediction's cells formatted once and each text
     # cell quoted once; the bytes are those of csv.writer over the rows
     # built cell by cell
-    base = LatencyPrediction(1.5, 2, 1.0, 0.0, -0.5, 0.25, 0.0, 0.5, 1.0, 1.5, ("a,b",))
+    base = LatencyPrediction(1.5, 2, 1.0, 0.0, -0.5, 0.25, 0.0, 1.0, 1.5, ("a,b",))
     # equal by value, and so as a dict key, but for the sign of one zero
     negative_zero = base._replace(lambda_q_init=-0.0)
     assert negative_zero == base

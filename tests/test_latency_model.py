@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cepsim.latency_model import (
-    LatencyPrediction,
     ModelParams,
     biased_iat_bins,
     biased_latency_bins,
+    compile_model,
     gains_from_event_values,
-    peak_processing_latency,
     predict,
     predict_alpha_tcount,
     predict_event_counts,
@@ -21,7 +20,7 @@ from cepsim.latency_model import (
 )
 from cepsim.splitter import EMPTY_SNAPSHOT, PopulationStat, StreamStats
 from conftest import feed_window, snapshot_from
-from oracles import lindley_peak, pair_bins, predict_gains, predict_lambda_q_init
+from oracles import composed_prediction, lindley_peak, pair_bins, predict_gains, predict_lambda_q_init
 
 WORKED_MULTISET = [8.0, 8.0, 7.0, 7.0, 4.0, 4.0, 2.0]
 
@@ -64,7 +63,7 @@ class TestPredictEventCounts:
 
     def test_stale_flagged(self):
         stats = StreamStats(1, 1)
-        snap = stats.end_monitoring_window(1000.0)
+        snap = stats.end_monitoring_window()
         n, _, flags = predict_event_counts(snap, 1000.0, ModelParams())
         assert n == 0.0
         assert "stale_snapshot" in flags
@@ -266,13 +265,13 @@ class TestFullPredict:
     def test_prediction_consistency(self):
         snap = self.warmed_stats().snapshot
         params = ModelParams(n_iat_bins=2, n_lat_bins=2)
-        pred = predict(snap, theta_hat=3, params=params)
+        pred = predict(compile_model(snap, params), theta_hat=3)
         assert pred.gamma_minus >= 0.0 >= pred.gamma_plus
-        assert pred.lambda_q_max == max(
+        lambda_q_max = max(
             pred.lambda_q_init,
             pred.lambda_q_init + pred.gamma_minus + pred.alpha * pred.gamma_plus,
         )
-        assert pred.lambda_o_max == pred.lambda_q_max + pred.lambda_p_max
+        assert pred.lambda_o_max == lambda_q_max + pred.lambda_p_max
         assert 1.0 <= pred.theta_bar <= 3.0
         # the per-type split that predict_gains reads adds up to n
         n, per_type, _ = predict_event_counts(snap, snap.ws_est, params)
@@ -280,41 +279,21 @@ class TestFullPredict:
 
     def test_lambda_p_max_uses_most_expensive_bin(self):
         snap = self.warmed_stats().snapshot
-        pred = predict(snap, theta_hat=1, params=ModelParams(n_iat_bins=2, n_lat_bins=2))
+        pred = predict(compile_model(snap, ModelParams(n_iat_bins=2, n_lat_bins=2)), theta_hat=1)
         most_expensive = max(b.mean for bins in snap.lat_bins.values() for b in bins if b.count)
         assert pred.lambda_p_max == pred.theta_bar * most_expensive
 
     def test_fixed_alpha_mode(self):
         snap = self.warmed_stats().snapshot
-        pred = predict(snap, theta_hat=2, params=ModelParams(alpha_mode="fixed", alpha_fixed=0.4))
+        pred = predict(compile_model(snap, ModelParams(alpha_mode="fixed", alpha_fixed=0.4)), theta_hat=2)
         assert pred.alpha == 0.4
 
     def test_empty_snapshot_predicts_zero(self):
         stats = StreamStats(2, 2)
-        snap = stats.end_monitoring_window(10_000.0)
-        pred = predict(snap, theta_hat=1, params=ModelParams())
+        snap = stats.end_monitoring_window()
+        pred = predict(compile_model(snap, ModelParams()), theta_hat=1)
         assert pred.lambda_o_max == 0.0
         assert "stale_snapshot" in pred.flags
-
-
-def composed_prediction(snapshot, theta_hat, params, queued_counts, theta_bar_rep):
-    """``predict`` composed from its steps, with nothing remembered."""
-    n, per_type, flags = predict_event_counts(snapshot, snapshot.ws_est, params)
-    theta_bar, f2 = predict_overlap(theta_hat, snapshot.ws_est, snapshot.delta_est)
-    gamma_minus, gamma_plus = predict_gains(snapshot, per_type, n, theta_bar, params)
-    if params.alpha_mode == "fixed":
-        alpha = params.alpha_fixed
-    else:
-        alpha = predict_alpha_tcount(snapshot.c_minus, snapshot.c_plus, snapshot.c_trans)
-    lambda_q_init, f3 = predict_lambda_q_init(queued_counts, theta_bar_rep, snapshot, params)
-    lambda_p_max, f4 = peak_processing_latency(snapshot, theta_bar, params)
-    lambda_q_max, lambda_o_max = predict_peak(gamma_minus, gamma_plus, alpha, lambda_q_init, lambda_p_max)
-    return LatencyPrediction(
-        n=n, theta_hat=theta_hat, theta_bar=theta_bar, gamma_minus=gamma_minus,
-        gamma_plus=gamma_plus, alpha=alpha, lambda_q_init=lambda_q_init,
-        lambda_q_max=lambda_q_max, lambda_p_max=lambda_p_max, lambda_o_max=lambda_o_max,
-        flags=tuple(flags + f2 + f3 + f4),
-    )
 
 
 ORACLE_TYPES = ["A", "B", "C"]
@@ -327,7 +306,6 @@ def snapshot_pools(draw):
     pool = [EMPTY_SNAPSHOT]
     for _ in range(draw(st.integers(1, 2))):
         stats = StreamStats(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
-        start = 0
         for _ in range(draw(st.integers(1, 3))):
             snap = feed_window(
                 stats,
@@ -340,11 +318,9 @@ def snapshot_pools(draw):
                 ws_samples=draw(st.lists(st.floats(1.0, 600.0), max_size=3)),
                 open_gaps=draw(st.lists(st.floats(0.0, 200.0), max_size=4)),
                 etypes=draw(st.lists(st.sampled_from(ORACLE_TYPES), min_size=1, max_size=4)),
-                start_ts=start,
             )
-            start = int(snap.frozen_at) + draw(st.integers(1, 50))
-            stale = stats.end_monitoring_window(float(start))
-            assert stale.stale and stale == replace(snap, stale=True, frozen_at=float(start))
+            stale = stats.end_monitoring_window()
+            assert stale.stale and stale == replace(snap, stale=True)
             pool += [snap, stale]
     return pool
 
@@ -377,13 +353,18 @@ model_params = st.builds(
     ),
 )
 def test_compiled_predict_equals_composed_steps(pool, params, calls):
-    # interleaved snapshots and params: a result remembered for another
-    # snapshot (a stale copy included) or params would differ from the oracle
+    # interleaved snapshots and params, each pair compiled once and its
+    # record reused: a result remembered for another snapshot (a stale copy
+    # included) or params would differ from the oracle
+    compiled = {}
     for snap_i, params_i, theta_hat, queued, rep, repeat in calls:
-        snap, p = pool[snap_i % len(pool)], params[params_i % len(params)]
+        key = (snap_i % len(pool), params_i % len(params))
+        snap, p = pool[key[0]], params[key[1]]
+        if key not in compiled:
+            compiled[key] = compile_model(snap, p)
         want = composed_prediction(snap, theta_hat, p, queued, rep)
         for _ in range(repeat):
-            got = predict(snap, theta_hat=theta_hat, params=p, queued_counts=queued, theta_bar_rep=rep)
+            got = predict(compiled[key], theta_hat, queued_counts=queued, theta_bar_rep=rep)
             assert got == want and repr(got) == repr(want)
 
 

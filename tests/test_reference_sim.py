@@ -258,7 +258,7 @@ def run_workload(w, scheduler=None):
     scheduler = scheduler or make_scheduler(w["config"])
     # a fresh policy per run: a keyed one holds the keys of the windows it opened
     return simulate(
-        w["events"], copy.deepcopy(w["policy"]), w["cost"], scheduler, ModelParams(),
+        w["events"], copy.deepcopy(w["policy"]), w["cost"], scheduler,
         mtime_ms=20.0, feedback_interval_ms=5.0, transfer_delay_ms=w["transfer_delay_ms"],
         feedback_delivery_delay_ms=w["feedback_delivery_delay_ms"],
     )
@@ -329,12 +329,15 @@ def test_simulate_matches_reference(w):
         assert repr((v.queued_counts, v.theta_bar_rep, v.last_lambda_o)) == repr(due)
 
 
+# a controller that reads the snapshot sizes the monitor by its params
 class RoundRobinReadingAll(RoundRobinScheduler):
     reads_snapshot = reads_reports = True
+    params = ModelParams()
 
 
 class ReactiveReadingAll(ReactiveScheduler):
     reads_snapshot = reads_reports = True
+    params = ModelParams()
 
 
 @contextmanager

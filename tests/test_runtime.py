@@ -1,7 +1,9 @@
 import math
 import random
+import signal
 from array import array
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import fields
 
 import pytest
@@ -13,7 +15,7 @@ from cepsim.core import CostModelError, Event
 from cepsim.latency_model import ModelParams
 from cepsim.runtime import FeedbackDelay, InstanceState, run, simulate
 from cepsim.scheduler import InstanceView, SchedulerConfig, make_scheduler
-from cepsim.splitter import KeyedAperiodicPolicy, TimeWindowPolicy
+from cepsim.splitter import KeyedAperiodicPolicy, StreamStats, TimeWindowPolicy
 from cepsim.workload import CostModel, in_window_cost
 
 
@@ -34,7 +36,7 @@ def run_sim(events, *, policy, cost, kind="round_robin", n=1, mtime=10_000.0, **
     if kind == "model_based":
         sched_kw["lb_ms"] = kw.pop("lb_ms")
     scheduler = make_scheduler(SchedulerConfig(kind, n_instances=n, model=ModelParams(), **sched_kw))
-    return simulate(events, policy, cost, scheduler, ModelParams(), mtime_ms=mtime, **kw)
+    return simulate(events, policy, cost, scheduler, mtime_ms=mtime, **kw)
 
 
 WORKED_COSTS = CostModel("flat_per_type", {"open": 0.0, "A": 8.0, "B": 7.0, "C": 4.0, "D": 2.0})
@@ -149,6 +151,39 @@ class TestConservationAndIdentities:
         run_sim(events, policy=TimeWindowPolicy("open", 10.0), cost=cost, **{name: 0.0})
         with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got {delay}"):
             run_sim(events, policy=TimeWindowPolicy("open", 10.0), cost=cost, **{name: delay})
+
+    @pytest.mark.parametrize("name", ["mtime_ms", "feedback_interval_ms"])
+    @pytest.mark.parametrize("interval", [0.0, -5.0, 0.5, math.nan])
+    def test_bad_intervals_rejected(self, name, interval):
+        # an interval that never passes the next event (0, negative or nan)
+        # would fire forever; the alarm turns such a hang into a failure
+        cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0})
+        events = mk_events([(0, "open"), (5, "A")])
+        key = "mtime" if name == "mtime_ms" else name
+
+        def run_at(value):
+            return run_sim(events, policy=TimeWindowPolicy("open", 10.0), cost=cost,
+                           kind="model_based", lb_ms=5.0, **{key: value})
+
+        with failing_after(5):
+            assert len(run_at(math.inf).decisions) == 1  # accepted: it never fires
+            with pytest.raises(ValueError, match=f"{name} must be >= 1, got {interval}"):
+                run_at(interval)
+
+
+@contextmanager
+def failing_after(seconds):
+    """Fail the block with ``TimeoutError`` once it runs ``seconds`` long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -386,6 +421,27 @@ class TestSchedulingIntegration:
         cost = CostModel("equi_join", {"L1": 1.0, "L2": 1.0})
         m = run_sim(events, policy=KeyedAperiodicPolicy(), cost=cost)
         assert m.dropped_closes == 1
+
+
+def test_monitor_sized_by_the_controllers_params(monkeypatch):
+    # the model-based controller's params size the bins of every snapshot it reads
+    frozen = []
+    freeze = StreamStats.end_monitoring_window
+
+    def recording(self):
+        frozen.append(freeze(self))
+        return frozen[-1]
+
+    monkeypatch.setattr(StreamStats, "end_monitoring_window", recording)
+    params = ModelParams(n_iat_bins=3, n_lat_bins=2)
+    scheduler = make_scheduler(SchedulerConfig("model_based", n_instances=2, lb_ms=5.0, model=params))
+    cost = CostModel("flat_per_type", {"open": 0.1, "A": 0.5})
+    m = simulate(TestSchedulingIntegration().overlap_stream(), TimeWindowPolicy("open", 1000.0), cost,
+                 scheduler, mtime_ms=500.0)
+    fresh = [s for s in frozen if not s.stale]
+    assert len(fresh) == 7 and len(m.decisions) == 40  # a freeze every 500 ms up to 3,950
+    assert {len(s.iat_bins) for s in fresh} == {3}
+    assert {len(bins) for s in fresh for bins in s.lat_bins.values()} == {2}
 
 
 def test_run_with_experiment_config():

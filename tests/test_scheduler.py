@@ -1,9 +1,11 @@
 import pytest
 
+from cepsim import scheduler
 from cepsim.core import ConfigurationError, WindowDescriptor
 from cepsim.latency_model import ModelParams
 from cepsim.scheduler import InstanceView, SchedulerConfig, make_scheduler
 from conftest import snapshot_from
+from oracles import composed_prediction
 
 
 def win(wid):
@@ -104,6 +106,38 @@ class TestModelBased:
         snap = flat_snapshot(lam=4.0)
         d = sched.schedule(win(0), snap, views(8, open_counts=[3] + [0] * 7))
         assert d.prediction.theta_hat == 4
+
+
+def test_interleaved_controllers_compile_once_per_snapshot(monkeypatch):
+    # two model-based controllers in one process decide in turn, each on its
+    # own snapshots and params: each keeps its own compiled model, so
+    # neither evicts the other's, and a new snapshot object is compiled once
+    compiled = []
+    compile_model = scheduler.compile_model
+
+    def counting(snapshot, params):
+        compiled.append((snapshot, params))
+        return compile_model(snapshot, params)
+
+    monkeypatch.setattr(scheduler, "compile_model", counting)
+    params = [ModelParams(), ModelParams(delta_iat=0.5, delta_lp=1.0, alpha_mode="fixed", alpha_fixed=0.3)]
+    scheds = [make_scheduler(SchedulerConfig("model_based", n_instances=4, lb_ms=1e9, model=p)) for p in params]
+    snaps = [
+        [flat_snapshot(lam=4.0), flat_snapshot(lam=6.0, iat=3.0)],
+        [flat_snapshot(lam=2.0, iat=1.0), flat_snapshot(lam=9.0, iat=5.0)],
+    ]
+    for step in range(2):  # each controller is handed its second snapshot once
+        for i in range(3):
+            for k, sched in enumerate(scheds):
+                snap = snaps[k][step]
+                queued = {"A": i + k}
+                view = [InstanceView(i, queued, 1.5)] * 4
+                d = sched.schedule(win(i), snap, view.__getitem__)
+                assert d.instance == 0  # the bound holds: the candidate stays 0
+                want = composed_prediction(snap, i + 1, params[k], queued, 1.5)
+                assert d.prediction == want and repr(d.prediction) == repr(want)
+    order = [(snaps[k][step], params[k]) for step in range(2) for k in range(2)]
+    assert [(id(s), id(p)) for s, p in compiled] == [(id(s), id(p)) for s, p in order]
 
 
 class Unread:
