@@ -5,15 +5,16 @@ CSVs (latency, decisions, predictions, transmissions, windows, batches) land
 in ``<out_dir>/<run_id>/`` and one summary row per completed run is appended
 to ``<out_dir>/summary.csv``. Summary rows are only written after a run
 finished, so an aborted sweep never leaves truncated rows. All six detail
-files share one row writer: the header through ``csv.writer``, then one
-format string per row, byte for byte what ``csv.writer`` writes. Each
-distinct value of a typed column, each prediction and each text cell is
-formatted once; text cells are quoted by ``csv`` itself.
+files share one row writer: the header through ``csv.writer``, then the
+cells in blocks of rows, one ``%`` format per block, byte for byte what
+``csv.writer`` writes. Each distinct value of a typed column, each latency
+row's instance-to-lambda_o cells, each event's seq and ts, each prediction
+and each text cell is formatted once; text cells are quoted by ``csv``
+itself.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import heapq
 import io
@@ -26,11 +27,10 @@ from collections import abc
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
-from typing import Any, Iterable, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .bench import cmd_bench
 from .core import ConfigurationError
 from .latency_model import (
     ModelParams,
@@ -40,6 +40,9 @@ from .latency_model import (
 from .runtime import RunMetrics, run
 from .scheduler import Decision, SchedulerConfig
 from .workload import WorkloadConfig
+
+if TYPE_CHECKING:  # pragma: no cover
+    import argparse
 
 SUMMARY_HEADER = ["run_id", "scheduler", "param", "max_lo", "p99_lo", "transmissions", "violations"]
 
@@ -100,7 +103,7 @@ class ExperimentConfig:
         elif self.feedback_interval_ms < 1:
             raise ConfigurationError(f"sim.feedback_interval_ms must be >= 1, got {self.feedback_interval_ms}")
         for name in ("transfer_delay_ms", "feedback_delivery_delay_ms", "warmup_ms"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # rejects nan too
                 raise ConfigurationError(f"sim.{name} must be >= 0, got {getattr(self, name)}")
         if self.lb_eval_ms is not None and not self.lb_eval_ms > 0:
             raise ConfigurationError(f"sim.lb_eval_ms must be > 0, got {self.lb_eval_ms}")
@@ -213,7 +216,6 @@ def build_experiment(raw: Any) -> ExperimentConfig:
     """Turn a parsed YAML mapping into a validated ExperimentConfig."""
     cfg = _value(ExperimentConfig, raw, "")
     cfg.workload = replace(cfg.workload, seed=cfg.seed)
-    cfg.scheduler = replace(cfg.scheduler, model=cfg.model)
     cfg.validate()
     for spec in cfg.sweep:
         _get_by_path(raw, spec.field)
@@ -256,47 +258,60 @@ def load_config(path: str | Path) -> dict:
 # CSV output
 
 
-def _write_rows(path: Path, header: Sequence[str], rows: Iterable[str]) -> None:
-    """The header through csv.writer, then ``rows`` as they are."""
+_BLOCK_ROWS = 256  # rows per format operation
+
+
+def _write_rows(path: Path, header: Sequence[str], rows: Iterable[tuple], n_cells: int | None = None) -> None:
+    """The header through csv.writer, then ``rows`` of ``n_cells`` cells (by
+    default one per header column; a cell may hold several), one ``%``
+    format per block of ``_BLOCK_ROWS`` rows, cut from the flat stream of
+    cells. A cell that is an int, a float (``%s`` is its repr), a
+    float's repr or a text cell from :func:`_quote` formats as csv.writer
+    writes it, and each row ends in its ``\r\n``; csv.writer writes None as
+    the empty cell, which the caller passes as ""."""
+    n_cells = n_cells or len(header)
+    row = ",".join(["%s"] * n_cells) + "\r\n"
+    block, size = row * _BLOCK_ROWS, n_cells * _BLOCK_ROWS
+    cells = itertools.chain.from_iterable(rows)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(rows)
+        while len(chunk := tuple(itertools.islice(cells, size))) == size:
+            fh.write(block % chunk)
+        fh.write(row * (len(chunk) // n_cells) % chunk)
 
 
-def _row(n_cells: int) -> str:
-    """The ``str.format`` string of a row of ``n_cells`` cells. A cell that
-    is an int, a float (str is repr), a float's repr or a text cell from
-    :class:`_Quoted` formats as csv.writer writes it, and the row ends in
-    its ``\r\n``; csv.writer writes None as the empty cell, "" here."""
-    return ",".join(["{}"] * n_cells) + "\r\n"
+class _Memo(dict):
+    """``fn`` of each key, computed once. A dict cannot tell 1, 1.0 and True
+    apart, nor 0.0 from -0.0, so a memo of a float's text serves only keys
+    holding no -0.0, and keys of one type. Cleared when full, so a stream of
+    mostly distinct keys keeps no string per key."""
 
+    def __init__(self, fn):
+        self.fn = fn
 
-class _Reprs(dict):
-    """``repr`` of each value of one typed column, formatted once. A dict
-    cannot tell 1, 1.0 and True apart, nor 0.0 from -0.0, so one memo serves
-    one typed column holding no -0.0. Cleared when full, so a column of
-    mostly distinct values keeps no string per row."""
-
-    def __missing__(self, v):
+    def __missing__(self, key):
         if len(self) >= 4096:
             self.clear()
-        s = self[v] = repr(v)
+        s = self[key] = self.fn(key)
         return s
 
 
-def _memoised(column):
-    return map(_Reprs().__getitem__, column)
+def _memoised(column, fn=repr):
+    return map(_Memo(fn).__getitem__, column)
 
 
-class _Quoted(dict):
-    """Each text cell as csv.writer writes it, quoted once per distinct value."""
+def _quote(text: str) -> str:
+    """A text cell as csv.writer writes it."""
+    buf = io.StringIO(newline="")
+    # followed by an empty cell, as alone on a row an empty cell is '""'
+    csv.writer(buf).writerow((text, ""))
+    return buf.getvalue()[:-3]  # less ",\r\n"
 
-    def __missing__(self, text: str) -> str:
-        buf = io.StringIO(newline="")
-        # followed by an empty cell, as alone on a row an empty cell is '""'
-        csv.writer(buf).writerow((text, ""))
-        cell = self[text] = buf.getvalue()[:-3]  # less ",\r\n"
-        return cell
+
+def _latency_cells(key: tuple[int, float, float]) -> str:
+    """The instance, lambda_q, lambda_p and lambda_o cells of a latency row."""
+    instance, q, p = key
+    return f"{instance},{q!r},{p!r},{q + p!r}"
 
 
 # a prediction's cells in predictions.csv, from theta_hat to lambda_o_max
@@ -309,27 +324,29 @@ def _write_decisions(run_dir: Path, decisions: Sequence[Decision]) -> None:
     """decisions.csv and predictions.csv. The cells of a prediction shared by
     many decisions are formatted once, in a memo keyed by identity: two
     predictions equal by value may differ in the sign of a zero."""
-    quoted = _Quoted()
+    quoted = _Memo(_quote)
     preds = {id(p): p for _, _, _, p, _ in decisions if p is not None}
     # by id: its decisions.csv cell, its _PREDICTION_CELLS, its flags
     cells = {k: (str(p.lambda_o_max), _PREDICTION_CELLS.format(p), quoted["|".join(p.flags)])
              for k, p in preds.items()}
-    row = _row(4).format
     _write_rows(
         run_dir / "decisions.csv",
         ["wid", "instance", "predicted_lambda_o_max", "kind"],
         (
-            row(wid, instance, cells[id(p)][0] if p is not None else "" if observed is None else observed,
-                quoted[kind])
+            (wid, instance, cells[id(p)][0] if p is not None else "" if observed is None else observed,
+             quoted[kind])
             for wid, instance, kind, p, observed in decisions
         ),
     )
-    row = "{0},{1[1]},{2},{1[2]}\r\n".format  # wid, the prediction's cells, instance, flags
     _write_rows(
         run_dir / "predictions.csv",
         ["wid", "theta_hat", "theta_bar", "n", "gamma_minus", "gamma_plus", "alpha",
          "lambda_q_init", "lambda_o_max", "instance", "flags"],
-        (row(wid, cells[id(p)], instance) for wid, instance, _, p, _ in decisions if p is not None),
+        (
+            (wid, cells[id(p)][1], instance, cells[id(p)][2])
+            for wid, instance, _, p, _ in decisions if p is not None
+        ),
+        4,  # the prediction's cells are one
     )
 
 
@@ -337,30 +354,28 @@ def write_run_outputs(run_dir: Path, metrics: RunMetrics) -> None:
     """Write all per-run detail CSVs into ``run_dir``."""
     run_dir.mkdir(parents=True, exist_ok=True)
     q, p = metrics.lambda_q, metrics.lambda_p
-    floats = (q, p, map(operator.add, q, p))
+    # an event's seq and ts, formatted once for all its pairs
+    seqs, tss = (metrics.per_pair(map(str, c)) for c in (metrics.tx_seq, metrics.tx_ts))
     # memoised only without the bits of -0.0; q + p is -0.0 only when both are
+    n_cells = None
     if not any(1 << 63 in memoryview(c).cast("B").cast("Q") for c in (q, p)):
-        floats = map(_memoised, floats)
-    _write_rows(
-        run_dir / "latency.csv",
-        ["seq", "instance", "lambda_q", "lambda_p", "lambda_o", "ts"],
-        map(_row(6).format, metrics.event_seq, _memoised(metrics.instance), *floats, metrics.ts),
-    )
+        rows, n_cells = zip(seqs, _memoised(zip(metrics.instance, q, p), _latency_cells), tss), 3
+    else:
+        rows = zip(seqs, _memoised(metrics.instance), q, p, map(operator.add, q, p), tss)
+    _write_rows(run_dir / "latency.csv", ["seq", "instance", "lambda_q", "lambda_p", "lambda_o", "ts"], rows, n_cells)
     _write_decisions(run_dir, metrics.decisions)
     _write_rows(
         run_dir / "transmissions.csv",
         ["seq", "ts", "n_member_windows", "n_instances"],
-        map(_row(4).format, metrics.tx_seq, metrics.tx_ts, _memoised(metrics.tx_members),
-            _memoised(metrics.tx_instances)),
+        zip(metrics.tx_seq, metrics.tx_ts, _memoised(metrics.tx_members), _memoised(metrics.tx_instances)),
     )
-    row = _row(8).format
     _write_rows(
         run_dir / "windows.csv",
         ["wid", "open_ts", "close_ts", "instance", "n_member_events",
          "actual_gamma_minus", "actual_gamma_plus", "actual_lambda_q_peak"],
         (
-            row(w.wid, w.open_ts, "" if w.close_ts is None else w.close_ts, w.assigned_instance,
-                w.n_member_events, w.actual_gamma_minus, w.actual_gamma_plus, w.actual_lambda_q_peak)
+            (w.wid, w.open_ts, "" if w.close_ts is None else w.close_ts, w.assigned_instance,
+             w.n_member_events, w.actual_gamma_minus, w.actual_gamma_plus, w.actual_lambda_q_peak)
             for w in metrics.windows
         ),
     )
@@ -368,7 +383,7 @@ def write_run_outputs(run_dir: Path, metrics: RunMetrics) -> None:
         run_dir / "batches.csv",
         ["batch_id", "instance", "first_decision_ts", "n_windows",
          "lat_peak", "lat_peak_delay_ms", "qlen_peak", "qlen_peak_delay_ms"],
-        itertools.starmap(_row(8).format, metrics.feedback_delays()),
+        metrics.feedback_delays(),
     )
 
 
@@ -388,7 +403,8 @@ def p99(values: Sequence[float]) -> float:
 def summary_row(cfg: ExperimentConfig, metrics: RunMetrics, run_id: str | None = None) -> list:
     los = metrics.lambda_o_values(cfg.warmup_ms)
     lb = cfg.effective_lb_eval_ms
-    violations = 0 if lb is None else sum(lo > lb for lo in los)
+    # operator.gt, as an int bound's __lt__ returns NotImplemented for a float
+    violations = 0 if lb is None else sum(map(operator.gt, los, itertools.repeat(lb)))
     sched = cfg.scheduler
     param = ""
     if sched.kind == "model_based":
@@ -517,7 +533,15 @@ def cmd_selftest_fig45(args: argparse.Namespace | None = None) -> int:
     return 0 if ok else 1
 
 
+def cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench  # on use: a run needs neither it nor the modules it imports
+
+    return bench.cmd_bench(args)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    import argparse  # on use, so that a library import of cepsim.cli does not load it
+
     parser = argparse.ArgumentParser(
         prog="cepsim",
         description="Window-based data-parallel CEP simulator with batch-scheduling controllers",

@@ -11,7 +11,7 @@ the busy-server recursion lambda_q(e') = max(0, lambda_q(e) + lambda_p(e) -
 iat) per instance, reproducibly and hardware-independently.
 
 An event's work on one instance runs once per (event, instance): routing,
-queueing, one entry in each of ``RunMetrics``' typed columns and the latency
+queueing, one entry in each of ``RunMetrics``' pair columns and the latency
 observations. A cost that is the same in every window is priced once, its
 sum is a memoised repeated addition and its observations are one run of
 equal values. Only a cost that reads the window's state is priced per
@@ -44,9 +44,9 @@ from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
-from typing import NamedTuple, Sequence, TYPE_CHECKING
+from itertools import chain, compress, groupby, islice, repeat
+from operator import add, attrgetter
+from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
 from .core import Event, WindowDescriptor
 from .scheduler import Decision, InstanceView, WindowScheduler, make_scheduler
@@ -140,20 +140,20 @@ def _column(typecode: str):
 class RunMetrics:
     """Everything one simulation run produced.
 
-    Processed (event, instance) pairs are stored as six typed columns, one
-    entry per pair in event order: ``event_seq``, ``instance``, ``ts``,
-    ``lambda_q``, ``lambda_p`` and ``queue_len``, the fields the outputs
-    read; a pair's operational latency lambda_o is ``lambda_q + lambda_p``.
-    The ``tx_*`` columns hold one transmission row per event: its seq,
-    timestamp, member-window count and the number of instances it was sent
-    to. The columns are the record of the run; nothing re-presents them per
-    sample. ``windows`` holds every scheduled window, indexed by wid: the
-    scheduling order, from which :meth:`feedback_delays` derives the batches.
+    Processed (event, instance) pairs are stored as four typed columns, one
+    entry per pair in event order: ``instance``, ``lambda_q``, ``lambda_p``
+    and ``queue_len``; a pair's operational latency lambda_o is ``lambda_q +
+    lambda_p``. Its seq and timestamp are its event's: the ``tx_*`` columns
+    hold one transmission row per event, its seq, timestamp, member-window
+    count and the number of instances it was sent to, and an event's pairs
+    are the next ``tx_instances`` entries of the pair columns. ``event_seq``
+    and ``ts`` expand the per-event columns to one entry per pair. The
+    columns are the record of the run; nothing re-presents them per sample.
+    ``windows`` holds every scheduled window, indexed by wid: the scheduling
+    order, from which :meth:`feedback_delays` derives the batches.
     """
 
-    event_seq: array = _column("q")
     instance: array = _column("q")
-    ts: array = _column("q")
     lambda_q: array = _column("d")
     lambda_p: array = _column("d")
     queue_len: array = _column("q")
@@ -169,30 +169,48 @@ class RunMetrics:
     @property
     def transmissions(self) -> int:
         """Events sent to instances: one per processed (event, instance) pair."""
-        return len(self.event_seq)
+        return len(self.instance)
+
+    def per_pair(self, column: Iterable):
+        """An iterator over the per-event ``column``, each entry repeated once per pair of its event."""
+        return chain.from_iterable(map(repeat, column, self.tx_instances))
+
+    @property
+    def event_seq(self) -> array:
+        """Each pair's event seq, expanded afresh on every read."""
+        return array("q", self.per_pair(self.tx_seq))
+
+    @property
+    def ts(self) -> array:
+        """Each pair's event timestamp, expanded afresh on every read."""
+        return array("q", self.per_pair(self.tx_ts))
 
     def lambda_o_values(self, warmup_ms: float = 0.0) -> array:
-        return array(
-            "d", (q + p for t, q, p in zip(self.ts, self.lambda_q, self.lambda_p) if t >= warmup_ms)
-        )
+        """lambda_o of each pair whose event's timestamp is at least
+        ``warmup_ms``. Timestamps never go down, so those pairs follow the
+        pairs of the events before the first such event."""
+        first = sum(islice(self.tx_instances, bisect_left(self.tx_ts, warmup_ms)))
+        return array("d", map(add, islice(self.lambda_q, first, None), islice(self.lambda_p, first, None)))
 
     def feedback_delays(self) -> list[FeedbackDelay]:
         """Per-batch feedback delays, attributing to a batch every event
         processed on its instance between the batch's first scheduling
-        decision and the close of its last window (the end of the run if one
-        of its windows never closed). Peaks are the first maximal samples. A
-        batch is a maximal run of consecutive ``windows`` on one instance; its
-        id is the run's index."""
+        decision and the close of its last window (the last processed
+        event's timestamp if one of its windows never closed). Peaks are the
+        first maximal samples. A batch is a maximal run of consecutive
+        ``windows`` on one instance; its id is the run's index."""
         # per instance, in event order: timestamps, lambda_o and queue lengths
         by_instance: dict[int, tuple[array, array, array]] = {}
-        for inst, t, q, p, n in zip(self.instance, self.ts, self.lambda_q, self.lambda_p, self.queue_len):
+        los = map(add, self.lambda_q, self.lambda_p)
+        for inst, t, lo, n in zip(self.instance, self.per_pair(self.tx_ts), los, self.queue_len):
             cols = by_instance.get(inst)
             if cols is None:
                 cols = by_instance[inst] = (array("q"), array("d"), array("q"))
             cols[0].append(t)
-            cols[1].append(q + p)
+            cols[1].append(lo)
             cols[2].append(n)
-        end_of_run = self.ts[-1] if self.ts else 0
+        # the timestamp of the last event that has a pair
+        end_of_run = next(compress(reversed(self.tx_ts), reversed(self.tx_instances)), 0)
         out = []
         for batch_id, (instance, batch) in enumerate(groupby(self.windows, attrgetter("assigned_instance"))):
             batch = list(batch)
@@ -264,9 +282,8 @@ def simulate(
     pending_reports: deque[tuple[float, list]] = deque()  # (due, every instance's report)
     metrics = RunMetrics(n_events=len(events))
     # column appends, bound once: the loop below runs once per pair
-    add_seq, add_instance, add_ts = metrics.event_seq.append, metrics.instance.append, metrics.ts.append
+    add_instance, add_queue_len = metrics.instance.append, metrics.queue_len.append
     add_lambda_q, add_lambda_p = metrics.lambda_q.append, metrics.lambda_p.append
-    add_queue_len = metrics.queue_len.append
     now = 0
     owners: list[int] = []  # instances holding open windows, ascending
     # a window's count of the type a window-reading cost counts (None: every
@@ -345,7 +362,7 @@ def simulate(
             metrics.windows.append(w)
 
         targets = route_event(owners, closing)
-        seq, ts, etype = e.seq, e.ts, e.etype
+        ts, etype = e.ts, e.etype
         arrival = ts + transfer_delay_ms
         # priced once per event when every window charges the same
         cost = uniform_cost(cost_model, e) if targets else None
@@ -407,13 +424,11 @@ def simulate(
 
             if keeps_work:
                 inst.work.append((start, completion, arrival, etype, k, lambda_q + lambda_p, lams, run))
-            add_seq(seq)
             add_instance(idx)
-            add_ts(ts)
             add_lambda_q(lambda_q)
             add_lambda_p(lambda_p)
             add_queue_len(queue_len)
-        metrics.tx_seq.append(seq)
+        metrics.tx_seq.append(e.seq)
         metrics.tx_ts.append(ts)
         metrics.tx_members.append(len(res.memberships))
         metrics.tx_instances.append(len(targets))
@@ -440,7 +455,7 @@ def run(cfg: "ExperimentConfig") -> RunMetrics:
     cfg.validate()
     events = generate_stream(cfg.workload)
     policy = make_policy(cfg.workload)
-    scheduler = make_scheduler(cfg.scheduler)
+    scheduler = make_scheduler(cfg.scheduler, cfg.model)
     return simulate(
         events,
         policy,

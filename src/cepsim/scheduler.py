@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
-from .core import INHERITED, ConfigurationError, WindowDescriptor
+from .core import ConfigurationError, WindowDescriptor
 from .latency_model import CompiledModel, LatencyPrediction, ModelParams, compile_model, predict
 from .splitter import StreamStatsSnapshot
 
@@ -28,7 +28,6 @@ class SchedulerConfig:
     th_ms: float | None = None  # reactive threshold
     # model_based latency bound, > 0; inf batches everything onto one instance
     lb_ms: float | None = field(default=None, metadata={"inf": ("inf", ".inf", "infinity")})
-    model: ModelParams = field(default_factory=ModelParams, metadata=INHERITED)
 
     def validate(self) -> None:
         if self.kind not in ("round_robin", "reactive", "model_based"):
@@ -44,8 +43,6 @@ class SchedulerConfig:
         # also the violation bound of a run without sim.lb_eval_ms; "not >" rejects nan
         if self.lb_ms is not None and not self.lb_ms > 0:
             raise ConfigurationError(f"scheduler.lb_ms must be > 0, got {self.lb_ms}")
-        if self.kind == "model_based":
-            self.model.validate()
 
 
 class InstanceView(NamedTuple):
@@ -126,10 +123,10 @@ class ModelBasedScheduler:
 
     kind = "model_based"
 
-    def __init__(self, cfg: SchedulerConfig):
+    def __init__(self, cfg: SchedulerConfig, params: ModelParams):
         self.n = cfg.n_instances
         self.lb_ms = cfg.lb_ms
-        self.params = cfg.model
+        self.params = params
         self.cursor = 0
         self.compiled: CompiledModel | None = None
 
@@ -154,10 +151,12 @@ class ModelBasedScheduler:
 WindowScheduler = RoundRobinScheduler | ReactiveScheduler | ModelBasedScheduler
 
 
-def make_scheduler(cfg: SchedulerConfig) -> WindowScheduler:
+def make_scheduler(cfg: SchedulerConfig, model: ModelParams = ModelParams()) -> WindowScheduler:
+    """The controller ``cfg`` names; only the model-based one reads ``model``."""
     cfg.validate()
     if cfg.kind == "round_robin":
         return RoundRobinScheduler(cfg)
     if cfg.kind == "reactive":
         return ReactiveScheduler(cfg)
-    return ModelBasedScheduler(cfg)
+    model.validate()
+    return ModelBasedScheduler(cfg, model)

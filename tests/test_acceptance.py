@@ -50,7 +50,7 @@ def traffic_tradeoff_cfg(kind, lb=None, seed=42):
     )
     return ExperimentConfig(
         workload=wl,
-        scheduler=SchedulerConfig(kind, n_instances=8, lb_ms=lb, model=model),
+        scheduler=SchedulerConfig(kind, n_instances=8, lb_ms=lb),
         model=model,
         mtime_ms=5_000.0,
         warmup_ms=10_000.0,
@@ -69,7 +69,7 @@ def reactive_sweep_cfg(kind, ws, seed=42, th=None, lb=None):
     )
     return ExperimentConfig(
         workload=wl,
-        scheduler=SchedulerConfig(kind, n_instances=8, th_ms=th, lb_ms=lb, model=model),
+        scheduler=SchedulerConfig(kind, n_instances=8, th_ms=th, lb_ms=lb),
         model=model,
         mtime_ms=2_000.0,
         feedback_interval_ms=300.0,
@@ -92,7 +92,7 @@ def face_accuracy_cfg(n_iat_bins, seed=42):
     )
     return ExperimentConfig(
         workload=wl,
-        scheduler=SchedulerConfig("model_based", n_instances=1, lb_ms=float("inf"), model=model),
+        scheduler=SchedulerConfig("model_based", n_instances=1, lb_ms=float("inf")),
         model=model,
         mtime_ms=10_000.0,
     )

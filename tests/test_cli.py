@@ -3,8 +3,12 @@ import csv
 import filecmp
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from array import array
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +16,7 @@ import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cepsim.cli import build_experiment, main, p99, write_run_outputs
+from cepsim.cli import _BLOCK_ROWS, build_experiment, main, p99, summary_row, write_run_outputs
 from cepsim.core import ConfigurationError, WindowDescriptor
 from cepsim.latency_model import LatencyPrediction
 from cepsim.runtime import FeedbackDelay, RunMetrics
@@ -352,39 +356,110 @@ CELL_FLOATS = st.sampled_from(
 ) | st.floats()
 
 
-@settings(max_examples=60, deadline=None)
+# a pair's instance, lambda_q, lambda_p and queue length
+PAIRS = st.lists(st.tuples(CELL_INTS, CELL_FLOATS, CELL_FLOATS, CELL_INTS), max_size=4)
+# an event's seq, ts and member count, and its 0-4 pairs
+EVENTS = st.lists(st.tuples(CELL_INTS, CELL_INTS, CELL_INTS, PAIRS), max_size=12)
+WINDOW_CELLS = st.tuples(CELL_INTS, CELL_INTS, st.none() | CELL_INTS, CELL_INTS, CELL_INTS,
+                         CELL_FLOATS, CELL_FLOATS | st.just(-0.0), CELL_FLOATS)
+# no row, one, and a block's rows less one, exactly, plus one and twice plus one
+ROW_COUNTS = (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1)
+
+
+def exactly(events, n):
+    """``events`` cut or filled up to ``n`` events and ``n`` pairs in all."""
+    out, pairs = [], 0
+    for seq, ts, members, ps in events[:n]:
+        out.append((seq, ts, members, ps[: n - pairs]))
+        pairs += len(out[-1][3])
+    fill = [(k % 3, k / 4, 0.5, k) for k in range(n - pairs)]
+    if fill and len(out) < n:
+        out.append((n, n, 0, fill))
+    elif fill:
+        out[-1] = (*out[-1][:3], out[-1][3] + fill)
+    return out + [(k, k, k, []) for k in range(n - len(out))]
+
+
+def check_written_like_csv_writer(events, windows):
+    # latency.csv, transmissions.csv and windows.csv, each distinct value
+    # formatted once and written in blocks of rows; the bytes are csv.writer's
+    pairs = [(seq, ts, *pair) for seq, ts, _, ps in events for pair in ps]
+    tx = [(seq, ts, members, len(ps)) for seq, ts, members, ps in events]
+    _, _, inst, q, p, qlen = zip(*pairs) if pairs else [()] * 6
+    tx_seq, tx_ts, tx_members, tx_instances = zip(*tx) if tx else [()] * 4
+    m = RunMetrics(
+        instance=array("q", inst), lambda_q=array("d", q), lambda_p=array("d", p), queue_len=array("q", qlen),
+        tx_seq=array("q", tx_seq), tx_ts=array("q", tx_ts),
+        tx_members=array("q", tx_members), tx_instances=array("q", tx_instances),
+        windows=[WindowDescriptor(wid, 0, *rest) for wid, *rest in windows],
+    )
+    m.feedback_delays = lambda: []
+    with tempfile.TemporaryDirectory() as d:
+        write_run_outputs(Path(d), m)
+        written = {name: (Path(d) / f"{name}.csv").read_bytes() for name in ("latency", "transmissions", "windows")}
+    assert written["latency"] == csv_writer_bytes(
+        ["seq", "instance", "lambda_q", "lambda_p", "lambda_o", "ts"],
+        [(seq, i, a, b, a + b, ts) for seq, ts, i, a, b, _ in pairs],
+    )
+    assert written["transmissions"] == csv_writer_bytes(["seq", "ts", "n_member_windows", "n_instances"], tx)
+    assert written["windows"] == csv_writer_bytes(
+        ["wid", "open_ts", "close_ts", "instance", "n_member_events",
+         "actual_gamma_minus", "actual_gamma_plus", "actual_lambda_q_peak"],
+        windows,
+    )
+
+
+@settings(max_examples=40, deadline=None)
 @given(
-    rows=st.lists(st.tuples(CELL_INTS, CELL_INTS, CELL_INTS, CELL_FLOATS, CELL_FLOATS), max_size=40),
-    tx=st.lists(st.tuples(CELL_INTS, CELL_INTS, CELL_INTS, CELL_INTS), max_size=20),
+    events=EVENTS,
+    windows=st.lists(WINDOW_CELLS, min_size=1, max_size=10),
     negative_zero_in=st.sampled_from(["", "q", "p", "qp"]),
     many_distinct=st.booleans(),
 )
-def test_column_writer_matches_csv_writer(rows, tx, negative_zero_in, many_distinct):
-    # latency.csv and transmissions.csv are written from the typed columns,
-    # each distinct value formatted once; the bytes are csv.writer's
+def test_column_writer_matches_csv_writer(events, windows, negative_zero_in, many_distinct):
     nz_q, nz_p = "q" in negative_zero_in, "p" in negative_zero_in
     # a column holding -0.0 also holds 0.0; one without it has only 0.0
-    rows = [(s, i, t, a if nz_q or a != 0.0 else 0.0, b if nz_p or b != 0.0 else 0.0) for s, i, t, a, b in rows]
-    rows += [(7, 0, 1, 0.0, 0.0), (7, 1, 1, -0.0 if nz_q else 0.0, -0.0 if nz_p else 0.0), (7, 2, 1, 0.0, 0.0)]
+    events = [
+        (seq, ts, members, [(i, a if nz_q or a != 0.0 else 0.0, b if nz_p or b != 0.0 else 0.0, n)
+                            for i, a, b, n in ps])
+        for seq, ts, members, ps in events
+    ]
+    # on one instance, so that a memo keyed by value would take -0.0 for 0.0
+    zeros = [(0, 0.0, 0.0, 1), (0, -0.0 if nz_q else 0.0, -0.0 if nz_p else 0.0, 2), (0, 0.0, 0.0, 3)]
+    specials = [(3, math.nan, math.inf, 1), (4, -math.inf, math.nan, 2), (5, math.inf, -math.inf, 3)]
+    events = [(7, 1, 3, zeros), (8, 2, 0, []), (9, 3, 3, specials), *events]
+    for n in ROW_COUNTS:
+        check_written_like_csv_writer(exactly(events, n), [windows[k % len(windows)] for k in range(n)])
     if many_distinct:  # more distinct values than a memo keeps, then some again
         extra = [v % 4500 for v in range(5000)]
-        rows += [(v, v, v, v / 4, -v / 8) for v in extra]
-        tx = tx + [(v, v, v, -v) for v in extra]
-    seq, inst, ts, q, p = zip(*rows)
-    m = RunMetrics(
-        event_seq=array("q", seq), instance=array("q", inst), ts=array("q", ts),
-        lambda_q=array("d", q), lambda_p=array("d", p), queue_len=array("q", [0] * len(rows)),
-        **{f"tx_{c}": array("q", col) for c, col in zip(("seq", "ts", "members", "instances"), zip(*tx))},
+        events += [(v, v, v, [(v, v / 4, -v / 8, v)] * (v % 3)) for v in extra]
+        check_written_like_csv_writer(events, windows)
+
+
+class TestSummaryViolations:
+    # lambda_o per pair: 5.0, 5.0, 5.0 at ts 0, then 4.0, 5.5, inf, 5.0 at ts 10
+    METRICS = RunMetrics(
+        instance=array("q", [0, 1, 2, 0, 1, 2, 3]),
+        lambda_q=array("d", [0.0, 2.0, 2.5, 0.0, 1.0, math.inf, 4.0]),
+        lambda_p=array("d", [5.0, 3.0, 2.5, 4.0, 4.5, 1.0, 1.0]),
+        queue_len=array("q", [1] * 7),
+        tx_seq=array("q", [0, 1]), tx_ts=array("q", [0, 10]),
+        tx_members=array("q", [3, 4]), tx_instances=array("q", [3, 4]),
     )
-    with tempfile.TemporaryDirectory() as d:
-        write_run_outputs(Path(d), m)
-        latency = (Path(d) / "latency.csv").read_bytes()
-        transmissions = (Path(d) / "transmissions.csv").read_bytes()
-    assert latency == csv_writer_bytes(
-        ["seq", "instance", "lambda_q", "lambda_p", "lambda_o", "ts"],
-        zip(seq, inst, q, p, [a + b for a, b in zip(q, p)], ts),
+
+    @pytest.mark.parametrize(
+        "lb, warmup_ms, violations",
+        [(5, 0, 2), (5.0, 0, 2), (4, 0, 6), (4, 10, 3), (5, 10, 2), (5, 11, 0), (math.inf, 0, 0)],
     )
-    assert transmissions == csv_writer_bytes(["seq", "ts", "n_member_windows", "n_instances"], tx)
+    def test_violations_are_lambda_o_strictly_above_the_bound(self, lb, warmup_ms, violations):
+        # an int bound (YAML ints stay ints), an infinite one, and lambda_o
+        # equal to the bound, which is no violation
+        raw = copy.deepcopy(BASE_CONFIG)
+        raw["sim"].update(lb_eval_ms=lb, warmup_ms=warmup_ms)
+        cfg = build_experiment(raw)
+        assert type(cfg.lb_eval_ms) is type(lb)
+        los = self.METRICS.lambda_o_values(warmup_ms)
+        assert summary_row(cfg, self.METRICS)[6] == violations == sum(lo > lb for lo in los)
 
 
 # text that csv.writer must quote: a delimiter, a quote, either line-end character
@@ -492,7 +567,13 @@ class TestConfigBuilder:
         assert type(exp.mtime_ms) is int and type(exp.scheduler.lb_ms) is int
         assert [type(v) for v in exp.workload.cost.base_ms.values()] == [float] * 3
         assert exp.workload.seed == exp.seed == 11
-        assert exp.scheduler.model is exp.model
+
+    @pytest.mark.parametrize("name", ["transfer_delay_ms", "feedback_delivery_delay_ms", "warmup_ms"])
+    def test_nan_delay_or_warmup_rejected_by_validate(self, name):
+        # YAML cannot give nan, a library caller can
+        cfg = build_experiment(yaml.safe_load(yaml.safe_dump(BASE_CONFIG)))
+        with pytest.raises(ConfigurationError, match=f"sim.{name} must be >= 0, got nan"):
+            replace(cfg, **{name: math.nan}).validate()
 
     def test_null_optional_field_equals_omitted(self):
         raw = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
@@ -539,6 +620,17 @@ class TestBench:
         assert main(["bench-scheduling-latency", "--bins", "32", "--entries", "20000"]) == 0
         out = capsys.readouterr().out
         assert "median" in out and "ratio" in out
+
+    def test_importing_the_driver_loads_no_benchmark_and_no_argument_parser(self):
+        # `cepsim run` and a library caller import cepsim.cli; the benchmark
+        # and what it imports (statistics, then fractions and decimal), and
+        # argparse, load only when a command needs them
+        src = Path(__file__).resolve().parent.parent / "src"
+        lazy = ("cepsim.bench", "statistics", "fractions", "decimal", "argparse")
+        code = f"import sys, cepsim.cli; print([m for m in {lazy!r} if m in sys.modules])"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestShippedConfigs:

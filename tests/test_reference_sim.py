@@ -240,7 +240,7 @@ def workloads(draw):
     kw = {"th_ms": draw(st.sampled_from([0.5, 2.0, 10.0]))} if sched == "reactive" else {}
     if sched == "model_based":
         kw["lb_ms"] = draw(st.sampled_from([1.0, 5.0, 40.0]))
-    config = SchedulerConfig(sched, n_instances=draw(st.integers(1, 4)), model=ModelParams(), **kw)
+    config = SchedulerConfig(sched, n_instances=draw(st.integers(1, 4)), **kw)
     return dict(
         events=events,
         policy=policy,
@@ -267,8 +267,8 @@ def run_workload(w, scheduler=None):
 class RecordingViews:
     """Records ``(wid, i, view(i))`` of each view ``schedule`` reads."""
 
-    def __init__(self, cfg):
-        super().__init__(cfg)
+    def __init__(self, cfg, *params):
+        super().__init__(cfg, *params)
         self.seen = []
 
     def schedule(self, window, snapshot, view):
@@ -288,7 +288,10 @@ class ModelBasedRecordingViews(RecordingViews, ModelBasedScheduler):
     pass
 
 
-RECORDING_VIEWS = {"reactive": ReactiveRecordingViews, "model_based": ModelBasedRecordingViews}
+RECORDING_VIEWS = {
+    "reactive": ReactiveRecordingViews,
+    "model_based": lambda cfg: ModelBasedRecordingViews(cfg, ModelParams()),
+}
 
 
 @settings(max_examples=450, deadline=None)
@@ -423,7 +426,7 @@ def test_reports_match_reference_under_a_transfer_delay():
         policy=TimeWindowPolicy("open", 100),
         cost=CostModel("flat_per_type", {"open": 0.0, "A": 4.0, "X": 1.0, "Y": 1.0}),
         # reactive on one instance: windows placed as Round-Robin places them
-        config=SchedulerConfig("reactive", n_instances=1, th_ms=1.0, model=ModelParams()),
+        config=SchedulerConfig("reactive", n_instances=1, th_ms=1.0),
         transfer_delay_ms=7.5,
         feedback_delivery_delay_ms=0.0,
     )

@@ -4,17 +4,17 @@ import signal
 from array import array
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cepsim import runtime
-from cepsim.core import CostModelError, Event
+from cepsim.core import CostModelError, Event, WindowDescriptor
 from cepsim.latency_model import ModelParams
-from cepsim.runtime import FeedbackDelay, InstanceState, run, simulate
-from cepsim.scheduler import InstanceView, SchedulerConfig, make_scheduler
+from cepsim.runtime import FeedbackDelay, InstanceState, RunMetrics, run, simulate
+from cepsim.scheduler import Decision, InstanceView, SchedulerConfig, make_scheduler
 from cepsim.splitter import KeyedAperiodicPolicy, StreamStats, TimeWindowPolicy
 from cepsim.workload import CostModel, in_window_cost
 
@@ -35,7 +35,7 @@ def run_sim(events, *, policy, cost, kind="round_robin", n=1, mtime=10_000.0, **
         sched_kw["th_ms"] = kw.pop("th_ms")
     if kind == "model_based":
         sched_kw["lb_ms"] = kw.pop("lb_ms")
-    scheduler = make_scheduler(SchedulerConfig(kind, n_instances=n, model=ModelParams(), **sched_kw))
+    scheduler = make_scheduler(SchedulerConfig(kind, n_instances=n, **sched_kw))
     return simulate(events, policy, cost, scheduler, mtime_ms=mtime, **kw)
 
 
@@ -328,7 +328,8 @@ def reference_feedback_delays(m) -> list[FeedbackDelay]:
     by_instance: dict[int, list[int]] = {}
     for i, inst in enumerate(m.instance):
         by_instance.setdefault(inst, []).append(i)
-    end_of_run = m.ts[-1] if m.ts else 0
+    pair_ts = m.ts
+    end_of_run = pair_ts[-1] if pair_ts else 0
     out = []
     for batch_id, (instance, wids) in enumerate(batches):
         first_decision_ts = window_by_wid[wids[0]].open_ts
@@ -341,7 +342,7 @@ def reference_feedback_delays(m) -> list[FeedbackDelay]:
         qlen_peak = -1
         qlen_ts = first_decision_ts
         for i in by_instance.get(instance, ()):
-            ts = m.ts[i]
+            ts = pair_ts[i]
             if ts < first_decision_ts or ts > span_end:
                 continue
             lambda_o = m.lambda_q[i] + m.lambda_p[i]
@@ -396,6 +397,67 @@ def test_feedback_delays_match_full_scan(run_kwargs):
     assert m.feedback_delays() == reference_feedback_delays(m)
 
 
+def filtered_lambda_o_values(m, warmup_ms) -> array:
+    """lambda_o of the pairs at or after ``warmup_ms``, by a filter over every pair."""
+    return array("d", (q + p for t, q, p in zip(m.ts, m.lambda_q, m.lambda_p) if t >= warmup_ms))
+
+
+class TestDerivedPasses:
+    """The passes over the pairs after ``simulate`` equal a filter or a scan
+    over every pair, whose seq and ts are its event's."""
+
+    @staticmethod
+    def gapped_run():
+        # windows of 5 ms: the events at 0, 20, 21 and 50 fall in none, the
+        # ones at 10 and 15 in the first, 31 and 36 in the second
+        rows = [(0, "A"), (10, "open"), (12, "A"), (15, "B"), (20, "A"), (21, "B"), (31, "open"),
+                (36, "A"), (50, "B"), (50, "A")]
+        cost = CostModel("flat_per_type", {"open": 0.5, "A": 3.0, "B": 1.0})
+        return run_sim(mk_events(rows), policy=TimeWindowPolicy("open", 5), cost=cost, n=2)
+
+    @pytest.mark.parametrize(
+        "warmup_ms", [0, 0.0, -1.0, 10, 10.5, 12, 15, 20, 20.5, 21, 31, 36, 50, 50.0, 51, math.inf]
+    )
+    def test_lambda_o_values_cut_the_warmup_like_a_filter(self, warmup_ms):
+        m = self.gapped_run()
+        unrouted = [t for t, k in zip(m.tx_ts, m.tx_instances) if k == 0]
+        assert unrouted == [0, 20, 21, 50, 50]  # before, at and after the warm-ups above
+        assert m.lambda_o_values(warmup_ms).tobytes() == filtered_lambda_o_values(m, warmup_ms).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_runs(), st.data())
+    def test_lambda_o_values_match_the_filter(self, run_kwargs, data):
+        m = run_sim(**run_kwargs)
+        ts = sorted(set(m.tx_ts))
+        warmup_ms = data.draw(st.sampled_from(ts) | st.sampled_from(ts).map(lambda t: t + 0.5)
+                              | st.floats(-1.0, ts[-1] + 1.0))
+        assert m.lambda_o_values(warmup_ms).tobytes() == filtered_lambda_o_values(m, warmup_ms).tobytes()
+
+    def test_event_seq_and_ts_are_the_events(self):
+        m = self.gapped_run()
+        assert list(m.event_seq) == [1, 2, 3, 6, 7]
+        assert list(m.ts) == [10, 12, 15, 31, 36]
+        assert len(m.event_seq) == len(m.ts) == m.transmissions == sum(m.tx_instances)
+
+    def test_feedback_delays_when_the_last_events_have_no_pair(self):
+        m = self.gapped_run()
+        assert list(m.tx_instances)[-2:] == [0, 0]
+        assert m.feedback_delays() == reference_feedback_delays(m)
+        # a window open at the end, and more events without a pair after the
+        # last pair: the span ends at the last event that has a pair
+        lone = RunMetrics(
+            instance=array("q", [0, 0, 1]), lambda_q=array("d", [0.0, 2.0, 0.0]),
+            lambda_p=array("d", [1.0, 4.0, 7.0]), queue_len=array("q", [1, 2, 1]),
+            tx_seq=array("q", [0, 1, 2, 3, 4]), tx_ts=array("q", [3, 5, 5, 8, 9]),
+            tx_members=array("q", [1, 1, 1, 0, 0]), tx_instances=array("q", [1, 1, 1, 0, 0]),
+            windows=[WindowDescriptor(0, 0, 3, None, 0), WindowDescriptor(1, 2, 5, None, 1)],
+            decisions=[Decision(0, 0, "round_robin"), Decision(1, 1, "round_robin")],
+        )
+        assert lone.feedback_delays() == reference_feedback_delays(lone) == [
+            FeedbackDelay(0, 0, 3, 1, 6.0, 2.0, 2, 2.0), FeedbackDelay(1, 1, 5, 1, 7.0, 0.0, 1, 0.0),
+        ]
+
+
 class TestSchedulingIntegration:
     def overlap_stream(self):
         # opener every 100 ms, scope 1000 ms -> ~10 overlapping windows
@@ -434,7 +496,7 @@ def test_monitor_sized_by_the_controllers_params(monkeypatch):
 
     monkeypatch.setattr(StreamStats, "end_monitoring_window", recording)
     params = ModelParams(n_iat_bins=3, n_lat_bins=2)
-    scheduler = make_scheduler(SchedulerConfig("model_based", n_instances=2, lb_ms=5.0, model=params))
+    scheduler = make_scheduler(SchedulerConfig("model_based", n_instances=2, lb_ms=5.0), params)
     cost = CostModel("flat_per_type", {"open": 0.1, "A": 0.5})
     m = simulate(TestSchedulingIntegration().overlap_stream(), TimeWindowPolicy("open", 1000.0), cost,
                  scheduler, mtime_ms=500.0)
@@ -471,6 +533,29 @@ def test_run_with_experiment_config():
     assert m1.transmissions
 
 
+def test_the_experiment_model_is_the_one_run(tmp_path):
+    # the controller reads the experiment's model, whether it came from YAML
+    # or was replaced afterwards
+    from pathlib import Path
+
+    from cepsim.cli import build_experiment, load_config, write_run_outputs
+
+    raw = load_config(Path(__file__).resolve().parent.parent / "configs" / "traffic_tradeoff.yaml")
+    raw["workload"]["duration_ms"] = 60_000
+    del raw["sweep"]
+    cfg = build_experiment(raw)
+    from_yaml = run(cfg)
+    coarse = run(replace(cfg, model=ModelParams(n_iat_bins=1, n_lat_bins=1, delta_iat=3.0, delta_lp=3.0)))
+    assert len(from_yaml.decisions) == len(coarse.decisions) > 100
+    assert coarse.decisions != from_yaml.decisions
+    # the YAML model section, given directly, writes the same bytes
+    given = run(replace(cfg, model=ModelParams(**raw["model"])))
+    write_run_outputs(tmp_path / "yaml", from_yaml)
+    write_run_outputs(tmp_path / "given", given)
+    for f in sorted((tmp_path / "yaml").iterdir()):
+        assert f.read_bytes() == (tmp_path / "given" / f.name).read_bytes(), f.name
+
+
 class TestColumnStorage:
     """Samples are typed columns, and instances keep only in-flight work."""
 
@@ -485,17 +570,18 @@ class TestColumnStorage:
         del raw["sweep"]
         return build_experiment(raw)
 
-    def test_sample_columns_take_48_bytes_per_sample(self):
+    def test_sample_columns_take_32_bytes_per_sample(self):
         m = run(self.traffic_config())
-        # one column per field the outputs read, and no other per-pair column
-        per_pair = ["event_seq", "instance", "ts", "lambda_q", "lambda_p", "queue_len"]
+        # one column per field that differs between an event's pairs, and no
+        # other per-pair column: a pair's seq and ts are its event's
+        per_pair = ["instance", "lambda_q", "lambda_p", "queue_len"]
         arrays = [f.name for f in fields(m) if isinstance(getattr(m, f.name), array)]
         assert [a for a in arrays if not a.startswith("tx_")] == per_pair
         columns = [getattr(m, name) for name in per_pair]
         n = m.transmissions
         assert n > 10_000
         assert all(len(c) == n for c in columns)
-        assert sum(c.itemsize * len(c) for c in columns) / n == 48
+        assert sum(c.itemsize * len(c) for c in columns) / n == 32
 
     def test_instance_records_bounded_by_backlog(self, monkeypatch):
         # Round-Robin keeps no work, only the starts still ahead of each

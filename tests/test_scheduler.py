@@ -58,7 +58,7 @@ class TestReactive:
 
 class TestModelBased:
     def cfg(self, lb, n=8):
-        return SchedulerConfig("model_based", n_instances=n, lb_ms=lb, model=ModelParams())
+        return SchedulerConfig("model_based", n_instances=n, lb_ms=lb)
 
     def test_keeps_instance_when_bound_holds(self):
         sched = make_scheduler(self.cfg(lb=5.0))
@@ -121,7 +121,7 @@ def test_interleaved_controllers_compile_once_per_snapshot(monkeypatch):
 
     monkeypatch.setattr(scheduler, "compile_model", counting)
     params = [ModelParams(), ModelParams(delta_iat=0.5, delta_lp=1.0, alpha_mode="fixed", alpha_fixed=0.3)]
-    scheds = [make_scheduler(SchedulerConfig("model_based", n_instances=4, lb_ms=1e9, model=p)) for p in params]
+    scheds = [make_scheduler(SchedulerConfig("model_based", n_instances=4, lb_ms=1e9), p) for p in params]
     snaps = [
         [flat_snapshot(lam=4.0), flat_snapshot(lam=6.0, iat=3.0)],
         [flat_snapshot(lam=2.0, iat=1.0), flat_snapshot(lam=9.0, iat=5.0)],
@@ -158,7 +158,7 @@ def unread_view(i):
         pytest.param(SchedulerConfig("round_robin", n_instances=4), False, False, False, id="round_robin"),
         pytest.param(SchedulerConfig("reactive", n_instances=4, th_ms=100.0), False, True, True, id="reactive"),
         pytest.param(
-            SchedulerConfig("model_based", n_instances=4, lb_ms=5.0, model=ModelParams()), True, True, True,
+            SchedulerConfig("model_based", n_instances=4, lb_ms=5.0), True, True, True,
             id="model_based",
         ),
     ],
