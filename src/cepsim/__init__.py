@@ -23,6 +23,7 @@ from .latency_model import (
 from .runtime import (
     InstanceState,
     RunMetrics,
+    Streams,
     run,
     simulate,
 )

@@ -24,7 +24,7 @@ import operator
 import os
 import sys
 from collections import abc
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
@@ -37,7 +37,7 @@ from .latency_model import (
     gains_from_event_values,
     predict_peak,
 )
-from .runtime import RunMetrics, run
+from .runtime import RunMetrics, Streams, run
 from .scheduler import Decision, SchedulerConfig
 from .workload import WorkloadConfig
 
@@ -47,7 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover
 SUMMARY_HEADER = ["run_id", "scheduler", "param", "max_lo", "p99_lo", "transmissions", "violations"]
 
 
-SIM = {"section": "sim"}  # ExperimentConfig fields read from the YAML ``sim`` mapping
+# ExperimentConfig fields read from the YAML ``sim`` mapping. Numbers must be finite, except
+# in a field whose metadata has an "inf" entry; it also reads the strings listed there as +inf
+SIM = {"section": "sim"}
 
 
 @dataclass
@@ -145,12 +147,12 @@ def _kwargs(cls: type, d: Any, path: str, section: str | None = None) -> dict[st
     """Constructor arguments for ``cls`` read from the YAML mapping ``d``.
 
     Fields whose metadata names a section are read from that sub-mapping of
-    ``d``; inherited fields are left to the caller.
+    ``d``.
     """
     if not isinstance(d, Mapping):
         raise ConfigurationError(f"{path or 'config'} must be a mapping")
     hints = get_type_hints(cls)
-    own = [f for f in fields(cls) if f.metadata.get("section") == section and "inherited" not in f.metadata]
+    own = [f for f in fields(cls) if f.metadata.get("section") == section]
     sections = {f.metadata["section"] for f in fields(cls) if "section" in f.metadata} if section is None else set()
     _check_keys(d, {f.name for f in own} | sections, path)
     out: dict[str, Any] = {}
@@ -215,7 +217,6 @@ def _value(tp: Any, v: Any, path: str, meta: Mapping = {}) -> Any:
 def build_experiment(raw: Any) -> ExperimentConfig:
     """Turn a parsed YAML mapping into a validated ExperimentConfig."""
     cfg = _value(ExperimentConfig, raw, "")
-    cfg.workload = replace(cfg.workload, seed=cfg.seed)
     cfg.validate()
     for spec in cfg.sweep:
         _get_by_path(raw, spec.field)
@@ -478,7 +479,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     row = summary_row(cfg, metrics)
     append_summary(out_dir, row)
     print(
-        f"{cfg.run_id}: scheduler={cfg.scheduler.kind} events={metrics.n_events} "
+        f"{cfg.run_id}: scheduler={cfg.scheduler.kind} events={len(metrics.tx_seq)} "
         f"samples={metrics.transmissions} transmissions={metrics.transmissions} "
         f"max_lo={row[3]} p99_lo={row[4]} violations={row[6]}"
     )
@@ -506,8 +507,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _set_by_path(raw_i, fpath, value)
         runs[run_id] = picks, build_experiment(raw_i)
     _make_run_dirs(out_dir, list(runs))
+    streams = Streams()  # points of one workload and seed share its stream
     for run_id, (_, cfg_i) in runs.items():
-        metrics = run(cfg_i)
+        metrics = run(cfg_i, streams)
         write_run_outputs(out_dir / run_id, metrics)
         row = summary_row(cfg_i, metrics, run_id=run_id)
         append_summary(out_dir, row)

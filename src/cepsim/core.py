@@ -1,4 +1,4 @@
-"""Domain types, shared errors, and config-field metadata.
+"""Domain types and shared errors.
 
 All times are simulated milliseconds: event timestamps are integers, latency
 arithmetic is done in double precision.
@@ -20,13 +20,6 @@ class ConfigurationError(CepSimError):
 
 class CostModelError(CepSimError):
     """A cost model was asked to price an event type it does not know."""
-
-
-# Config-field metadata for the YAML config builder in cepsim.cli:
-# INHERITED marks a field that is copied from the enclosing config rather than
-# read from YAML. Numbers must be finite, except in a field whose metadata has
-# an "inf" entry; that field also reads the strings listed there as +inf.
-INHERITED = {"inherited": True}
 
 
 class Event(NamedTuple):

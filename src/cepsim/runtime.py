@@ -1,9 +1,10 @@
 """Discrete-event simulation of the split--process--merge pipeline.
 
-The simulator walks the totally ordered event stream once. Each event is run
-through the splitter (window detection, monitoring statistics), newly opened
-windows are assigned by the scheduling controller, and the event is then
-transmitted to every instance owning at least one of its member windows.
+The simulator walks the totally ordered event stream once, with cursors on
+the windows the splitter detected in it: at each event the monitor observes
+the windows it closes, the window it opens and the event, the controller
+assigns the opened window, and the event is transmitted to every instance
+owning at least one of its member windows.
 Operator instances are simulated, not real threads: an event's service time
 is the summed in-window cost over its member windows on that instance, and
 the instance's busy-until clock advances accordingly. This yields exactly
@@ -17,8 +18,9 @@ sum is a memoised repeated addition and its observations are one run of
 equal values. Only a cost that reads the window's state is priced per
 (event, window), in wid order, from one count: the stream-wide count of the
 type it reads less that count at the window's opening. Each window's queuing
-gains and peak are also accumulated per (event, window). A window's member
-count is set when it closes, from the events processed since its opener.
+gains and peak are also accumulated per (event, window), each its own, so
+under a uniform cost they are visited in any order. A window's member count
+is set when it closes, from the events since its opener.
 
 A pair's queue length is one plus the number of events on its instance that
 start after its arrival: those queued or still in transit. Each instance
@@ -39,6 +41,7 @@ after it, and nothing completes or is retired.
 
 from __future__ import annotations
 
+import copy
 import math
 from array import array
 from bisect import bisect_left, bisect_right, insort
@@ -46,12 +49,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, compress, groupby, islice, repeat
 from operator import add, attrgetter
-from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
+from typing import Iterable, NamedTuple, TYPE_CHECKING
 
-from .core import Event, WindowDescriptor
+from .core import WindowDescriptor
 from .scheduler import Decision, InstanceView, WindowScheduler, make_scheduler
 from .splitter import EMPTY_SNAPSHOT, Splitter, StreamStats, make_policy, route_event
-from .workload import CostModel, counted_etype, generate_stream, uniform_cost, window_cost_terms
+from .workload import CostModel, WorkloadConfig, counted_etype, generate_stream, uniform_cost, window_cost_terms
 # uncalled: perfbench's self-test needs its in_window_cost boundary, which wraps this name, to exist
 from .workload import in_window_cost  # noqa: F401
 
@@ -163,8 +166,6 @@ class RunMetrics:
     tx_instances: array = _column("q")
     decisions: list[Decision] = field(default_factory=list)
     windows: list[WindowDescriptor] = field(default_factory=list)
-    dropped_closes: int = 0
-    n_events: int = 0
 
     @property
     def transmissions(self) -> int:
@@ -242,8 +243,7 @@ class RunMetrics:
 
 
 def simulate(
-    events: Sequence[Event],
-    policy,
+    splitter: Splitter,
     cost_model: CostModel,
     scheduler: WindowScheduler,
     mtime_ms: float,
@@ -251,7 +251,8 @@ def simulate(
     transfer_delay_ms: float = 0.0,
     feedback_delivery_delay_ms: float = 0.0,
 ) -> RunMetrics:
-    """Run the split--process--merge pipeline over a prepared event stream.
+    """Run the split--process--merge pipeline over a stream whose windows
+    ``splitter`` detected.
 
     Deterministic: the same inputs produce identical metrics. A controller
     that reads the snapshot sizes the monitor's bins by its ``params``.
@@ -275,24 +276,33 @@ def simulate(
     else:
         stats = None
     keeps_work = scheduler.reads_snapshot or scheduler.reads_reports
-    splitter = Splitter(policy, stats)
     instances = [InstanceState() for _ in range(n_instances)]
     # the reports last delivered, by instance: the empty one until the first
     delivered = [({}, 1.0, None)] * n_instances
     pending_reports: deque[tuple[float, list]] = deque()  # (due, every instance's report)
-    metrics = RunMetrics(n_events=len(events))
+    events = splitter.events
+    n_events = len(events)
+    seqs, tss = (array("q", map(attrgetter(name), events)) for name in ("seq", "ts"))
+    metrics = RunMetrics(tx_seq=seqs, tx_ts=tss)
+    windows = metrics.windows
     # column appends, bound once: the loop below runs once per pair
     add_instance, add_queue_len = metrics.instance.append, metrics.queue_len.append
     add_lambda_q, add_lambda_p = metrics.lambda_q.append, metrics.lambda_p.append
+    add_tx_members, add_tx_instances = metrics.tx_members.append, metrics.tx_instances.append
     now = 0
     owners: list[int] = []  # instances holding open windows, ascending
     # a window's count of the type a window-reading cost counts (None: every
     # type) is the events before the current one, less those before its opener
     counted_type = counted_etype(cost_model)
     counted = 0
-    counted_at_open = array("q")  # by wid
-    open_at: dict[int, int] = {}  # wid -> events processed at its opening
+    counted_at_open = array("i")  # by wid
     lambda_p_sums: dict[float, list[float]] = {}  # cost -> [0.0, cost, cost + cost, ...]
+    # cursors over the splitter's windows: the next to open and the next to close
+    opened, closed, close_order, close_of = splitter.opened, splitter.closed, splitter.close_order, splitter.close_of
+    n_windows = len(opened)
+    next_open = opened[0] if n_windows else n_events
+    n_closes = 0
+    next_close = closed[close_order[0]] if n_windows else n_events
 
     next_freeze = mtime_ms if scheduler.reads_snapshot else math.inf
     next_feedback = feedback_interval_ms if scheduler.reads_reports else math.inf
@@ -324,31 +334,41 @@ def simulate(
         # controllers read one instance per decision, so views are built on call
         return InstanceView(len(instances[i].open_windows), *delivered[i])
 
-    def count_members(w: WindowDescriptor, processed: int) -> None:
-        # the events processed so far, less those before its opener
-        w.n_member_events = processed - open_at.pop(w.wid)
-
-    for processed, e in enumerate(events):
-        if e.ts < now:
-            raise ValueError(f"event timestamps cannot go backwards: {e.ts} < {now}")
+    for i, e in enumerate(events):
         now = e.ts
         if keeps_work:
             advance_to(now)
 
-        res = splitter.process(e)
+        # the monitor observes the closes, then the open, then the event
         closing: dict[int, list[WindowDescriptor]] = {}  # instance -> closed windows e is in
-        for w in res.closed:
+        closing_members = 0
+        while next_close == i:
+            wid = close_order[n_closes]
+            n_closes += 1
+            next_close = closed[close_order[n_closes]] if n_closes < n_windows else n_events
+            w = windows[wid]
+            w.close_ts = close_of(w.open_ts, now)
+            member = now <= w.close_ts
+            w.n_member_events = i + member - opened[wid]
+            if stats is not None:
+                stats.observe_window_closed(w.scope_ms)
             idx = w.assigned_instance
             open_windows = instances[idx].open_windows
-            del open_windows[w.wid]
+            del open_windows[wid]
             if not open_windows:
                 owners.remove(idx)
-            if e.ts <= w.close_ts:
+            if member:
                 closing.setdefault(idx, []).append(w)
-            else:
-                count_members(w, processed)
+                closing_members += 1
 
-        for w in res.opened:
+        opens = next_open == i
+        if stats is not None:
+            if opens:
+                stats.observe_window_opened(float(now))
+            stats.observe_event(e, events[i - 1].ts if i else None)
+        if opens:
+            w = WindowDescriptor(len(windows), e.seq, now)
+            next_open = opened[w.wid + 1] if w.wid + 1 < n_windows else n_events
             decision = scheduler.schedule(w, stats.snapshot if stats is not None else EMPTY_SNAPSHOT, view)
             idx = decision.instance
             w.assigned_instance = idx
@@ -356,14 +376,13 @@ def simulate(
             if not open_windows:
                 insort(owners, idx)
             open_windows[w.wid] = w
-            open_at[w.wid] = processed
             counted_at_open.append(counted)
             metrics.decisions.append(decision)
-            metrics.windows.append(w)
+            windows.append(w)
 
         targets = route_event(owners, closing)
-        ts, etype = e.ts, e.etype
-        arrival = ts + transfer_delay_ms
+        etype = e.etype
+        arrival = now + transfer_delay_ms
         # priced once per event when every window charges the same
         cost = uniform_cost(cost_model, e) if targets else None
         if cost is not None:
@@ -375,9 +394,16 @@ def simulate(
         for idx in targets:
             inst = instances[idx]
             wins = inst.open_windows.values()
-            closed = closing.get(idx)
-            if closed is not None:
-                wins = sorted([*wins, *closed], key=_wid)
+            closed_here = closing.get(idx)
+            if closed_here is not None:
+                if cost is None:
+                    # priced and observed in wid order
+                    wins = list(wins)
+                    for w in closed_here:
+                        insort(wins, w, key=_wid)
+                else:
+                    # each window's step below reads only that window
+                    wins = [*wins, *closed_here]
             k = len(wins)
             lambda_q = max(0.0, inst.busy_until - arrival)
             start = arrival + lambda_q
@@ -428,37 +454,46 @@ def simulate(
             add_lambda_q(lambda_q)
             add_lambda_p(lambda_p)
             add_queue_len(queue_len)
-        metrics.tx_seq.append(e.seq)
-        metrics.tx_ts.append(ts)
-        metrics.tx_members.append(len(res.memberships))
-        metrics.tx_instances.append(len(targets))
+        add_tx_members(len(windows) - n_closes + closing_members)  # the open windows and the closing ones
+        add_tx_instances(len(targets))
         if counted_type is None or etype == counted_type:
             counted += 1
-        for closed in closing.values():
-            for w in closed:
-                count_members(w, processed + 1)
 
-    for wid in list(open_at):  # windows still open at the end of the run
-        count_members(metrics.windows[wid], len(events))
+    for wid in close_order[n_closes:]:  # windows still open at the end of the run
+        windows[wid].n_member_events = n_events - opened[wid]
 
     if keeps_work:
         # drain: keep the monitoring and feedback machinery running until
         # every instance finished its queued work
         advance_to(max([now] + [inst.busy_until for inst in instances]))
 
-    metrics.dropped_closes = policy.dropped_closes
     return metrics
 
 
-def run(cfg: "ExperimentConfig") -> RunMetrics:
-    """Validate the experiment, generate its workload and simulate it."""
+class Streams:
+    """The windows of the last stream a run asked for, kept for the next
+    run: runs that share one generate and detect a stream of equal workload
+    and seed once, such as the points of a sweep over anything else. The
+    caller owns it, so a run given none keeps no stream once it returns."""
+
+    key = windows = None  # a copy of (workload, seed), and its stream's windows
+
+    def get(self, workload: WorkloadConfig, seed: int) -> Splitter:
+        """The windows of the stream that ``workload`` generates from ``seed``."""
+        if self.key != (workload, seed):
+            self.key = self.windows = None  # the old stream is not kept while the new one is made
+            self.windows = Splitter(generate_stream(workload, seed), make_policy(workload))
+            self.key = copy.deepcopy((workload, seed))
+        return self.windows
+
+
+def run(cfg: "ExperimentConfig", streams: Streams | None = None) -> RunMetrics:
+    """Validate the experiment and simulate it on its workload's stream,
+    taken from ``streams`` when given."""
     cfg.validate()
-    events = generate_stream(cfg.workload)
-    policy = make_policy(cfg.workload)
     scheduler = make_scheduler(cfg.scheduler, cfg.model)
     return simulate(
-        events,
-        policy,
+        (streams or Streams()).get(cfg.workload, cfg.seed),
         cfg.workload.cost,
         scheduler,
         mtime_ms=cfg.mtime_ms,

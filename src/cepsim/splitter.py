@@ -1,5 +1,9 @@
 """Window detection, event routing, and the splitter's monitoring statistics.
 
+Windows are a property of the stream: :class:`Splitter` detects them once,
+in one pass of the window policy over the whole stream, as columns per
+window, and every run of that stream reads them.
+
 The splitter watches the inbound stream inside tumbling monitoring windows of
 ``mtime_ms``, whose boundaries the simulation loop drives. At the end of each
 monitoring window it freezes a snapshot: equal-width bins over inter-arrival
@@ -12,11 +16,11 @@ the previous one; values outside that range clamp into the edge bins.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
-from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .core import Event, WindowDescriptor
@@ -328,68 +332,63 @@ class StreamStats:
 # Window detection and routing
 
 
-@dataclass
-class SplitResult:
-    opened: list[WindowDescriptor] = field(default_factory=list)
-    closed: list[WindowDescriptor] = field(default_factory=list)
-    memberships: list[WindowDescriptor] = field(default_factory=list)
-
-
 class KeyedAperiodicPolicy:
-    """Traffic-style windows: an open-type event with a fresh key opens a
-    window; the close-type event with the matching key closes it."""
+    """Traffic-style windows: an open-type event whose key holds no open
+    window opens one; the close-type event with the matching key closes it,
+    at its own timestamp. A close-type event whose key holds no open window
+    closes nothing: a dropped close."""
 
     open_etype = "L1"
     close_etype = "L2"
 
-    def __init__(self):
-        self._by_key: dict[str, int] = {}  # key -> wid
-        self.dropped_closes = 0  # close-type events that closed no window
+    def detect(self, events: Sequence[Event]) -> tuple[array, array, array, int]:
+        """``(opened, closed, close_order, dropped_closes)`` of ``events``,
+        as :class:`Splitter` keeps them."""
+        opened, closed, close_order = array("i"), array("i"), array("i")
+        by_key: dict[str, int] = {}  # key -> wid of its open window
+        dropped = 0
+        for i, e in enumerate(events):
+            # an event closes before it opens
+            if e.etype == self.close_etype:
+                wid = by_key.pop(e.key, None)  # no window has key None
+                if wid is None:
+                    dropped += 1
+                else:
+                    closed[wid] = i
+                    close_order.append(wid)
+            if e.etype == self.open_etype and e.key is not None and e.key not in by_key:
+                by_key[e.key] = len(opened)
+                opened.append(i)
+                closed.append(len(events))  # until it closes
+        close_order.extend(sorted(by_key.values()))  # never closed
+        return opened, closed, close_order, dropped
 
-    def closes(self, e: Event, open_windows: Mapping[int, WindowDescriptor]) -> list[tuple[int, int]]:
-        if e.etype != self.close_etype:
-            return []
-        wid = self._by_key.pop(e.key, None)  # no window has key None
-        if wid is None:
-            self.dropped_closes += 1
-            return []
-        return [(wid, e.ts)]
-
-    def opens(self, e: Event, wid: int) -> bool:
-        """Whether ``e`` opens window ``wid``, which its key then holds; a key
-        already holding an open window cannot open a second one."""
-        if e.etype != self.open_etype or e.key is None or e.key in self._by_key:
-            return False
-        self._by_key[e.key] = wid
-        return True
+    @staticmethod
+    def close_of(open_ts: int, ts: int) -> int:
+        """The close of a window opened at ``open_ts`` that closes at an event at ``ts``."""
+        return ts
 
 
+@dataclass(frozen=True)
 class TimeWindowPolicy:
     """Face-style windows: an opener event starts a window that closes at the
-    first event with ts >= open_ts + ws.
+    first later event with ts >= open_ts + ws, at ``int(open_ts + ws)``."""
 
-    Every window has the same scope, so windows close in the order they
-    opened: ``closes`` stops at the first open window that has not yet
-    reached its close.
-    """
+    opener_etype: str
+    ws_ms: float
 
-    dropped_closes = 0  # a time window always closes
+    def detect(self, events: Sequence[Event]) -> tuple[array, array, array, int]:
+        """``(opened, closed, close_order, dropped_closes)`` of ``events``, as
+        :class:`Splitter` keeps them. Timestamps never go down, so each close
+        is a bisection and windows close in opening order; none is dropped."""
+        ts = [e.ts for e in events]
+        opened = array("i", [i for i, e in enumerate(events) if e.etype == self.opener_etype])
+        closed = array("i", [bisect_left(ts, ts[i] + self.ws_ms, i + 1) for i in opened])
+        return opened, closed, array("i", range(len(opened))), 0
 
-    def __init__(self, opener_etype: str, ws_ms: float):
-        self.opener_etype = opener_etype
-        self.ws_ms = ws_ms
-
-    def closes(self, e: Event, open_windows: Mapping[int, WindowDescriptor]) -> list[tuple[int, int]]:
-        out = []
-        for wid, w in open_windows.items():
-            close_ts = w.open_ts + self.ws_ms
-            if e.ts < close_ts:
-                break
-            out.append((wid, int(close_ts)))
-        return out
-
-    def opens(self, e: Event, wid: int) -> bool:
-        return e.etype == self.opener_etype
+    def close_of(self, open_ts: int, ts: int) -> int:
+        """The close of a window opened at ``open_ts`` that closes at an event at ``ts``."""
+        return int(open_ts + self.ws_ms)
 
 
 def make_policy(cfg) -> KeyedAperiodicPolicy | TimeWindowPolicy:
@@ -399,61 +398,31 @@ def make_policy(cfg) -> KeyedAperiodicPolicy | TimeWindowPolicy:
     return TimeWindowPolicy(cfg.opener_etype, cfg.scope.ws_ms)
 
 
-_wid = attrgetter("wid")
-
-
 class Splitter:
-    """Detects window opens/closes and computes event memberships.
+    """The windows of one event stream, detected once, in one pass of its
+    policy over the stream.
 
-    Windows comprise every event between their opening and closing event
-    (inclusive), so membership is purely temporal once open/close instants
-    are fixed by the policy. With no ``stats``, nothing is observed.
+    A window comprises every event from its opening event to its closing
+    event; the closing event is a member when its timestamp does not exceed
+    the window's close, ``close_of(open_ts, ts)`` of its opening timestamp
+    and the closing event's. Wids are handed out in opening order. Per wid,
+    ``opened`` holds the index of its opening event and ``closed`` that of
+    its closing event, ``len(events)`` if it never closes. ``close_order``
+    holds the wids in the order they close (at one event, in wid order;
+    those never closed last) and ``dropped_closes`` the close-type events
+    that closed no window. The columns are ``array('i')``s, which no run
+    changes, so one splitter serves every run of its stream.
     """
 
-    def __init__(self, policy, stats: StreamStats | None):
-        self.policy = policy
-        self.stats = stats
-        self.open_windows: dict[int, WindowDescriptor] = {}
-        self._next_wid = 0
-        self._prev_ts: int | None = None
-
-    def process(self, e: Event) -> SplitResult:
-        """Detect windows for one event and list its member windows.
-
-        Returns windows opened by ``e``, windows closed at ``e`` (the closing
-        event is itself a member when its timestamp does not exceed the
-        close), and all member windows in wid order.
-
-        ``open_windows`` is in wid order (wids are handed out in opening
-        order), so the few closed members are inserted into it by bisection
-        instead of sorting all members.
-        """
-        res = SplitResult()
-        for wid, close_ts in self.policy.closes(e, self.open_windows):
-            w = self.open_windows.pop(wid)
-            w.close_ts = close_ts
-            res.closed.append(w)
-            if self.stats is not None:
-                self.stats.observe_window_closed(w.scope_ms)
-
-        if self.policy.opens(e, self._next_wid):
-            w = WindowDescriptor(wid=self._next_wid, start_seq=e.seq, open_ts=e.ts)
-            self._next_wid += 1
-            self.open_windows[w.wid] = w
-            res.opened.append(w)
-            if self.stats is not None:
-                self.stats.observe_window_opened(float(e.ts))
-
-        members = list(self.open_windows.values())
-        for w in res.closed:
-            if e.ts <= w.close_ts:
-                members.insert(bisect_left(members, w.wid, key=_wid), w)
-        res.memberships = members
-
-        if self.stats is not None:
-            self.stats.observe_event(e, self._prev_ts)
-            self._prev_ts = e.ts
-        return res
+    def __init__(self, events: Sequence[Event], policy):
+        now = 0
+        for e in events:
+            if e.ts < now:
+                raise ValueError(f"event timestamps cannot go backwards: {e.ts} < {now}")
+            now = e.ts
+        self.events = events
+        self.close_of = policy.close_of
+        self.opened, self.closed, self.close_order, self.dropped_closes = policy.detect(events)
 
 
 def route_event(owners: Sequence[int], closing: Mapping[int, list[WindowDescriptor]]) -> Sequence[int]:

@@ -17,7 +17,7 @@ from operator import itemgetter
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterator, Mapping
 
-from .core import INHERITED, ConfigurationError, CostModelError, Event
+from .core import ConfigurationError, CostModelError, Event
 
 PROB_TOL = 1e-9
 
@@ -219,7 +219,6 @@ class ScopeProfile:
 @dataclass(frozen=True)
 class WorkloadConfig:
     scenario: str  # traffic | face | custom
-    seed: int = field(default=0, metadata=INHERITED)
     duration_ms: float = 60_000.0
     iat: IatProfile = ConstantIat(1000.0)
     scope: ScopeProfile = ScopeProfile()
@@ -280,15 +279,15 @@ def _arrival_times(profile: IatProfile, rng: random.Random, duration_ms: float) 
     return times
 
 
-def generate_stream(cfg: WorkloadConfig) -> list[Event]:
+def generate_stream(cfg: WorkloadConfig, seed: int) -> list[Event]:
     """Generate the full event stream for a workload configuration.
 
-    Pure function of (cfg, cfg.seed): repeated calls yield identical streams.
+    Pure function of (cfg, seed): repeated calls yield identical streams.
     Timestamps are rounded to integer milliseconds and non-decreasing; seq is
     assigned in merged arrival order.
     """
     cfg.validate()
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     raw: list[tuple[float, str, str | None]] = []  # (ts, etype, key), in generation order
 
     if cfg.scenario == "traffic":

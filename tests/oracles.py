@@ -7,8 +7,12 @@ plainest form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
+
+from cepsim.core import Event, WindowDescriptor
 
 from cepsim.latency_model import (
     LatencyPrediction,
@@ -25,7 +29,7 @@ from cepsim.latency_model import (
     predict_overlap,
     predict_peak,
 )
-from cepsim.splitter import StreamStatsSnapshot
+from cepsim.splitter import StreamStats, StreamStatsSnapshot, TimeWindowPolicy
 
 
 @dataclass
@@ -121,3 +125,114 @@ def composed_prediction(snapshot, theta_hat, params, queued_counts, theta_bar_re
         lambda_p_max=lambda_p_max, lambda_o_max=lambda_o_max,
         flags=tuple(flags + f2 + f3 + f4),
     )
+
+
+@dataclass
+class SplitResult:
+    opened: list[WindowDescriptor] = field(default_factory=list)
+    closed: list[WindowDescriptor] = field(default_factory=list)
+    memberships: list[WindowDescriptor] = field(default_factory=list)
+
+
+_wid = attrgetter("wid")
+
+
+class PerEventSplitter:
+    """Window detection one event at a time, with every event's member list:
+    the policy's ``closes`` and ``opens`` steps and the splitter's
+    ``process``, as the simulator ran them per event before windows were
+    detected once per stream. ``stats``, when given, observes the closes,
+    the open and the event, in that order."""
+
+    def __init__(self, policy, stats: StreamStats | None = None):
+        self.policy = policy
+        self.stats = stats
+        self.open_windows: dict[int, WindowDescriptor] = {}
+        self.by_key: dict[str, int] = {}  # keyed windows: key -> wid
+        self.dropped_closes = 0
+        self._next_wid = 0
+        self._prev_ts: int | None = None
+
+    def closes(self, e: Event) -> list[tuple[int, int]]:
+        """``(wid, close_ts)`` of each window ``e`` closes."""
+        if isinstance(self.policy, TimeWindowPolicy):
+            out = []
+            for wid, w in self.open_windows.items():
+                close_ts = w.open_ts + self.policy.ws_ms
+                if e.ts < close_ts:
+                    break
+                out.append((wid, int(close_ts)))
+            return out
+        if e.etype != self.policy.close_etype:
+            return []
+        wid = self.by_key.pop(e.key, None)  # no window has key None
+        if wid is None:
+            self.dropped_closes += 1
+            return []
+        return [(wid, e.ts)]
+
+    def opens(self, e: Event, wid: int) -> bool:
+        """Whether ``e`` opens window ``wid``; a key already holding an open
+        window cannot open a second one."""
+        if isinstance(self.policy, TimeWindowPolicy):
+            return e.etype == self.policy.opener_etype
+        if e.etype != self.policy.open_etype or e.key is None or e.key in self.by_key:
+            return False
+        self.by_key[e.key] = wid
+        return True
+
+    def process(self, e: Event) -> SplitResult:
+        """The windows ``e`` opens and closes, and its member windows in wid
+        order; the closing event is a member when its timestamp does not
+        exceed the close."""
+        res = SplitResult()
+        for wid, close_ts in self.closes(e):
+            w = self.open_windows.pop(wid)
+            w.close_ts = close_ts
+            res.closed.append(w)
+            if self.stats is not None:
+                self.stats.observe_window_closed(w.scope_ms)
+
+        if self.opens(e, self._next_wid):
+            w = WindowDescriptor(wid=self._next_wid, start_seq=e.seq, open_ts=e.ts)
+            self._next_wid += 1
+            self.open_windows[w.wid] = w
+            res.opened.append(w)
+            if self.stats is not None:
+                self.stats.observe_window_opened(float(e.ts))
+
+        members = list(self.open_windows.values())
+        for w in res.closed:
+            if e.ts <= w.close_ts:
+                members.insert(bisect_left(members, w.wid, key=_wid), w)
+        res.memberships = members
+
+        if self.stats is not None:
+            self.stats.observe_event(e, self._prev_ts)
+            self._prev_ts = e.ts
+        return res
+
+
+def per_event_windows(events: Sequence[Event], policy) -> dict:
+    """What :class:`PerEventSplitter` finds in ``events``, in the terms of
+    :class:`cepsim.splitter.Splitter`: per wid the index of the opening and
+    closing event (``len(events)`` if it never closes) and the close (0 if
+    it never closes), the wids in closing order, the dropped closes, and
+    each event's member wids."""
+    sp = PerEventSplitter(policy)
+    n = len(events)
+    opened, closed, close_ts, close_order, members = [], [], [], [], []
+    for i, e in enumerate(events):
+        res = sp.process(e)
+        for w in res.closed:
+            closed[w.wid] = i
+            close_ts[w.wid] = w.close_ts
+            close_order.append(w.wid)
+        for w in res.opened:
+            opened.append(i)
+            closed.append(n)
+            close_ts.append(0)
+        members.append([w.wid for w in res.memberships])
+    close_order += sorted(sp.open_windows)
+    return dict(opened=opened, closed=closed, close_ts=close_ts, close_order=close_order,
+                dropped_closes=sp.dropped_closes, members=members)

@@ -42,7 +42,6 @@ def traffic_tradeoff_cfg(kind, lb=None, seed=42):
     model = ModelParams(n_iat_bins=8, n_lat_bins=4, delta_iat=0.75, delta_lp=2.0)
     wl = WorkloadConfig(
         scenario="traffic",
-        seed=seed,
         duration_ms=240_000.0,
         iat=SinusoidalExponentialIat(100.0, 1000.0, 60_000.0),
         scope=ScopeProfile(ws_min_ms=2000.0, ws_max_ms=4000.0),
@@ -50,6 +49,7 @@ def traffic_tradeoff_cfg(kind, lb=None, seed=42):
     )
     return ExperimentConfig(
         workload=wl,
+        seed=seed,
         scheduler=SchedulerConfig(kind, n_instances=8, lb_ms=lb),
         model=model,
         mtime_ms=5_000.0,
@@ -61,7 +61,6 @@ def reactive_sweep_cfg(kind, ws, seed=42, th=None, lb=None):
     model = ModelParams(n_iat_bins=8, n_lat_bins=8, delta_iat=0.75, delta_lp=2.0)
     wl = WorkloadConfig(
         scenario="traffic",
-        seed=seed,
         duration_ms=360_000.0,
         iat=SinusoidalExponentialIat(120.0, 1000.0, 120_000.0),
         scope=ScopeProfile(ws_min_ms=ws[0], ws_max_ms=ws[1]),
@@ -69,6 +68,7 @@ def reactive_sweep_cfg(kind, ws, seed=42, th=None, lb=None):
     )
     return ExperimentConfig(
         workload=wl,
+        seed=seed,
         scheduler=SchedulerConfig(kind, n_instances=8, th_ms=th, lb_ms=lb),
         model=model,
         mtime_ms=2_000.0,
@@ -82,7 +82,6 @@ def face_accuracy_cfg(n_iat_bins, seed=42):
     model = ModelParams(n_iat_bins=n_iat_bins, n_lat_bins=2, delta_iat=0.0, delta_lp=0.0)
     wl = WorkloadConfig(
         scenario="face",
-        seed=seed,
         duration_ms=600_000.0,
         iat=BurstIat(burst_size=4, intra_gap_ms=10.0, inter_gap_ms=1970.0),
         scope=ScopeProfile(ws_ms=10_000.0),
@@ -92,6 +91,7 @@ def face_accuracy_cfg(n_iat_bins, seed=42):
     )
     return ExperimentConfig(
         workload=wl,
+        seed=seed,
         scheduler=SchedulerConfig("model_based", n_instances=1, lb_ms=float("inf")),
         model=model,
         mtime_ms=10_000.0,

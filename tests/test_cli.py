@@ -10,12 +10,14 @@ import tempfile
 from array import array
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cepsim import runtime
 from cepsim.cli import _BLOCK_ROWS, build_experiment, main, p99, summary_row, write_run_outputs
 from cepsim.core import ConfigurationError, WindowDescriptor
 from cepsim.latency_model import LatencyPrediction
@@ -153,6 +155,24 @@ class TestSweepCommand:
         summary = read_csv(tmp_path / "res" / "summary.csv")
         assert [r["param"] for r in summary] == ["20.0", "50.0", "500.0"]
         assert len({r["run_id"] for r in summary}) == 3
+
+    def test_sweep_points_equal_separate_runs(self, tmp_path, capsys):
+        # points of one seed share a stream; each writes what a run of it alone writes
+        sweep = [{"field": "seed", "values": [11, 12]}, {"field": "scheduler.lb_ms", "values": [20, 500]}]
+        cfg = write_config(tmp_path, {"sweep": sweep})
+        with mock.patch.object(runtime, "generate_stream", wraps=runtime.generate_stream) as generated:
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+        assert [c.args[1] for c in generated.call_args_list] == [11, 12]
+        for seed in (11, 12):
+            for lb in (20, 500):
+                run_id = f"smoke_seed={seed}_lb_ms={lb}"
+                point = write_config(tmp_path, {"seed": seed, "scheduler.lb_ms": lb, "run_id": run_id, "sweep": None},
+                                     name=f"{run_id}.yaml")
+                assert main(["run", "--config", str(point), "--out", str(tmp_path / "runs")]) == 0
+                cmp = filecmp.dircmp(tmp_path / "sweep" / run_id, tmp_path / "runs" / run_id)
+                assert cmp.left_only == cmp.right_only == []
+                assert filecmp.cmpfiles(cmp.left, cmp.right, cmp.common_files, shallow=False)[0] == cmp.common_files
+        assert (tmp_path / "sweep" / "summary.csv").read_bytes() == (tmp_path / "runs" / "summary.csv").read_bytes()
 
     def test_sweep_requires_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"sweep": None})
@@ -566,7 +586,7 @@ class TestConfigBuilder:
         exp = build_experiment(raw)
         assert type(exp.mtime_ms) is int and type(exp.scheduler.lb_ms) is int
         assert [type(v) for v in exp.workload.cost.base_ms.values()] == [float] * 3
-        assert exp.workload.seed == exp.seed == 11
+        assert exp.seed == 11
 
     @pytest.mark.parametrize("name", ["transfer_delay_ms", "feedback_delivery_delay_ms", "warmup_ms"])
     def test_nan_delay_or_warmup_rejected_by_validate(self, name):

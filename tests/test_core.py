@@ -1,7 +1,7 @@
 from cepsim.core import Event, WindowDescriptor
 from cepsim.runtime import simulate
 from cepsim.scheduler import SchedulerConfig, make_scheduler
-from cepsim.splitter import TimeWindowPolicy
+from cepsim.splitter import Splitter, TimeWindowPolicy
 from cepsim.workload import CostModel
 
 
@@ -19,6 +19,6 @@ class TestWindowDescriptor:
         events = [Event(0, 0, "open"), Event(1, 40, "A"), Event(2, 100, "B"), Event(3, 150, "A")]
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0, "B": 1.0})
         scheduler = make_scheduler(SchedulerConfig())
-        m = simulate(events, TimeWindowPolicy("open", 100), cost, scheduler, mtime_ms=1000.0)
+        m = simulate(Splitter(events, TimeWindowPolicy("open", 100)), cost, scheduler, mtime_ms=1000.0)
         (w,) = m.windows
         assert (w.close_ts, w.n_member_events) == (100, 3)

@@ -13,12 +13,12 @@ samples: at each feedback instant, from the events processed before it.
 at each decision.
 """
 
-import copy
 from collections import namedtuple
 from contextlib import ExitStack, contextmanager
 from dataclasses import astuple
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +33,7 @@ from cepsim.scheduler import (
     SchedulerConfig,
     make_scheduler,
 )
-from cepsim.splitter import KeyedAperiodicPolicy, StreamStats, TimeWindowPolicy
+from cepsim.splitter import KeyedAperiodicPolicy, Splitter, StreamStats, TimeWindowPolicy
 from cepsim.workload import CostModel
 
 
@@ -256,9 +256,8 @@ def workloads(draw):
 def run_workload(w, scheduler=None):
     """``simulate`` the workload ``w`` under its own controller or ``scheduler``."""
     scheduler = scheduler or make_scheduler(w["config"])
-    # a fresh policy per run: a keyed one holds the keys of the windows it opened
     return simulate(
-        w["events"], copy.deepcopy(w["policy"]), w["cost"], scheduler,
+        Splitter(w["events"], w["policy"]), w["cost"], scheduler,
         mtime_ms=20.0, feedback_interval_ms=5.0, transfer_delay_ms=w["transfer_delay_ms"],
         feedback_delivery_delay_ms=w["feedback_delivery_delay_ms"],
     )
@@ -436,3 +435,32 @@ def test_reports_match_reference_under_a_transfer_delay():
     expected = reference_reports(w["events"], samples, 1, 5.0)
     assert expected[1] == (10.0, {"X": 1}, 1.0, 0.0)
     assert repr(reports) == repr(expected)
+
+
+# a, b and c open on the one instance; b's close is a member and a and c
+# are still open there, so the closing event is in all three. Under
+# equi_join it is a probe whose per-window costs 0.5 + 0.1 * (3, 2, 1) sum
+# to 2.1 in wid order and to 2.0999999999999996 in the order a, c, b
+CLOSING_AMONG_OPEN = [
+    Event(0, 0, "L1", "a"), Event(1, 1, "L1", "b"), Event(2, 2, "L1", "c"),
+    Event(3, 5, "L2", "b"), Event(4, 6, "L2", "a"), Event(5, 20, "L2", "c"),
+]
+
+
+@pytest.mark.parametrize("kind", ["flat_per_type", "equi_join"])
+def test_closing_member_among_open_windows_matches_reference(kind):
+    w = dict(
+        events=CLOSING_AMONG_OPEN,
+        policy=KeyedAperiodicPolicy(),
+        cost=CostModel(kind, {"L1": 0.5, "L2": 0.5}, 0.1),
+        config=SchedulerConfig("round_robin", n_instances=1),
+        transfer_delay_ms=0.0,
+        feedback_delivery_delay_ms=0.0,
+    )
+    m = run_workload(w)
+    owner = {d.wid: d.instance for d in m.decisions}
+    samples, _, truth = reference_run(w["events"], w["policy"], w["cost"], owner, 0.0)
+    assert m.tx_members[3] == 3
+    assert float_bits(zip(m.lambda_q, m.lambda_p)) == float_bits((s.lambda_q, s.lambda_p) for s in samples)
+    assert float_bits((v.actual_gamma_minus, v.actual_gamma_plus, v.actual_lambda_q_peak) for v in m.windows) == \
+        float_bits(t[3:] for t in truth)

@@ -15,8 +15,8 @@ from cepsim.core import CostModelError, Event, WindowDescriptor
 from cepsim.latency_model import ModelParams
 from cepsim.runtime import FeedbackDelay, InstanceState, RunMetrics, run, simulate
 from cepsim.scheduler import Decision, InstanceView, SchedulerConfig, make_scheduler
-from cepsim.splitter import KeyedAperiodicPolicy, StreamStats, TimeWindowPolicy
-from cepsim.workload import CostModel, in_window_cost
+from cepsim.splitter import KeyedAperiodicPolicy, Splitter, StreamStats, TimeWindowPolicy
+from cepsim.workload import CostModel, generate_stream, in_window_cost
 
 
 def mk_events(rows):
@@ -36,7 +36,7 @@ def run_sim(events, *, policy, cost, kind="round_robin", n=1, mtime=10_000.0, **
     if kind == "model_based":
         sched_kw["lb_ms"] = kw.pop("lb_ms")
     scheduler = make_scheduler(SchedulerConfig(kind, n_instances=n, **sched_kw))
-    return simulate(events, policy, cost, scheduler, mtime_ms=mtime, **kw)
+    return simulate(Splitter(events, policy), cost, scheduler, mtime_ms=mtime, **kw)
 
 
 WORKED_COSTS = CostModel("flat_per_type", {"open": 0.0, "A": 8.0, "B": 7.0, "C": 4.0, "D": 2.0})
@@ -480,9 +480,7 @@ class TestSchedulingIntegration:
 
     def test_dropped_close_counted(self):
         events = mk_events([(0, "L2", "ghost"), (10, "L1", "a"), (20, "L2", "a")])
-        cost = CostModel("equi_join", {"L1": 1.0, "L2": 1.0})
-        m = run_sim(events, policy=KeyedAperiodicPolicy(), cost=cost)
-        assert m.dropped_closes == 1
+        assert Splitter(events, KeyedAperiodicPolicy()).dropped_closes == 1
 
 
 def test_monitor_sized_by_the_controllers_params(monkeypatch):
@@ -498,7 +496,7 @@ def test_monitor_sized_by_the_controllers_params(monkeypatch):
     params = ModelParams(n_iat_bins=3, n_lat_bins=2)
     scheduler = make_scheduler(SchedulerConfig("model_based", n_instances=2, lb_ms=5.0), params)
     cost = CostModel("flat_per_type", {"open": 0.1, "A": 0.5})
-    m = simulate(TestSchedulingIntegration().overlap_stream(), TimeWindowPolicy("open", 1000.0), cost,
+    m = simulate(Splitter(TestSchedulingIntegration().overlap_stream(), TimeWindowPolicy("open", 1000.0)), cost,
                  scheduler, mtime_ms=500.0)
     fresh = [s for s in frozen if not s.stale]
     assert len(fresh) == 7 and len(m.decisions) == 40  # a freeze every 500 ms up to 3,950
@@ -512,7 +510,6 @@ def test_run_with_experiment_config():
 
     wl = WorkloadConfig(
         scenario="custom",
-        seed=1,
         duration_ms=3000.0,
         iat=ConstantIat(50.0),
         scope=ScopeProfile(ws_ms=400.0),
@@ -526,11 +523,41 @@ def test_run_with_experiment_config():
         scheduler=SchedulerConfig("round_robin", n_instances=2),
         model=ModelParams(n_iat_bins=2, n_lat_bins=2),
         mtime_ms=1000.0,
+        seed=1,
     )
     m1 = run(cfg)
     m2 = run(cfg)
     assert m1 == m2
     assert m1.transmissions
+
+
+def test_seed_and_streams_reused_for_equal_workload_and_seed(monkeypatch):
+    from cepsim.cli import ExperimentConfig
+    from cepsim.workload import ConstantIat, ExponentialIat, ScopeProfile, WorkloadConfig
+
+    wl = WorkloadConfig(
+        scenario="face",
+        duration_ms=3000.0,
+        iat=ExponentialIat(50.0),
+        scope=ScopeProfile(ws_ms=400.0),
+        opener=ConstantIat(200.0),
+        opener_etype="open",
+        cost=CostModel("flat_per_type", {"face": 2.0, "open": 0.0}),
+    )
+    cfg = ExperimentConfig(workload=wl, scheduler=SchedulerConfig("round_robin", n_instances=2), seed=3)
+    generated = []
+    monkeypatch.setattr(runtime, "generate_stream", lambda w, seed: generated.append(seed) or generate_stream(w, seed))
+    # the experiment's seed is the stream's
+    assert run(replace(cfg, seed=4)).tx_ts != run(cfg).tx_ts
+    generated.clear()
+    streams = runtime.Streams()
+    first = run(cfg, streams)
+    # another controller, the same workload and seed: the same stream
+    assert run(replace(cfg, scheduler=SchedulerConfig("round_robin", n_instances=3)), streams).tx_ts == first.tx_ts
+    assert run(replace(cfg, seed=4), streams).tx_ts != first.tx_ts
+    assert run(cfg, streams) == first  # the windows of a reused stream are new per run
+    assert generated == [3, 4, 3]
+    assert run(cfg) == first and generated == [3, 4, 3, 3]
 
 
 def test_the_experiment_model_is_the_one_run(tmp_path):

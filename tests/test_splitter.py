@@ -1,11 +1,16 @@
 import math
 from dataclasses import astuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cepsim import runtime
 from cepsim.core import Event
+from cepsim.latency_model import ModelParams
+from cepsim.runtime import simulate
+from cepsim.scheduler import SchedulerConfig, make_scheduler
 from cepsim.splitter import (
     BinStat,
     KeyedAperiodicPolicy,
@@ -15,8 +20,9 @@ from cepsim.splitter import (
     _bin_values,
     route_event,
 )
+from cepsim.workload import CostModel
 from conftest import feed_window, snapshot_from
-from oracles import Bin
+from oracles import Bin, PerEventSplitter, per_event_windows
 
 
 def ev(seq, ts, etype="A", key=None):
@@ -250,96 +256,210 @@ class TestTCount:
         assert snap.t_plus_types == {"C"}
 
 
+def one_pass(events, policy):
+    """The windows :class:`Splitter` detects in ``events``, in the terms of
+    :func:`oracles.per_event_windows`; each event's member wids follow from
+    the columns: the windows opened at or before it and closed after it, or
+    closed at it with its timestamp not past the close."""
+    sp = Splitter(events, policy)
+    wids = range(len(sp.opened))
+    close_ts = [sp.close_of(events[o].ts, events[c].ts) if c < len(events) else 0
+                for o, c in zip(sp.opened, sp.closed)]
+    members = [
+        [w for w in wids if sp.opened[w] <= i and (i < sp.closed[w] or i == sp.closed[w] and e.ts <= close_ts[w])]
+        for i, e in enumerate(events)
+    ]
+    return dict(opened=list(sp.opened), closed=list(sp.closed), close_ts=close_ts,
+                close_order=list(sp.close_order), dropped_closes=sp.dropped_closes, members=members)
+
+
+class RecordingStats(StreamStats):
+    """Records each window and event observation, in order."""
+
+    made: list = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+        RecordingStats.made.append(self)
+
+    def observe_window_closed(self, scope_ms):
+        self.calls.append(("closed", repr(scope_ms)))
+        super().observe_window_closed(scope_ms)
+
+    def observe_window_opened(self, open_ts):
+        self.calls.append(("opened", repr(open_ts)))
+        super().observe_window_opened(open_ts)
+
+    def observe_event(self, e, prev_ts):
+        self.calls.append(("event", e.seq, prev_ts))
+        super().observe_event(e, prev_ts)
+
+
+def simulated(events, policy, n=1):
+    """``simulate`` on ``events`` under a controller that reads the snapshot,
+    with a monitor that never freezes; returns the metrics and the monitor."""
+    RecordingStats.made.clear()
+    cost = CostModel("flat_per_type", dict.fromkeys(sorted({e.etype for e in events}), 0.5))
+    params = ModelParams(n_iat_bins=1, n_lat_bins=1)
+    scheduler = make_scheduler(SchedulerConfig("model_based", n_instances=n, lb_ms=5.0), params)
+    with mock.patch.object(runtime, "StreamStats", RecordingStats):
+        m = simulate(Splitter(events, policy), cost, scheduler, mtime_ms=1e12)
+    (stats,) = RecordingStats.made
+    return m, stats
+
+
 class TestDetectWindows:
+    """The one-pass detection: ``Splitter(events, policy)``."""
+
     def test_traffic_minimal_window(self):
-        sp = Splitter(KeyedAperiodicPolicy(), StreamStats(1, 1))
-        r1 = sp.process(ev(0, 100, "L1", key="a"))
-        assert len(r1.opened) == 1 and not r1.closed
-        w = r1.opened[0]
-        assert r1.memberships == [w]
-        r2 = sp.process(ev(1, 400, "L2", key="a"))
-        assert r2.closed == [w]
-        assert w.close_ts == 400 and w.scope_ms == 300.0
-        assert r2.memberships == [w]  # the closing event is a member
-        assert not sp.open_windows
+        events = [ev(0, 100, "L1", key="a"), ev(1, 400, "L2", key="a")]
+        assert one_pass(events, KeyedAperiodicPolicy()) == dict(
+            opened=[0], closed=[1], close_ts=[400], close_order=[0], dropped_closes=0,
+            members=[[0], [0]],  # the closing event is a member
+        )
+        m, _ = simulated(events, KeyedAperiodicPolicy())
+        (w,) = m.windows
+        assert w.close_ts == 400 and w.scope_ms == 300.0 and w.n_member_events == 2
+        assert list(m.tx_members) == [1, 1]
 
     def test_time_window_closes_at_scope(self):
-        sp = Splitter(TimeWindowPolicy("query", 10_000.0), StreamStats(1, 1))
-        r1 = sp.process(ev(0, 0, "query"))
-        w = r1.opened[0]
-        r2 = sp.process(ev(1, 9_999, "face"))
-        assert r2.memberships == [w] and not r2.closed
-        r3 = sp.process(ev(2, 12_000, "face"))
-        assert r3.closed == [w]
-        assert w.close_ts == 10_000
-        assert r3.memberships == []  # arrived after the scope ended
+        events = [ev(0, 0, "query"), ev(1, 9_999, "face"), ev(2, 12_000, "face")]
+        assert one_pass(events, TimeWindowPolicy("query", 10_000.0)) == dict(
+            opened=[0], closed=[2], close_ts=[10_000], close_order=[0], dropped_closes=0,
+            members=[[0], [0], []],  # arrived after the scope ended
+        )
+        m, _ = simulated(events, TimeWindowPolicy("query", 10_000.0))
+        assert (m.windows[0].close_ts, m.windows[0].n_member_events) == (10_000, 2)
+        assert list(m.tx_members) == [1, 1, 0]
 
     def test_time_window_boundary_event_is_member(self):
-        sp = Splitter(TimeWindowPolicy("query", 10_000.0), StreamStats(1, 1))
-        w = sp.process(ev(0, 0, "query")).opened[0]
-        r = sp.process(ev(1, 10_000, "face"))
-        assert r.closed == [w]
-        assert r.memberships == [w]
+        events = [ev(0, 0, "query"), ev(1, 10_000, "face")]
+        table = one_pass(events, TimeWindowPolicy("query", 10_000.0))
+        assert (table["closed"], table["close_ts"], table["members"]) == ([1], [10_000], [[0], [0]])
+        m, _ = simulated(events, TimeWindowPolicy("query", 10_000.0))
+        assert m.windows[0].n_member_events == 2 and list(m.tx_members) == [1, 1]
 
     def test_nested_vehicle_windows(self):
-        sp = Splitter(KeyedAperiodicPolicy(), StreamStats(1, 1))
-        wa = sp.process(ev(0, 0, "L1", key="a")).opened[0]      # slow vehicle
-        wb = sp.process(ev(1, 100, "L1", key="b")).opened[0]    # fast vehicle
-        mid = sp.process(ev(2, 150, "L1", key="c"))
-        assert set(w.wid for w in mid.memberships) >= {wa.wid, wb.wid}
-        rb = sp.process(ev(3, 200, "L2", key="b"))
-        assert wb in rb.closed and wa in rb.memberships and wb in rb.memberships
-        ra = sp.process(ev(4, 500, "L2", key="a"))
-        assert wa in ra.closed and wb not in ra.memberships
+        events = [
+            ev(0, 0, "L1", key="a"),  # slow vehicle
+            ev(1, 100, "L1", key="b"),  # fast vehicle
+            ev(2, 150, "L1", key="c"),
+            ev(3, 200, "L2", key="b"),
+            ev(4, 500, "L2", key="a"),
+        ]
+        table = one_pass(events, KeyedAperiodicPolicy())
+        assert table["members"] == [[0], [0, 1], [0, 1, 2], [0, 1, 2], [0, 2]]
+        assert table["closed"] == [4, 3, 5] and table["close_order"] == [1, 0, 2]
 
     def test_unmatched_close_is_dropped_but_membership_kept(self):
-        sp = Splitter(KeyedAperiodicPolicy(), StreamStats(1, 1))
-        wa = sp.process(ev(0, 0, "L1", key="a")).opened[0]
-        r = sp.process(ev(1, 50, "L2", key="zzz"))
-        assert not r.opened and not r.closed
-        assert r.memberships == [wa]
-        assert sp.policy.dropped_closes == 1
+        events = [ev(0, 0, "L1", key="a"), ev(1, 50, "L2", key="zzz")]
+        assert one_pass(events, KeyedAperiodicPolicy()) == dict(
+            opened=[0], closed=[2], close_ts=[0], close_order=[0], dropped_closes=1, members=[[0], [0]],
+        )
+        m, _ = simulated(events, KeyedAperiodicPolicy())
+        assert m.windows[0].close_ts is None and list(m.tx_members) == [1, 1]
 
     def test_keyed_close_merged_in_wid_order(self):
-        # b closes before a and c, both opened around it: the closing event's
-        # memberships must still come out strictly by wid
-        sp = Splitter(KeyedAperiodicPolicy(), StreamStats(1, 1))
-        wa = sp.process(ev(0, 0, "L1", key="a")).opened[0]
-        wb = sp.process(ev(1, 10, "L1", key="b")).opened[0]
-        wc = sp.process(ev(2, 20, "L1", key="c")).opened[0]
-        r = sp.process(ev(3, 30, "L2", key="b"))
-        assert r.closed == [wb]
-        assert r.memberships == [wa, wb, wc]
-        r = sp.process(ev(4, 40, "L2", key="c"))
-        assert r.memberships == [wa, wc]
+        # b closes before a and c, both opened around it: the closing event
+        # is in all three
+        events = [ev(0, 0, "L1", key="a"), ev(1, 10, "L1", key="b"), ev(2, 20, "L1", key="c"),
+                  ev(3, 30, "L2", key="b"), ev(4, 40, "L2", key="c")]
+        table = one_pass(events, KeyedAperiodicPolicy())
+        assert table["members"][3:] == [[0, 1, 2], [0, 2]]
+        assert table["close_order"] == [1, 2, 0]
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 12), st.booleans()), max_size=60),
            st.sampled_from([1, 5, 7.5, 20, 30.25]))
     def test_time_closes_equal_full_scan(self, rows, ws):
-        policy = TimeWindowPolicy("query", ws)
-        sp = Splitter(policy, StreamStats(1, 1))
-        ts = 0
+        events, ts = [], 0
         for seq, (gap, opener) in enumerate(rows):
             ts += gap
-            e = ev(seq, ts, "query" if opener else "face")
-            full_scan = [
-                (wid, int(w.open_ts + ws)) for wid, w in sp.open_windows.items() if e.ts >= w.open_ts + ws
-            ]
-            assert policy.closes(e, sp.open_windows) == full_scan
-            sp.process(e)
+            events.append(ev(seq, ts, "query" if opener else "face"))
+        table = one_pass(events, TimeWindowPolicy("query", ws))
+        opened, closed = table["opened"], table["closed"]
+        for i, e in enumerate(events):
+            open_before = [w for w in range(len(opened)) if opened[w] < i <= closed[w]]
+            full_scan = [(w, int(events[opened[w]].ts + ws)) for w in open_before
+                         if e.ts >= events[opened[w]].ts + ws]
+            assert [(w, table["close_ts"][w]) for w in table["close_order"] if closed[w] == i] == full_scan
 
     def test_stats_observed_through_splitter(self):
-        stats = StreamStats(1, 1)
-        sp = Splitter(KeyedAperiodicPolicy(), stats)
-        sp.process(ev(0, 0, "L1", key="a"))
-        sp.process(ev(1, 300, "L1", key="b"))
-        sp.process(ev(2, 400, "L2", key="a"))
+        # simulate makes the observations the splitter made per event
+        events = [ev(0, 0, "L1", key="a"), ev(1, 300, "L1", key="b"), ev(2, 400, "L2", key="a")]
+        _, stats = simulated(events, KeyedAperiodicPolicy())
+        assert stats.calls == [("opened", "0.0"), ("event", 0, None), ("opened", "300.0"), ("event", 1, 0),
+                               ("closed", "400.0"), ("event", 2, 300)]
         snap = stats.end_monitoring_window()
         assert snap.ws_est == 400.0
         assert snap.delta_est == 300.0
         assert snap.iat_bins[0].count == 2
         assert snap.type_ratio == {"L1": 2 / 3, "L2": 1 / 3}
+
+
+@st.composite
+def streams(draw):
+    """A short stream and its policy: keyed windows with few keys (nested
+    windows, keys reused after their close, closes with no open window,
+    openers of a key still open, events without a key) or time windows of
+    a whole, fractional or tiny scope; gaps of 0 give runs of equal
+    timestamps, and windows still open at the end never close."""
+    keyed = draw(st.booleans())
+    gaps = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 5, 8]), max_size=40))
+    events, ts = [], 0
+    for seq, gap in enumerate(gaps):
+        ts += gap
+        if keyed:
+            key = draw(st.sampled_from(["a", "b", "c", None]))
+            events.append(ev(seq, ts, draw(st.sampled_from(["L1", "L1", "L2", "L2", "X"])), key))
+        else:
+            events.append(ev(seq, ts, draw(st.sampled_from(["open", "A", "A"]))))
+    if keyed:
+        return events, KeyedAperiodicPolicy()
+    ws = draw(st.sampled_from([1, 3, 8, 2.5, 7.75, 1e-9, 0.3]) | st.floats(1e-6, 30.0))
+    return events, TimeWindowPolicy("open", ws)
+
+
+class TestDetectionOracle:
+    """The one-pass table against the per-event splitter of ``oracles``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(streams())
+    def test_one_pass_equals_per_event(self, stream):
+        events, policy = stream
+        want = per_event_windows(events, policy)
+        assert one_pass(events, policy) == want
+        # simulate counts the same members, closes each window as the
+        # oracle does, and observes in its order
+        m, stats = simulated(events, policy, n=2)
+        assert list(m.tx_members) == [len(ws) for ws in want["members"]]
+        closes = [(w.close_ts, w.n_member_events) for w in m.windows]
+        n = len(events)
+        assert closes == [
+            (None if c == n else t, sum(wid in ws for ws in want["members"]))
+            for wid, (c, t) in enumerate(zip(want["closed"], want["close_ts"]))
+        ]
+        oracle_stats = RecordingStats(1, 1)
+        splitter = PerEventSplitter(policy, oracle_stats)
+        for e in events:
+            splitter.process(e)
+        assert stats.calls == oracle_stats.calls
+
+    @pytest.mark.parametrize("ws, member", [(10, True), (9.5, False), (8, False)])
+    def test_closing_event_at_or_after_close(self, ws, member):
+        # the window opened at 0 is due at ws and closes at int(ws); the
+        # event at 10 closes it, and is in it only when 10 does not exceed
+        # that close
+        events = [ev(0, 0, "open"), ev(1, 5, "A"), ev(2, 10, "A"), ev(3, 10, "A")]
+        table = one_pass(events, TimeWindowPolicy("open", ws))
+        assert table == per_event_windows(events, TimeWindowPolicy("open", ws))
+        assert table["closed"] == [2] and table["close_ts"] == [int(ws)]
+        assert table["members"][2] == ([0] if member else [])
+
+    def test_backwards_timestamps_rejected(self):
+        with pytest.raises(ValueError, match="backwards: 4 < 5"):
+            Splitter([ev(0, 5, "open"), ev(1, 4, "A")], TimeWindowPolicy("open", 1))
 
 
 class W:

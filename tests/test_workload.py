@@ -21,7 +21,6 @@ from cepsim.workload import (
 def custom_cfg(**kw):
     defaults = dict(
         scenario="custom",
-        seed=42,
         duration_ms=400.0,
         iat=ConstantIat(100.0),
         scope=ScopeProfile(ws_ms=1000.0),
@@ -35,23 +34,22 @@ def custom_cfg(**kw):
 
 class TestGenerateStream:
     def test_constant_iat_timestamps(self):
-        events = generate_stream(custom_cfg())
+        events = generate_stream(custom_cfg(), 42)
         assert [e.ts for e in events] == [0, 100, 200, 300, 400]
         assert [e.seq for e in events] == [0, 1, 2, 3, 4]
 
     def test_deterministic_for_seed(self):
         cfg = custom_cfg(iat=ExponentialIat(50.0), type_mix={"A": 0.5, "B": 0.5}, duration_ms=5000.0,
                          cost=CostModel("flat_per_type", {"A": 1.0, "B": 2.0}))
-        assert generate_stream(cfg) == generate_stream(cfg)
+        assert generate_stream(cfg, 42) == generate_stream(cfg, 42)
 
     def test_different_seeds_differ(self):
-        cfg1 = custom_cfg(iat=ExponentialIat(50.0), duration_ms=5000.0)
-        cfg2 = custom_cfg(iat=ExponentialIat(50.0), duration_ms=5000.0, seed=43)
-        assert generate_stream(cfg1) != generate_stream(cfg2)
+        cfg = custom_cfg(iat=ExponentialIat(50.0), duration_ms=5000.0)
+        assert generate_stream(cfg, 42) != generate_stream(cfg, 43)
 
     def test_exponential_mean_within_3_percent(self):
         cfg = custom_cfg(iat=ExponentialIat(100.0), duration_ms=100.0 * 100_000)
-        events = generate_stream(cfg)
+        events = generate_stream(cfg, 42)
         gaps = [b.ts - a.ts for a, b in zip(events, events[1:])]
         mean = sum(gaps) / len(gaps)
         assert abs(mean - 100.0) / 100.0 < 0.03
@@ -59,7 +57,7 @@ class TestGenerateStream:
     def test_timestamps_non_decreasing_and_seq_strict(self):
         cfg = custom_cfg(iat=ExponentialIat(20.0), duration_ms=20_000.0,
                          opener=ExponentialIat(500.0))
-        events = generate_stream(cfg)
+        events = generate_stream(cfg, 42)
         for a, b in zip(events, events[1:]):
             assert a.ts <= b.ts
             assert a.seq < b.seq
@@ -71,20 +69,19 @@ class TestGenerateStream:
             type_mix={"A": 0.4, "B": 0.6},
             cost=CostModel("flat_per_type", {"A": 1.0, "B": 1.0}),
         )
-        events = generate_stream(cfg)
+        events = generate_stream(cfg, 42)
         ratio = sum(1 for e in events if e.etype == "A") / len(events)
         assert ratio == pytest.approx(0.4, abs=0.02)
 
     def test_traffic_pairs_l1_l2(self):
         cfg = WorkloadConfig(
             scenario="traffic",
-            seed=7,
             duration_ms=30_000.0,
             iat=ExponentialIat(500.0),
             scope=ScopeProfile(ws_min_ms=1000.0, ws_max_ms=3000.0),
             cost=CostModel("equi_join", {"L1": 1.0, "L2": 1.0}, incr_ms=0.5),
         )
-        events = generate_stream(cfg)
+        events = generate_stream(cfg, 7)
         l1 = {e.key: e.ts for e in events if e.etype == "L1"}
         l2 = {e.key: e.ts for e in events if e.etype == "L2"}
         assert set(l1) == set(l2)
@@ -101,7 +98,7 @@ class TestGenerateStream:
             cost=CostModel("flat_per_type", {"face": 8.0, "query": 1.0}),
             opener_etype="query",
         )
-        events = generate_stream(cfg)
+        events = generate_stream(cfg, 42)
         assert [e.ts for e in events] == [0, 10, 20, 30, 2000, 2010, 2020, 2030, 4000]
 
     def test_sinusoidal_mu_range(self):
@@ -113,17 +110,17 @@ class TestGenerateStream:
 
     def test_jitter_hints_seeded_and_mean_one(self):
         cfg = custom_cfg(iat=ConstantIat(1.0), duration_ms=20_000.0, cost_jitter_sigma=0.3)
-        events = generate_stream(cfg)
+        events = generate_stream(cfg, 42)
         hints = [e.payload_cost_hint for e in events]
         assert all(h is not None and h > 0 for h in hints)
         assert sum(hints) / len(hints) == pytest.approx(1.0, rel=0.02)
-        assert generate_stream(cfg) == events
+        assert generate_stream(cfg, 42) == events
 
     def test_invalid_config_names_field(self):
         with pytest.raises(ConfigurationError, match="type_mix"):
-            generate_stream(custom_cfg(type_mix={"A": 0.5, "B": 0.6}))
+            generate_stream(custom_cfg(type_mix={"A": 0.5, "B": 0.6}), 42)
         with pytest.raises(ConfigurationError, match="duration_ms"):
-            generate_stream(custom_cfg(duration_ms=0.0))
+            generate_stream(custom_cfg(duration_ms=0.0), 42)
         with pytest.raises(ConfigurationError, match="ws_min_ms"):
             generate_stream(
                 WorkloadConfig(
@@ -131,10 +128,11 @@ class TestGenerateStream:
                     iat=ConstantIat(100.0),
                     scope=ScopeProfile(ws_ms=100.0),
                     cost=CostModel("equi_join", {"L1": 1.0, "L2": 1.0}),
-                )
+                ),
+                42,
             )
         with pytest.raises(ConfigurationError, match="mu_ms"):
-            generate_stream(custom_cfg(iat=ConstantIat(-5.0)))
+            generate_stream(custom_cfg(iat=ConstantIat(-5.0)), 42)
 
 
 def mk_event(etype, hint=None):
