@@ -23,7 +23,6 @@ from .latency_model import (
 from .runtime import (
     InstanceState,
     RunMetrics,
-    Streams,
     run,
     simulate,
 )

@@ -37,7 +37,7 @@ from .latency_model import (
     gains_from_event_values,
     predict_peak,
 )
-from .runtime import RunMetrics, Streams, run
+from .runtime import RunMetrics, run
 from .scheduler import Decision, SchedulerConfig
 from .workload import WorkloadConfig
 
@@ -507,9 +507,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _set_by_path(raw_i, fpath, value)
         runs[run_id] = picks, build_experiment(raw_i)
     _make_run_dirs(out_dir, list(runs))
-    streams = Streams()  # points of one workload and seed share its stream
     for run_id, (_, cfg_i) in runs.items():
-        metrics = run(cfg_i, streams)
+        metrics = run(cfg_i)
         write_run_outputs(out_dir / run_id, metrics)
         row = summary_row(cfg_i, metrics, run_id=run_id)
         append_summary(out_dir, row)

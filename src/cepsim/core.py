@@ -42,8 +42,8 @@ class WindowDescriptor:
     ground truth its member events produced there.
 
     ``n_member_events`` counts its member events, of every type. The
-    simulation sets it when the window closes, or at the end of the run for
-    a window still open. The ``actual_*`` fields are the realised queuing
+    simulation sets it when the window opens, as if it never closed, and
+    again when it closes. The ``actual_*`` fields are the realised queuing
     gains and queuing peak of the window's members on its instance, for
     prediction-accuracy analysis.
     """

@@ -1,10 +1,9 @@
 """Discrete-event simulation of the split--process--merge pipeline.
 
-The simulator walks the totally ordered event stream once, with cursors on
-the windows the splitter detected in it: at each event the monitor observes
-the windows it closes, the window it opens and the event, the controller
-assigns the opened window, and the event is transmitted to every instance
-owning at least one of its member windows.
+The simulator walks the totally ordered event stream once, split at the
+windows the splitter detected: at each event the monitor observes the closes,
+the open and the event, the controller assigns the opened window, and the
+event is transmitted to every instance owning one of its member windows.
 Operator instances are simulated, not real threads: an event's service time
 is the summed in-window cost over its member windows on that instance, and
 the instance's busy-until clock advances accordingly. This yields exactly
@@ -18,9 +17,8 @@ sum is a memoised repeated addition and its observations are one run of
 equal values. Only a cost that reads the window's state is priced per
 (event, window), in wid order, from one count: the stream-wide count of the
 type it reads less that count at the window's opening. Each window's queuing
-gains and peak are also accumulated per (event, window), each its own, so
-under a uniform cost they are visited in any order. A window's member count
-is set when it closes, from the events since its opener.
+gains and peak are also accumulated per (event, window). A window's member
+count is set when it opens, as if it never closed, and again if it closes.
 
 A pair's queue length is one plus the number of events on its instance that
 start after its arrival: those queued or still in transit. Each instance
@@ -41,7 +39,6 @@ after it, and nothing completes or is retired.
 
 from __future__ import annotations
 
-import copy
 import math
 from array import array
 from bisect import bisect_left, bisect_right, insort
@@ -54,7 +51,7 @@ from typing import Iterable, NamedTuple, TYPE_CHECKING
 from .core import WindowDescriptor
 from .scheduler import Decision, InstanceView, WindowScheduler, make_scheduler
 from .splitter import EMPTY_SNAPSHOT, Splitter, StreamStats, make_policy, route_event
-from .workload import CostModel, WorkloadConfig, counted_etype, generate_stream, uniform_cost, window_cost_terms
+from .workload import CostModel, counted_etype, generate_stream, uniform_cost, window_cost_terms
 # uncalled: perfbench's self-test needs its in_window_cost boundary, which wraps this name, to exist
 from .workload import in_window_cost  # noqa: F401
 
@@ -251,8 +248,8 @@ def simulate(
     transfer_delay_ms: float = 0.0,
     feedback_delivery_delay_ms: float = 0.0,
 ) -> RunMetrics:
-    """Run the split--process--merge pipeline over a stream whose windows
-    ``splitter`` detected.
+    """Run the split--process--merge pipeline over the stream of a fresh
+    ``splitter``, which the run consumes.
 
     Deterministic: the same inputs produce identical metrics. A controller
     that reads the snapshot sizes the monitor's bins by its ``params``.
@@ -297,12 +294,7 @@ def simulate(
     counted = 0
     counted_at_open = array("i")  # by wid
     lambda_p_sums: dict[float, list[float]] = {}  # cost -> [0.0, cost, cost + cost, ...]
-    # cursors over the splitter's windows: the next to open and the next to close
-    opened, closed, close_order, close_of = splitter.opened, splitter.closed, splitter.close_order, splitter.close_of
-    n_windows = len(opened)
-    next_open = opened[0] if n_windows else n_events
-    n_closes = 0
-    next_close = closed[close_order[0]] if n_windows else n_events
+    opened, close_of = splitter.opened, splitter.close_of
 
     next_freeze = mtime_ms if scheduler.reads_snapshot else math.inf
     next_feedback = feedback_interval_ms if scheduler.reads_reports else math.inf
@@ -339,16 +331,13 @@ def simulate(
         if keeps_work:
             advance_to(now)
 
+        closed, opens, memberships = splitter.process(i)
         # the monitor observes the closes, then the open, then the event
         closing: dict[int, list[WindowDescriptor]] = {}  # instance -> closed windows e is in
-        closing_members = 0
-        while next_close == i:
-            wid = close_order[n_closes]
-            n_closes += 1
-            next_close = closed[close_order[n_closes]] if n_closes < n_windows else n_events
+        for wid in closed:
             w = windows[wid]
             w.close_ts = close_of(w.open_ts, now)
-            member = now <= w.close_ts
+            member = wid in memberships
             w.n_member_events = i + member - opened[wid]
             if stats is not None:
                 stats.observe_window_closed(w.scope_ms)
@@ -359,16 +348,13 @@ def simulate(
                 owners.remove(idx)
             if member:
                 closing.setdefault(idx, []).append(w)
-                closing_members += 1
 
-        opens = next_open == i
         if stats is not None:
             if opens:
                 stats.observe_window_opened(float(now))
             stats.observe_event(e, events[i - 1].ts if i else None)
         if opens:
-            w = WindowDescriptor(len(windows), e.seq, now)
-            next_open = opened[w.wid + 1] if w.wid + 1 < n_windows else n_events
+            w = WindowDescriptor(len(windows), e.seq, now, n_member_events=n_events - i)  # unless it closes
             decision = scheduler.schedule(w, stats.snapshot if stats is not None else EMPTY_SNAPSHOT, view)
             idx = decision.instance
             w.assigned_instance = idx
@@ -396,14 +382,10 @@ def simulate(
             wins = inst.open_windows.values()
             closed_here = closing.get(idx)
             if closed_here is not None:
-                if cost is None:
-                    # priced and observed in wid order
-                    wins = list(wins)
-                    for w in closed_here:
-                        insort(wins, w, key=_wid)
-                else:
-                    # each window's step below reads only that window
-                    wins = [*wins, *closed_here]
+                # in wid order, for a cost priced and observed per window
+                wins = list(wins)
+                for w in closed_here:
+                    insort(wins, w, key=_wid)
             k = len(wins)
             lambda_q = max(0.0, inst.busy_until - arrival)
             start = arrival + lambda_q
@@ -454,13 +436,10 @@ def simulate(
             add_lambda_q(lambda_q)
             add_lambda_p(lambda_p)
             add_queue_len(queue_len)
-        add_tx_members(len(windows) - n_closes + closing_members)  # the open windows and the closing ones
+        add_tx_members(len(memberships))
         add_tx_instances(len(targets))
         if counted_type is None or etype == counted_type:
             counted += 1
-
-    for wid in close_order[n_closes:]:  # windows still open at the end of the run
-        windows[wid].n_member_events = n_events - opened[wid]
 
     if keeps_work:
         # drain: keep the monitoring and feedback machinery running until
@@ -470,30 +449,12 @@ def simulate(
     return metrics
 
 
-class Streams:
-    """The windows of the last stream a run asked for, kept for the next
-    run: runs that share one generate and detect a stream of equal workload
-    and seed once, such as the points of a sweep over anything else. The
-    caller owns it, so a run given none keeps no stream once it returns."""
-
-    key = windows = None  # a copy of (workload, seed), and its stream's windows
-
-    def get(self, workload: WorkloadConfig, seed: int) -> Splitter:
-        """The windows of the stream that ``workload`` generates from ``seed``."""
-        if self.key != (workload, seed):
-            self.key = self.windows = None  # the old stream is not kept while the new one is made
-            self.windows = Splitter(generate_stream(workload, seed), make_policy(workload))
-            self.key = copy.deepcopy((workload, seed))
-        return self.windows
-
-
-def run(cfg: "ExperimentConfig", streams: Streams | None = None) -> RunMetrics:
-    """Validate the experiment and simulate it on its workload's stream,
-    taken from ``streams`` when given."""
+def run(cfg: "ExperimentConfig") -> RunMetrics:
+    """Validate the experiment, generate its workload's stream and simulate it."""
     cfg.validate()
     scheduler = make_scheduler(cfg.scheduler, cfg.model)
     return simulate(
-        (streams or Streams()).get(cfg.workload, cfg.seed),
+        Splitter(generate_stream(cfg.workload, cfg.seed), make_policy(cfg.workload)),
         cfg.workload.cost,
         scheduler,
         mtime_ms=cfg.mtime_ms,

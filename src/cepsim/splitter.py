@@ -2,7 +2,7 @@
 
 Windows are a property of the stream: :class:`Splitter` detects them once,
 in one pass of the window policy over the whole stream, as columns per
-window, and every run of that stream reads them.
+window, and then splits the stream at them event by event.
 
 The splitter watches the inbound stream inside tumbling monitoring windows of
 ``mtime_ms``, whose boundaries the simulation loop drives. At the end of each
@@ -20,8 +20,8 @@ from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, count, repeat
+from typing import Iterable, KeysView, Mapping, NamedTuple, Sequence
 
 from .core import Event, WindowDescriptor
 
@@ -398,21 +398,29 @@ def make_policy(cfg) -> KeyedAperiodicPolicy | TimeWindowPolicy:
     return TimeWindowPolicy(cfg.opener_etype, cfg.scope.ws_ms)
 
 
+class SplitResult(NamedTuple):
+    """What the splitter finds at one event: the wids of the windows it
+    closes and whether it opens the next window, and its member windows'
+    wids, each in wid order (a live view, valid until the next event)."""
+
+    closed: Sequence[int]
+    opened: bool
+    memberships: KeysView[int]
+
+
 class Splitter:
-    """The windows of one event stream, detected once, in one pass of its
-    policy over the stream.
+    """The windows of one event stream, detected in one pass of its policy;
+    :meth:`process` then splits the stream at them, event by event.
 
     A window comprises every event from its opening event to its closing
-    event; the closing event is a member when its timestamp does not exceed
-    the window's close, ``close_of(open_ts, ts)`` of its opening timestamp
-    and the closing event's. Wids are handed out in opening order. Per wid,
-    ``opened`` holds the index of its opening event and ``closed`` that of
-    its closing event, ``len(events)`` if it never closes. ``close_order``
-    holds the wids in the order they close (at one event, in wid order;
-    those never closed last) and ``dropped_closes`` the close-type events
-    that closed no window. The columns are ``array('i')``s, which no run
-    changes, so one splitter serves every run of its stream.
-    """
+    event, which is a member when its timestamp does not exceed the
+    window's close, ``close_of(open_ts, ts)``. Wids are handed out in
+    opening order. Per wid, ``opened`` holds the index of its opening event
+    and ``closed`` that of its closing event (``len(events)`` if none).
+    ``close_order`` holds the wids in closing order (at one event, in wid
+    order; those never closed last), ``dropped_closes`` the close-type
+    events that closed no window. The members are one ordered set, not a
+    list per event."""
 
     def __init__(self, events: Sequence[Event], policy):
         now = 0
@@ -423,6 +431,39 @@ class Splitter:
         self.events = events
         self.close_of = policy.close_of
         self.opened, self.closed, self.close_order, self.dropped_closes = policy.detect(events)
+        self._members: dict[int, None] = {}  # wid -> None: the last event's member windows
+        self._leaving: list[int] = []  # the last event's members that closed at it
+        # the result of an event that opens and closes nothing; every result shares its view
+        self._quiet = SplitResult((), False, self._members.keys())
+        # cursors on the (event, wid) pairs of the opens and of the closes, each in order
+        self._opens = zip(self.opened, count())
+        self._closes = zip(map(self.closed.__getitem__, self.close_order), self.close_order)
+        self._end = (len(events), None)
+        self._next_open, self._opening = next(self._opens, self._end)
+        self._next_close, self._closing = next(self._closes, self._end)
+
+    def process(self, i: int) -> SplitResult:
+        """Split event ``i``. Each event is split once, in stream order."""
+        members, leaving = self._members, self._leaving
+        while leaving:
+            del members[leaving.pop()]
+        if i != self._next_close and i != self._next_open:
+            return self._quiet
+        closed = []
+        ts = self.events[i].ts
+        while i == self._next_close:
+            wid = self._closing
+            closed.append(wid)
+            if ts <= self.close_of(self.events[self.opened[wid]].ts, ts):
+                leaving.append(wid)  # a member of this event only
+            else:
+                del members[wid]
+            self._next_close, self._closing = next(self._closes, self._end)
+        opened = i == self._next_open
+        if opened:
+            members[self._opening] = None
+            self._next_open, self._opening = next(self._opens, self._end)
+        return SplitResult(closed, opened, self._quiet.memberships)
 
 
 def route_event(owners: Sequence[int], closing: Mapping[int, list[WindowDescriptor]]) -> Sequence[int]:

@@ -217,22 +217,21 @@ def per_event_windows(events: Sequence[Event], policy) -> dict:
     """What :class:`PerEventSplitter` finds in ``events``, in the terms of
     :class:`cepsim.splitter.Splitter`: per wid the index of the opening and
     closing event (``len(events)`` if it never closes) and the close (0 if
-    it never closes), the wids in closing order, the dropped closes, and
-    each event's member wids."""
+    it never closes), the dropped closes, and per event the wids it closes
+    and its member wids."""
     sp = PerEventSplitter(policy)
     n = len(events)
-    opened, closed, close_ts, close_order, members = [], [], [], [], []
+    opened, closed, close_ts, closes, members = [], [], [], [], []
     for i, e in enumerate(events):
         res = sp.process(e)
         for w in res.closed:
             closed[w.wid] = i
             close_ts[w.wid] = w.close_ts
-            close_order.append(w.wid)
         for w in res.opened:
             opened.append(i)
             closed.append(n)
             close_ts.append(0)
+        closes.append([w.wid for w in res.closed])
         members.append([w.wid for w in res.memberships])
-    close_order += sorted(sp.open_windows)
-    return dict(opened=opened, closed=closed, close_ts=close_ts, close_order=close_order,
+    return dict(opened=opened, closed=closed, close_ts=close_ts, closes=closes,
                 dropped_closes=sp.dropped_closes, members=members)

@@ -531,7 +531,7 @@ def test_run_with_experiment_config():
     assert m1.transmissions
 
 
-def test_seed_and_streams_reused_for_equal_workload_and_seed(monkeypatch):
+def test_the_experiment_seed_is_the_streams():
     from cepsim.cli import ExperimentConfig
     from cepsim.workload import ConstantIat, ExponentialIat, ScopeProfile, WorkloadConfig
 
@@ -545,19 +545,8 @@ def test_seed_and_streams_reused_for_equal_workload_and_seed(monkeypatch):
         cost=CostModel("flat_per_type", {"face": 2.0, "open": 0.0}),
     )
     cfg = ExperimentConfig(workload=wl, scheduler=SchedulerConfig("round_robin", n_instances=2), seed=3)
-    generated = []
-    monkeypatch.setattr(runtime, "generate_stream", lambda w, seed: generated.append(seed) or generate_stream(w, seed))
-    # the experiment's seed is the stream's
-    assert run(replace(cfg, seed=4)).tx_ts != run(cfg).tx_ts
-    generated.clear()
-    streams = runtime.Streams()
-    first = run(cfg, streams)
-    # another controller, the same workload and seed: the same stream
-    assert run(replace(cfg, scheduler=SchedulerConfig("round_robin", n_instances=3)), streams).tx_ts == first.tx_ts
-    assert run(replace(cfg, seed=4), streams).tx_ts != first.tx_ts
-    assert run(cfg, streams) == first  # the windows of a reused stream are new per run
-    assert generated == [3, 4, 3]
-    assert run(cfg) == first and generated == [3, 4, 3, 3]
+    assert run(cfg).tx_ts == array("q", [e.ts for e in generate_stream(wl, 3)])
+    assert run(replace(cfg, seed=4)).tx_ts == array("q", [e.ts for e in generate_stream(wl, 4)]) != run(cfg).tx_ts
 
 
 def test_the_experiment_model_is_the_one_run(tmp_path):

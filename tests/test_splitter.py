@@ -257,20 +257,23 @@ class TestTCount:
 
 
 def one_pass(events, policy):
-    """The windows :class:`Splitter` detects in ``events``, in the terms of
-    :func:`oracles.per_event_windows`; each event's member wids follow from
-    the columns: the windows opened at or before it and closed after it, or
-    closed at it with its timestamp not past the close."""
+    """What :class:`Splitter` finds in ``events``, split event by event, in
+    the terms of :func:`oracles.per_event_windows`."""
     sp = Splitter(events, policy)
-    wids = range(len(sp.opened))
-    close_ts = [sp.close_of(events[o].ts, events[c].ts) if c < len(events) else 0
-                for o, c in zip(sp.opened, sp.closed)]
-    members = [
-        [w for w in wids if sp.opened[w] <= i and (i < sp.closed[w] or i == sp.closed[w] and e.ts <= close_ts[w])]
-        for i, e in enumerate(events)
-    ]
-    return dict(opened=list(sp.opened), closed=list(sp.closed), close_ts=close_ts,
-                close_order=list(sp.close_order), dropped_closes=sp.dropped_closes, members=members)
+    n = len(events)
+    opened, closed, closes, members = [], [n] * len(sp.opened), [], []
+    for i in range(n):
+        res = sp.process(i)
+        if res.opened:
+            opened.append(i)
+        for wid in res.closed:
+            closed[wid] = i
+        closes.append(list(res.closed))
+        members.append(list(res.memberships))
+    assert (opened, closed) == (list(sp.opened), list(sp.closed))
+    close_ts = [sp.close_of(events[o].ts, events[c].ts) if c < n else 0 for o, c in zip(opened, closed)]
+    return dict(opened=opened, closed=closed, close_ts=close_ts, closes=closes,
+                dropped_closes=sp.dropped_closes, members=members)
 
 
 class RecordingStats(StreamStats):
@@ -315,7 +318,7 @@ class TestDetectWindows:
     def test_traffic_minimal_window(self):
         events = [ev(0, 100, "L1", key="a"), ev(1, 400, "L2", key="a")]
         assert one_pass(events, KeyedAperiodicPolicy()) == dict(
-            opened=[0], closed=[1], close_ts=[400], close_order=[0], dropped_closes=0,
+            opened=[0], closed=[1], close_ts=[400], closes=[[], [0]], dropped_closes=0,
             members=[[0], [0]],  # the closing event is a member
         )
         m, _ = simulated(events, KeyedAperiodicPolicy())
@@ -326,7 +329,7 @@ class TestDetectWindows:
     def test_time_window_closes_at_scope(self):
         events = [ev(0, 0, "query"), ev(1, 9_999, "face"), ev(2, 12_000, "face")]
         assert one_pass(events, TimeWindowPolicy("query", 10_000.0)) == dict(
-            opened=[0], closed=[2], close_ts=[10_000], close_order=[0], dropped_closes=0,
+            opened=[0], closed=[2], close_ts=[10_000], closes=[[], [], [0]], dropped_closes=0,
             members=[[0], [0], []],  # arrived after the scope ended
         )
         m, _ = simulated(events, TimeWindowPolicy("query", 10_000.0))
@@ -350,12 +353,12 @@ class TestDetectWindows:
         ]
         table = one_pass(events, KeyedAperiodicPolicy())
         assert table["members"] == [[0], [0, 1], [0, 1, 2], [0, 1, 2], [0, 2]]
-        assert table["closed"] == [4, 3, 5] and table["close_order"] == [1, 0, 2]
+        assert table["closed"] == [4, 3, 5] and table["closes"] == [[], [], [], [1], [0]]
 
     def test_unmatched_close_is_dropped_but_membership_kept(self):
         events = [ev(0, 0, "L1", key="a"), ev(1, 50, "L2", key="zzz")]
         assert one_pass(events, KeyedAperiodicPolicy()) == dict(
-            opened=[0], closed=[2], close_ts=[0], close_order=[0], dropped_closes=1, members=[[0], [0]],
+            opened=[0], closed=[2], close_ts=[0], closes=[[], []], dropped_closes=1, members=[[0], [0]],
         )
         m, _ = simulated(events, KeyedAperiodicPolicy())
         assert m.windows[0].close_ts is None and list(m.tx_members) == [1, 1]
@@ -367,7 +370,7 @@ class TestDetectWindows:
                   ev(3, 30, "L2", key="b"), ev(4, 40, "L2", key="c")]
         table = one_pass(events, KeyedAperiodicPolicy())
         assert table["members"][3:] == [[0, 1, 2], [0, 2]]
-        assert table["close_order"] == [1, 2, 0]
+        assert table["closes"][3:] == [[1], [2]]
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 12), st.booleans()), max_size=60),
@@ -383,7 +386,7 @@ class TestDetectWindows:
             open_before = [w for w in range(len(opened)) if opened[w] < i <= closed[w]]
             full_scan = [(w, int(events[opened[w]].ts + ws)) for w in open_before
                          if e.ts >= events[opened[w]].ts + ws]
-            assert [(w, table["close_ts"][w]) for w in table["close_order"] if closed[w] == i] == full_scan
+            assert [(w, table["close_ts"][w]) for w in table["closes"][i]] == full_scan
 
     def test_stats_observed_through_splitter(self):
         # simulate makes the observations the splitter made per event
