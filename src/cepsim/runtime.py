@@ -8,7 +8,9 @@ Operator instances are simulated, not real threads: an event's service time
 is the summed in-window cost over its member windows on that instance, and
 the instance's busy-until clock advances accordingly. This yields exactly
 the busy-server recursion lambda_q(e') = max(0, lambda_q(e) + lambda_p(e) -
-iat) per instance, reproducibly and hardware-independently.
+iat) per instance, reproducibly and hardware-independently. A window that
+closes at an event it contains leaves its instance after that event, so each
+instance's windows stay in wid order.
 
 An event's work on one instance runs once per (event, instance): routing,
 queueing, one entry in each of ``RunMetrics``' pair columns and the latency
@@ -31,8 +33,9 @@ Monitoring-window freezes and instance feedback reports fire at their
 simulated times between event arrivals, and only for a controller that reads
 them (one that reads no snapshot gets the empty one, and nothing is observed);
 feedback reflects only events whose processing already completed, so
-controllers see realistically stale data. The in-flight work that feeds them
-is kept only for such a controller: Round-Robin's instances keep a
+controllers see realistically stale data. None fires after the last event,
+whose output no later decision can change. The in-flight work that feeds
+them is kept only for such a controller: Round-Robin's instances keep a
 busy-until clock, their open windows, their last arrival and the starts
 after it, and nothing completes or is retired.
 """
@@ -50,9 +53,10 @@ from typing import Iterable, NamedTuple, TYPE_CHECKING
 
 from .core import WindowDescriptor
 from .scheduler import Decision, InstanceView, WindowScheduler, make_scheduler
-from .splitter import EMPTY_SNAPSHOT, Splitter, StreamStats, make_policy, route_event
+from .splitter import EMPTY_SNAPSHOT, Splitter, StreamStats, make_policy
 from .workload import CostModel, counted_etype, generate_stream, uniform_cost, window_cost_terms
-# uncalled: perfbench's self-test needs its in_window_cost boundary, which wraps this name, to exist
+# uncalled: perfbench's self-test needs the boundaries that wrap these two names
+from .splitter import route_event  # noqa: F401
 from .workload import in_window_cost  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -127,9 +131,6 @@ class FeedbackDelay(NamedTuple):
     lat_peak_delay_ms: float
     qlen_peak: int
     qlen_peak_delay_ms: float
-
-
-_wid = attrgetter("wid")
 
 
 def _column(typecode: str):
@@ -286,7 +287,6 @@ def simulate(
     add_instance, add_queue_len = metrics.instance.append, metrics.queue_len.append
     add_lambda_q, add_lambda_p = metrics.lambda_q.append, metrics.lambda_p.append
     add_tx_members, add_tx_instances = metrics.tx_members.append, metrics.tx_instances.append
-    now = 0
     owners: list[int] = []  # instances holding open windows, ascending
     # a window's count of the type a window-reading cost counts (None: every
     # type) is the events before the current one, less those before its opener
@@ -324,16 +324,20 @@ def simulate(
 
     def view(i: int) -> InstanceView:
         # controllers read one instance per decision, so views are built on call
-        return InstanceView(len(instances[i].open_windows), *delivered[i])
+        n_open = len(instances[i].open_windows) - sum(w.assigned_instance == i for w in leaving)
+        return InstanceView(n_open, *delivered[i])
 
+    leaving: list[WindowDescriptor] = []  # closed windows the current event is in
     for i, e in enumerate(events):
         now = e.ts
         if keeps_work:
             advance_to(now)
 
         closed, opens, memberships = splitter.process(i)
-        # the monitor observes the closes, then the open, then the event
-        closing: dict[int, list[WindowDescriptor]] = {}  # instance -> closed windows e is in
+        # the monitor observes the closes, then the open, then the event. A
+        # closed window leaves its instance after its last member: those the
+        # last event closed as a member go now, with those closing without this one
+        gone, leaving = leaving, []
         for wid in closed:
             w = windows[wid]
             w.close_ts = close_of(w.open_ts, now)
@@ -341,13 +345,13 @@ def simulate(
             w.n_member_events = i + member - opened[wid]
             if stats is not None:
                 stats.observe_window_closed(w.scope_ms)
+            (leaving if member else gone).append(w)
+        for w in gone:
             idx = w.assigned_instance
             open_windows = instances[idx].open_windows
-            del open_windows[wid]
+            del open_windows[w.wid]
             if not open_windows:
                 owners.remove(idx)
-            if member:
-                closing.setdefault(idx, []).append(w)
 
         if stats is not None:
             if opens:
@@ -366,26 +370,19 @@ def simulate(
             metrics.decisions.append(decision)
             windows.append(w)
 
-        targets = route_event(owners, closing)
         etype = e.etype
         arrival = now + transfer_delay_ms
         # priced once per event when every window charges the same
-        cost = uniform_cost(cost_model, e) if targets else None
+        cost = uniform_cost(cost_model, e) if owners else None
         if cost is not None:
             sums = lambda_p_sums.get(cost)
             if sums is None:
                 sums = lambda_p_sums[cost] = [0.0]
-        elif targets:
+        elif owners:
             base, incr, hint = window_cost_terms(cost_model, e)
-        for idx in targets:
+        for idx in owners:
             inst = instances[idx]
-            wins = inst.open_windows.values()
-            closed_here = closing.get(idx)
-            if closed_here is not None:
-                # in wid order, for a cost priced and observed per window
-                wins = list(wins)
-                for w in closed_here:
-                    insort(wins, w, key=_wid)
+            wins = inst.open_windows.values()  # in wid order
             k = len(wins)
             lambda_q = max(0.0, inst.busy_until - arrival)
             start = arrival + lambda_q
@@ -437,14 +434,9 @@ def simulate(
             add_lambda_p(lambda_p)
             add_queue_len(queue_len)
         add_tx_members(len(memberships))
-        add_tx_instances(len(targets))
+        add_tx_instances(len(owners))
         if counted_type is None or etype == counted_type:
             counted += 1
-
-    if keeps_work:
-        # drain: keep the monitoring and feedback machinery running until
-        # every instance finished its queued work
-        advance_to(max([now] + [inst.busy_until for inst in instances]))
 
     return metrics
 

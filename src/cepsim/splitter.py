@@ -423,10 +423,10 @@ class Splitter:
     list per event."""
 
     def __init__(self, events: Sequence[Event], policy):
-        now = 0
-        for e in events:
+        now = 0  # instances are idle from 0, so an earlier arrival would wait
+        for i, e in enumerate(events):
             if e.ts < now:
-                raise ValueError(f"event timestamps cannot go backwards: {e.ts} < {now}")
+                raise ValueError(f"timestamps must be >= 0 and must never decrease, got {e.ts} < {now} at event {i}")
             now = e.ts
         self.events = events
         self.close_of = policy.close_of
@@ -470,5 +470,6 @@ def route_event(owners: Sequence[int], closing: Mapping[int, list[WindowDescript
     """The instances an event is sent to, once each and in ascending order:
     ``owners``, the instances holding open windows (ascending; the event is
     in each of those windows), and the keys of ``closing``, the owners of
-    windows that closed at the event with the event still a member."""
+    windows that closed at the event with the event still a member. Nothing
+    in ``cepsim`` calls it; it stays as a boundary the benchmark's tracer wraps."""
     return sorted({*owners, *closing}) if closing else owners

@@ -145,14 +145,13 @@ def reference_run(events, policy, cost, owner, transfer_delay_ms):
 def reference_reports(events, samples, n_instances, interval):
     """``(emitted_at, queued_counts, theta_bar_rep, last_lambda_o)`` of every
     report, in emission order: at each t = k * interval up to the last
-    arrival or completion, one per instance, ascending. An event counts
-    when it was processed before t (ts < t); it is queued at t when it has
-    arrived but not started, and the last one completed by t gives the
-    reported latency."""
-    end = max([events[-1].ts] + [s.completion for s in samples])
+    event's timestamp (no later report can reach an output), one per
+    instance, ascending. An event counts when it was processed before t
+    (ts < t); it is queued at t when it has arrived but not started, and the
+    last one completed by t gives the reported latency."""
     out = []
     k = 1
-    while k * interval <= end:
+    while k * interval <= events[-1].ts:
         t = k * interval
         for inst in range(n_instances):
             mine = [s for s in samples if s.instance == inst and s.ts < t]
@@ -419,9 +418,10 @@ def test_report_counts_event_queued_behind_a_later_arrival():
 
 def test_reports_match_reference_under_a_transfer_delay():
     # delay 7.5: A is in service from 7.5 to 11.5 and X, arrived at 8.5,
-    # waits for it; Y (ts 4) arrives at 11.5, before the report at t=10 is made
+    # waits for it; Y (ts 4) arrives at 11.5, before the report at t=10 is
+    # made, and the second Y, at ts 10, comes after that report
     w = dict(
-        events=[Event(0, 0, "open"), Event(1, 0, "A"), Event(2, 1, "X"), Event(3, 4, "Y")],
+        events=[Event(0, 0, "open"), Event(1, 0, "A"), Event(2, 1, "X"), Event(3, 4, "Y"), Event(4, 10, "Y")],
         policy=TimeWindowPolicy("open", 100),
         cost=CostModel("flat_per_type", {"open": 0.0, "A": 4.0, "X": 1.0, "Y": 1.0}),
         # reactive on one instance: windows placed as Round-Robin places them

@@ -137,9 +137,9 @@ class TestConservationAndIdentities:
     def test_backwards_timestamps_rejected(self):
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0})
         run_sim(mk_events([(0, "open"), (5, "A"), (5, "A")]), policy=TimeWindowPolicy("open", 10.0), cost=cost)
-        with pytest.raises(ValueError, match="backwards"):
+        with pytest.raises(ValueError, match="must never decrease, got 4 < 5 at event 2"):
             run_sim(mk_events([(0, "open"), (5, "A"), (4, "A")]), policy=TimeWindowPolicy("open", 10.0), cost=cost)
-        with pytest.raises(ValueError, match="backwards"):
+        with pytest.raises(ValueError, match="must be >= 0 and must never decrease, got -1 < 0 at event 0"):
             run_sim(mk_events([(-1, "open")]), policy=TimeWindowPolicy("open", 10.0), cost=cost)
 
     @pytest.mark.parametrize("name", ["transfer_delay_ms", "feedback_delivery_delay_ms"])
@@ -186,6 +186,21 @@ def failing_after(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.mark.parametrize("kind", ["reactive", "model_based"])
+@pytest.mark.parametrize("cost_ms", [1e9, 1e308])
+def test_a_backlog_beyond_the_last_event_ends_the_run_there(kind, cost_ms):
+    # the instance stays busy far past the last event (forever at 1e308,
+    # whose sum overflows to inf); nothing after that event reaches an
+    # output, so no freeze or feedback instant fires past it
+    events = mk_events([(0, "open"), (1, "A"), (2, "A")])
+    cost = CostModel("flat_per_type", {"open": cost_ms, "A": cost_ms})
+    kw = {"th_ms": 1.0} if kind == "reactive" else {"lb_ms": 5.0}
+    with failing_after(5):
+        m = run_sim(events, policy=TimeWindowPolicy("open", 100.0), cost=cost, kind=kind, mtime=10.0, **kw)
+    assert list(m.lambda_p) == [cost_ms] * 3
+    assert list(m.lambda_q) == [0.0, cost_ms - 1, cost_ms + cost_ms - 2]
+
+
 @pytest.fixture
 def reports(monkeypatch):
     """``(now, queued_counts, theta_bar_rep, last_lambda_o)`` of every
@@ -223,11 +238,13 @@ class TestFeedback:
         assert theta_bar_rep == 2.0
 
     def test_empty_queue_report(self, reports):
-        events = mk_events([(0, "open"), (99, "A")])
+        # the first A completes at t=100; the second, at ts 100, comes after the report then
+        events = mk_events([(0, "open"), (99, "A"), (100, "A")])
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0})
         run_sim(events, policy=TimeWindowPolicy("open", 150.0), cost=cost,
                 kind="reactive", th_ms=1.0, mtime=10_000.0, feedback_interval_ms=100.0)
-        _, queued_counts, theta_bar_rep, _ = reports[0]
+        now, queued_counts, theta_bar_rep, _ = reports[0]
+        assert now == 100.0
         assert queued_counts == {}
         assert theta_bar_rep == 1.0
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import astuple
 from unittest import mock
 
@@ -461,8 +462,12 @@ class TestDetectionOracle:
         assert table["members"][2] == ([0] if member else [])
 
     def test_backwards_timestamps_rejected(self):
-        with pytest.raises(ValueError, match="backwards: 4 < 5"):
+        rule = "timestamps must be >= 0 and must never decrease, got "
+        with pytest.raises(ValueError, match=re.escape(rule + "4 < 5 at event 1")):
             Splitter([ev(0, 5, "open"), ev(1, 4, "A")], TimeWindowPolicy("open", 1))
+        # an instance is idle from 0, so a negative first arrival would wait
+        with pytest.raises(ValueError, match=re.escape(rule + "-5 < 0 at event 0")):
+            Splitter([ev(0, -5, "open"), ev(1, 4, "A")], TimeWindowPolicy("open", 1))
 
 
 class W:
