@@ -375,9 +375,10 @@ def write_run_outputs(run_dir: Path, metrics: RunMetrics) -> None:
         ["wid", "open_ts", "close_ts", "instance", "n_member_events",
          "actual_gamma_minus", "actual_gamma_plus", "actual_lambda_q_peak"],
         (
-            (w.wid, w.open_ts, "" if w.close_ts is None else w.close_ts, w.assigned_instance,
-             w.n_member_events, w.actual_gamma_minus, w.actual_gamma_plus, w.actual_lambda_q_peak)
-            for w in metrics.windows
+            (d.wid, open_ts, "" if close_ts is None else close_ts, d.instance, n_members,
+             w.actual_gamma_minus, w.actual_gamma_plus, w.actual_lambda_q_peak)
+            for (open_ts, close_ts, n_members), d, w
+            in zip(metrics.window_extents(), metrics.decisions, metrics.windows)
         ),
     )
     _write_rows(

@@ -38,29 +38,11 @@ class Event(NamedTuple):
 
 @dataclass(slots=True)
 class WindowDescriptor:
-    """An open or closed window, the operator instance that owns it, and the
-    ground truth its member events produced there.
+    """What a run measures of one window on the instance that owns it: the
+    realised queuing gains and queuing peak of its member events there, for
+    prediction-accuracy analysis. A window's extent is the splitter's and
+    its instance its decision's."""
 
-    ``n_member_events`` counts its member events, of every type. The
-    simulation sets it when the window opens, as if it never closed, and
-    again when it closes. The ``actual_*`` fields are the realised queuing
-    gains and queuing peak of the window's members on its instance, for
-    prediction-accuracy analysis.
-    """
-
-    wid: int
-    start_seq: int
-    open_ts: int
-    close_ts: int | None = None
-    assigned_instance: int | None = None
-    n_member_events: int = 0
     actual_gamma_minus: float = 0.0
     actual_gamma_plus: float = 0.0
     actual_lambda_q_peak: float = 0.0
-
-    @property
-    def scope_ms(self) -> float | None:
-        """Window scope: time between opening and closing event, if closed."""
-        if self.close_ts is None:
-            return None
-        return float(self.close_ts - self.open_ts)

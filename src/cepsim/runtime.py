@@ -19,8 +19,9 @@ sum is a memoised repeated addition and its observations are one run of
 equal values. Only a cost that reads the window's state is priced per
 (event, window), in wid order, from one count: the stream-wide count of the
 type it reads less that count at the window's opening. Each window's queuing
-gains and peak are also accumulated per (event, window). A window's member
-count is set when it opens, as if it never closed, and again if it closes.
+gains and peak are also accumulated per (event, window); they are all a run
+records of a window itself, whose extent is the splitter's and whose
+instance is its decision's.
 
 A pair's queue length is one plus the number of events on its instance that
 start after its arrival: those queued or still in transit. Each instance
@@ -49,7 +50,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, compress, groupby, islice, repeat
 from operator import add, attrgetter
-from typing import Iterable, NamedTuple, TYPE_CHECKING
+from typing import Iterable, Iterator, NamedTuple, TYPE_CHECKING
 
 from .core import WindowDescriptor
 from .scheduler import Decision, InstanceView, WindowScheduler, make_scheduler
@@ -147,11 +148,14 @@ class RunMetrics:
     lambda_p``. Its seq and timestamp are its event's: the ``tx_*`` columns
     hold one transmission row per event, its seq, timestamp, member-window
     count and the number of instances it was sent to, and an event's pairs
-    are the next ``tx_instances`` entries of the pair columns. ``event_seq``
-    and ``ts`` expand the per-event columns to one entry per pair. The
-    columns are the record of the run; nothing re-presents them per sample.
-    ``windows`` holds every scheduled window, indexed by wid: the scheduling
-    order, from which :meth:`feedback_delays` derives the batches.
+    are the next ``tx_instances`` entries of the pair columns. The columns
+    are the record of the run; nothing re-presents them per sample.
+
+    Per window, indexed by wid: ``decisions`` holds its scheduling decision,
+    in scheduling order, from which :meth:`feedback_delays` derives the
+    batches; ``windows`` what the run measured of it; ``opened``, ``closed``
+    and ``close_ts`` the splitter's detection columns, its opening and
+    closing event's index and its close (None if it never closed).
     """
 
     instance: array = _column("q")
@@ -164,6 +168,9 @@ class RunMetrics:
     tx_instances: array = _column("q")
     decisions: list[Decision] = field(default_factory=list)
     windows: list[WindowDescriptor] = field(default_factory=list)
+    opened: array = _column("i")
+    closed: array = _column("i")
+    close_ts: list[int | None] = field(default_factory=list)
 
     @property
     def transmissions(self) -> int:
@@ -174,15 +181,13 @@ class RunMetrics:
         """An iterator over the per-event ``column``, each entry repeated once per pair of its event."""
         return chain.from_iterable(map(repeat, column, self.tx_instances))
 
-    @property
-    def event_seq(self) -> array:
-        """Each pair's event seq, expanded afresh on every read."""
-        return array("q", self.per_pair(self.tx_seq))
-
-    @property
-    def ts(self) -> array:
-        """Each pair's event timestamp, expanded afresh on every read."""
-        return array("q", self.per_pair(self.tx_ts))
+    def window_extents(self) -> Iterator[tuple[int, int | None, int]]:
+        """Per wid, ``(open_ts, close_ts, n_member_events)``: its members,
+        of every type, run from its opening event to its closing event,
+        which is one when its timestamp does not exceed the close."""
+        tss, n = self.tx_ts, len(self.tx_ts)
+        for o, c, close in zip(self.opened, self.closed, self.close_ts):
+            yield tss[o], close, c - o + (c < n and tss[c] <= close)
 
     def lambda_o_values(self, warmup_ms: float = 0.0) -> array:
         """lambda_o of each pair whose event's timestamp is at least
@@ -211,10 +216,11 @@ class RunMetrics:
         # the timestamp of the last event that has a pair
         end_of_run = next(compress(reversed(self.tx_ts), reversed(self.tx_instances)), 0)
         out = []
-        for batch_id, (instance, batch) in enumerate(groupby(self.windows, attrgetter("assigned_instance"))):
+        for batch_id, (instance, batch) in enumerate(groupby(self.decisions, attrgetter("instance"))):
             batch = list(batch)
-            first_decision_ts = batch[0].open_ts  # decided at the event that opened it
-            closes = [w.close_ts for w in batch]
+            first, end = batch[0].wid, batch[-1].wid + 1
+            first_decision_ts = self.tx_ts[self.opened[first]]  # decided at the event that opened it
+            closes = self.close_ts[first:end]
             span_end = end_of_run if None in closes else max(closes)
             ts, los, qlens = by_instance.get(instance, ((), (), ()))
             lo = bisect_left(ts, first_decision_ts)
@@ -230,7 +236,7 @@ class RunMetrics:
                     batch_id,
                     instance,
                     first_decision_ts,
-                    len(batch),
+                    end - first,
                     lat_peak,
                     float(lat_ts - first_decision_ts),
                     qlen_peak,
@@ -279,10 +285,10 @@ def simulate(
     delivered = [({}, 1.0, None)] * n_instances
     pending_reports: deque[tuple[float, list]] = deque()  # (due, every instance's report)
     events = splitter.events
-    n_events = len(events)
     seqs, tss = (array("q", map(attrgetter(name), events)) for name in ("seq", "ts"))
-    metrics = RunMetrics(tx_seq=seqs, tx_ts=tss)
-    windows = metrics.windows
+    opened, close_ts = splitter.opened, splitter.close_ts
+    metrics = RunMetrics(tx_seq=seqs, tx_ts=tss, opened=opened, closed=splitter.closed, close_ts=close_ts)
+    windows, decisions = metrics.windows, metrics.decisions
     # column appends, bound once: the loop below runs once per pair
     add_instance, add_queue_len = metrics.instance.append, metrics.queue_len.append
     add_lambda_q, add_lambda_p = metrics.lambda_q.append, metrics.lambda_p.append
@@ -294,7 +300,6 @@ def simulate(
     counted = 0
     counted_at_open = array("i")  # by wid
     lambda_p_sums: dict[float, list[float]] = {}  # cost -> [0.0, cost, cost + cost, ...]
-    opened, close_of = splitter.opened, splitter.close_of
 
     next_freeze = mtime_ms if scheduler.reads_snapshot else math.inf
     next_feedback = feedback_interval_ms if scheduler.reads_reports else math.inf
@@ -324,10 +329,10 @@ def simulate(
 
     def view(i: int) -> InstanceView:
         # controllers read one instance per decision, so views are built on call
-        n_open = len(instances[i].open_windows) - sum(w.assigned_instance == i for w in leaving)
+        n_open = len(instances[i].open_windows) - sum(decisions[wid].instance == i for wid in leaving)
         return InstanceView(n_open, *delivered[i])
 
-    leaving: list[WindowDescriptor] = []  # closed windows the current event is in
+    leaving: list[int] = []  # the wids of closed windows the current event is in
     for i, e in enumerate(events):
         now = e.ts
         if keeps_work:
@@ -339,17 +344,13 @@ def simulate(
         # last event closed as a member go now, with those closing without this one
         gone, leaving = leaving, []
         for wid in closed:
-            w = windows[wid]
-            w.close_ts = close_of(w.open_ts, now)
-            member = wid in memberships
-            w.n_member_events = i + member - opened[wid]
             if stats is not None:
-                stats.observe_window_closed(w.scope_ms)
-            (leaving if member else gone).append(w)
-        for w in gone:
-            idx = w.assigned_instance
+                stats.observe_window_closed(float(close_ts[wid] - tss[opened[wid]]))
+            (leaving if wid in memberships else gone).append(wid)
+        for wid in gone:
+            idx = decisions[wid].instance
             open_windows = instances[idx].open_windows
-            del open_windows[w.wid]
+            del open_windows[wid]
             if not open_windows:
                 owners.remove(idx)
 
@@ -358,16 +359,15 @@ def simulate(
                 stats.observe_window_opened(float(now))
             stats.observe_event(e, events[i - 1].ts if i else None)
         if opens:
-            w = WindowDescriptor(len(windows), e.seq, now, n_member_events=n_events - i)  # unless it closes
-            decision = scheduler.schedule(w, stats.snapshot if stats is not None else EMPTY_SNAPSHOT, view)
+            wid = len(windows)
+            decision = scheduler.schedule(wid, stats.snapshot if stats is not None else EMPTY_SNAPSHOT, view)
             idx = decision.instance
-            w.assigned_instance = idx
             open_windows = instances[idx].open_windows
             if not open_windows:
                 insort(owners, idx)
-            open_windows[w.wid] = w
+            open_windows[wid] = w = WindowDescriptor()
             counted_at_open.append(counted)
-            metrics.decisions.append(decision)
+            decisions.append(decision)
             windows.append(w)
 
         etype = e.etype
@@ -382,7 +382,8 @@ def simulate(
             base, incr, hint = window_cost_terms(cost_model, e)
         for idx in owners:
             inst = instances[idx]
-            wins = inst.open_windows.values()  # in wid order
+            open_windows = inst.open_windows  # in wid order
+            wins = open_windows.values()
             k = len(wins)
             lambda_q = max(0.0, inst.busy_until - arrival)
             start = arrival + lambda_q
@@ -390,8 +391,8 @@ def simulate(
                 # the latencies are kept only to be observed
                 lams, run = [] if stats is not None else None, None
                 lambda_p = 0.0
-                for w in wins:
-                    c = base + incr * (counted - counted_at_open[w.wid])
+                for wid in open_windows:
+                    c = base + incr * (counted - counted_at_open[wid])
                     if hint is not None:
                         c *= hint
                     if lams is not None:

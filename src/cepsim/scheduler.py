@@ -1,8 +1,8 @@
 """Window-scheduling controllers: Round-Robin, latency-reactive, model-based.
 
-All three share one interface: ``schedule(window, snapshot, view)`` picks
-the instance a newly opened window is assigned to; ``view(i)`` builds the
-:class:`InstanceView` of instance ``i``. Each declares the inputs it reads,
+All three share one interface: ``schedule(wid, snapshot, view)`` picks the
+instance the newly opened window ``wid`` is assigned to; ``view(i)`` builds
+the :class:`InstanceView` of instance ``i``. Each declares the inputs it reads,
 ``reads_snapshot`` (the monitoring snapshot) and ``reads_reports`` (the
 instances' feedback reports), and the simulation computes only those.
 The reactive and model-based controllers batch onto the current instance
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
-from .core import ConfigurationError, WindowDescriptor
+from .core import ConfigurationError
 from .latency_model import CompiledModel, LatencyPrediction, ModelParams, compile_model, predict
 from .splitter import StreamStatsSnapshot
 
@@ -77,13 +77,13 @@ class RoundRobinScheduler:
 
     def schedule(
         self,
-        window: WindowDescriptor,
+        wid: int,
         snapshot: StreamStatsSnapshot,
         view: Callable[[int], InstanceView],
     ) -> Decision:
         idx = self.cursor
         self.cursor = (self.cursor + 1) % self.n
-        return Decision(window.wid, idx, self.kind)
+        return Decision(wid, idx, self.kind)
 
 
 class ReactiveScheduler:
@@ -101,14 +101,14 @@ class ReactiveScheduler:
 
     def schedule(
         self,
-        window: WindowDescriptor,
+        wid: int,
         snapshot: StreamStatsSnapshot,
         view: Callable[[int], InstanceView],
     ) -> Decision:
         observed = view(self.cursor).last_lambda_o
         if observed is not None and observed >= self.th_ms:
             self.cursor = (self.cursor + 1) % self.n
-        return Decision(window.wid, self.cursor, self.kind, observed_lambda_o=observed)
+        return Decision(wid, self.cursor, self.kind, observed_lambda_o=observed)
 
 
 class ModelBasedScheduler:
@@ -134,7 +134,7 @@ class ModelBasedScheduler:
 
     def schedule(
         self,
-        window: WindowDescriptor,
+        wid: int,
         snapshot: StreamStatsSnapshot,
         view: Callable[[int], InstanceView],
     ) -> Decision:
@@ -145,7 +145,7 @@ class ModelBasedScheduler:
         pred = predict(model, cand.open_window_count + 1, cand.queued_counts, cand.theta_bar_rep)
         if pred.lambda_o_max > self.lb_ms:
             self.cursor = (self.cursor + 1) % self.n
-        return Decision(window.wid, self.cursor, self.kind, prediction=pred)
+        return Decision(wid, self.cursor, self.kind, prediction=pred)
 
 
 WindowScheduler = RoundRobinScheduler | ReactiveScheduler | ModelBasedScheduler

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, count, repeat
 from typing import Iterable, KeysView, Mapping, NamedTuple, Sequence
 
-from .core import Event, WindowDescriptor
+from .core import Event
 
 
 @dataclass(frozen=True)
@@ -263,8 +263,8 @@ class StreamStats:
             self._delta_n += 1
         self._last_open_ts = open_ts
 
-    def observe_window_closed(self, scope_ms: float) -> None:
-        self._ws_sum += scope_ms
+    def observe_window_closed(self, scope: float) -> None:
+        self._ws_sum += scope
         self._ws_n += 1
 
     # -- freezing ----------------------------------------------------------
@@ -341,10 +341,11 @@ class KeyedAperiodicPolicy:
     open_etype = "L1"
     close_etype = "L2"
 
-    def detect(self, events: Sequence[Event]) -> tuple[array, array, array, int]:
-        """``(opened, closed, close_order, dropped_closes)`` of ``events``,
-        as :class:`Splitter` keeps them."""
+    def detect(self, events: Sequence[Event]) -> tuple[array, array, list, array, int]:
+        """``(opened, closed, close_ts, close_order, dropped_closes)`` of
+        ``events``, as :class:`Splitter` keeps them."""
         opened, closed, close_order = array("i"), array("i"), array("i")
+        close_ts: list[int | None] = []
         by_key: dict[str, int] = {}  # key -> wid of its open window
         dropped = 0
         for i, e in enumerate(events):
@@ -355,18 +356,15 @@ class KeyedAperiodicPolicy:
                     dropped += 1
                 else:
                     closed[wid] = i
+                    close_ts[wid] = e.ts
                     close_order.append(wid)
             if e.etype == self.open_etype and e.key is not None and e.key not in by_key:
                 by_key[e.key] = len(opened)
                 opened.append(i)
                 closed.append(len(events))  # until it closes
+                close_ts.append(None)
         close_order.extend(sorted(by_key.values()))  # never closed
-        return opened, closed, close_order, dropped
-
-    @staticmethod
-    def close_of(open_ts: int, ts: int) -> int:
-        """The close of a window opened at ``open_ts`` that closes at an event at ``ts``."""
-        return ts
+        return opened, closed, close_ts, close_order, dropped
 
 
 @dataclass(frozen=True)
@@ -377,18 +375,18 @@ class TimeWindowPolicy:
     opener_etype: str
     ws_ms: float
 
-    def detect(self, events: Sequence[Event]) -> tuple[array, array, array, int]:
-        """``(opened, closed, close_order, dropped_closes)`` of ``events``, as
-        :class:`Splitter` keeps them. Timestamps never go down, so each close
-        is a bisection and windows close in opening order; none is dropped."""
+    def detect(self, events: Sequence[Event]) -> tuple[array, array, list, array, int]:
+        """``(opened, closed, close_ts, close_order, dropped_closes)`` of
+        ``events``, as :class:`Splitter` keeps them. Timestamps never go
+        down, so each close is a bisection and windows close in opening
+        order; none is dropped."""
         ts = [e.ts for e in events]
+        n = len(ts)
         opened = array("i", [i for i, e in enumerate(events) if e.etype == self.opener_etype])
         closed = array("i", [bisect_left(ts, ts[i] + self.ws_ms, i + 1) for i in opened])
-        return opened, closed, array("i", range(len(opened))), 0
-
-    def close_of(self, open_ts: int, ts: int) -> int:
-        """The close of a window opened at ``open_ts`` that closes at an event at ``ts``."""
-        return int(open_ts + self.ws_ms)
+        # only a close that is reached is made an int: ws has no upper bound
+        close_ts = [int(ts[o] + self.ws_ms) if c < n else None for o, c in zip(opened, closed)]
+        return opened, closed, close_ts, array("i", range(len(opened))), 0
 
 
 def make_policy(cfg) -> KeyedAperiodicPolicy | TimeWindowPolicy:
@@ -414,9 +412,11 @@ class Splitter:
 
     A window comprises every event from its opening event to its closing
     event, which is a member when its timestamp does not exceed the
-    window's close, ``close_of(open_ts, ts)``. Wids are handed out in
-    opening order. Per wid, ``opened`` holds the index of its opening event
-    and ``closed`` that of its closing event (``len(events)`` if none).
+    window's close. Wids are handed out in opening order. Per wid,
+    ``opened`` holds the index of its opening event, ``closed`` that of its
+    closing event (``len(events)`` if none) and ``close_ts`` its close (None
+    if none): a keyed window closes at its closing event's timestamp, a
+    time window at ``int(open_ts + ws)``.
     ``close_order`` holds the wids in closing order (at one event, in wid
     order; those never closed last), ``dropped_closes`` the close-type
     events that closed no window. The members are one ordered set, not a
@@ -429,8 +429,7 @@ class Splitter:
                 raise ValueError(f"timestamps must be >= 0 and must never decrease, got {e.ts} < {now} at event {i}")
             now = e.ts
         self.events = events
-        self.close_of = policy.close_of
-        self.opened, self.closed, self.close_order, self.dropped_closes = policy.detect(events)
+        self.opened, self.closed, self.close_ts, self.close_order, self.dropped_closes = policy.detect(events)
         self._members: dict[int, None] = {}  # wid -> None: the last event's member windows
         self._leaving: list[int] = []  # the last event's members that closed at it
         # the result of an event that opens and closes nothing; every result shares its view
@@ -454,7 +453,7 @@ class Splitter:
         while i == self._next_close:
             wid = self._closing
             closed.append(wid)
-            if ts <= self.close_of(self.events[self.opened[wid]].ts, ts):
+            if ts <= self.close_ts[wid]:
                 leaving.append(wid)  # a member of this event only
             else:
                 del members[wid]
@@ -466,7 +465,7 @@ class Splitter:
         return SplitResult(closed, opened, self._quiet.memberships)
 
 
-def route_event(owners: Sequence[int], closing: Mapping[int, list[WindowDescriptor]]) -> Sequence[int]:
+def route_event(owners: Sequence[int], closing: Mapping[int, list]) -> Sequence[int]:
     """The instances an event is sent to, once each and in ascending order:
     ``owners``, the instances holding open windows (ascending; the event is
     in each of those windows), and the keys of ``closing``, the owners of

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
-from cepsim.core import Event, WindowDescriptor
+from cepsim.core import Event
 
 from cepsim.latency_model import (
     LatencyPrediction,
@@ -128,10 +128,19 @@ def composed_prediction(snapshot, theta_hat, params, queued_counts, theta_bar_re
 
 
 @dataclass
+class Window:
+    """A window as the per-event splitter tracks it: its close is set when it closes."""
+
+    wid: int
+    open_ts: int
+    close_ts: int | None = None
+
+
+@dataclass
 class SplitResult:
-    opened: list[WindowDescriptor] = field(default_factory=list)
-    closed: list[WindowDescriptor] = field(default_factory=list)
-    memberships: list[WindowDescriptor] = field(default_factory=list)
+    opened: list[Window] = field(default_factory=list)
+    closed: list[Window] = field(default_factory=list)
+    memberships: list[Window] = field(default_factory=list)
 
 
 _wid = attrgetter("wid")
@@ -147,7 +156,7 @@ class PerEventSplitter:
     def __init__(self, policy, stats: StreamStats | None = None):
         self.policy = policy
         self.stats = stats
-        self.open_windows: dict[int, WindowDescriptor] = {}
+        self.open_windows: dict[int, Window] = {}
         self.by_key: dict[str, int] = {}  # keyed windows: key -> wid
         self.dropped_closes = 0
         self._next_wid = 0
@@ -191,10 +200,10 @@ class PerEventSplitter:
             w.close_ts = close_ts
             res.closed.append(w)
             if self.stats is not None:
-                self.stats.observe_window_closed(w.scope_ms)
+                self.stats.observe_window_closed(float(w.close_ts - w.open_ts))
 
         if self.opens(e, self._next_wid):
-            w = WindowDescriptor(wid=self._next_wid, start_seq=e.seq, open_ts=e.ts)
+            w = Window(wid=self._next_wid, open_ts=e.ts)
             self._next_wid += 1
             self.open_windows[w.wid] = w
             res.opened.append(w)

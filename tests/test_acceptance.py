@@ -228,12 +228,12 @@ def test_criterion_6_bin_count_accuracy_trend():
         m = run(face_accuracy_cfg(n_bins))
         predicted = {d.wid: d.prediction.gamma_minus for d in m.decisions if d.prediction}
         ratios = [
-            predicted[w.wid] / w.actual_gamma_minus
-            for w in m.windows
-            if w.close_ts is not None
-            and w.open_ts >= 30_000.0  # let the monitoring stats settle
+            predicted[wid] / w.actual_gamma_minus
+            for wid, (w, (open_ts, close_ts, _)) in enumerate(zip(m.windows, m.window_extents()))
+            if close_ts is not None
+            and open_ts >= 30_000.0  # let the monitoring stats settle
             and w.actual_gamma_minus > 0
-            and w.wid in predicted
+            and wid in predicted
         ]
         assert len(ratios) > 100
         return statistics.median(ratios)

@@ -99,6 +99,18 @@ class TestRunCommand:
         s = summary[0]
         assert (fields["max_lo"], fields["p99_lo"], fields["violations"]) == (s["max_lo"], s["p99_lo"], s["violations"])
 
+    def test_scope_beyond_64_bit_milliseconds(self, tmp_path):
+        # ws_ms 1e19 lies past the largest 64-bit millisecond count: no
+        # window ever closes, and none is given a close
+        cfg = write_config(tmp_path, {
+            "workload.scenario": "face", "workload.scope.ws_ms": 1e19, "workload.opener_etype": "query",
+            "workload.type_mix": None, "workload.cost.base_ms": {"face": 1.0, "query": 0.5}, "sweep": None,
+        })
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 0
+        windows = read_csv(tmp_path / "res" / "smoke" / "windows.csv")
+        assert len(windows) > 10
+        assert [w["close_ts"] for w in windows] == [""] * len(windows)
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")])
@@ -407,8 +419,11 @@ def check_written_like_csv_writer(events, windows):
         instance=array("q", inst), lambda_q=array("d", q), lambda_p=array("d", p), queue_len=array("q", qlen),
         tx_seq=array("q", tx_seq), tx_ts=array("q", tx_ts),
         tx_members=array("q", tx_members), tx_instances=array("q", tx_instances),
-        windows=[WindowDescriptor(wid, 0, *rest) for wid, *rest in windows],
+        # a window's wid and instance are its decision's, its extent detection's
+        decisions=[Decision(wid, instance, "round_robin") for wid, _, _, instance, *_ in windows],
+        windows=[WindowDescriptor(*w[5:]) for w in windows],
     )
+    m.window_extents = lambda: iter([(open_ts, close_ts, n) for _, open_ts, close_ts, _, n, *_ in windows])
     m.feedback_delays = lambda: []
     with tempfile.TemporaryDirectory() as d:
         write_run_outputs(Path(d), m)
@@ -498,9 +513,9 @@ def predictions(draw):
     decisions=st.lists(
         st.tuples(CELL_INTS, CELL_INTS, CELL_TEXT, st.integers(-1, 3), OPTIONAL_FLOATS), max_size=20
     ),
+    # a window's open_ts, close_ts, n_member_events, gains and peak
     windows=st.lists(
-        st.tuples(CELL_INTS, CELL_INTS, st.none() | CELL_INTS, CELL_INTS, CELL_INTS,
-                  CELL_FLOATS, CELL_FLOATS | st.just(-0.0), CELL_FLOATS),
+        st.tuples(CELL_INTS, st.none() | CELL_INTS, CELL_INTS, CELL_FLOATS, CELL_FLOATS | st.just(-0.0), CELL_FLOATS),
         max_size=10,
     ),
     batches=st.lists(
@@ -523,10 +538,12 @@ def test_row_writers_match_csv_writer(preds, decisions, windows, batches):
     ds += [Decision(7, 0, text, preds[n % 2], None) for n, text in enumerate(QUOTED_TEXTS)]
     ds += [Decision(8, 1, "reactive", None, None), Decision(9, 1, "reactive", None, 0.0)]
     ds += [Decision(10, 2, "model_based", base._replace(flags=(text, "b")), None) for text in QUOTED_TEXTS]
-    ws = [WindowDescriptor(wid, 0, *rest) for wid, *rest in windows]
-    ws += [WindowDescriptor(1, 0, 0, None, 0, 3, -0.0, math.nan, math.inf)]
+    # each decision's window, whose wid and instance are the decision's
+    cells = windows + [(0, None, 3, -0.0, math.nan, math.inf)]
+    cells = [cells[k % len(cells)] for k in range(len(ds))]
     fds = [FeedbackDelay(*b) for b in batches] + [FeedbackDelay(0, 0, 5, 1, -0.0, math.nan, 2, -math.inf)]
-    m = RunMetrics(decisions=ds, windows=ws)
+    m = RunMetrics(decisions=ds, windows=[WindowDescriptor(*c[3:]) for c in cells])
+    m.window_extents = lambda: iter([c[:3] for c in cells])
     m.feedback_delays = lambda: fds
     with tempfile.TemporaryDirectory() as d:
         write_run_outputs(Path(d), m)
@@ -560,12 +577,8 @@ def test_row_writers_match_csv_writer(preds, decisions, windows, batches):
         ["wid", "open_ts", "close_ts", "instance", "n_member_events",
          "actual_gamma_minus", "actual_gamma_plus", "actual_lambda_q_peak"],
         [
-            (
-                w.wid, w.open_ts, w.close_ts if w.close_ts is not None else "",
-                w.assigned_instance, w.n_member_events, w.actual_gamma_minus,
-                w.actual_gamma_plus, w.actual_lambda_q_peak,
-            )
-            for w in ws
+            (d.wid, open_ts, close_ts if close_ts is not None else "", d.instance, n, g_minus, g_plus, peak)
+            for d, (open_ts, close_ts, n, g_minus, g_plus, peak) in zip(ds, cells)
         ],
     )
     assert written["batches"] == csv_writer_bytes(

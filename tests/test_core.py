@@ -5,20 +5,24 @@ from cepsim.splitter import Splitter, TimeWindowPolicy
 from cepsim.workload import CostModel
 
 
+def simulated(events, ws):
+    cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0, "B": 1.0})
+    scheduler = make_scheduler(SchedulerConfig())
+    return simulate(Splitter(events, TimeWindowPolicy("open", ws)), cost, scheduler, mtime_ms=1000.0)
+
+
 class TestWindowDescriptor:
     def test_scope(self):
-        w = WindowDescriptor(wid=0, start_seq=0, open_ts=100)
-        assert w.close_ts is None and w.scope_ms is None
-        w.close_ts = 350
-        assert w.scope_ms == 250.0
+        # a run measures only its gains and peak; the extent is detection's:
+        # the window opened at 100 closes at 350, the one opened at 400 never
+        assert WindowDescriptor() == WindowDescriptor(0.0, 0.0, 0.0)
+        m = simulated([Event(0, 100, "open"), Event(1, 350, "A"), Event(2, 400, "open")], 250)
+        assert list(m.window_extents()) == [(100, 350, 2), (400, None, 1)]
 
     def test_member_events_counts_every_type(self):
-        assert WindowDescriptor(wid=0, start_seq=0, open_ts=100).n_member_events == 0
         # the window opened at 0 closes at 100: its members are the opener,
         # an A and a B; the A at 150 is not one
         events = [Event(0, 0, "open"), Event(1, 40, "A"), Event(2, 100, "B"), Event(3, 150, "A")]
-        cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0, "B": 1.0})
-        scheduler = make_scheduler(SchedulerConfig())
-        m = simulate(Splitter(events, TimeWindowPolicy("open", 100)), cost, scheduler, mtime_ms=1000.0)
-        (w,) = m.windows
-        assert (w.close_ts, w.n_member_events) == (100, 3)
+        m = simulated(events, 100)
+        ((_, close_ts, n_member_events),) = m.window_extents()
+        assert (close_ts, n_member_events) == (100, 3)

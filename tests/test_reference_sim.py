@@ -269,13 +269,13 @@ class RecordingViews:
         super().__init__(cfg, *params)
         self.seen = []
 
-    def schedule(self, window, snapshot, view):
+    def schedule(self, wid, snapshot, view):
         def recording(i):
             v = view(i)
-            self.seen.append((window.wid, i, v))
+            self.seen.append((wid, i, v))
             return v
 
-        return super().schedule(window, snapshot, recording)
+        return super().schedule(wid, snapshot, recording)
 
 
 class ReactiveRecordingViews(RecordingViews, ReactiveScheduler):
@@ -302,15 +302,14 @@ def test_simulate_matches_reference(w):
     samples, tx_rows, truth = reference_run(w["events"], w["policy"], w["cost"], owner, w["transfer_delay_ms"])
     # a pair's type and window count reach the reports below, as queued
     # counts and theta_bar
-    columns = zip(m.event_seq, m.instance, m.ts, m.lambda_q, m.lambda_p, m.queue_len)
+    columns = zip(m.per_pair(m.tx_seq), m.instance, m.per_pair(m.tx_ts), m.lambda_q, m.lambda_p, m.queue_len)
     assert float_bits(columns) == float_bits(
         (s.seq, s.instance, s.ts, s.lambda_q, s.lambda_p, s.queue_len) for s in samples
     )
     assert list(zip(m.tx_seq, m.tx_ts, m.tx_members, m.tx_instances)) == tx_rows
     assert len(m.windows) == len(truth)
-    for win, (open_ts, close_ts, counts, g_minus, g_plus, peak) in zip(m.windows, truth):
-        assert (win.open_ts, win.close_ts) == (open_ts, close_ts)
-        assert win.n_member_events == sum(counts.values())
+    for win, extent, (open_ts, close_ts, counts, g_minus, g_plus, peak) in zip(m.windows, m.window_extents(), truth):
+        assert extent == (open_ts, close_ts, sum(counts.values()))
         assert float_bits([(win.actual_gamma_minus, win.actual_gamma_plus, win.actual_lambda_q_peak)]) == \
             float_bits([(g_minus, g_plus, peak)])
     # only a controller that reads reports gets them made
@@ -375,9 +374,10 @@ STREAM_STATS_METHODS = [name for name, v in vars(StreamStats).items() if callabl
 def run_outputs(m):
     """Everything a run records that the outputs read, floats by their bits."""
     return (
-        float_bits(zip(m.event_seq, m.instance, m.ts, m.lambda_q, m.lambda_p, m.queue_len)),
+        float_bits(zip(m.per_pair(m.tx_seq), m.instance, m.per_pair(m.tx_ts), m.lambda_q, m.lambda_p, m.queue_len)),
         list(zip(m.tx_seq, m.tx_ts, m.tx_members, m.tx_instances)),
         float_bits(astuple(w) for w in m.windows),
+        list(m.window_extents()),
         m.decisions,
     )
 

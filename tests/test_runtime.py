@@ -1,9 +1,8 @@
 import math
+import multiprocessing
 import random
-import signal
 from array import array
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import fields, replace
 
 import pytest
@@ -94,9 +93,9 @@ class TestConservationAndIdentities:
 
     def test_every_routed_pair_processed_once(self):
         _, m = self.traffic_metrics()
-        assert len(m.event_seq) == m.transmissions
+        assert len(list(m.per_pair(m.tx_seq))) == m.transmissions
         assert m.transmissions == sum(m.tx_instances)
-        pairs = list(zip(m.event_seq, m.instance))
+        pairs = list(zip(m.per_pair(m.tx_seq), m.instance))
         assert len(set(pairs)) == len(pairs), "pair processed twice"
 
     def test_latency_identities(self):
@@ -122,7 +121,7 @@ class TestConservationAndIdentities:
         events = mk_events(rows)
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 8.0, "B": 2.0})
         m = run_sim(events, policy=TimeWindowPolicy("open", 10_000.0), cost=cost)
-        ts, lambda_q, lambda_p = m.ts, m.lambda_q, m.lambda_p
+        ts, lambda_q, lambda_p = list(m.per_pair(m.tx_ts)), m.lambda_q, m.lambda_p
         for i in range(len(ts) - 1):
             iat = ts[i + 1] - ts[i]
             expected = max(0.0, lambda_q[i] + lambda_p[i] - iat)
@@ -156,7 +155,7 @@ class TestConservationAndIdentities:
     @pytest.mark.parametrize("interval", [0.0, -5.0, 0.5, math.nan])
     def test_bad_intervals_rejected(self, name, interval):
         # an interval that never passes the next event (0, negative or nan)
-        # would fire forever; the alarm turns such a hang into a failure
+        # would fire forever; the child's time limit turns such a hang into a failure
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0})
         events = mk_events([(0, "open"), (5, "A")])
         key = "mtime" if name == "mtime_ms" else name
@@ -165,25 +164,41 @@ class TestConservationAndIdentities:
             return run_sim(events, policy=TimeWindowPolicy("open", 10.0), cost=cost,
                            kind="model_based", lb_ms=5.0, **{key: value})
 
-        with failing_after(5):
-            assert len(run_at(math.inf).decisions) == 1  # accepted: it never fires
-            with pytest.raises(ValueError, match=f"{name} must be >= 1, got {interval}"):
-                run_at(interval)
+        assert len(in_a_child(lambda: run_at(math.inf)).decisions) == 1  # accepted: it never fires
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {interval}"):
+            in_a_child(lambda: run_at(interval))
 
 
-@contextmanager
-def failing_after(seconds):
-    """Fail the block with ``TimeoutError`` once it runs ``seconds`` long."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+def in_a_child(fn, seconds=5):
+    """``fn()`` in a forked child process, which passes back its result or
+    the exception it raised. A child still running after ``seconds`` is
+    killed and the call fails with ``TimeoutError``: a hang fails the test
+    that meets it, and nothing interrupts this process while it waits."""
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
 
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
+    def child():
+        try:
+            outcome = True, fn()
+        except BaseException as exc:
+            outcome = False, exc
+        sender.send(outcome)
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    sender.close()
     try:
-        yield
+        if not receiver.poll(seconds):
+            raise TimeoutError(f"still running after {seconds} s")
+        ok, value = receiver.recv()
     finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+        proc.kill()
+        proc.join()
+        proc.close()
+        receiver.close()
+    if not ok:
+        raise value
+    return value
 
 
 @pytest.mark.parametrize("kind", ["reactive", "model_based"])
@@ -195,8 +210,8 @@ def test_a_backlog_beyond_the_last_event_ends_the_run_there(kind, cost_ms):
     events = mk_events([(0, "open"), (1, "A"), (2, "A")])
     cost = CostModel("flat_per_type", {"open": cost_ms, "A": cost_ms})
     kw = {"th_ms": 1.0} if kind == "reactive" else {"lb_ms": 5.0}
-    with failing_after(5):
-        m = run_sim(events, policy=TimeWindowPolicy("open", 100.0), cost=cost, kind=kind, mtime=10.0, **kw)
+    m = in_a_child(lambda: run_sim(events, policy=TimeWindowPolicy("open", 100.0), cost=cost, kind=kind,
+                                   mtime=10.0, **kw))
     assert list(m.lambda_p) == [cost_ms] * 3
     assert list(m.lambda_q) == [0.0, cost_ms - 1, cost_ms + cost_ms - 2]
 
@@ -272,7 +287,8 @@ class TestMerge:
         rows.sort(key=lambda r: r[0])
         events = mk_events(rows)
         m = run_sim(events, policy=TimeWindowPolicy("open", 1000.0), cost=CostModel("flat_per_type", {"open": 0.0, "A": 2.0}), n=3)
-        assert list(m.event_seq) == sorted(m.event_seq)
+        seqs = list(m.per_pair(m.tx_seq))
+        assert seqs == sorted(seqs)
 
 
 class TestFeedbackDelay:
@@ -306,7 +322,7 @@ class TestFeedbackDelay:
         busy = 0.0
         qlen_peak, qlen_ts = -1, None
         pending = []
-        for ts, lambda_p in zip(m.ts, m.lambda_p):
+        for ts, lambda_p in zip(m.per_pair(m.tx_ts), m.lambda_p):
             start = max(busy, ts)
             pending = [p for p in pending if p > ts]
             pending.append(start)
@@ -336,7 +352,7 @@ def reference_feedback_delays(m) -> list[FeedbackDelay]:
     samples for every batch, O(batches x samples). Batches come from the
     decisions, in order: a decision for another instance than the one
     before it starts a new batch, first decided when its window opened."""
-    window_by_wid = {w.wid: w for w in m.windows}
+    extents = list(m.window_extents())  # per wid: (open_ts, close_ts, n_member_events)
     batches: list[tuple[int, list[int]]] = []  # (instance, wids)
     for d in m.decisions:
         if not batches or batches[-1][0] != d.instance:
@@ -345,12 +361,12 @@ def reference_feedback_delays(m) -> list[FeedbackDelay]:
     by_instance: dict[int, list[int]] = {}
     for i, inst in enumerate(m.instance):
         by_instance.setdefault(inst, []).append(i)
-    pair_ts = m.ts
+    pair_ts = list(m.per_pair(m.tx_ts))
     end_of_run = pair_ts[-1] if pair_ts else 0
     out = []
     for batch_id, (instance, wids) in enumerate(batches):
-        first_decision_ts = window_by_wid[wids[0]].open_ts
-        closes = [window_by_wid[wid].close_ts for wid in wids]
+        first_decision_ts = extents[wids[0]][0]
+        closes = [extents[wid][1] for wid in wids]
         span_end = max((c for c in closes if c is not None), default=None)
         if span_end is None or any(c is None for c in closes):
             span_end = end_of_run
@@ -410,13 +426,13 @@ def small_runs(draw):
 @given(small_runs())
 def test_feedback_delays_match_full_scan(run_kwargs):
     m = run_sim(**run_kwargs)
-    assert any(w.close_ts is None for w in m.windows)
+    assert None in m.close_ts
     assert m.feedback_delays() == reference_feedback_delays(m)
 
 
 def filtered_lambda_o_values(m, warmup_ms) -> array:
     """lambda_o of the pairs at or after ``warmup_ms``, by a filter over every pair."""
-    return array("d", (q + p for t, q, p in zip(m.ts, m.lambda_q, m.lambda_p) if t >= warmup_ms))
+    return array("d", (q + p for t, q, p in zip(m.per_pair(m.tx_ts), m.lambda_q, m.lambda_p) if t >= warmup_ms))
 
 
 class TestDerivedPasses:
@@ -452,9 +468,10 @@ class TestDerivedPasses:
 
     def test_event_seq_and_ts_are_the_events(self):
         m = self.gapped_run()
-        assert list(m.event_seq) == [1, 2, 3, 6, 7]
-        assert list(m.ts) == [10, 12, 15, 31, 36]
-        assert len(m.event_seq) == len(m.ts) == m.transmissions == sum(m.tx_instances)
+        seqs, tss = list(m.per_pair(m.tx_seq)), list(m.per_pair(m.tx_ts))
+        assert seqs == [1, 2, 3, 6, 7]
+        assert tss == [10, 12, 15, 31, 36]
+        assert len(seqs) == len(tss) == m.transmissions == sum(m.tx_instances)
 
     def test_feedback_delays_when_the_last_events_have_no_pair(self):
         m = self.gapped_run()
@@ -467,8 +484,9 @@ class TestDerivedPasses:
             lambda_p=array("d", [1.0, 4.0, 7.0]), queue_len=array("q", [1, 2, 1]),
             tx_seq=array("q", [0, 1, 2, 3, 4]), tx_ts=array("q", [3, 5, 5, 8, 9]),
             tx_members=array("q", [1, 1, 1, 0, 0]), tx_instances=array("q", [1, 1, 1, 0, 0]),
-            windows=[WindowDescriptor(0, 0, 3, None, 0), WindowDescriptor(1, 2, 5, None, 1)],
+            windows=[WindowDescriptor(), WindowDescriptor()],
             decisions=[Decision(0, 0, "round_robin"), Decision(1, 1, "round_robin")],
+            opened=array("i", [0, 2]), closed=array("i", [5, 5]), close_ts=[None, None],
         )
         assert lone.feedback_delays() == reference_feedback_delays(lone) == [
             FeedbackDelay(0, 0, 3, 1, 6.0, 2.0, 2, 2.0), FeedbackDelay(1, 1, 5, 1, 7.0, 0.0, 1, 0.0),
@@ -493,7 +511,7 @@ class TestSchedulingIntegration:
         assert set(m_batch.instance) == {0}
         assert len(set(m_rr.instance)) == 8
         # every event is transmitted once under full batching
-        assert m_batch.transmissions == len(set(m_batch.event_seq))
+        assert m_batch.transmissions == len(set(m_batch.per_pair(m_batch.tx_seq)))
 
     def test_dropped_close_counted(self):
         events = mk_events([(0, "L2", "ghost"), (10, "L1", "a"), (20, "L2", "a")])
@@ -606,10 +624,13 @@ class TestColumnStorage:
     def test_sample_columns_take_32_bytes_per_sample(self):
         m = run(self.traffic_config())
         # one column per field that differs between an event's pairs, and no
-        # other per-pair column: a pair's seq and ts are its event's
+        # other per-pair column: a pair's seq and ts are its event's; the
+        # rest are per event and per window
         per_pair = ["instance", "lambda_q", "lambda_p", "queue_len"]
+        per_event = ["tx_seq", "tx_ts", "tx_members", "tx_instances"]
         arrays = [f.name for f in fields(m) if isinstance(getattr(m, f.name), array)]
-        assert [a for a in arrays if not a.startswith("tx_")] == per_pair
+        assert arrays == per_pair + per_event + ["opened", "closed"]
+        assert len(m.opened) == len(m.closed) == len(m.decisions) < len(m.tx_seq)
         columns = [getattr(m, name) for name in per_pair]
         n = m.transmissions
         assert n > 10_000
@@ -670,10 +691,10 @@ def member_owners(m, e):
     """Owner of each window ``e`` belongs to, in wid order. Reads the
     windows only, so it needs distinct timestamps: then the members of a
     window are the events from its opener to the last one at or before its
-    close."""
+    close. An opener's index in the stream is its seq."""
     return [
-        w.assigned_instance for w in m.windows
-        if w.start_seq <= e.seq and (w.close_ts is None or e.ts <= w.close_ts)
+        d.instance for d, opener, close_ts in zip(m.decisions, m.opened, m.close_ts)
+        if opener <= e.seq and (close_ts is None or e.ts <= close_ts)
     ]
 
 
@@ -682,7 +703,7 @@ def samples_by_event(m, events, cost):
     window charges an event the same under ``cost``, so a pair's lambda_p is
     that charge added k times, once per member window on its instance."""
     out = {}
-    for seq, inst, lambda_p in zip(m.event_seq, m.instance, m.lambda_p):
+    for seq, inst, lambda_p in zip(m.per_pair(m.tx_seq), m.instance, m.lambda_p):
         charge = in_window_cost(cost, events[seq], {})
         k, total = 0, 0.0
         while total < lambda_p:
@@ -757,7 +778,7 @@ class TestRouting:
             owners = set(member_owners(m, e))
             assert {inst for inst, _ in by_event.get(e.seq, [])} <= owners
         # an instance owning no window never receives an event
-        assert set(m.instance) <= {w.assigned_instance for w in m.windows}
+        assert set(m.instance) <= {d.instance for d in m.decisions}
 
     def test_batching_saves_transmissions(self):
         # k fully overlapping windows: one transmission per shared event on
@@ -780,7 +801,7 @@ class TestRouting:
         events = mk_events([(1, "L1", "a"), (2, "L1", "b"), (3, "L1", "c"), (4, "L2", "a")])
         cost = CostModel("equi_join", {"L1": 0.0, "L2": 0.0}, incr_ms=0.1)
         m = run_sim(events, policy=KeyedAperiodicPolicy(), cost=cost)
-        assert (m.event_seq[-1], m.tx_members[-1], m.tx_instances[-1]) == (3, 3, 1)
+        assert (list(m.per_pair(m.tx_seq))[-1], m.tx_members[-1], m.tx_instances[-1]) == (3, 3, 1)
         assert repr(m.lambda_p[-1]) == "0.6"
 
 
@@ -791,7 +812,7 @@ class TestUniformCost:
         events = mk_events([(i, "open") for i in range(10)] + [(20, "A")])
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 0.1})
         m = run_sim(events, policy=TimeWindowPolicy("open", 1000.0), cost=cost)
-        assert (m.event_seq[-1], m.tx_members[-1], m.tx_instances[-1]) == (10, 10, 1)
+        assert (list(m.per_pair(m.tx_seq))[-1], m.tx_members[-1], m.tx_instances[-1]) == (10, 10, 1)
         assert repr(m.lambda_p[-1]) == "0.9999999999999999"
         assert 10 * 0.1 == 1.0
 
@@ -805,16 +826,15 @@ class TestWindowCountPricing:
     @staticmethod
     def priced_by_definition(m, events, cost):
         out = []
-        for seq, inst in zip(m.event_seq, m.instance):
+        for seq, inst in zip(m.per_pair(m.tx_seq), m.instance):
             e = events[seq]
             total = 0.0
-            for w in m.windows:  # in wid order
-                if w.assigned_instance != inst or not (
-                    w.start_seq <= seq and (w.close_ts is None or e.ts <= w.close_ts)
-                ):
+            # in wid order; an opener's index in the stream is its seq
+            for d, opener, close_ts in zip(m.decisions, m.opened, m.close_ts):
+                if d.instance != inst or not (opener <= seq and (close_ts is None or e.ts <= close_ts)):
                     continue
                 counts = {}
-                for before in events[w.start_seq:seq]:
+                for before in events[opener:seq]:
                     counts[before.etype] = counts.get(before.etype, 0) + 1
                 total += in_window_cost(cost, e, counts)
             out.append(total)
@@ -864,12 +884,12 @@ class TestMemberCounts:
         events = mk_events([(0, "open"), (50, "A"), (60, "open"), (100, "B"), (170, "A"), (180, "open"), (190, "B")])
         cost = CostModel("equi_join", {"open": 0.0, "A": 1.0, "B": 2.0}, incr_ms=0.5, build_etype="A", probe_etype="B")
         m = run_sim(events, policy=TimeWindowPolicy("open", 100.0), cost=cost, n=2)
-        w0, w1, w2 = m.windows
-        assert (w0.close_ts, w1.close_ts, w2.close_ts) == (100, 160, None)
+        w0, w1, w2 = m.window_extents()  # (open_ts, close_ts, n_member_events) each
+        assert (w0[1], w1[1], w2[1]) == (100, 160, None)
         # w0 holds open, A, open and B; w1 open and B; w2 open and B
-        assert (w0.n_member_events, w1.n_member_events, w2.n_member_events) == (4, 2, 2)
+        assert (w0[2], w1[2], w2[2]) == (4, 2, 2)
         # the B at ts 100 is priced in w0 against the one A before it, and in w1 against none
-        first_b = [(inst, p) for seq, inst, p in zip(m.event_seq, m.instance, m.lambda_p) if seq == 3]
+        first_b = [(inst, p) for seq, inst, p in zip(m.per_pair(m.tx_seq), m.instance, m.lambda_p) if seq == 3]
         assert sorted(first_b) == [(0, 2.5), (1, 2.0)]
 
 

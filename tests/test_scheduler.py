@@ -1,15 +1,11 @@
 import pytest
 
 from cepsim import scheduler
-from cepsim.core import ConfigurationError, WindowDescriptor
+from cepsim.core import ConfigurationError
 from cepsim.latency_model import ModelParams
 from cepsim.scheduler import InstanceView, SchedulerConfig, make_scheduler
 from conftest import snapshot_from
 from oracles import composed_prediction
-
-
-def win(wid):
-    return WindowDescriptor(wid=wid, start_seq=wid, open_ts=wid * 10)
 
 
 def views(n, open_counts=None, last_lo=None):
@@ -30,7 +26,7 @@ class TestRoundRobin:
     def test_modular_cycling(self):
         sched = make_scheduler(SchedulerConfig("round_robin", n_instances=8))
         snap = flat_snapshot()
-        got = [sched.schedule(win(i), snap, views(8)).instance for i in range(10)]
+        got = [sched.schedule(i, snap, views(8)).instance for i in range(10)]
         assert got == [0, 1, 2, 3, 4, 5, 6, 7, 0, 1]
 
 
@@ -38,22 +34,22 @@ class TestReactive:
     def test_batches_below_threshold(self):
         sched = make_scheduler(SchedulerConfig("reactive", n_instances=4, th_ms=100.0))
         snap = flat_snapshot()
-        got = [sched.schedule(win(i), snap, views(4, last_lo=50.0)).instance for i in range(5)]
+        got = [sched.schedule(i, snap, views(4, last_lo=50.0)).instance for i in range(5)]
         assert got == [0, 0, 0, 0, 0]
 
     def test_advances_at_threshold(self):
         sched = make_scheduler(SchedulerConfig("reactive", n_instances=4, th_ms=100.0))
         snap = flat_snapshot()
-        assert sched.schedule(win(0), snap, views(4, last_lo=99.9)).instance == 0
-        d = sched.schedule(win(1), snap, views(4, last_lo=100.0))
+        assert sched.schedule(0, snap, views(4, last_lo=99.9)).instance == 0
+        d = sched.schedule(1, snap, views(4, last_lo=100.0))
         assert d.instance == 1
         assert d.observed_lambda_o == 100.0
         # the advanced instance is adopted as the new batching target
-        assert sched.schedule(win(2), snap, views(4, last_lo=10.0)).instance == 1
+        assert sched.schedule(2, snap, views(4, last_lo=10.0)).instance == 1
 
     def test_no_feedback_keeps_batching(self):
         sched = make_scheduler(SchedulerConfig("reactive", n_instances=4, th_ms=100.0))
-        assert sched.schedule(win(0), flat_snapshot(), views(4, last_lo=None)).instance == 0
+        assert sched.schedule(0, flat_snapshot(), views(4, last_lo=None)).instance == 0
 
 
 class TestModelBased:
@@ -63,15 +59,15 @@ class TestModelBased:
     def test_keeps_instance_when_bound_holds(self):
         sched = make_scheduler(self.cfg(lb=5.0))
         snap = flat_snapshot(lam=4.0)  # lambda_o_max == 4.0 at theta_hat 1
-        d1 = sched.schedule(win(0), snap, views(8))
-        d2 = sched.schedule(win(1), snap, views(8))
+        d1 = sched.schedule(0, snap, views(8))
+        d2 = sched.schedule(1, snap, views(8))
         assert d1.instance == d2.instance == 0
         assert d1.prediction.lambda_o_max == 4.0
 
     def test_advances_when_bound_exceeded(self):
         sched = make_scheduler(self.cfg(lb=5.0))
         snap = flat_snapshot(lam=6.0)
-        d = sched.schedule(win(0), snap, views(8))
+        d = sched.schedule(0, snap, views(8))
         assert d.instance == 1
         assert d.prediction.lambda_o_max == 6.0
 
@@ -79,18 +75,18 @@ class TestModelBased:
         sched = make_scheduler(self.cfg(lb=5.0))
         sched.cursor = 7
         snap = flat_snapshot(lam=6.0)
-        assert sched.schedule(win(0), snap, views(8)).instance == 0
+        assert sched.schedule(0, snap, views(8)).instance == 0
 
     def test_tiny_lb_degenerates_to_round_robin(self):
         sched = make_scheduler(self.cfg(lb=1e-300))
         snap = flat_snapshot(lam=4.0)
-        got = [sched.schedule(win(i), snap, views(8)).instance for i in range(10)]
+        got = [sched.schedule(i, snap, views(8)).instance for i in range(10)]
         assert got == [1, 2, 3, 4, 5, 6, 7, 0, 1, 2]  # advance on every window
 
     def test_infinite_lb_batches_everything(self):
         sched = make_scheduler(self.cfg(lb=float("inf")))
         snap = flat_snapshot(lam=1e6)
-        got = [sched.schedule(win(i), snap, views(8)).instance for i in range(20)]
+        got = [sched.schedule(i, snap, views(8)).instance for i in range(20)]
         assert set(got) == {0}
 
     def test_deterministic(self):
@@ -98,13 +94,13 @@ class TestModelBased:
         runs = []
         for _ in range(2):
             sched = make_scheduler(self.cfg(lb=5.0))
-            runs.append([sched.schedule(win(i), snap, views(8, open_counts=[i % 3] * 8)).instance for i in range(12)])
+            runs.append([sched.schedule(i, snap, views(8, open_counts=[i % 3] * 8)).instance for i in range(12)])
         assert runs[0] == runs[1]
 
     def test_theta_hat_counts_candidate_open_windows(self):
         sched = make_scheduler(self.cfg(lb=1e9))
         snap = flat_snapshot(lam=4.0)
-        d = sched.schedule(win(0), snap, views(8, open_counts=[3] + [0] * 7))
+        d = sched.schedule(0, snap, views(8, open_counts=[3] + [0] * 7))
         assert d.prediction.theta_hat == 4
 
 
@@ -132,7 +128,7 @@ def test_interleaved_controllers_compile_once_per_snapshot(monkeypatch):
                 snap = snaps[k][step]
                 queued = {"A": i + k}
                 view = [InstanceView(i, queued, 1.5)] * 4
-                d = sched.schedule(win(i), snap, view.__getitem__)
+                d = sched.schedule(i, snap, view.__getitem__)
                 assert d.instance == 0  # the bound holds: the candidate stays 0
                 want = composed_prediction(snap, i + 1, params[k], queued, 1.5)
                 assert d.prediction == want and repr(d.prediction) == repr(want)
@@ -175,7 +171,7 @@ def test_controllers_read_only_the_inputs_they_declare(cfg, reads_snapshot, read
             seen = views(4, open_counts=[i % 2] * 4, last_lo=[None, 50.0, 100.0][i % 3])
         else:
             seen = unread_view
-        assert sched.schedule(win(i), snap, seen).wid == i
+        assert sched.schedule(i, snap, seen).wid == i
 
 
 class TestConfigValidation:

@@ -272,7 +272,8 @@ def one_pass(events, policy):
         closes.append(list(res.closed))
         members.append(list(res.memberships))
     assert (opened, closed) == (list(sp.opened), list(sp.closed))
-    close_ts = [sp.close_of(events[o].ts, events[c].ts) if c < n else 0 for o, c in zip(opened, closed)]
+    assert [c is None for c in sp.close_ts] == [c == n for c in closed]  # a close only if reached
+    close_ts = [0 if c is None else c for c in sp.close_ts]
     return dict(opened=opened, closed=closed, close_ts=close_ts, closes=closes,
                 dropped_closes=sp.dropped_closes, members=members)
 
@@ -287,9 +288,9 @@ class RecordingStats(StreamStats):
         self.calls = []
         RecordingStats.made.append(self)
 
-    def observe_window_closed(self, scope_ms):
-        self.calls.append(("closed", repr(scope_ms)))
-        super().observe_window_closed(scope_ms)
+    def observe_window_closed(self, scope):
+        self.calls.append(("closed", repr(scope)))
+        super().observe_window_closed(scope)
 
     def observe_window_opened(self, open_ts):
         self.calls.append(("opened", repr(open_ts)))
@@ -322,9 +323,9 @@ class TestDetectWindows:
             opened=[0], closed=[1], close_ts=[400], closes=[[], [0]], dropped_closes=0,
             members=[[0], [0]],  # the closing event is a member
         )
-        m, _ = simulated(events, KeyedAperiodicPolicy())
-        (w,) = m.windows
-        assert w.close_ts == 400 and w.scope_ms == 300.0 and w.n_member_events == 2
+        m, stats = simulated(events, KeyedAperiodicPolicy())
+        assert list(m.window_extents()) == [(100, 400, 2)]  # (open_ts, close_ts, n_member_events)
+        assert ("closed", "300.0") in stats.calls  # its scope
         assert list(m.tx_members) == [1, 1]
 
     def test_time_window_closes_at_scope(self):
@@ -334,7 +335,7 @@ class TestDetectWindows:
             members=[[0], [0], []],  # arrived after the scope ended
         )
         m, _ = simulated(events, TimeWindowPolicy("query", 10_000.0))
-        assert (m.windows[0].close_ts, m.windows[0].n_member_events) == (10_000, 2)
+        assert list(m.window_extents()) == [(0, 10_000, 2)]
         assert list(m.tx_members) == [1, 1, 0]
 
     def test_time_window_boundary_event_is_member(self):
@@ -342,7 +343,7 @@ class TestDetectWindows:
         table = one_pass(events, TimeWindowPolicy("query", 10_000.0))
         assert (table["closed"], table["close_ts"], table["members"]) == ([1], [10_000], [[0], [0]])
         m, _ = simulated(events, TimeWindowPolicy("query", 10_000.0))
-        assert m.windows[0].n_member_events == 2 and list(m.tx_members) == [1, 1]
+        assert list(m.window_extents()) == [(0, 10_000, 2)] and list(m.tx_members) == [1, 1]
 
     def test_nested_vehicle_windows(self):
         events = [
@@ -362,7 +363,7 @@ class TestDetectWindows:
             opened=[0], closed=[2], close_ts=[0], closes=[[], []], dropped_closes=1, members=[[0], [0]],
         )
         m, _ = simulated(events, KeyedAperiodicPolicy())
-        assert m.windows[0].close_ts is None and list(m.tx_members) == [1, 1]
+        assert list(m.window_extents()) == [(0, None, 2)] and list(m.tx_members) == [1, 1]
 
     def test_keyed_close_merged_in_wid_order(self):
         # b closes before a and c, both opened around it: the closing event
@@ -438,7 +439,7 @@ class TestDetectionOracle:
         # oracle does, and observes in its order
         m, stats = simulated(events, policy, n=2)
         assert list(m.tx_members) == [len(ws) for ws in want["members"]]
-        closes = [(w.close_ts, w.n_member_events) for w in m.windows]
+        closes = [(close_ts, n_members) for _, close_ts, n_members in m.window_extents()]
         n = len(events)
         assert closes == [
             (None if c == n else t, sum(wid in ws for ws in want["members"]))
