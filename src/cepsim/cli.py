@@ -37,7 +37,7 @@ from .latency_model import (
     gains_from_event_values,
     predict_peak,
 )
-from .runtime import RunMetrics, run
+from .runtime import LambdaOValues, RunMetrics, run
 from .scheduler import Decision, SchedulerConfig
 from .workload import WorkloadConfig
 
@@ -389,7 +389,7 @@ def write_run_outputs(run_dir: Path, metrics: RunMetrics) -> None:
     )
 
 
-def p99(values: Sequence[float]) -> float:
+def p99(values: Sequence[float] | LambdaOValues) -> float:
     """``sorted(values)[max(0, ceil(0.99 n) - 1)]``, 0.0 when empty, found
     without sorting every value."""
     n = len(values)

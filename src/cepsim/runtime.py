@@ -23,6 +23,12 @@ gains and peak are also accumulated per (event, window); they are all a run
 records of a window itself, whose extent is the splitter's and whose
 instance is its decision's.
 
+A batch, a maximal run of decisions for one instance, has its peaks measured
+as its instance processes the pairs: the first maximal lambda_o and queue
+length over its span, from its first decision to its windows' last close.
+Only these and their timestamps are kept per batch; the rest of a batch is
+derived from the decisions, so no pair is copied after the run.
+
 A pair's queue length is one plus the number of events on its instance that
 start after its arrival: those queued or still in transit. Each instance
 keeps, in order, the starts still ahead at its last arrival. Starts and
@@ -45,10 +51,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, compress, groupby, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from operator import add, attrgetter
 from typing import Iterable, Iterator, NamedTuple, TYPE_CHECKING
 
@@ -156,6 +162,10 @@ class RunMetrics:
     batches; ``windows`` what the run measured of it; ``opened``, ``closed``
     and ``close_ts`` the splitter's detection columns, its opening and
     closing event's index and its close (None if it never closed).
+
+    Per batch, in batch order, the ``batch_*`` columns hold what
+    ``simulate`` measured over the batch's span on its instance: the first
+    maximal lambda_o and queue length and the timestamps where they occur.
     """
 
     instance: array = _column("q")
@@ -171,6 +181,10 @@ class RunMetrics:
     opened: array = _column("i")
     closed: array = _column("i")
     close_ts: list[int | None] = field(default_factory=list)
+    batch_lat_peak: array = _column("d")
+    batch_lat_peak_ts: array = _column("q")
+    batch_qlen_peak: array = _column("q")
+    batch_qlen_peak_ts: array = _column("q")
 
     @property
     def transmissions(self) -> int:
@@ -189,54 +203,31 @@ class RunMetrics:
         for o, c, close in zip(self.opened, self.closed, self.close_ts):
             yield tss[o], close, c - o + (c < n and tss[c] <= close)
 
-    def lambda_o_values(self, warmup_ms: float = 0.0) -> array:
+    def lambda_o_values(self, warmup_ms: float = 0.0) -> LambdaOValues:
         """lambda_o of each pair whose event's timestamp is at least
-        ``warmup_ms``. Timestamps never go down, so those pairs follow the
-        pairs of the events before the first such event."""
+        ``warmup_ms``, computed on each pass. Timestamps never go down, so
+        those pairs follow the pairs of the events before the first such event."""
         first = sum(islice(self.tx_instances, bisect_left(self.tx_ts, warmup_ms)))
-        return array("d", map(add, islice(self.lambda_q, first, None), islice(self.lambda_p, first, None)))
+        return LambdaOValues(self.lambda_q, self.lambda_p, first)
 
     def feedback_delays(self) -> list[FeedbackDelay]:
-        """Per-batch feedback delays, attributing to a batch every event
-        processed on its instance between the batch's first scheduling
-        decision and the close of its last window (the last processed
-        event's timestamp if one of its windows never closed). Peaks are the
-        first maximal samples. A batch is a maximal run of consecutive
-        ``windows`` on one instance; its id is the run's index."""
-        # per instance, in event order: timestamps, lambda_o and queue lengths
-        by_instance: dict[int, tuple[array, array, array]] = {}
-        los = map(add, self.lambda_q, self.lambda_p)
-        for inst, t, lo, n in zip(self.instance, self.per_pair(self.tx_ts), los, self.queue_len):
-            cols = by_instance.get(inst)
-            if cols is None:
-                cols = by_instance[inst] = (array("q"), array("d"), array("q"))
-            cols[0].append(t)
-            cols[1].append(lo)
-            cols[2].append(n)
-        # the timestamp of the last event that has a pair
-        end_of_run = next(compress(reversed(self.tx_ts), reversed(self.tx_instances)), 0)
+        """Per-batch feedback delays: the batches derived from ``decisions``
+        zipped with the peaks ``simulate`` measured for them. A batch is a
+        maximal run of consecutive ``windows`` on one instance; its id is the
+        run's index, and it was first decided when its first window opened."""
+        tss, opened = self.tx_ts, self.opened
         out = []
-        for batch_id, (instance, batch) in enumerate(groupby(self.decisions, attrgetter("instance"))):
-            batch = list(batch)
-            first, end = batch[0].wid, batch[-1].wid + 1
-            first_decision_ts = self.tx_ts[self.opened[first]]  # decided at the event that opened it
-            closes = self.close_ts[first:end]
-            span_end = end_of_run if None in closes else max(closes)
-            ts, los, qlens = by_instance.get(instance, ((), (), ()))
-            lo = bisect_left(ts, first_decision_ts)
-            hi = bisect_right(ts, span_end)
-            # never empty: the instance processed the event that opened the
-            # batch's first window; index() finds the first maximal sample
-            span_los, span_qlens = los[lo:hi], qlens[lo:hi]
-            lat_peak, qlen_peak = max(span_los), max(span_qlens)
-            lat_ts = ts[lo + span_los.index(lat_peak)]
-            qlen_ts = ts[lo + span_qlens.index(qlen_peak)]
+        batches = groupby(self.decisions, attrgetter("instance"))
+        peaks = zip(self.batch_lat_peak, self.batch_lat_peak_ts, self.batch_qlen_peak, self.batch_qlen_peak_ts)
+        for batch_id, ((instance, batch), (lat_peak, lat_ts, qlen_peak, qlen_ts)) in enumerate(zip(batches, peaks)):
+            first = next(batch).wid
+            first_decision_ts = tss[opened[first]]
             out.append(
                 FeedbackDelay(
                     batch_id,
                     instance,
                     first_decision_ts,
-                    end - first,
+                    1 + sum(1 for _ in batch),
                     lat_peak,
                     float(lat_ts - first_decision_ts),
                     qlen_peak,
@@ -244,6 +235,26 @@ class RunMetrics:
                 )
             )
         return out
+
+
+class LambdaOValues:
+    """lambda_o (``lambda_q + lambda_p``) of the pairs from index ``first``
+    on: sized, and computed anew on each pass, forwards or reversed, so no
+    per-pair copy is held."""
+
+    __slots__ = ("lambda_q", "lambda_p", "first")
+
+    def __init__(self, lambda_q: array, lambda_p: array, first: int):
+        self.lambda_q, self.lambda_p, self.first = lambda_q, lambda_p, first
+
+    def __len__(self) -> int:
+        return len(self.lambda_q) - self.first
+
+    def __iter__(self) -> Iterator[float]:
+        return map(add, islice(self.lambda_q, self.first, None), islice(self.lambda_p, self.first, None))
+
+    def __reversed__(self) -> Iterator[float]:
+        return islice(map(add, reversed(self.lambda_q), reversed(self.lambda_p)), len(self))
 
 
 def simulate(
@@ -260,6 +271,8 @@ def simulate(
 
     Deterministic: the same inputs produce identical metrics. A controller
     that reads the snapshot sizes the monitor's bins by its ``params``.
+    Each batch's peaks are measured here, over its span on its instance, as
+    the pairs are processed: see :class:`RunMetrics`.
     """
     for name, delay in (("transfer_delay_ms", transfer_delay_ms),
                         ("feedback_delivery_delay_ms", feedback_delivery_delay_ms)):
@@ -300,6 +313,45 @@ def simulate(
     counted = 0
     counted_at_open = array("i")  # by wid
     lambda_p_sums: dict[float, list[float]] = {}  # cost -> [0.0, cost, cost + cost, ...]
+    # Each batch's peaks are collected while its instance processes the
+    # pairs of its span, which ends at its windows' last close (inf if one
+    # never closes). Per instance: the batches whose span may still hold a
+    # later pair, each as [end, lambda_o peak, its ts, queue-length peak, its
+    # ts, batch id], and the earliest end among them
+    collecting: list[list[list]] = [[] for _ in range(n_instances)]
+    earliest_end = [math.inf] * n_instances
+    # the latest batch may still grow. Once a pair passes its end, its peaks
+    # so far are kept aside: if it grows, the new window's close is at or
+    # after every pair so far and they count; if it ends, they do not
+    growing: list | None = None
+    checkpoint: list | None = None
+    lat_peaks, lat_peak_tss = metrics.batch_lat_peak, metrics.batch_lat_peak_ts
+    qlen_peaks, qlen_peak_tss = metrics.batch_qlen_peak, metrics.batch_qlen_peak_ts
+
+    def store(entry: list) -> None:
+        b = entry[5]
+        lat_peaks[b], lat_peak_tss[b], qlen_peaks[b], qlen_peak_tss[b] = entry[1:5]
+
+    def retire(idx: int, now: int) -> list[list]:
+        """Store the peaks of instance ``idx``'s batches whose span ends
+        before ``now``, and return the batches left."""
+        nonlocal checkpoint
+        left, earliest = [], math.inf
+        for entry in collecting[idx]:
+            end = entry[0]
+            if now <= end:
+                left.append(entry)
+                if end < earliest:
+                    earliest = end
+            elif entry is growing:
+                if checkpoint is None:
+                    checkpoint = entry[1:5]
+                left.append(entry)
+            else:
+                store(entry)
+        collecting[idx] = left
+        earliest_end[idx] = earliest
+        return left
 
     next_freeze = mtime_ms if scheduler.reads_snapshot else math.inf
     next_feedback = feedback_interval_ms if scheduler.reads_reports else math.inf
@@ -366,6 +418,32 @@ def simulate(
             if not open_windows:
                 insort(owners, idx)
             open_windows[wid] = w = WindowDescriptor()
+            close = close_ts[wid]
+            end = math.inf if close is None else close
+            if decisions and decisions[-1].instance == idx:
+                # the batch grows: the pairs past its old end are in its span now
+                if end > growing[0]:
+                    growing[0] = end
+                checkpoint = None
+            else:
+                if checkpoint is not None:
+                    # the last batch ended, past its end: its peaks are those kept aside
+                    growing[1:5] = checkpoint
+                    collecting[decisions[-1].instance].remove(growing)
+                    store(growing)
+                    checkpoint = None
+                # the span starts at the opener's pair. Earlier pairs on this
+                # instance at its timestamp change neither a peak nor its ts:
+                # the opener's lambda_o and queue length are at least theirs,
+                # as it queues behind them and costs are >= 0
+                growing = [end, -1.0, 0, 0, 0, len(lat_peaks)]
+                lat_peaks.append(-1.0)
+                lat_peak_tss.append(0)
+                qlen_peaks.append(0)
+                qlen_peak_tss.append(0)
+                collecting[idx].append(growing)
+            if growing[0] < earliest_end[idx]:
+                earliest_end[idx] = growing[0]
             counted_at_open.append(counted)
             decisions.append(decision)
             windows.append(w)
@@ -428,8 +506,20 @@ def simulate(
                     if lambda_q > w.actual_lambda_q_peak:
                         w.actual_lambda_q_peak = lambda_q
 
+            lambda_o = lambda_q + lambda_p
+            entries = collecting[idx]
+            if now > earliest_end[idx]:
+                entries = retire(idx, now)
+            for entry in entries:
+                if lambda_o > entry[1]:
+                    entry[1] = lambda_o
+                    entry[2] = now
+                if queue_len > entry[3]:
+                    entry[3] = queue_len
+                    entry[4] = now
+
             if keeps_work:
-                inst.work.append((start, completion, arrival, etype, k, lambda_q + lambda_p, lams, run))
+                inst.work.append((start, completion, arrival, etype, k, lambda_o, lams, run))
             add_instance(idx)
             add_lambda_q(lambda_q)
             add_lambda_p(lambda_p)
@@ -439,6 +529,12 @@ def simulate(
         if counted_type is None or etype == counted_type:
             counted += 1
 
+    # the run has ended, and with it every batch's span
+    if checkpoint is not None:
+        growing[1:5] = checkpoint
+    for entries in collecting:
+        for entry in entries:
+            store(entry)
     return metrics
 
 

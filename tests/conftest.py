@@ -1,9 +1,14 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from cepsim.core import Event
 from cepsim.splitter import StreamStats, StreamStatsSnapshot
+
+# `pytest --hypothesis-profile=deep` runs the tests that take their example
+# count from the profile (tests/test_runtime.py's ORACLE) 2,000 times
+settings.register_profile("deep", max_examples=2000)
 
 
 def feed_window(

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from array import array
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from cepsim.cli import _BLOCK_ROWS, build_experiment, main, p99, summary_row, write_run_outputs
 from cepsim.core import ConfigurationError, WindowDescriptor
 from cepsim.latency_model import LatencyPrediction
-from cepsim.runtime import FeedbackDelay, RunMetrics
+from cepsim.runtime import FeedbackDelay, RunMetrics, run
 from cepsim.scheduler import Decision
 
 BASE_CONFIG = {
@@ -491,6 +492,39 @@ class TestSummaryViolations:
         assert type(cfg.lb_eval_ms) is type(lb)
         los = self.METRICS.lambda_o_values(warmup_ms)
         assert summary_row(cfg, self.METRICS)[6] == violations == sum(lo > lb for lo in los)
+
+
+def test_writing_a_run_holds_no_copy_per_pair(tmp_path):
+    # a face stream on four Round-Robin instances, 101 windows of one batch
+    # each, at two event rates: the tracemalloc peak of writing the outputs
+    # and the summary row, above what the run holds, grows by under 4 B per
+    # added pair (a per-pair copy of one float takes 8)
+    def writing_peak(iat_ms):
+        cfg = build_experiment({
+            "run_id": "face-rr", "seed": 42,
+            "workload": {
+                "scenario": "face", "duration_ms": 20_000,
+                "iat": {"kind": "exponential", "mu_ms": iat_ms}, "scope": {"ws_ms": 3000},
+                "opener": {"kind": "constant", "mu_ms": 200}, "opener_etype": "query",
+                "cost": {"kind": "flat_per_type", "base_ms": {"face": 0.02, "query": 0.005}},
+            },
+            "scheduler": {"kind": "round_robin", "n_instances": 4},
+            "sim": {"mtime_ms": 2000, "warmup_ms": 5000},
+        })
+        m = run(cfg)
+        assert len(m.decisions) == 101
+        assert all(a.instance != b.instance for a, b in zip(m.decisions, m.decisions[1:]))
+        tracemalloc.start()
+        try:
+            write_run_outputs(tmp_path / str(iat_ms), m)
+            summary_row(cfg, m)
+            return tracemalloc.get_traced_memory()[1], m.transmissions
+        finally:
+            tracemalloc.stop()
+
+    (sparse, sparse_pairs), (dense, dense_pairs) = writing_peak(20), writing_peak(5)
+    assert dense_pairs - sparse_pairs > 10_000
+    assert (dense - sparse) / (dense_pairs - sparse_pairs) < 4
 
 
 # text that csv.writer must quote: a delimiter, a quote, either line-end character

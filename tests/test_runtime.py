@@ -10,12 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cepsim import runtime
-from cepsim.core import CostModelError, Event, WindowDescriptor
+from cepsim.core import CostModelError, Event
 from cepsim.latency_model import ModelParams
-from cepsim.runtime import FeedbackDelay, InstanceState, RunMetrics, run, simulate
-from cepsim.scheduler import Decision, InstanceView, SchedulerConfig, make_scheduler
+from cepsim.runtime import FeedbackDelay, InstanceState, run, simulate
+from cepsim.scheduler import InstanceView, SchedulerConfig, make_scheduler
 from cepsim.splitter import KeyedAperiodicPolicy, Splitter, StreamStats, TimeWindowPolicy
 from cepsim.workload import CostModel, generate_stream, in_window_cost
+
+
+# 150 examples in tier-1; the "deep" profile of tests/conftest.py runs more
+ORACLE = settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 
 
 def mk_events(rows):
@@ -397,42 +401,71 @@ def reference_feedback_delays(m) -> list[FeedbackDelay]:
 
 @st.composite
 def small_runs(draw):
-    """A short stream of openers and A/B events with integer costs (so peaks
-    tie often), ending in an opener whose window stays open, and a
-    scheduler over 1-4 instances."""
-    gaps = draw(st.lists(st.integers(0, 15), min_size=1, max_size=60))
+    """A short stream with runs of equal timestamps and integer costs (so
+    peaks tie often), dealt to 1-4 instances by one of the three
+    controllers. Either time windows over openers and A/B events, ending in
+    an opener whose window stays open, or keyed windows over L1/L2 events
+    with keys a-d, which close out of opening order, under an equi_join cost.
+    Keyed streams are longer: a batch that sees pairs past its end and only
+    then ends, which the short ones seldom hold, shows in most of them."""
+    keyed = draw(st.booleans())
+    if keyed:
+        gaps = draw(st.lists(st.integers(0, 6), min_size=40, max_size=80))
+    else:
+        gaps = draw(st.lists(st.integers(0, 15), min_size=1, max_size=60))
     rows, t = [], 0
     for gap in gaps:
         t += gap
-        rows.append((t, draw(st.sampled_from(["open", "A", "A", "B"]))))
-    rows.append((t, "open"))
+        if keyed:
+            rows.append((t, draw(st.sampled_from(["L1", "L2"])), draw(st.sampled_from("abcd"))))
+        else:
+            rows.append((t, draw(st.sampled_from(["open", "A", "A", "B"]))))
+    if keyed:
+        policy = KeyedAperiodicPolicy()
+        base = {"L1": draw(st.integers(0, 4)), "L2": draw(st.integers(1, 6))}
+        cost = CostModel("equi_join", base, incr_ms=draw(st.sampled_from([0.0, 0.5])))
+        transfer_delay_ms = draw(st.sampled_from([0.0, 0.5, 3.0]))
+    else:
+        rows.append((t, "open"))
+        policy = TimeWindowPolicy("open", draw(st.integers(1, 80)))
+        cost = CostModel("flat_per_type", {"open": 0.0, "A": draw(st.integers(1, 6)), "B": 2.0})
+        transfer_delay_ms = draw(st.sampled_from([0.5, 1.0, 3.0]))
     kind = draw(st.sampled_from(["round_robin", "reactive", "model_based"]))
     kw = {"th_ms": draw(st.integers(1, 20))} if kind == "reactive" else {}
     if kind == "model_based":
         kw["lb_ms"] = draw(st.integers(1, 40))
     return dict(
         events=mk_events(rows),
-        policy=TimeWindowPolicy("open", draw(st.integers(1, 80))),
-        cost=CostModel("flat_per_type", {"open": 0.0, "A": draw(st.integers(1, 6)), "B": 2.0}),
+        policy=policy,
+        cost=cost,
         kind=kind,
         n=draw(st.integers(1, 4)),
         mtime=50.0,
-        transfer_delay_ms=draw(st.sampled_from([0.5, 1.0, 3.0])),
+        transfer_delay_ms=transfer_delay_ms,
         **kw,
     )
 
 
-@settings(max_examples=150, deadline=None)
+@ORACLE
 @given(small_runs())
 def test_feedback_delays_match_full_scan(run_kwargs):
     m = run_sim(**run_kwargs)
-    assert None in m.close_ts
+    if isinstance(run_kwargs["policy"], TimeWindowPolicy):
+        assert None in m.close_ts
     assert m.feedback_delays() == reference_feedback_delays(m)
 
 
 def filtered_lambda_o_values(m, warmup_ms) -> array:
     """lambda_o of the pairs at or after ``warmup_ms``, by a filter over every pair."""
     return array("d", (q + p for t, q, p in zip(m.per_pair(m.tx_ts), m.lambda_q, m.lambda_p) if t >= warmup_ms))
+
+
+def assert_lambda_o_values_are_the_filters(m, warmup_ms):
+    """``lambda_o_values`` has the filter's length and values, forwards and reversed, bit for bit."""
+    los, want = m.lambda_o_values(warmup_ms), filtered_lambda_o_values(m, warmup_ms)
+    assert len(los) == len(want) and bool(los) == bool(want)
+    assert array("d", los).tobytes() == want.tobytes()
+    assert array("d", reversed(los)).tobytes() == want[::-1].tobytes()
 
 
 class TestDerivedPasses:
@@ -455,7 +488,7 @@ class TestDerivedPasses:
         m = self.gapped_run()
         unrouted = [t for t, k in zip(m.tx_ts, m.tx_instances) if k == 0]
         assert unrouted == [0, 20, 21, 50, 50]  # before, at and after the warm-ups above
-        assert m.lambda_o_values(warmup_ms).tobytes() == filtered_lambda_o_values(m, warmup_ms).tobytes()
+        assert_lambda_o_values_are_the_filters(m, warmup_ms)
 
     @settings(max_examples=100, deadline=None)
     @given(small_runs(), st.data())
@@ -464,7 +497,7 @@ class TestDerivedPasses:
         ts = sorted(set(m.tx_ts))
         warmup_ms = data.draw(st.sampled_from(ts) | st.sampled_from(ts).map(lambda t: t + 0.5)
                               | st.floats(-1.0, ts[-1] + 1.0))
-        assert m.lambda_o_values(warmup_ms).tobytes() == filtered_lambda_o_values(m, warmup_ms).tobytes()
+        assert_lambda_o_values_are_the_filters(m, warmup_ms)
 
     def test_event_seq_and_ts_are_the_events(self):
         m = self.gapped_run()
@@ -477,17 +510,15 @@ class TestDerivedPasses:
         m = self.gapped_run()
         assert list(m.tx_instances)[-2:] == [0, 0]
         assert m.feedback_delays() == reference_feedback_delays(m)
-        # a window open at the end, and more events without a pair after the
-        # last pair: the span ends at the last event that has a pair
-        lone = RunMetrics(
-            instance=array("q", [0, 0, 1]), lambda_q=array("d", [0.0, 2.0, 0.0]),
-            lambda_p=array("d", [1.0, 4.0, 7.0]), queue_len=array("q", [1, 2, 1]),
-            tx_seq=array("q", [0, 1, 2, 3, 4]), tx_ts=array("q", [3, 5, 5, 8, 9]),
-            tx_members=array("q", [1, 1, 1, 0, 0]), tx_instances=array("q", [1, 1, 1, 0, 0]),
-            windows=[WindowDescriptor(), WindowDescriptor()],
-            decisions=[Decision(0, 0, "round_robin"), Decision(1, 1, "round_robin")],
-            opened=array("i", [0, 2]), closed=array("i", [5, 5]), close_ts=[None, None],
-        )
+        # two windows of 2 ms on two instances, closed before two more events
+        # without a pair; each batch's peaks come after its opener's pair at
+        # the same timestamp: a queued A behind the first opener, and a B
+        # behind the second
+        rows = [(3, "open"), (3, "A"), (5, "A"), (5, "open"), (5, "B"), (8, "B"), (9, "B")]
+        cost = CostModel("flat_per_type", {"open": 3.0, "A": 2.5, "B": 4.0})
+        lone = run_sim(mk_events(rows), policy=TimeWindowPolicy("open", 2), cost=cost, n=2)
+        assert list(lone.tx_instances) == [1, 1, 1, 1, 1, 0, 0]
+        assert lone.close_ts == [5, 7]
         assert lone.feedback_delays() == reference_feedback_delays(lone) == [
             FeedbackDelay(0, 0, 3, 1, 6.0, 2.0, 2, 2.0), FeedbackDelay(1, 1, 5, 1, 7.0, 0.0, 1, 0.0),
         ]
@@ -628,9 +659,13 @@ class TestColumnStorage:
         # rest are per event and per window
         per_pair = ["instance", "lambda_q", "lambda_p", "queue_len"]
         per_event = ["tx_seq", "tx_ts", "tx_members", "tx_instances"]
+        per_batch = ["batch_lat_peak", "batch_lat_peak_ts", "batch_qlen_peak", "batch_qlen_peak_ts"]
         arrays = [f.name for f in fields(m) if isinstance(getattr(m, f.name), array)]
-        assert arrays == per_pair + per_event + ["opened", "closed"]
+        assert arrays == per_pair + per_event + ["opened", "closed"] + per_batch
         assert len(m.opened) == len(m.closed) == len(m.decisions) < len(m.tx_seq)
+        # one entry per batch, a run of decisions for one instance
+        n_batches = 1 + sum(a.instance != b.instance for a, b in zip(m.decisions, m.decisions[1:]))
+        assert all(len(getattr(m, name)) == n_batches for name in per_batch)
         columns = [getattr(m, name) for name in per_pair]
         n = m.transmissions
         assert n > 10_000
@@ -746,7 +781,7 @@ class TestRouting:
     """Each event is sent once to every instance owning one of its member
     windows, in ascending instance order, and nowhere else."""
 
-    @settings(max_examples=150, deadline=None)
+    @ORACLE
     @given(routed_runs())
     def test_one_transmission_per_owning_instance(self, run):
         events, m, cost = run
@@ -761,7 +796,7 @@ class TestRouting:
             for inst, k in pairs:
                 assert k == owners.count(inst)
 
-    @settings(max_examples=150, deadline=None)
+    @ORACLE
     @given(routed_runs())
     def test_instances_in_ascending_order(self, run):
         events, m, cost = run
@@ -769,7 +804,7 @@ class TestRouting:
             instances = [inst for inst, _ in pairs]
             assert instances == sorted(instances)
 
-    @settings(max_examples=150, deadline=None)
+    @ORACLE
     @given(routed_runs())
     def test_instances_without_member_windows_receive_nothing(self, run):
         events, m, cost = run
