@@ -30,11 +30,12 @@ Only these and their timestamps are kept per batch; the rest of a batch is
 derived from the decisions, so no pair is copied after the run.
 
 A pair's queue length is one plus the number of events on its instance that
-start after its arrival: those queued or still in transit. Each instance
-keeps, in order, the starts still ahead at its last arrival. Starts and
-arrivals never go down on one instance (an arrival is the event's timestamp
-plus a fixed delay >= 0), so a start dropped at one arrival is at or before
-every later one.
+start after its arrival: those queued or still in transit. It is measured
+only into its batches' peaks, and no pair keeps it. Each instance keeps, in
+order, the starts still ahead at its last arrival. Starts and arrivals never
+go down on one instance (an arrival is the event's timestamp plus a fixed
+delay >= 0), so a start dropped at one arrival is at or before every later
+one.
 
 Monitoring-window freezes and instance feedback reports fire at their
 simulated times between event arrivals, and only for a controller that reads
@@ -148,10 +149,12 @@ def _column(typecode: str):
 class RunMetrics:
     """Everything one simulation run produced.
 
-    Processed (event, instance) pairs are stored as four typed columns, one
-    entry per pair in event order: ``instance``, ``lambda_q``, ``lambda_p``
-    and ``queue_len``; a pair's operational latency lambda_o is ``lambda_q +
-    lambda_p``. Its seq and timestamp are its event's: the ``tx_*`` columns
+    Processed (event, instance) pairs are stored as three typed columns, one
+    entry per pair in event order: ``instance``, ``lambda_q`` and
+    ``lambda_p``, what ``latency.csv`` writes of a pair; its operational
+    latency lambda_o is ``lambda_q + lambda_p``. A pair's queue length is
+    measured only into its batches' peaks. Its seq and timestamp are its
+    event's: the ``tx_*`` columns
     hold one transmission row per event, its seq, timestamp, member-window
     count and the number of instances it was sent to, and an event's pairs
     are the next ``tx_instances`` entries of the pair columns. The columns
@@ -171,7 +174,6 @@ class RunMetrics:
     instance: array = _column("q")
     lambda_q: array = _column("d")
     lambda_p: array = _column("d")
-    queue_len: array = _column("q")
     tx_seq: array = _column("q")
     tx_ts: array = _column("q")
     tx_members: array = _column("q")
@@ -303,8 +305,7 @@ def simulate(
     metrics = RunMetrics(tx_seq=seqs, tx_ts=tss, opened=opened, closed=splitter.closed, close_ts=close_ts)
     windows, decisions = metrics.windows, metrics.decisions
     # column appends, bound once: the loop below runs once per pair
-    add_instance, add_queue_len = metrics.instance.append, metrics.queue_len.append
-    add_lambda_q, add_lambda_p = metrics.lambda_q.append, metrics.lambda_p.append
+    add_instance, add_lambda_q, add_lambda_p = metrics.instance.append, metrics.lambda_q.append, metrics.lambda_p.append
     add_tx_members, add_tx_instances = metrics.tx_members.append, metrics.tx_instances.append
     owners: list[int] = []  # instances holding open windows, ascending
     # a window's count of the type a window-reading cost counts (None: every
@@ -523,7 +524,6 @@ def simulate(
             add_instance(idx)
             add_lambda_q(lambda_q)
             add_lambda_p(lambda_p)
-            add_queue_len(queue_len)
         add_tx_members(len(memberships))
         add_tx_instances(len(owners))
         if counted_type is None or etype == counted_type:

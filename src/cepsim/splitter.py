@@ -21,7 +21,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from itertools import chain, count, repeat
-from typing import Iterable, KeysView, Mapping, NamedTuple, Sequence
+from typing import KeysView, Mapping, NamedTuple, Sequence
 
 from .core import Event
 
@@ -85,16 +85,6 @@ EMPTY_SNAPSHOT = StreamStatsSnapshot(
 )
 
 
-def _exact_sum(pairs: Iterable[tuple[float, int]]) -> float:
-    """``math.fsum`` of finite values, each repeated its count times, without
-    expanding them: the exact rational sum, rounded once. ``fsum`` is
-    correctly rounded too, so the two agree bit for bit."""
-    # every finite float is num / 2**p; sum over the largest denominator
-    ratios = [(v.as_integer_ratio(), c) for v, c in pairs]
-    den = max(d for (_, d), _ in ratios)
-    return sum(n * c * (den // d) for (n, d), c in ratios) / den  # int / int is correctly rounded
-
-
 def _bin_values(
     values: Sequence[float],
     n_bins: int,
@@ -110,57 +100,46 @@ def _bin_values(
 
     ``counts``, when given, holds the length of each value's run: the value
     occurs that many times in a row. The result is that of the expanded
-    values, but only a bin holding different values is expanded.
+    values. Runs that all repeat one finite value are never expanded: that
+    value is binned once and counts n times. Other runs are expanded.
     """
     vmin = min(values)
     vmax = max(values)
+    each = 1  # how many times each of ``values`` counts
     if counts is not None:
-        per_value: dict[float, int] = {}  # each distinct value once, with its total count
-        for v, c in zip(values, counts):
-            per_value[v] = per_value.get(v, 0) + c
-        if not all(map(math.isfinite, per_value)):
-            # fsum's inf, nan or error, from the expanded values
-            values, counts = list(chain.from_iterable(map(repeat, values, counts))), None
-    if counts is None:
-        n = len(values)
-        mean = math.fsum(values) / n
-        var = math.fsum([(v - mean) ** 2 for v in values]) / n
-    else:
-        n = sum(counts)
-        mean = _exact_sum(per_value.items()) / n
-        var = _exact_sum([((v - mean) ** 2, c) for v, c in per_value.items()]) / n
+        v, n = values[0], sum(counts)
+        # fsum of n copies of v is the product n * v, rounded once, and
+        # that is fsum([v]) * n: fsum turns -0.0 into 0.0, as it does for
+        # the copies. Past the float range the copies are expanded, and
+        # fsum of them raises or gives inf
+        if values.count(v) == len(values) and math.isfinite(v * n):
+            values, each = values[:1], n
+        else:
+            values = list(chain.from_iterable(map(repeat, values, counts)))
+    n = len(values) * each
+    mean = math.fsum(values) * each / n
+    var = math.fsum([(v - mean) ** 2 for v in values]) * each / n
     pop = PopulationStat(n, mean, math.sqrt(var), vmin, vmax)
 
     lo, hi = vrange if vrange is not None else (vmin, vmax)
     width = (hi - lo) / n_bins
     if width > 0 and n_bins > 1:
         members: list[list[float]] = [[] for _ in range(n_bins)]
-        runs: list = [[] for _ in range(n_bins)]
         last = n_bins - 1
         # x is compared before int(), which cannot take the +-inf that a
         # subnormal width gives for a far value
-        if counts is None:
-            for v in values:
-                x = (v - lo) / width
-                members[last if x >= last else int(x) if x > 0 else 0].append(v)
-        else:
-            for v, c in zip(values, counts):
-                x = (v - lo) / width
-                idx = last if x >= last else int(x) if x > 0 else 0
-                members[idx].append(v)
-                runs[idx].append(c)
+        for v in values:
+            x = (v - lo) / width
+            members[last if x >= last else int(x) if x > 0 else 0].append(v)
     else:
         members = [values] + [[] for _ in range(n_bins - 1)]
-        runs = [counts] + [[] for _ in range(n_bins - 1)]
     stats = []
-    for i, in_bin in enumerate(members):
-        count = len(in_bin) if counts is None else sum(runs[i])
+    for in_bin in members:
+        count = len(in_bin) * each
         if count and min(in_bin) == max(in_bin):
             # after the first step the mean equals every value, so each
             # further step leaves it as it is
             in_bin = in_bin[:1]
-        elif counts is not None:
-            in_bin = chain.from_iterable(map(repeat, in_bin, runs[i]))
         k = 0
         b_mean = 0.0
         for x in in_bin:
@@ -374,6 +353,10 @@ class TimeWindowPolicy:
 
     opener_etype: str
     ws_ms: float
+
+    def __post_init__(self):
+        if not self.ws_ms > 0:  # nan too
+            raise ValueError(f"ws_ms must be > 0, got {self.ws_ms}")
 
     def detect(self, events: Sequence[Event]) -> tuple[array, array, list, array, int]:
         """``(opened, closed, close_ts, close_order, dropped_closes)`` of

@@ -7,7 +7,8 @@ plainest form.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
@@ -29,6 +30,7 @@ from cepsim.latency_model import (
     predict_overlap,
     predict_peak,
 )
+from cepsim.runtime import FeedbackDelay
 from cepsim.splitter import StreamStats, StreamStatsSnapshot, TimeWindowPolicy
 
 
@@ -244,3 +246,59 @@ def per_event_windows(events: Sequence[Event], policy) -> dict:
         members.append([w.wid for w in res.memberships])
     return dict(opened=opened, closed=closed, close_ts=close_ts, closes=closes,
                 dropped_closes=sp.dropped_closes, members=members)
+
+
+def pair_rows(m, transfer_delay_ms: float) -> list[tuple[int, int, float, int]]:
+    """``(instance, ts, lambda_o, queue_len)`` of each pair of the run ``m``,
+    in event order. The queue length is recomputed as the reference
+    simulator defines it: the pair arrives at ts + the transfer delay and
+    starts lambda_q later, and its queue length is one plus the earlier
+    starts on its instance after its arrival."""
+    starts: dict[int, list[float]] = {}
+    out = []
+    for inst, ts, q, p in zip(m.instance, m.per_pair(m.tx_ts), m.lambda_q, m.lambda_p):
+        arrival = ts + transfer_delay_ms
+        mine = starts.setdefault(inst, [])
+        # sorted, so the starts after the arrival are the tail past a bisection
+        assert not mine or mine[-1] <= arrival + q, "a start went down on its instance"
+        out.append((inst, ts, q + p, 1 + len(mine) - bisect_right(mine, arrival)))
+        mine.append(arrival + q)
+    return out
+
+
+def reference_feedback_delays(decisions, extents, pairs) -> list[FeedbackDelay]:
+    """Per-batch feedback delays by a full scan of every pair on the batch's
+    instance, O(batches x pairs). ``decisions`` give each wid's instance in
+    scheduling order: a decision for another instance than the one before
+    it starts a new batch, first decided when its window opened.
+    ``extents[wid]`` starts with the window's open and close timestamps (the
+    close None if it never closes); ``pairs`` holds ``(instance, ts,
+    lambda_o, queue_len)`` per pair in event order. A batch's span runs from
+    its first decision to its windows' last close, or to the end of the run
+    if one never closes; its peaks are the first maxima in it."""
+    batches: list[tuple[int, list[int]]] = []  # (instance, wids)
+    for d in decisions:
+        if not batches or batches[-1][0] != d.instance:
+            batches.append((d.instance, []))
+        batches[-1][1].append(d.wid)
+    out = []
+    for batch_id, (instance, wids) in enumerate(batches):
+        first_decision_ts = extents[wids[0]][0]
+        closes = [extents[wid][1] for wid in wids]
+        span_end = math.inf if None in closes else max(closes)
+        lat_peak, lat_ts, qlen_peak, qlen_ts = -1.0, first_decision_ts, -1, first_decision_ts
+        for inst, ts, lambda_o, queue_len in pairs:
+            if inst != instance or ts < first_decision_ts or ts > span_end:
+                continue
+            if lambda_o > lat_peak:
+                lat_peak, lat_ts = lambda_o, ts
+            if queue_len > qlen_peak:
+                qlen_peak, qlen_ts = queue_len, ts
+        out.append(
+            FeedbackDelay(
+                batch_id, instance, first_decision_ts, len(wids),
+                lat_peak, float(lat_ts - first_decision_ts),
+                qlen_peak, float(qlen_ts - first_decision_ts),
+            )
+        )
+    return out

@@ -385,8 +385,8 @@ CELL_FLOATS = st.sampled_from(
 ) | st.floats()
 
 
-# a pair's instance, lambda_q, lambda_p and queue length
-PAIRS = st.lists(st.tuples(CELL_INTS, CELL_FLOATS, CELL_FLOATS, CELL_INTS), max_size=4)
+# a pair's instance, lambda_q and lambda_p
+PAIRS = st.lists(st.tuples(CELL_INTS, CELL_FLOATS, CELL_FLOATS), max_size=4)
 # an event's seq, ts and member count, and its 0-4 pairs
 EVENTS = st.lists(st.tuples(CELL_INTS, CELL_INTS, CELL_INTS, PAIRS), max_size=12)
 WINDOW_CELLS = st.tuples(CELL_INTS, CELL_INTS, st.none() | CELL_INTS, CELL_INTS, CELL_INTS,
@@ -401,7 +401,7 @@ def exactly(events, n):
     for seq, ts, members, ps in events[:n]:
         out.append((seq, ts, members, ps[: n - pairs]))
         pairs += len(out[-1][3])
-    fill = [(k % 3, k / 4, 0.5, k) for k in range(n - pairs)]
+    fill = [(k % 3, k / 4, 0.5) for k in range(n - pairs)]
     if fill and len(out) < n:
         out.append((n, n, 0, fill))
     elif fill:
@@ -414,10 +414,10 @@ def check_written_like_csv_writer(events, windows):
     # formatted once and written in blocks of rows; the bytes are csv.writer's
     pairs = [(seq, ts, *pair) for seq, ts, _, ps in events for pair in ps]
     tx = [(seq, ts, members, len(ps)) for seq, ts, members, ps in events]
-    _, _, inst, q, p, qlen = zip(*pairs) if pairs else [()] * 6
+    _, _, inst, q, p = zip(*pairs) if pairs else [()] * 5
     tx_seq, tx_ts, tx_members, tx_instances = zip(*tx) if tx else [()] * 4
     m = RunMetrics(
-        instance=array("q", inst), lambda_q=array("d", q), lambda_p=array("d", p), queue_len=array("q", qlen),
+        instance=array("q", inst), lambda_q=array("d", q), lambda_p=array("d", p),
         tx_seq=array("q", tx_seq), tx_ts=array("q", tx_ts),
         tx_members=array("q", tx_members), tx_instances=array("q", tx_instances),
         # a window's wid and instance are its decision's, its extent detection's
@@ -431,7 +431,7 @@ def check_written_like_csv_writer(events, windows):
         written = {name: (Path(d) / f"{name}.csv").read_bytes() for name in ("latency", "transmissions", "windows")}
     assert written["latency"] == csv_writer_bytes(
         ["seq", "instance", "lambda_q", "lambda_p", "lambda_o", "ts"],
-        [(seq, i, a, b, a + b, ts) for seq, ts, i, a, b, _ in pairs],
+        [(seq, i, a, b, a + b, ts) for seq, ts, i, a, b in pairs],
     )
     assert written["transmissions"] == csv_writer_bytes(["seq", "ts", "n_member_windows", "n_instances"], tx)
     assert written["windows"] == csv_writer_bytes(
@@ -452,19 +452,19 @@ def test_column_writer_matches_csv_writer(events, windows, negative_zero_in, man
     nz_q, nz_p = "q" in negative_zero_in, "p" in negative_zero_in
     # a column holding -0.0 also holds 0.0; one without it has only 0.0
     events = [
-        (seq, ts, members, [(i, a if nz_q or a != 0.0 else 0.0, b if nz_p or b != 0.0 else 0.0, n)
-                            for i, a, b, n in ps])
+        (seq, ts, members, [(i, a if nz_q or a != 0.0 else 0.0, b if nz_p or b != 0.0 else 0.0)
+                            for i, a, b in ps])
         for seq, ts, members, ps in events
     ]
     # on one instance, so that a memo keyed by value would take -0.0 for 0.0
-    zeros = [(0, 0.0, 0.0, 1), (0, -0.0 if nz_q else 0.0, -0.0 if nz_p else 0.0, 2), (0, 0.0, 0.0, 3)]
-    specials = [(3, math.nan, math.inf, 1), (4, -math.inf, math.nan, 2), (5, math.inf, -math.inf, 3)]
+    zeros = [(0, 0.0, 0.0), (0, -0.0 if nz_q else 0.0, -0.0 if nz_p else 0.0), (0, 0.0, 0.0)]
+    specials = [(3, math.nan, math.inf), (4, -math.inf, math.nan), (5, math.inf, -math.inf)]
     events = [(7, 1, 3, zeros), (8, 2, 0, []), (9, 3, 3, specials), *events]
     for n in ROW_COUNTS:
         check_written_like_csv_writer(exactly(events, n), [windows[k % len(windows)] for k in range(n)])
     if many_distinct:  # more distinct values than a memo keeps, then some again
         extra = [v % 4500 for v in range(5000)]
-        events += [(v, v, v, [(v, v / 4, -v / 8, v)] * (v % 3)) for v in extra]
+        events += [(v, v, v, [(v, v / 4, -v / 8)] * (v % 3)) for v in extra]
         check_written_like_csv_writer(events, windows)
 
 
@@ -474,7 +474,6 @@ class TestSummaryViolations:
         instance=array("q", [0, 1, 2, 0, 1, 2, 3]),
         lambda_q=array("d", [0.0, 2.0, 2.5, 0.0, 1.0, math.inf, 4.0]),
         lambda_p=array("d", [5.0, 3.0, 2.5, 4.0, 4.5, 1.0, 1.0]),
-        queue_len=array("q", [1] * 7),
         tx_seq=array("q", [0, 1]), tx_ts=array("q", [0, 10]),
         tx_members=array("q", [3, 4]), tx_instances=array("q", [3, 4]),
     )

@@ -5,7 +5,10 @@ window's opening and closing event by scanning the stream, takes each
 window's instance from ``simulate``'s own decisions (the controllers are
 checked elsewhere), derives memberships by brute force, prices every
 (event, window) pair itself and runs the Lindley recursion per instance.
-Everything it computes must equal what ``simulate`` produced, exactly.
+Everything it computes must equal what ``simulate`` produced, exactly. Its
+samples carry their queue lengths, which reach ``simulate``'s output only
+as batch peaks, so each batch's peaks are checked against a full scan of
+those samples (``oracles.reference_feedback_delays``).
 
 ``reference_reports`` derives every feedback report from the reference's
 samples: at each feedback instant, from the events processed before it.
@@ -35,6 +38,7 @@ from cepsim.scheduler import (
 )
 from cepsim.splitter import KeyedAperiodicPolicy, Splitter, StreamStats, TimeWindowPolicy
 from cepsim.workload import CostModel
+from oracles import reference_feedback_delays
 
 
 def reference_windows(events, policy):
@@ -292,7 +296,11 @@ RECORDING_VIEWS = {
 }
 
 
-@settings(max_examples=450, deadline=None)
+# 450 examples in tier-1; the "deep" profile of tests/conftest.py runs more
+REFERENCE = settings(max_examples=max(450, settings.default.max_examples), deadline=None)
+
+
+@REFERENCE
 @given(workloads())
 def test_simulate_matches_reference(w):
     cfg = w["config"]
@@ -302,16 +310,17 @@ def test_simulate_matches_reference(w):
     samples, tx_rows, truth = reference_run(w["events"], w["policy"], w["cost"], owner, w["transfer_delay_ms"])
     # a pair's type and window count reach the reports below, as queued
     # counts and theta_bar
-    columns = zip(m.per_pair(m.tx_seq), m.instance, m.per_pair(m.tx_ts), m.lambda_q, m.lambda_p, m.queue_len)
-    assert float_bits(columns) == float_bits(
-        (s.seq, s.instance, s.ts, s.lambda_q, s.lambda_p, s.queue_len) for s in samples
-    )
+    columns = zip(m.per_pair(m.tx_seq), m.instance, m.per_pair(m.tx_ts), m.lambda_q, m.lambda_p)
+    assert float_bits(columns) == float_bits((s.seq, s.instance, s.ts, s.lambda_q, s.lambda_p) for s in samples)
     assert list(zip(m.tx_seq, m.tx_ts, m.tx_members, m.tx_instances)) == tx_rows
     assert len(m.windows) == len(truth)
     for win, extent, (open_ts, close_ts, counts, g_minus, g_plus, peak) in zip(m.windows, m.window_extents(), truth):
         assert extent == (open_ts, close_ts, sum(counts.values()))
         assert float_bits([(win.actual_gamma_minus, win.actual_gamma_plus, win.actual_lambda_q_peak)]) == \
             float_bits([(g_minus, g_plus, peak)])
+    # a pair's queue length reaches only its batches' peaks
+    pairs = [(s.instance, s.ts, s.lambda_q + s.lambda_p, s.queue_len) for s in samples]
+    assert m.feedback_delays() == reference_feedback_delays(m.decisions, truth, pairs)
     # only a controller that reads reports gets them made
     if recorder is None:
         assert not make_scheduler(cfg).reads_reports
@@ -374,11 +383,12 @@ STREAM_STATS_METHODS = [name for name, v in vars(StreamStats).items() if callabl
 def run_outputs(m):
     """Everything a run records that the outputs read, floats by their bits."""
     return (
-        float_bits(zip(m.per_pair(m.tx_seq), m.instance, m.per_pair(m.tx_ts), m.lambda_q, m.lambda_p, m.queue_len)),
+        float_bits(zip(m.per_pair(m.tx_seq), m.instance, m.per_pair(m.tx_ts), m.lambda_q, m.lambda_p)),
         list(zip(m.tx_seq, m.tx_ts, m.tx_members, m.tx_instances)),
         float_bits(astuple(w) for w in m.windows),
         list(m.window_extents()),
         m.decisions,
+        float_bits(m.feedback_delays()),
     )
 
 

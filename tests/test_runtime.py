@@ -16,6 +16,7 @@ from cepsim.runtime import FeedbackDelay, InstanceState, run, simulate
 from cepsim.scheduler import InstanceView, SchedulerConfig, make_scheduler
 from cepsim.splitter import KeyedAperiodicPolicy, Splitter, StreamStats, TimeWindowPolicy
 from cepsim.workload import CostModel, generate_stream, in_window_cost
+from oracles import pair_rows, reference_feedback_delays
 
 
 # 150 examples in tier-1; the "deep" profile of tests/conftest.py runs more
@@ -351,52 +352,10 @@ class TestFeedbackDelay:
             assert fd.lat_peak >= 0.0
 
 
-def reference_feedback_delays(m) -> list[FeedbackDelay]:
-    """Per-batch feedback delays by a full scan of the batch instance's
-    samples for every batch, O(batches x samples). Batches come from the
-    decisions, in order: a decision for another instance than the one
-    before it starts a new batch, first decided when its window opened."""
-    extents = list(m.window_extents())  # per wid: (open_ts, close_ts, n_member_events)
-    batches: list[tuple[int, list[int]]] = []  # (instance, wids)
-    for d in m.decisions:
-        if not batches or batches[-1][0] != d.instance:
-            batches.append((d.instance, []))
-        batches[-1][1].append(d.wid)
-    by_instance: dict[int, list[int]] = {}
-    for i, inst in enumerate(m.instance):
-        by_instance.setdefault(inst, []).append(i)
-    pair_ts = list(m.per_pair(m.tx_ts))
-    end_of_run = pair_ts[-1] if pair_ts else 0
-    out = []
-    for batch_id, (instance, wids) in enumerate(batches):
-        first_decision_ts = extents[wids[0]][0]
-        closes = [extents[wid][1] for wid in wids]
-        span_end = max((c for c in closes if c is not None), default=None)
-        if span_end is None or any(c is None for c in closes):
-            span_end = end_of_run
-        lat_peak = -1.0
-        lat_ts = first_decision_ts
-        qlen_peak = -1
-        qlen_ts = first_decision_ts
-        for i in by_instance.get(instance, ()):
-            ts = pair_ts[i]
-            if ts < first_decision_ts or ts > span_end:
-                continue
-            lambda_o = m.lambda_q[i] + m.lambda_p[i]
-            if lambda_o > lat_peak:
-                lat_peak = lambda_o
-                lat_ts = ts
-            if m.queue_len[i] > qlen_peak:
-                qlen_peak = m.queue_len[i]
-                qlen_ts = ts
-        out.append(
-            FeedbackDelay(
-                batch_id, instance, first_decision_ts, len(wids),
-                lat_peak, float(lat_ts - first_decision_ts),
-                qlen_peak, float(qlen_ts - first_decision_ts),
-            )
-        )
-    return out
+def full_scan(m, transfer_delay_ms: float) -> list[FeedbackDelay]:
+    """``reference_feedback_delays`` of the run ``m``, over its pairs with
+    their queue lengths recomputed."""
+    return reference_feedback_delays(m.decisions, list(m.window_extents()), pair_rows(m, transfer_delay_ms))
 
 
 @st.composite
@@ -452,7 +411,22 @@ def test_feedback_delays_match_full_scan(run_kwargs):
     m = run_sim(**run_kwargs)
     if isinstance(run_kwargs["policy"], TimeWindowPolicy):
         assert None in m.close_ts
-    assert m.feedback_delays() == reference_feedback_delays(m)
+    pairs = pair_rows(m, run_kwargs["transfer_delay_ms"])
+    fds = m.feedback_delays()
+    assert fds == reference_feedback_delays(m.decisions, list(m.window_extents()), pairs)
+    # every pair lies in a batch's span on its instance, so per instance the
+    # largest batch peaks are the largest lambda_o and queue length
+    assert instance_peaks((fd.instance, fd.lat_peak, fd.qlen_peak) for fd in fds) == \
+        instance_peaks((inst, lambda_o, queue_len) for inst, _, lambda_o, queue_len in pairs)
+
+
+def instance_peaks(rows) -> dict[int, tuple[float, int]]:
+    """Per instance, the largest lambda_o and queue length of ``(instance, lambda_o, queue_len)`` rows."""
+    peaks: dict[int, tuple[float, int]] = {}
+    for inst, lat, qlen in rows:
+        top_lat, top_qlen = peaks.get(inst, (lat, qlen))
+        peaks[inst] = (max(top_lat, lat), max(top_qlen, qlen))
+    return peaks
 
 
 def filtered_lambda_o_values(m, warmup_ms) -> array:
@@ -509,7 +483,7 @@ class TestDerivedPasses:
     def test_feedback_delays_when_the_last_events_have_no_pair(self):
         m = self.gapped_run()
         assert list(m.tx_instances)[-2:] == [0, 0]
-        assert m.feedback_delays() == reference_feedback_delays(m)
+        assert m.feedback_delays() == full_scan(m, 0.0)
         # two windows of 2 ms on two instances, closed before two more events
         # without a pair; each batch's peaks come after its opener's pair at
         # the same timestamp: a queued A behind the first opener, and a B
@@ -519,7 +493,7 @@ class TestDerivedPasses:
         lone = run_sim(mk_events(rows), policy=TimeWindowPolicy("open", 2), cost=cost, n=2)
         assert list(lone.tx_instances) == [1, 1, 1, 1, 1, 0, 0]
         assert lone.close_ts == [5, 7]
-        assert lone.feedback_delays() == reference_feedback_delays(lone) == [
+        assert lone.feedback_delays() == full_scan(lone, 0.0) == [
             FeedbackDelay(0, 0, 3, 1, 6.0, 2.0, 2, 2.0), FeedbackDelay(1, 1, 5, 1, 7.0, 0.0, 1, 0.0),
         ]
 
@@ -652,12 +626,13 @@ class TestColumnStorage:
         del raw["sweep"]
         return build_experiment(raw)
 
-    def test_sample_columns_take_32_bytes_per_sample(self):
+    def test_sample_columns_take_24_bytes_per_sample(self):
         m = run(self.traffic_config())
-        # one column per field that differs between an event's pairs, and no
-        # other per-pair column: a pair's seq and ts are its event's; the
-        # rest are per event and per window
-        per_pair = ["instance", "lambda_q", "lambda_p", "queue_len"]
+        # one column per field that latency.csv writes and that differs
+        # between an event's pairs, and no other per-pair column: a pair's
+        # seq and ts are its event's, its queue length only reaches its
+        # batches' peaks; the rest are per event and per window
+        per_pair = ["instance", "lambda_q", "lambda_p"]
         per_event = ["tx_seq", "tx_ts", "tx_members", "tx_instances"]
         per_batch = ["batch_lat_peak", "batch_lat_peak_ts", "batch_qlen_peak", "batch_qlen_peak_ts"]
         arrays = [f.name for f in fields(m) if isinstance(getattr(m, f.name), array)]
@@ -670,12 +645,12 @@ class TestColumnStorage:
         n = m.transmissions
         assert n > 10_000
         assert all(len(c) == n for c in columns)
-        assert sum(c.itemsize * len(c) for c in columns) / n == 32
+        assert sum(c.itemsize * len(c) for c in columns) / n == 24
 
     def test_instance_records_bounded_by_backlog(self, monkeypatch):
         # Round-Robin keeps no work, only the starts still ahead of each
         # instance's last arrival: one fewer than each of its pairs' queue
-        # lengths, which are checked against the reference elsewhere
+        # lengths, recomputed from the pairs' arrivals and starts
         class RecordingStarts(deque):
             def __init__(self):
                 super().__init__()
@@ -694,14 +669,16 @@ class TestColumnStorage:
                 instances.append(self)
 
         monkeypatch.setattr(runtime, "InstanceState", RecordingInstance)
-        m = run(self.traffic_config())
+        cfg = self.traffic_config()
+        m = run(cfg)
         assert len(instances) == 8
         assert all(not inst.work for inst in instances)
+        queue_lens = [row[3] for row in pair_rows(m, cfg.transfer_delay_ms)]
         for i, inst in enumerate(instances):
-            assert inst.pending.lengths == [n - 1 for j, n in zip(m.instance, m.queue_len) if j == i]
+            assert inst.pending.lengths == [n - 1 for j, n in zip(m.instance, queue_lens) if j == i]
             # all but the last pair's own start lie after the last arrival
             assert all(s > inst.last_arrival for s in list(inst.pending)[:-1])
-        assert max(m.queue_len) * 100 < m.transmissions
+        assert max(m.batch_qlen_peak) * 100 < m.transmissions
 
     def test_work_records_bounded_by_backlog(self, monkeypatch):
         # a controller that reads the snapshot keeps in-flight work until it

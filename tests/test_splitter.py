@@ -15,6 +15,7 @@ from cepsim.scheduler import SchedulerConfig, make_scheduler
 from cepsim.splitter import (
     BinStat,
     KeyedAperiodicPolicy,
+    PopulationStat,
     Splitter,
     StreamStats,
     TimeWindowPolicy,
@@ -172,6 +173,28 @@ class TestBinRuns:
         n = sum(counts)
         assert pop.count == n
         assert repr(pop.mean) == repr(math.fsum(expanded(values, counts)) / n)
+
+    @pytest.mark.parametrize(
+        "values, counts, vrange, occupied",
+        [
+            ([0.3, 0.3], [600_000, 400_001], (0.0, 1.0), 1),  # an inner bin
+            ([0.3], [1_000_001], (0.5, 1.0), 0),  # clamped into the edge bin
+            ([0.0, -0.0, 0.0], [400_000, 400_000, 200_001], (-1.0, 1.0), 2),  # inner
+            ([-0.0, 0.0], [700_000, 300_001], (0.0, 2.0), 0),  # the edge bin
+        ],
+    )
+    def test_one_value_runs_at_scale(self, values, counts, vrange, occupied):
+        # runs of one value, over 10**6 in all, are binned once: the moments
+        # are fsum's of the copies and the bins those of one Welford step
+        # per copy, bit for bit
+        flat = expanded(values, counts)
+        n = len(flat)
+        stats, pop = _bin_values(values, 4, vrange, counts)
+        mean = math.fsum(flat) / n
+        sigma = math.sqrt(math.fsum([(v - mean) ** 2 for v in flat]) / n)
+        assert float_bits([pop]) == float_bits([PopulationStat(n, mean, sigma, min(flat), max(flat))])
+        assert float_bits(stats) == float_bits(reference_bins(flat, 4, vrange))
+        assert [b.count for b in stats] == [n if i == occupied else 0 for i in range(4)]
 
     def test_runs_observed_like_single_latencies(self):
         singles = StreamStats(1, 3)
@@ -469,6 +492,16 @@ class TestDetectionOracle:
         # an instance is idle from 0, so a negative first arrival would wait
         with pytest.raises(ValueError, match=re.escape(rule + "-5 < 0 at event 0")):
             Splitter([ev(0, -5, "open"), ev(1, 4, "A")], TimeWindowPolicy("open", 1))
+
+    @pytest.mark.parametrize("ws", [-5, 0, math.nan])
+    def test_time_window_scope_must_be_positive(self, ws):
+        # under a scope that is not > 0 each window would close before it
+        # opened, and a nan one would end in int(nan); the run never starts
+        events = [ev(0, 0, "open"), ev(1, 1), ev(2, 5, "open"), ev(3, 6)]
+        cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0})
+        with pytest.raises(ValueError, match=re.escape(f"ws_ms must be > 0, got {ws}")):
+            simulate(Splitter(events, TimeWindowPolicy("open", ws)), cost,
+                     make_scheduler(SchedulerConfig("round_robin", n_instances=2)), mtime_ms=1000.0)
 
 
 class W:
