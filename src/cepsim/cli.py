@@ -37,7 +37,7 @@ from .latency_model import (
     gains_from_event_values,
     predict_peak,
 )
-from .runtime import LambdaOValues, RunMetrics, run
+from .runtime import LambdaOValues, RunMetrics, SimConfig, run
 from .scheduler import Decision, SchedulerConfig
 from .workload import WorkloadConfig
 
@@ -45,11 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover
     import argparse
 
 SUMMARY_HEADER = ["run_id", "scheduler", "param", "max_lo", "p99_lo", "transmissions", "violations"]
-
-
-# ExperimentConfig fields read from the YAML ``sim`` mapping. Numbers must be finite, except
-# in a field whose metadata has an "inf" entry; it also reads the strings listed there as +inf
-SIM = {"section": "sim"}
 
 
 @dataclass
@@ -63,13 +58,7 @@ class ExperimentConfig:
     workload: WorkloadConfig
     scheduler: SchedulerConfig
     model: ModelParams = field(default_factory=ModelParams)
-    mtime_ms: float = field(default=60_000.0, metadata=SIM)
-    feedback_interval_ms: float | None = field(default=None, metadata=SIM)  # default mtime/10
-    transfer_delay_ms: float = field(default=0.0, metadata=SIM)
-    feedback_delivery_delay_ms: float = field(default=0.0, metadata=SIM)
-    warmup_ms: float = field(default=0.0, metadata=SIM)
-    # bound used for violation accounting, > 0; default scheduler.lb_ms
-    lb_eval_ms: float | None = field(default=None, metadata={**SIM, "inf": ()})
+    sim: SimConfig = field(default_factory=SimConfig)
     run_id: str = "run"
     seed: int = 0
     out_dir: str = "results"
@@ -77,9 +66,12 @@ class ExperimentConfig:
 
     @property
     def effective_lb_eval_ms(self) -> float | None:
-        if self.lb_eval_ms is not None:
-            return self.lb_eval_ms
-        return self.scheduler.lb_ms
+        return self.scheduler.lb_ms if self.sim.lb_eval_ms is None else self.sim.lb_eval_ms
+
+    @property
+    def warmup_ms(self) -> float:
+        """``sim.warmup_ms``: ``perfbench/rep.py`` reads it, and changes only with the benchmark."""
+        return self.sim.warmup_ms
 
     def validate(self) -> None:
         """Reject any experiment that could not run to completion."""
@@ -94,21 +86,7 @@ class ExperimentConfig:
         missing = sorted(wl.emitted_etypes() - set(wl.cost.base_ms))
         if missing:
             raise ConfigurationError(f"workload.cost.base_ms has no cost for emitted event type(s) {missing}")
-        # timestamps are integer ms: a shorter boundary interval only multiplies work
-        if self.mtime_ms < 1:
-            raise ConfigurationError(f"sim.mtime_ms must be >= 1, got {self.mtime_ms}")
-        if self.feedback_interval_ms is None:
-            if self.mtime_ms / 10 < 1:  # the interval simulate() defaults to
-                raise ConfigurationError(
-                    f"sim.feedback_interval_ms must be >= 1, got its default sim.mtime_ms / 10 = {self.mtime_ms / 10}"
-                )
-        elif self.feedback_interval_ms < 1:
-            raise ConfigurationError(f"sim.feedback_interval_ms must be >= 1, got {self.feedback_interval_ms}")
-        for name in ("transfer_delay_ms", "feedback_delivery_delay_ms", "warmup_ms"):
-            if not getattr(self, name) >= 0:  # rejects nan too
-                raise ConfigurationError(f"sim.{name} must be >= 0, got {getattr(self, name)}")
-        if self.lb_eval_ms is not None and not self.lb_eval_ms > 0:
-            raise ConfigurationError(f"sim.lb_eval_ms must be > 0, got {self.lb_eval_ms}")
+        self.sim.validate()
         for i, spec in enumerate(self.sweep):
             if not spec.values:
                 raise ConfigurationError(f"sweep[{i}].values must be a non-empty list")
@@ -130,6 +108,8 @@ def _check_keys(d: Mapping, allowed: set[str], path: str) -> None:
 
 
 def _number(v: Any, path: str, meta: Mapping = {}) -> int | float:
+    """A finite number, or in a field whose metadata has an "inf" entry
+    +-inf, and +inf for the strings listed there."""
     inf_words = meta.get("inf")
     if inf_words and isinstance(v, str) and v in inf_words:
         return math.inf
@@ -143,22 +123,15 @@ def _number(v: Any, path: str, meta: Mapping = {}) -> int | float:
     return v  # ints stay ints: they print differently in the CSVs
 
 
-def _kwargs(cls: type, d: Any, path: str, section: str | None = None) -> dict[str, Any]:
-    """Constructor arguments for ``cls`` read from the YAML mapping ``d``.
-
-    Fields whose metadata names a section are read from that sub-mapping of
-    ``d``.
-    """
+def _kwargs(cls: type, d: Any, path: str) -> dict[str, Any]:
+    """Constructor arguments for ``cls`` read from the YAML mapping ``d``,
+    one key per field; a field that is a dataclass reads a mapping of its own."""
     if not isinstance(d, Mapping):
         raise ConfigurationError(f"{path or 'config'} must be a mapping")
     hints = get_type_hints(cls)
-    own = [f for f in fields(cls) if f.metadata.get("section") == section]
-    sections = {f.metadata["section"] for f in fields(cls) if "section" in f.metadata} if section is None else set()
-    _check_keys(d, {f.name for f in own} | sections, path)
+    _check_keys(d, {f.name for f in fields(cls)}, path)
     out: dict[str, Any] = {}
-    for name in sections:
-        out.update(_kwargs(cls, d.get(name) or {}, _join(path, name), name))
-    for f in own:
+    for f in fields(cls):
         tp, v = hints[f.name], d.get(f.name)
         has_default = f.default is not MISSING or f.default_factory is not MISSING
         # an empty or null sub-mapping or list falls back to the default
@@ -403,7 +376,7 @@ def p99(values: Sequence[float] | LambdaOValues) -> float:
 
 
 def summary_row(cfg: ExperimentConfig, metrics: RunMetrics, run_id: str | None = None) -> list:
-    los = metrics.lambda_o_values(cfg.warmup_ms)
+    los = metrics.lambda_o_values(cfg.sim.warmup_ms)
     lb = cfg.effective_lb_eval_ms
     # operator.gt, as an int bound's __lt__ returns NotImplemented for a float
     violations = 0 if lb is None else sum(map(operator.gt, los, itertools.repeat(lb)))

@@ -55,13 +55,13 @@ class ModelParams:
             if not 1 <= getattr(self, name) <= MAX_BINS:
                 raise ConfigurationError(f"model.{name} must be in [1, {MAX_BINS}], got {getattr(self, name)}")
         for name in ("delta_iat", "delta_lp"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ConfigurationError(f"model.{name} must be >= 0, got {getattr(self, name)}")
         if self.alpha_mode not in ("tcount", "fixed"):
             raise ConfigurationError(f"model.alpha_mode must be tcount|fixed, got {self.alpha_mode!r}")
         if not 0.0 <= self.alpha_fixed <= 1.0:
             raise ConfigurationError(f"model.alpha_fixed must be in [0,1], got {self.alpha_fixed}")
-        if self.iat_floor_ms <= 0:
+        if not self.iat_floor_ms > 0:
             raise ConfigurationError(f"model.iat_floor_ms must be > 0, got {self.iat_floor_ms}")
 
 

@@ -46,6 +46,9 @@ whose output no later decision can change. The in-flight work that feeds
 them is kept only for such a controller: Round-Robin's instances keep a
 busy-until clock, their open windows, their last arrival and the starts
 after it, and nothing completes or is retired.
+
+A run's timing is a :class:`SimConfig`, whose one ``validate()`` both
+``simulate`` and ``ExperimentConfig.validate`` call.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from itertools import chain, groupby, islice, repeat
 from operator import add, attrgetter
 from typing import Iterable, Iterator, NamedTuple, TYPE_CHECKING
 
-from .core import WindowDescriptor
+from .core import ConfigurationError, WindowDescriptor
 from .scheduler import Decision, InstanceView, WindowScheduler, make_scheduler
 from .splitter import EMPTY_SNAPSHOT, Splitter, StreamStats, make_policy
 from .workload import CostModel, counted_etype, generate_stream, uniform_cost, window_cost_terms
@@ -69,6 +72,41 @@ from .workload import in_window_cost  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cli import ExperimentConfig
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """The YAML ``sim`` mapping: a run's simulated timing, plus the warm-up
+    and the violation bound that ``summary_row`` applies."""
+
+    mtime_ms: float = 60_000.0
+    feedback_interval_ms: float | None = None  # None: the default feedback_interval
+    transfer_delay_ms: float = 0.0
+    feedback_delivery_delay_ms: float = 0.0
+    warmup_ms: float = 0.0
+    # bound used for violation accounting, > 0; default scheduler.lb_ms
+    lb_eval_ms: float | None = field(default=None, metadata={"inf": ()})
+
+    @property
+    def feedback_interval(self) -> float:
+        """``feedback_interval_ms``, by default a tenth of ``mtime_ms``."""
+        return self.mtime_ms / 10 if self.feedback_interval_ms is None else self.feedback_interval_ms
+
+    def validate(self) -> None:
+        """Reject nan, and infinity but in ``lb_eval_ms``. Timestamps are
+        integer ms, so a shorter interval only multiplies work; an arrival
+        before its event's timestamp would break queue lengths."""
+        for name, lo in (("mtime_ms", 1), ("feedback_interval_ms", 1), ("transfer_delay_ms", 0),
+                         ("feedback_delivery_delay_ms", 0), ("warmup_ms", 0)):
+            got = v = getattr(self, name)
+            if v is None:
+                v = self.feedback_interval
+                got = f"its default sim.mtime_ms / 10 = {v}"
+            if not lo <= v < math.inf:  # rejects nan too
+                bound = "finite" if v == math.inf else f">= {lo}"
+                raise ConfigurationError(f"sim.{name} must be {bound}, got {got}")
+        if self.lb_eval_ms is not None and not self.lb_eval_ms > 0:
+            raise ConfigurationError(f"sim.lb_eval_ms must be > 0, got {self.lb_eval_ms}")
 
 
 @dataclass
@@ -263,30 +301,19 @@ def simulate(
     splitter: Splitter,
     cost_model: CostModel,
     scheduler: WindowScheduler,
-    mtime_ms: float,
-    feedback_interval_ms: float | None = None,
-    transfer_delay_ms: float = 0.0,
-    feedback_delivery_delay_ms: float = 0.0,
+    sim: SimConfig,
 ) -> RunMetrics:
     """Run the split--process--merge pipeline over the stream of a fresh
-    ``splitter``, which the run consumes.
+    ``splitter``, which the run consumes, with the timing ``sim``, checked
+    by :meth:`SimConfig.validate`.
 
     Deterministic: the same inputs produce identical metrics. A controller
     that reads the snapshot sizes the monitor's bins by its ``params``.
     Each batch's peaks are measured here, over its span on its instance, as
     the pairs are processed: see :class:`RunMetrics`.
     """
-    for name, delay in (("transfer_delay_ms", transfer_delay_ms),
-                        ("feedback_delivery_delay_ms", feedback_delivery_delay_ms)):
-        if not 0 <= delay < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {delay}")
-    if feedback_interval_ms is None:
-        feedback_interval_ms = mtime_ms / 10.0
-    # timestamps are integer ms: a shorter interval only multiplies work, and
-    # one that is 0, negative or nan never passes the next event (inf never fires)
-    for name, interval in (("mtime_ms", mtime_ms), ("feedback_interval_ms", feedback_interval_ms)):
-        if not interval >= 1:
-            raise ValueError(f"{name} must be >= 1, got {interval}")
+    sim.validate()
+    transfer_delay_ms = sim.transfer_delay_ms
     n_instances = scheduler.n
     # monitoring and reports only for a controller that reads them, and
     # in-flight work only for one of those
@@ -354,8 +381,8 @@ def simulate(
         earliest_end[idx] = earliest
         return left
 
-    next_freeze = mtime_ms if scheduler.reads_snapshot else math.inf
-    next_feedback = feedback_interval_ms if scheduler.reads_reports else math.inf
+    next_freeze = sim.mtime_ms if scheduler.reads_snapshot else math.inf
+    next_feedback = sim.feedback_interval if scheduler.reads_reports else math.inf
 
     def advance_to(now: float) -> None:
         """Fire each monitoring freeze and feedback instant up to ``now`` in
@@ -370,11 +397,11 @@ def simulate(
                     inst.complete(t, stats)
             if t == next_freeze:
                 stats.end_monitoring_window()
-                next_freeze += mtime_ms
+                next_freeze += sim.mtime_ms
             elif t == next_feedback:
                 reports = [inst.make_feedback(t) for inst in instances]
-                pending_reports.append((t + feedback_delivery_delay_ms, reports))
-                next_feedback += feedback_interval_ms
+                pending_reports.append((t + sim.feedback_delivery_delay_ms, reports))
+                next_feedback += sim.feedback_interval
             while pending_reports and pending_reports[0][0] <= t:
                 delivered = pending_reports.popleft()[1]
             if t == now and now < next_freeze and now < next_feedback:
@@ -542,12 +569,5 @@ def run(cfg: "ExperimentConfig") -> RunMetrics:
     """Validate the experiment, generate its workload's stream and simulate it."""
     cfg.validate()
     scheduler = make_scheduler(cfg.scheduler, cfg.model)
-    return simulate(
-        Splitter(generate_stream(cfg.workload, cfg.seed), make_policy(cfg.workload)),
-        cfg.workload.cost,
-        scheduler,
-        mtime_ms=cfg.mtime_ms,
-        feedback_interval_ms=cfg.feedback_interval_ms,
-        transfer_delay_ms=cfg.transfer_delay_ms,
-        feedback_delivery_delay_ms=cfg.feedback_delivery_delay_ms,
-    )
+    splitter = Splitter(generate_stream(cfg.workload, cfg.seed), make_policy(cfg.workload))
+    return simulate(splitter, cfg.workload.cost, scheduler, cfg.sim)

@@ -34,9 +34,9 @@ class SchedulerConfig:
             raise ConfigurationError(
                 f"scheduler.kind must be round_robin|reactive|model_based, got {self.kind!r}"
             )
-        if self.n_instances < 1:
+        if not self.n_instances >= 1:
             raise ConfigurationError(f"scheduler.n_instances must be >= 1, got {self.n_instances}")
-        if self.kind == "reactive" and (self.th_ms is None or self.th_ms <= 0):
+        if self.kind == "reactive" and (self.th_ms is None or not self.th_ms > 0):
             raise ConfigurationError(f"scheduler.th_ms must be > 0 for reactive, got {self.th_ms}")
         if self.kind == "model_based" and self.lb_ms is None:
             raise ConfigurationError("scheduler.lb_ms is required for model_based")

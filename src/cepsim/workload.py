@@ -98,20 +98,20 @@ IatProfile = ConstantIat | ExponentialIat | SinusoidalExponentialIat | BurstIat
 
 def _validate_profile(profile: IatProfile, where: str) -> None:
     if isinstance(profile, (ConstantIat, ExponentialIat)):
-        if profile.mu_ms <= 0:
+        if not profile.mu_ms > 0:
             raise ConfigurationError(f"{where}.mu_ms must be > 0, got {profile.mu_ms}")
     elif isinstance(profile, SinusoidalExponentialIat):
-        if profile.mu_min_ms <= 0 or profile.mu_max_ms < profile.mu_min_ms:
+        if not 0 < profile.mu_min_ms <= profile.mu_max_ms:
             raise ConfigurationError(
                 f"{where}: need 0 < mu_min_ms <= mu_max_ms, got "
                 f"({profile.mu_min_ms}, {profile.mu_max_ms})"
             )
-        if profile.period_ms <= 0:
+        if not profile.period_ms > 0:
             raise ConfigurationError(f"{where}.period_ms must be > 0, got {profile.period_ms}")
     elif isinstance(profile, BurstIat):
-        if profile.burst_size < 1:
+        if not profile.burst_size >= 1:
             raise ConfigurationError(f"{where}.burst_size must be >= 1, got {profile.burst_size}")
-        if profile.intra_gap_ms < 0 or profile.inter_gap_ms <= 0:
+        if not (profile.intra_gap_ms >= 0 and profile.inter_gap_ms > 0):
             raise ConfigurationError(
                 f"{where}: need intra_gap_ms >= 0 and inter_gap_ms > 0, got "
                 f"({profile.intra_gap_ms}, {profile.inter_gap_ms})"
@@ -147,9 +147,9 @@ class CostModel:
         if self.kind not in ("equi_join", "flat_per_type", "custom_table"):
             raise ConfigurationError(f"cost.kind must be one of equi_join|flat_per_type|custom_table, got {self.kind!r}")
         for etype, c in self.base_ms.items():
-            if c < 0:
+            if not c >= 0:
                 raise ConfigurationError(f"cost.base_ms[{etype}] must be >= 0, got {c}")
-        if self.incr_ms < 0:
+        if not self.incr_ms >= 0:
             raise ConfigurationError(f"cost.incr_ms must be >= 0, got {self.incr_ms}")
 
 
@@ -240,17 +240,19 @@ class WorkloadConfig:
     def validate(self) -> None:
         if self.scenario not in ("traffic", "face", "custom"):
             raise ConfigurationError(f"workload.scenario must be traffic|face|custom, got {self.scenario!r}")
-        if self.duration_ms <= 0:
+        if not self.duration_ms > 0:
             raise ConfigurationError(f"workload.duration_ms must be > 0, got {self.duration_ms}")
+        if self.duration_ms == math.inf:  # the arrivals would never end
+            raise ConfigurationError(f"workload.duration_ms must be finite, got {self.duration_ms}")
         _validate_profile(self.iat, "workload.iat")
         if self.scenario == "traffic":
             lo, hi = self.scope.ws_min_ms, self.scope.ws_max_ms
-            if lo is None or hi is None or lo <= 0 or hi < lo:
+            if lo is None or hi is None or not 0 < lo <= hi:
                 raise ConfigurationError(
                     f"workload.scope: traffic needs 0 < ws_min_ms <= ws_max_ms, got ({lo}, {hi})"
                 )
         else:
-            if self.scope.ws_ms is None or self.scope.ws_ms <= 0:
+            if self.scope.ws_ms is None or not self.scope.ws_ms > 0:
                 raise ConfigurationError(
                     f"workload.scope.ws_ms must be > 0 for {self.scenario}, got {self.scope.ws_ms}"
                 )
@@ -260,11 +262,11 @@ class WorkloadConfig:
             if not self.type_mix:
                 raise ConfigurationError("workload.type_mix is required for the custom scenario")
             total = sum(self.type_mix.values())
-            if abs(total - 1.0) > PROB_TOL:
+            if not abs(total - 1.0) <= PROB_TOL:
                 raise ConfigurationError(f"workload.type_mix probabilities must sum to 1, got {total}")
-            if any(p < 0 for p in self.type_mix.values()):
+            if not all(p >= 0 for p in self.type_mix.values()):
                 raise ConfigurationError("workload.type_mix probabilities must be >= 0")
-        if self.cost_jitter_sigma < 0:
+        if not self.cost_jitter_sigma >= 0:
             raise ConfigurationError(f"workload.cost_jitter_sigma must be >= 0, got {self.cost_jitter_sigma}")
         self.cost.validate()
 

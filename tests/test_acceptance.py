@@ -15,7 +15,7 @@ import pytest
 
 from cepsim.cli import ExperimentConfig, main
 from cepsim.latency_model import ModelParams, gains_from_event_values, predict_peak
-from cepsim.runtime import run
+from cepsim.runtime import SimConfig, run
 from cepsim.scheduler import SchedulerConfig
 from cepsim.workload import (
     BurstIat,
@@ -52,8 +52,7 @@ def traffic_tradeoff_cfg(kind, lb=None, seed=42):
         seed=seed,
         scheduler=SchedulerConfig(kind, n_instances=8, lb_ms=lb),
         model=model,
-        mtime_ms=5_000.0,
-        warmup_ms=10_000.0,
+        sim=SimConfig(mtime_ms=5_000.0, warmup_ms=10_000.0),
     )
 
 
@@ -71,10 +70,8 @@ def reactive_sweep_cfg(kind, ws, seed=42, th=None, lb=None):
         seed=seed,
         scheduler=SchedulerConfig(kind, n_instances=8, th_ms=th, lb_ms=lb),
         model=model,
-        mtime_ms=2_000.0,
-        feedback_interval_ms=300.0,
-        feedback_delivery_delay_ms=1_000.0,
-        warmup_ms=20_000.0,
+        sim=SimConfig(mtime_ms=2_000.0, feedback_interval_ms=300.0, feedback_delivery_delay_ms=1_000.0,
+                      warmup_ms=20_000.0),
     )
 
 
@@ -94,7 +91,7 @@ def face_accuracy_cfg(n_iat_bins, seed=42):
         seed=seed,
         scheduler=SchedulerConfig("model_based", n_instances=1, lb_ms=float("inf")),
         model=model,
-        mtime_ms=10_000.0,
+        sim=SimConfig(mtime_ms=10_000.0),
     )
 
 

@@ -4,6 +4,7 @@ import filecmp
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -349,7 +350,7 @@ class TestConfigErrors:
     def test_numeric_strings_and_smallest_default_interval_accepted(self, tmp_path):
         cfg = write_config(tmp_path, {"run_id": 7, "workload.cost.build_etype": 1.5, "sim.mtime_ms": 10})
         exp = build_experiment(yaml.safe_load(cfg.read_text()))
-        assert (exp.run_id, exp.workload.cost.build_etype, exp.feedback_interval_ms) == ("7", "1.5", None)
+        assert (exp.run_id, exp.workload.cost.build_etype, exp.sim.feedback_interval_ms) == ("7", "1.5", None)
 
     def test_largest_bin_counts_accepted(self, tmp_path):
         cfg = write_config(tmp_path, {"model.n_iat_bins": 1024, "model.n_lat_bins": 1024})
@@ -488,7 +489,7 @@ class TestSummaryViolations:
         raw = copy.deepcopy(BASE_CONFIG)
         raw["sim"].update(lb_eval_ms=lb, warmup_ms=warmup_ms)
         cfg = build_experiment(raw)
-        assert type(cfg.lb_eval_ms) is type(lb)
+        assert type(cfg.sim.lb_eval_ms) is type(lb)
         los = self.METRICS.lambda_o_values(warmup_ms)
         assert summary_row(cfg, self.METRICS)[6] == violations == sum(lo > lb for lo in los)
 
@@ -626,16 +627,64 @@ class TestConfigBuilder:
         raw = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
         raw["workload"]["cost"]["base_ms"] = {"A": 1, "B": 3, "open": 0.1}
         exp = build_experiment(raw)
-        assert type(exp.mtime_ms) is int and type(exp.scheduler.lb_ms) is int
+        assert type(exp.sim.mtime_ms) is int and type(exp.scheduler.lb_ms) is int
         assert [type(v) for v in exp.workload.cost.base_ms.values()] == [float] * 3
         assert exp.seed == 11
 
     @pytest.mark.parametrize("name", ["transfer_delay_ms", "feedback_delivery_delay_ms", "warmup_ms"])
     def test_nan_delay_or_warmup_rejected_by_validate(self, name):
-        # YAML cannot give nan, a library caller can
+        # YAML cannot give nan or inf, a library caller can
         cfg = build_experiment(yaml.safe_load(yaml.safe_dump(BASE_CONFIG)))
-        with pytest.raises(ConfigurationError, match=f"sim.{name} must be >= 0, got nan"):
-            replace(cfg, **{name: math.nan}).validate()
+        for value, bound in ((math.nan, ">= 0"), (-math.inf, ">= 0"), (math.inf, "finite")):
+            with pytest.raises(ConfigurationError, match=f"sim.{name} must be {bound}, got {value}"):
+                replace(cfg, sim=replace(cfg.sim, **{name: value})).validate()
+
+    @pytest.mark.parametrize(
+        "overrides, path, value, needle",
+        [
+            ({}, "workload.duration_ms", math.nan, "workload.duration_ms must be > 0"),
+            ({}, "workload.duration_ms", math.inf, "workload.duration_ms must be finite"),
+            ({}, "workload.iat.mu_ms", math.nan, "workload.iat.mu_ms"),
+            ({}, "workload.opener.mu_ms", math.nan, "workload.opener.mu_ms"),
+            ({"workload.iat": {"kind": "sinusoidal_exponential", "mu_min_ms": 10, "mu_max_ms": 50,
+                               "period_ms": 1000}}, "workload.iat.mu_min_ms", math.nan, "mu_min_ms"),
+            ({"workload.iat": {"kind": "sinusoidal_exponential", "mu_min_ms": 10, "mu_max_ms": 50,
+                               "period_ms": 1000}}, "workload.iat.mu_max_ms", math.nan, "mu_max_ms"),
+            ({"workload.iat": {"kind": "sinusoidal_exponential", "mu_min_ms": 10, "mu_max_ms": 50,
+                               "period_ms": 1000}}, "workload.iat.period_ms", math.nan, "workload.iat.period_ms"),
+            ({"workload.iat": {"kind": "burst", "burst_size": 2, "intra_gap_ms": 1, "inter_gap_ms": 50}},
+             "workload.iat.intra_gap_ms", math.nan, "intra_gap_ms"),
+            ({"workload.iat": {"kind": "burst", "burst_size": 2, "intra_gap_ms": 1, "inter_gap_ms": 50}},
+             "workload.iat.inter_gap_ms", math.nan, "inter_gap_ms"),
+            ({}, "workload.scope.ws_ms", math.nan, "workload.scope.ws_ms"),
+            ({"workload.scenario": "traffic", "workload.scope": {"ws_min_ms": 100, "ws_max_ms": 200},
+              "workload.cost.base_ms": {"L1": 0.1, "L2": 0.2}}, "workload.scope.ws_min_ms", math.nan, "ws_min_ms"),
+            ({"workload.scenario": "traffic", "workload.scope": {"ws_min_ms": 100, "ws_max_ms": 200},
+              "workload.cost.base_ms": {"L1": 0.1, "L2": 0.2}}, "workload.scope.ws_max_ms", math.nan, "ws_max_ms"),
+            ({}, "workload.type_mix", {"A": math.nan, "B": 0.5}, "workload.type_mix"),
+            ({}, "workload.cost_jitter_sigma", math.nan, "workload.cost_jitter_sigma"),
+            ({}, "workload.cost.base_ms", {"A": math.nan, "B": 3.0, "open": 0.1}, "cost.base_ms[A]"),
+            ({}, "workload.cost.incr_ms", math.nan, "cost.incr_ms"),
+            ({}, "model.delta_iat", math.nan, "model.delta_iat"),
+            ({}, "model.delta_lp", math.nan, "model.delta_lp"),
+            ({}, "model.alpha_fixed", math.nan, "model.alpha_fixed"),
+            ({}, "model.iat_floor_ms", math.nan, "model.iat_floor_ms"),
+            ({"scheduler": {"kind": "reactive", "n_instances": 2, "th_ms": 5}}, "scheduler.th_ms", math.nan,
+             "scheduler.th_ms"),
+            ({}, "scheduler.lb_ms", math.nan, "scheduler.lb_ms"),
+        ],
+    )
+    def test_nan_or_endless_horizon_rejected_by_validate(self, tmp_path, overrides, path, value, needle):
+        # YAML cannot give these; set in code, each fails validate() and is
+        # never run (an infinite horizon would generate arrivals forever)
+        cfg = build_experiment(yaml.safe_load(write_config(tmp_path, {**overrides, "sweep": None}).read_text()))
+
+        def replaced(obj, path):
+            name, _, rest = path.partition(".")
+            return replace(obj, **{name: replaced(getattr(obj, name), rest) if rest else value})
+
+        with pytest.raises(ConfigurationError, match=re.escape(needle)):
+            replaced(cfg, path).validate()
 
     def test_null_optional_field_equals_omitted(self):
         raw = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))

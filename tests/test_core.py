@@ -1,5 +1,5 @@
 from cepsim.core import Event, WindowDescriptor
-from cepsim.runtime import simulate
+from cepsim.runtime import SimConfig, simulate
 from cepsim.scheduler import SchedulerConfig, make_scheduler
 from cepsim.splitter import Splitter, TimeWindowPolicy
 from cepsim.workload import CostModel
@@ -8,7 +8,7 @@ from cepsim.workload import CostModel
 def simulated(events, ws):
     cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0, "B": 1.0})
     scheduler = make_scheduler(SchedulerConfig())
-    return simulate(Splitter(events, TimeWindowPolicy("open", ws)), cost, scheduler, mtime_ms=1000.0)
+    return simulate(Splitter(events, TimeWindowPolicy("open", ws)), cost, scheduler, SimConfig(mtime_ms=1000.0))
 
 
 class TestWindowDescriptor:

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from cepsim import runtime
 from cepsim.core import Event
 from cepsim.latency_model import ModelParams
-from cepsim.runtime import InstanceState, simulate
+from cepsim.runtime import InstanceState, SimConfig, simulate
 from cepsim.scheduler import (
     ModelBasedScheduler,
     ReactiveScheduler,
@@ -261,8 +261,8 @@ def run_workload(w, scheduler=None):
     scheduler = scheduler or make_scheduler(w["config"])
     return simulate(
         Splitter(w["events"], w["policy"]), w["cost"], scheduler,
-        mtime_ms=20.0, feedback_interval_ms=5.0, transfer_delay_ms=w["transfer_delay_ms"],
-        feedback_delivery_delay_ms=w["feedback_delivery_delay_ms"],
+        SimConfig(mtime_ms=20.0, feedback_interval_ms=5.0, transfer_delay_ms=w["transfer_delay_ms"],
+                  feedback_delivery_delay_ms=w["feedback_delivery_delay_ms"]),
     )
 
 

@@ -4,17 +4,19 @@ import random
 from array import array
 from collections import deque
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cepsim import runtime
-from cepsim.core import CostModelError, Event
+from cepsim.cli import build_experiment, load_config, summary_row
+from cepsim.core import ConfigurationError, CostModelError, Event
 from cepsim.latency_model import ModelParams
-from cepsim.runtime import FeedbackDelay, InstanceState, run, simulate
+from cepsim.runtime import FeedbackDelay, InstanceState, SimConfig, run, simulate
 from cepsim.scheduler import InstanceView, SchedulerConfig, make_scheduler
-from cepsim.splitter import KeyedAperiodicPolicy, Splitter, StreamStats, TimeWindowPolicy
+from cepsim.splitter import KeyedAperiodicPolicy, Splitter, StreamStats, TimeWindowPolicy, make_policy
 from cepsim.workload import CostModel, generate_stream, in_window_cost
 from oracles import pair_rows, reference_feedback_delays
 
@@ -40,7 +42,7 @@ def run_sim(events, *, policy, cost, kind="round_robin", n=1, mtime=10_000.0, **
     if kind == "model_based":
         sched_kw["lb_ms"] = kw.pop("lb_ms")
     scheduler = make_scheduler(SchedulerConfig(kind, n_instances=n, **sched_kw))
-    return simulate(Splitter(events, policy), cost, scheduler, mtime_ms=mtime, **kw)
+    return simulate(Splitter(events, policy), cost, scheduler, SimConfig(mtime_ms=mtime, **kw))
 
 
 WORKED_COSTS = CostModel("flat_per_type", {"open": 0.0, "A": 8.0, "B": 7.0, "C": 4.0, "D": 2.0})
@@ -149,18 +151,24 @@ class TestConservationAndIdentities:
     @pytest.mark.parametrize("name", ["transfer_delay_ms", "feedback_delivery_delay_ms"])
     @pytest.mark.parametrize("delay", [-1.0, -1e-300, math.inf, -math.inf, math.nan])
     def test_bad_delays_rejected(self, name, delay):
-        # an arrival before its event's timestamp would break queue lengths
+        # an arrival before its event's timestamp would break queue lengths;
+        # validate() and simulate() reject the delay with one message
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0})
         events = mk_events([(0, "open"), (5, "A")])
         run_sim(events, policy=TimeWindowPolicy("open", 10.0), cost=cost, **{name: 0.0})
-        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got {delay}"):
+        message = f"sim.{name} must be {'finite' if delay == math.inf else '>= 0'}, got {delay}"
+        with pytest.raises(ConfigurationError, match=message):
+            SimConfig(**{name: delay}).validate()
+        with pytest.raises(ConfigurationError, match=message):
             run_sim(events, policy=TimeWindowPolicy("open", 10.0), cost=cost, **{name: delay})
 
     @pytest.mark.parametrize("name", ["mtime_ms", "feedback_interval_ms"])
-    @pytest.mark.parametrize("interval", [0.0, -5.0, 0.5, math.nan])
+    @pytest.mark.parametrize("interval", [0.0, -5.0, 0.5, math.nan, math.inf])
     def test_bad_intervals_rejected(self, name, interval):
         # an interval that never passes the next event (0, negative or nan)
-        # would fire forever; the child's time limit turns such a hang into a failure
+        # would fire forever; the child's time limit turns such a hang into a
+        # failure. An infinite one is rejected as every infinite sim value
+        # but lb_eval_ms is; validate() and simulate() give one message
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0})
         events = mk_events([(0, "open"), (5, "A")])
         key = "mtime" if name == "mtime_ms" else name
@@ -169,8 +177,11 @@ class TestConservationAndIdentities:
             return run_sim(events, policy=TimeWindowPolicy("open", 10.0), cost=cost,
                            kind="model_based", lb_ms=5.0, **{key: value})
 
-        assert len(in_a_child(lambda: run_at(math.inf)).decisions) == 1  # accepted: it never fires
-        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {interval}"):
+        assert len(in_a_child(lambda: run_at(1e308)).decisions) == 1  # accepted: it never fires
+        message = f"sim.{name} must be {'finite' if interval == math.inf else '>= 1'}, got {interval}"
+        with pytest.raises(ConfigurationError, match=message):
+            SimConfig(**{name: interval}).validate()
+        with pytest.raises(ConfigurationError, match=message):
             in_a_child(lambda: run_at(interval))
 
 
@@ -336,6 +347,21 @@ class TestFeedbackDelay:
                 qlen_peak, qlen_ts = len(pending), ts
         assert fd.qlen_peak == qlen_peak
         assert fd.qlen_peak_delay_ms == qlen_ts - 0
+
+    def test_a_batch_that_ends_past_its_end_keeps_its_earlier_peaks(self):
+        # Round-Robin deals the windows a, b and c to instances 0, 1 and 0.
+        # Batch 2 (c) spans [2, 3]. The pairs at 10 and 20 on instance 0,
+        # where a is still open, pass its end while it is the latest batch,
+        # so its peaks by 3 are kept aside; no window opens after c, and the
+        # run's end restores them
+        events = mk_events([(0, "L1", "a"), (1, "L1", "b"), (2, "L1", "c"), (3, "L2", "c"),
+                            (4, "L2", "b"), (10, "L2", "z"), (20, "L2", "a")])
+        cost = CostModel("equi_join", {"L1": 1.0, "L2": 2.0}, incr_ms=5.0)
+        m = run_sim(events, policy=KeyedAperiodicPolicy(), cost=cost, n=2)
+        fds = m.feedback_delays()
+        assert fds == full_scan(m, 0.0)
+        assert (fds[2].instance, fds[2].first_decision_ts) == (0, 2)
+        assert (fds[2].lat_peak, fds[2].lat_peak_delay_ms) == (25.0, 1.0)
 
     def test_every_batch_is_reported(self):
         # a batch's instance processes the event that opened its first
@@ -537,7 +563,7 @@ def test_monitor_sized_by_the_controllers_params(monkeypatch):
     scheduler = make_scheduler(SchedulerConfig("model_based", n_instances=2, lb_ms=5.0), params)
     cost = CostModel("flat_per_type", {"open": 0.1, "A": 0.5})
     m = simulate(Splitter(TestSchedulingIntegration().overlap_stream(), TimeWindowPolicy("open", 1000.0)), cost,
-                 scheduler, mtime_ms=500.0)
+                 scheduler, SimConfig(mtime_ms=500.0))
     fresh = [s for s in frozen if not s.stale]
     assert len(fresh) == 7 and len(m.decisions) == 40  # a freeze every 500 ms up to 3,950
     assert {len(s.iat_bins) for s in fresh} == {3}
@@ -562,13 +588,40 @@ def test_run_with_experiment_config():
         workload=wl,
         scheduler=SchedulerConfig("round_robin", n_instances=2),
         model=ModelParams(n_iat_bins=2, n_lat_bins=2),
-        mtime_ms=1000.0,
+        sim=SimConfig(mtime_ms=1000.0),
         seed=1,
     )
     m1 = run(cfg)
     m2 = run(cfg)
     assert m1 == m2
     assert m1.transmissions
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(SimConfig)])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1, 0, 0.5, 1e308])
+def test_validation_and_run_agree_on_the_sim_section(name, value):
+    # a sim section set in code is checked as one loaded from YAML: either
+    # validate() rejects it naming the field and simulate() raises the same
+    # error, or the run completes. The model-based controller reads both the
+    # snapshots and the reports, so every timing value is used
+    cfg = build_experiment(load_config(CONFIG_DIR / "face_accuracy.yaml"))
+    cfg = replace(cfg, workload=replace(cfg.workload, duration_ms=20_000))
+    cfg = replace(cfg, sim=replace(cfg.sim, **{name: value}))
+    try:
+        cfg.validate()
+    except ConfigurationError as exc:
+        assert str(exc).startswith(f"sim.{name} ")
+        splitter = Splitter(generate_stream(cfg.workload, cfg.seed), make_policy(cfg.workload))
+        with pytest.raises(ConfigurationError) as raised:
+            simulate(splitter, cfg.workload.cost, make_scheduler(cfg.scheduler, cfg.model), cfg.sim)
+        assert str(raised.value) == str(exc)
+    else:
+        m = run(cfg)
+        assert len(m.decisions) == 21  # a query every second from 0 to 20 s
+        summary_row(cfg, m)
 
 
 def test_the_experiment_seed_is_the_streams():
@@ -673,7 +726,7 @@ class TestColumnStorage:
         m = run(cfg)
         assert len(instances) == 8
         assert all(not inst.work for inst in instances)
-        queue_lens = [row[3] for row in pair_rows(m, cfg.transfer_delay_ms)]
+        queue_lens = [row[3] for row in pair_rows(m, cfg.sim.transfer_delay_ms)]
         for i, inst in enumerate(instances):
             assert inst.pending.lengths == [n - 1 for j, n in zip(m.instance, queue_lens) if j == i]
             # all but the last pair's own start lie after the last arrival

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cepsim import runtime
 from cepsim.core import Event
 from cepsim.latency_model import ModelParams
-from cepsim.runtime import simulate
+from cepsim.runtime import SimConfig, simulate
 from cepsim.scheduler import SchedulerConfig, make_scheduler
 from cepsim.splitter import (
     BinStat,
@@ -332,7 +332,7 @@ def simulated(events, policy, n=1):
     params = ModelParams(n_iat_bins=1, n_lat_bins=1)
     scheduler = make_scheduler(SchedulerConfig("model_based", n_instances=n, lb_ms=5.0), params)
     with mock.patch.object(runtime, "StreamStats", RecordingStats):
-        m = simulate(Splitter(events, policy), cost, scheduler, mtime_ms=1e12)
+        m = simulate(Splitter(events, policy), cost, scheduler, SimConfig(mtime_ms=1e12))
     (stats,) = RecordingStats.made
     return m, stats
 
@@ -501,7 +501,7 @@ class TestDetectionOracle:
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0})
         with pytest.raises(ValueError, match=re.escape(f"ws_ms must be > 0, got {ws}")):
             simulate(Splitter(events, TimeWindowPolicy("open", ws)), cost,
-                     make_scheduler(SchedulerConfig("round_robin", n_instances=2)), mtime_ms=1000.0)
+                     make_scheduler(SchedulerConfig("round_robin", n_instances=2)), SimConfig(mtime_ms=1000.0))
 
 
 class W:
