@@ -52,8 +52,11 @@ class ModelParams:
 
     def validate(self) -> None:
         for name in ("n_iat_bins", "n_lat_bins"):
-            if not 1 <= getattr(self, name) <= MAX_BINS:
-                raise ConfigurationError(f"model.{name} must be in [1, {MAX_BINS}], got {getattr(self, name)}")
+            n = getattr(self, name)
+            if not isinstance(n, int):
+                raise ConfigurationError(f"model.{name} must be an integer, got {n!r}")
+            if not 1 <= n <= MAX_BINS:
+                raise ConfigurationError(f"model.{name} must be in [1, {MAX_BINS}], got {n}")
         for name in ("delta_iat", "delta_lp"):
             if not getattr(self, name) >= 0:
                 raise ConfigurationError(f"model.{name} must be >= 0, got {getattr(self, name)}")

@@ -24,10 +24,10 @@ records of a window itself, whose extent is the splitter's and whose
 instance is its decision's.
 
 A batch, a maximal run of decisions for one instance, has its peaks measured
-as its instance processes the pairs: the first maximal lambda_o and queue
-length over its span, from its first decision to its windows' last close.
-Only these and their timestamps are kept per batch; the rest of a batch is
-derived from the decisions, so no pair is copied after the run.
+by a :class:`BatchTracker` as its instance processes the pairs: the first
+maximal lambda_o and queue length over its span, from the first pair on its
+instance at its first decision's timestamp to its windows' last close. Only
+these and their timestamps are kept per batch; no pair is copied after a run.
 
 A pair's queue length is one plus the number of events on its instance that
 start after its arrival: those queued or still in transit. It is measured
@@ -204,9 +204,10 @@ class RunMetrics:
     and ``close_ts`` the splitter's detection columns, its opening and
     closing event's index and its close (None if it never closed).
 
-    Per batch, in batch order, the ``batch_*`` columns hold what
-    ``simulate`` measured over the batch's span on its instance: the first
-    maximal lambda_o and queue length and the timestamps where they occur.
+    Per batch, in batch order, the ``batch_*`` columns hold what a
+    :class:`BatchTracker` measured over its span on its instance, from the
+    first pair there at its first decision's timestamp to its windows' last
+    close: the first maximal lambda_o and queue length and their timestamps.
     """
 
     instance: array = _column("q")
@@ -297,6 +298,98 @@ class LambdaOValues:
         return islice(map(add, reversed(self.lambda_q), reversed(self.lambda_p)), len(self))
 
 
+class BatchTracker:
+    """The batches of a run, whose ``batch_*`` columns of ``metrics`` it alone
+    writes. Per instance, ``collecting`` holds the batches whose span may
+    still hold a later pair, each ``[end, lambda_o peak, its ts, queue-length
+    peak, its ts, batch id]``, and ``earliest_end`` the earliest end among
+    them; ``simulate`` updates them per pair, after ``retire`` past that end."""
+
+    def __init__(self, metrics: RunMetrics, n_instances: int):
+        self.metrics = metrics
+        self.columns = (metrics.batch_lat_peak, metrics.batch_lat_peak_ts,
+                        metrics.batch_qlen_peak, metrics.batch_qlen_peak_ts)
+        self.collecting: list[list[list]] = [[] for _ in range(n_instances)]
+        self.earliest_end = [math.inf] * n_instances
+        # the latest batch and its instance. Once a pair passes its end, its
+        # peaks so far are kept aside: if it grows, the new window's close is
+        # at or after every pair so far and they count; if it ends, they do not
+        self.latest, self.instance, self.checkpoint = None, None, None
+        # per instance, the largest lambda_o at walked_ts up to event walked_from
+        self.walked_ts, self.walked_from, self.ts_peaks = None, 0, {}
+
+    def decide(self, idx: int, now: int, close: int | None) -> None:
+        """Grow the latest batch by a window decided for instance ``idx`` at
+        ``now`` and closing at ``close`` (None: never), or start one with it."""
+        end = math.inf if close is None else close
+        latest = self.latest
+        if idx == self.instance:
+            latest[0] = max(latest[0], end)  # the pairs past its old end are in its span now
+            self.checkpoint = None
+        else:
+            if self.checkpoint is not None:
+                # the latest batch ended, past its end: its peaks are those kept aside
+                latest[1:5] = self.checkpoint
+                self.collecting[self.instance].remove(latest)
+                self.store(latest)
+                self.checkpoint = None
+            # no queue-length seed: the opener shares the arrival of the pairs
+            # on idx at now, so its queue holds theirs
+            latest = self.latest = [end, self.peak_at(idx, now), now, 0, 0, len(self.columns[0])]
+            self.instance = idx
+            self.collecting[idx].append(latest)
+            for column in self.columns:
+                column.append(0)
+        self.earliest_end[idx] = min(self.earliest_end[idx], latest[0])
+
+    def peak_at(self, idx: int, now: int) -> float:
+        """The largest lambda_o of the pairs processed on ``idx`` at ``now``,
+        -1.0 if none; rounding can make it exceed the opener's. Walks back
+        over the events at ``now`` that no earlier walk covered."""
+        m = self.metrics
+        j = len(m.tx_instances)
+        if not j or m.tx_ts[j - 1] != now:  # no earlier event at now
+            return -1.0
+        if now != self.walked_ts:
+            self.walked_ts, self.walked_from, self.ts_peaks = now, 0, {}
+        k, stop, peaks = len(m.instance), self.walked_from, self.ts_peaks
+        self.walked_from = j
+        while j > stop and m.tx_ts[j - 1] == now:
+            j -= 1
+            for x in range(k - m.tx_instances[j], k):  # event j's pairs
+                peaks[m.instance[x]] = max(peaks.get(m.instance[x], -1.0), m.lambda_q[x] + m.lambda_p[x])
+            k -= m.tx_instances[j]
+        return peaks.get(idx, -1.0)
+
+    def retire(self, idx: int, now: int) -> None:
+        """Store the peaks of instance ``idx``'s batches whose span ends before ``now``."""
+        left, earliest = [], math.inf
+        for entry in self.collecting[idx]:
+            end = entry[0]
+            if now <= end:
+                left.append(entry)
+                earliest = min(earliest, end)
+            elif entry is self.latest:
+                self.checkpoint = self.checkpoint or entry[1:5]
+                left.append(entry)
+            else:
+                self.store(entry)
+        self.collecting[idx] = left
+        self.earliest_end[idx] = earliest
+
+    def store(self, entry: list) -> None:
+        lat, lat_ts, qlen, qlen_ts = self.columns
+        b = entry[5]
+        lat[b], lat_ts[b], qlen[b], qlen_ts[b] = entry[1:5]
+
+    def finish(self) -> None:
+        """Store every batch's peaks: the run has ended, and with it every span."""
+        if self.checkpoint is not None:
+            self.latest[1:5] = self.checkpoint
+        for entry in chain.from_iterable(self.collecting):
+            self.store(entry)
+
+
 def simulate(
     splitter: Splitter,
     cost_model: CostModel,
@@ -309,8 +402,8 @@ def simulate(
 
     Deterministic: the same inputs produce identical metrics. A controller
     that reads the snapshot sizes the monitor's bins by its ``params``.
-    Each batch's peaks are measured here, over its span on its instance, as
-    the pairs are processed: see :class:`RunMetrics`.
+    Each batch's peaks are measured here by a :class:`BatchTracker`, over its
+    span on its instance, as the pairs are processed.
     """
     sim.validate()
     transfer_delay_ms = sim.transfer_delay_ms
@@ -341,45 +434,8 @@ def simulate(
     counted = 0
     counted_at_open = array("i")  # by wid
     lambda_p_sums: dict[float, list[float]] = {}  # cost -> [0.0, cost, cost + cost, ...]
-    # Each batch's peaks are collected while its instance processes the
-    # pairs of its span, which ends at its windows' last close (inf if one
-    # never closes). Per instance: the batches whose span may still hold a
-    # later pair, each as [end, lambda_o peak, its ts, queue-length peak, its
-    # ts, batch id], and the earliest end among them
-    collecting: list[list[list]] = [[] for _ in range(n_instances)]
-    earliest_end = [math.inf] * n_instances
-    # the latest batch may still grow. Once a pair passes its end, its peaks
-    # so far are kept aside: if it grows, the new window's close is at or
-    # after every pair so far and they count; if it ends, they do not
-    growing: list | None = None
-    checkpoint: list | None = None
-    lat_peaks, lat_peak_tss = metrics.batch_lat_peak, metrics.batch_lat_peak_ts
-    qlen_peaks, qlen_peak_tss = metrics.batch_qlen_peak, metrics.batch_qlen_peak_ts
-
-    def store(entry: list) -> None:
-        b = entry[5]
-        lat_peaks[b], lat_peak_tss[b], qlen_peaks[b], qlen_peak_tss[b] = entry[1:5]
-
-    def retire(idx: int, now: int) -> list[list]:
-        """Store the peaks of instance ``idx``'s batches whose span ends
-        before ``now``, and return the batches left."""
-        nonlocal checkpoint
-        left, earliest = [], math.inf
-        for entry in collecting[idx]:
-            end = entry[0]
-            if now <= end:
-                left.append(entry)
-                if end < earliest:
-                    earliest = end
-            elif entry is growing:
-                if checkpoint is None:
-                    checkpoint = entry[1:5]
-                left.append(entry)
-            else:
-                store(entry)
-        collecting[idx] = left
-        earliest_end[idx] = earliest
-        return left
+    batches = BatchTracker(metrics, n_instances)
+    collecting, earliest_end, retire = batches.collecting, batches.earliest_end, batches.retire
 
     next_freeze = sim.mtime_ms if scheduler.reads_snapshot else math.inf
     next_feedback = sim.feedback_interval if scheduler.reads_reports else math.inf
@@ -446,32 +502,7 @@ def simulate(
             if not open_windows:
                 insort(owners, idx)
             open_windows[wid] = w = WindowDescriptor()
-            close = close_ts[wid]
-            end = math.inf if close is None else close
-            if decisions and decisions[-1].instance == idx:
-                # the batch grows: the pairs past its old end are in its span now
-                if end > growing[0]:
-                    growing[0] = end
-                checkpoint = None
-            else:
-                if checkpoint is not None:
-                    # the last batch ended, past its end: its peaks are those kept aside
-                    growing[1:5] = checkpoint
-                    collecting[decisions[-1].instance].remove(growing)
-                    store(growing)
-                    checkpoint = None
-                # the span starts at the opener's pair. Earlier pairs on this
-                # instance at its timestamp change neither a peak nor its ts:
-                # the opener's lambda_o and queue length are at least theirs,
-                # as it queues behind them and costs are >= 0
-                growing = [end, -1.0, 0, 0, 0, len(lat_peaks)]
-                lat_peaks.append(-1.0)
-                lat_peak_tss.append(0)
-                qlen_peaks.append(0)
-                qlen_peak_tss.append(0)
-                collecting[idx].append(growing)
-            if growing[0] < earliest_end[idx]:
-                earliest_end[idx] = growing[0]
+            batches.decide(idx, now, close_ts[wid])
             counted_at_open.append(counted)
             decisions.append(decision)
             windows.append(w)
@@ -535,10 +566,9 @@ def simulate(
                         w.actual_lambda_q_peak = lambda_q
 
             lambda_o = lambda_q + lambda_p
-            entries = collecting[idx]
             if now > earliest_end[idx]:
-                entries = retire(idx, now)
-            for entry in entries:
+                retire(idx, now)
+            for entry in collecting[idx]:
                 if lambda_o > entry[1]:
                     entry[1] = lambda_o
                     entry[2] = now
@@ -556,12 +586,7 @@ def simulate(
         if counted_type is None or etype == counted_type:
             counted += 1
 
-    # the run has ended, and with it every batch's span
-    if checkpoint is not None:
-        growing[1:5] = checkpoint
-    for entries in collecting:
-        for entry in entries:
-            store(entry)
+    batches.finish()
     return metrics
 
 

@@ -34,6 +34,8 @@ class SchedulerConfig:
             raise ConfigurationError(
                 f"scheduler.kind must be round_robin|reactive|model_based, got {self.kind!r}"
             )
+        if not isinstance(self.n_instances, int):
+            raise ConfigurationError(f"scheduler.n_instances must be an integer, got {self.n_instances!r}")
         if not self.n_instances >= 1:
             raise ConfigurationError(f"scheduler.n_instances must be >= 1, got {self.n_instances}")
         if self.kind == "reactive" and (self.th_ms is None or not self.th_ms > 0):

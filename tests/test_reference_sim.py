@@ -22,7 +22,7 @@ from dataclasses import astuple
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cepsim import runtime
@@ -302,6 +302,18 @@ REFERENCE = settings(max_examples=max(450, settings.default.max_examples), deadl
 
 @REFERENCE
 @given(workloads())
+# batch 2 opens at 32 on instance 0 after the L2 pair there: that pair's
+# lambda_o is 0.3, the opener's (32 + 0.3) - 32 rounds below it, and the
+# batch's span starts at the first of them
+@example(dict(
+    events=[Event(seq, ts, etype, key) for seq, (ts, etype, key) in enumerate(
+        [(0, "L1", "a")] * 3 + [(8, "L1", "a"), (20, "L1", "b"), (32, "L2", "a"), (32, "L1", "a")])],
+    policy=KeyedAperiodicPolicy(),
+    cost=CostModel("flat_per_type", {"L1": 0.0, "L2": 0.3}),
+    config=SchedulerConfig("round_robin", n_instances=2),
+    transfer_delay_ms=0.0,
+    feedback_delivery_delay_ms=0.0,
+))
 def test_simulate_matches_reference(w):
     cfg = w["config"]
     recorder = RECORDING_VIEWS[cfg.kind](cfg) if cfg.kind in RECORDING_VIEWS else None

@@ -4,18 +4,19 @@ import random
 from array import array
 from collections import deque
 from dataclasses import fields, replace
+from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cepsim import runtime
 from cepsim.cli import build_experiment, load_config, summary_row
 from cepsim.core import ConfigurationError, CostModelError, Event
 from cepsim.latency_model import ModelParams
-from cepsim.runtime import FeedbackDelay, InstanceState, SimConfig, run, simulate
-from cepsim.scheduler import InstanceView, SchedulerConfig, make_scheduler
+from cepsim.runtime import BatchTracker, FeedbackDelay, InstanceState, RunMetrics, SimConfig, run, simulate
+from cepsim.scheduler import Decision, InstanceView, SchedulerConfig, make_scheduler
 from cepsim.splitter import KeyedAperiodicPolicy, Splitter, StreamStats, TimeWindowPolicy, make_policy
 from cepsim.workload import CostModel, generate_stream, in_window_cost
 from oracles import pair_rows, reference_feedback_delays
@@ -446,6 +447,96 @@ def test_feedback_delays_match_full_scan(run_kwargs):
         instance_peaks((inst, lambda_o, queue_len) for inst, _, lambda_o, queue_len in pairs)
 
 
+ROUNDED = (32 + 0.3) - 32  # 0.29999999999999716, as an instance's clock makes it
+LAMBDA_OS = [0.0, 0.3, ROUNDED, 0.6, 1.0, 2.5]
+# per event: the gap to it, None or, a third as often, a decision (instance,
+# close - ts or None, and its pair's lambda_o and queue-length step), and up
+# to three pairs (instance, lambda_o, queue-length step); instances are taken
+# modulo the instance count. Each field is one sampled_from: hypothesis
+# generates these about twice as fast as one draw per number
+TRACKED_PAIRS = list(product(range(3), LAMBDA_OS, range(3)))
+TRACKED_EVENT = st.tuples(
+    st.sampled_from([0, 0, 0, 1, 2, 5]),
+    st.none() | st.none() | st.sampled_from(
+        [(idx, after, lambda_o, step) for idx, lambda_o, step in TRACKED_PAIRS for after in (None, 0, 1, 2, 4, 10)]),
+    st.lists(st.sampled_from(TRACKED_PAIRS), max_size=3),
+)
+
+
+@st.composite
+def tracked_streams(draw):
+    """``(n_instances, rows)`` to drive a :class:`BatchTracker` with, one row
+    ``(ts, decision, pairs)`` per event as ``simulate`` meets them: a
+    decision ``(instance, close)`` or None, then the event's pairs
+    ``(instance, lambda_o, queue_len)`` in ascending instance, the decision's
+    among them. Timestamps tie often and some lambda_o round, as in
+    ``ROUNDED``; queue lengths on an instance do not go down within a
+    timestamp, as pairs sharing an arrival queue behind each other."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    rows, ts, last = [], 0, {}  # last: instance -> (ts, queue_len) of its last pair
+    for gap, decision, drawn in draw(st.lists(TRACKED_EVENT, min_size=k, max_size=k)):
+        ts += gap
+        if decision is not None:
+            idx, after, lambda_o, step = decision
+            decision = (idx % n, None if after is None else ts + after)
+            drawn = [(idx, lambda_o, step)] + drawn
+        by_instance = {}  # the first pair drawn on each instance
+        for idx, lambda_o, step in drawn:
+            by_instance.setdefault(idx % n, (lambda_o, step))
+        pairs = []
+        for idx, (lambda_o, step) in sorted(by_instance.items()):
+            floor = last[idx][1] if last.get(idx, (None,))[0] == ts else 1
+            last[idx] = (ts, floor + step)
+            pairs.append((idx, lambda_o, floor + step))
+        rows.append((ts, decision, pairs))
+    return n, rows
+
+
+def tracked(n, rows) -> RunMetrics:
+    """The run of ``rows`` of :func:`tracked_streams`, its batch peaks
+    measured by a :class:`BatchTracker` driven as ``simulate`` drives one."""
+    m = RunMetrics(tx_ts=array("q", [ts for ts, _, _ in rows]))
+    batches = BatchTracker(m, n)
+    for i, (ts, decision, pairs) in enumerate(rows):
+        if decision is not None:
+            batches.decide(decision[0], ts, decision[1])
+            m.decisions.append(Decision(len(m.decisions), decision[0], "round_robin"))
+            m.opened.append(i)
+        for idx, lambda_o, queue_len in pairs:
+            # simulate's per-pair update
+            if ts > batches.earliest_end[idx]:
+                batches.retire(idx, ts)
+            for entry in batches.collecting[idx]:
+                if lambda_o > entry[1]:
+                    entry[1], entry[2] = lambda_o, ts
+                if queue_len > entry[3]:
+                    entry[3], entry[4] = queue_len, ts
+            m.instance.append(idx)
+            m.lambda_q.append(lambda_o)
+            m.lambda_p.append(0.0)
+        m.tx_instances.append(len(pairs))
+    batches.finish()
+    return m
+
+
+@ORACLE
+@given(tracked_streams())
+# batches open at 32 on instances 1, 0 and 1 again, each after pairs there
+# at 32 with a larger lambda_o than its opener's, 0.3 above ROUNDED among them
+@example((2, [(32, (1, 32), [(1, 1.0, 1)]), (32, None, [(0, 0.3, 1), (1, 0.5, 2)]),
+              (32, (0, 40), [(0, ROUNDED, 2)]), (32, (1, 50), [(1, 0.2, 3)])]))
+# the latest batch, ending at 2, sees a pair at 5; then it grows, ends or the run ends
+@example((2, [(0, (0, 2), [(0, 1.0, 1)]), (5, None, [(0, 3.0, 2)]), (6, (0, 10), [(0, 0.5, 1)])]))
+@example((2, [(0, (0, 2), [(0, 1.0, 1)]), (5, None, [(0, 3.0, 2)]), (6, (1, 10), [(1, 0.5, 1)])]))
+@example((2, [(0, (0, 2), [(0, 1.0, 1)]), (5, None, [(0, 3.0, 2)])]))
+def test_batch_tracker_matches_full_scan(stream):
+    n, rows = stream
+    m = tracked(n, rows)
+    extents = [(rows[i][0], rows[i][1][1]) for i in m.opened]  # a window's open and close
+    pairs = [(idx, ts, lambda_o, queue_len) for ts, _, row in rows for idx, lambda_o, queue_len in row]
+    assert m.feedback_delays() == reference_feedback_delays(m.decisions, extents, pairs)
+
+
 def instance_peaks(rows) -> dict[int, tuple[float, int]]:
     """Per instance, the largest lambda_o and queue length of ``(instance, lambda_o, queue_len)`` rows."""
     peaks: dict[int, tuple[float, int]] = {}
@@ -622,6 +713,19 @@ def test_validation_and_run_agree_on_the_sim_section(name, value):
         m = run(cfg)
         assert len(m.decisions) == 21  # a query every second from 0 to 20 s
         summary_row(cfg, m)
+
+
+@pytest.mark.parametrize("section, name, value", [("model", "n_iat_bins", 1.5), ("model", "n_lat_bins", 1.5),
+                                                    ("scheduler", "n_instances", 2.5), ("scheduler", "n_instances", 2.0)])
+def test_non_integral_counts_set_in_code_are_rejected(section, name, value):
+    # YAML rejects them in cli._value; set in code, run ended in a TypeError
+    cfg = build_experiment(load_config(CONFIG_DIR / "face_accuracy.yaml"))
+    cfg = replace(cfg, **{section: replace(getattr(cfg, section), **{name: value})})
+    message = f"{section}.{name} must be an integer, got {value}"
+    for call in (cfg.validate, lambda: run(cfg)):
+        with pytest.raises(ConfigurationError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 def test_the_experiment_seed_is_the_streams():
