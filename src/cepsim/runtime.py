@@ -65,7 +65,7 @@ from typing import Iterable, Iterator, NamedTuple, TYPE_CHECKING
 from .core import ConfigurationError, WindowDescriptor
 from .scheduler import Decision, InstanceView, WindowScheduler, make_scheduler
 from .splitter import EMPTY_SNAPSHOT, Splitter, StreamStats, make_policy
-from .workload import CostModel, counted_etype, generate_stream, uniform_cost, window_cost_terms
+from .workload import CostModel, counted_etype, generate_stream, window_cost_terms
 # uncalled: perfbench's self-test needs the boundaries that wrap these two names
 from .splitter import route_event  # noqa: F401
 from .workload import in_window_cost  # noqa: F401
@@ -192,11 +192,11 @@ class RunMetrics:
     ``lambda_p``, what ``latency.csv`` writes of a pair; its operational
     latency lambda_o is ``lambda_q + lambda_p``. A pair's queue length is
     measured only into its batches' peaks. Its seq and timestamp are its
-    event's: the ``tx_*`` columns
-    hold one transmission row per event, its seq, timestamp, member-window
-    count and the number of instances it was sent to, and an event's pairs
-    are the next ``tx_instances`` entries of the pair columns. The columns
-    are the record of the run; nothing re-presents them per sample.
+    event's: the ``tx_*`` columns hold one transmission row per event, its
+    seq, timestamp (``tx_ts`` is the splitter's ``ts`` column itself),
+    member-window count and the number of instances it was sent to, and an
+    event's pairs are the next ``tx_instances`` entries of the pair columns.
+    The columns are the record of the run; nothing re-presents them per sample.
 
     Per window, indexed by wid: ``decisions`` holds its scheduling decision,
     in scheduling order, from which :meth:`feedback_delays` derives the
@@ -419,8 +419,8 @@ def simulate(
     # the reports last delivered, by instance: the empty one until the first
     delivered = [({}, 1.0, None)] * n_instances
     pending_reports: deque[tuple[float, list]] = deque()  # (due, every instance's report)
-    events = splitter.events
-    seqs, tss = (array("q", map(attrgetter(name), events)) for name in ("seq", "ts"))
+    events, tss = splitter.events, splitter.ts
+    seqs = array("q", map(attrgetter("seq"), events))
     opened, close_ts = splitter.opened, splitter.close_ts
     metrics = RunMetrics(tx_seq=seqs, tx_ts=tss, opened=opened, closed=splitter.closed, close_ts=close_ts)
     windows, decisions = metrics.windows, metrics.decisions
@@ -493,7 +493,7 @@ def simulate(
         if stats is not None:
             if opens:
                 stats.observe_window_opened(float(now))
-            stats.observe_event(e, events[i - 1].ts if i else None)
+            stats.observe_event(e, tss[i - 1] if i else None)
         if opens:
             wid = len(windows)
             decision = scheduler.schedule(wid, stats.snapshot if stats is not None else EMPTY_SNAPSHOT, view)
@@ -509,14 +509,12 @@ def simulate(
 
         etype = e.etype
         arrival = now + transfer_delay_ms
-        # priced once per event when every window charges the same
-        cost = uniform_cost(cost_model, e) if owners else None
-        if cost is not None:
-            sums = lambda_p_sums.get(cost)
-            if sums is None:
-                sums = lambda_p_sums[cost] = [0.0]
-        elif owners:
+        if owners:
             base, incr, hint = window_cost_terms(cost_model, e)
+            if incr is None:  # every window charges base: priced once per event
+                sums = lambda_p_sums.get(base)
+                if sums is None:
+                    sums = lambda_p_sums[base] = [0.0]
         for idx in owners:
             inst = instances[idx]
             open_windows = inst.open_windows  # in wid order
@@ -524,7 +522,7 @@ def simulate(
             k = len(wins)
             lambda_q = max(0.0, inst.busy_until - arrival)
             start = arrival + lambda_q
-            if cost is None:
+            if incr is not None:
                 # the latencies are kept only to be observed
                 lams, run = [] if stats is not None else None, None
                 lambda_p = 0.0
@@ -538,9 +536,9 @@ def simulate(
             else:
                 # a repeated addition, as the per-window sum would be
                 while len(sums) <= k:
-                    sums.append(sums[-1] + cost)
+                    sums.append(sums[-1] + base)
                 lambda_p = sums[k]
-                lams, run = cost, k
+                lams, run = base, k
             completion = start + lambda_p
             inst.busy_until = completion
             # queued or in transit: the events that start after this arrival

@@ -19,8 +19,9 @@ import math
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain, count, repeat
+from operator import attrgetter
 from typing import KeysView, Mapping, NamedTuple, Sequence
 
 from .core import Event
@@ -39,50 +40,34 @@ class BinStat:
 class PopulationStat:
     """Whole-population moments of one measured quantity."""
 
-    count: int
-    mean: float
-    sigma: float
-    lo: float
-    hi: float
-
-
-_EMPTY_POP = PopulationStat(0, 0.0, 0.0, 0.0, 0.0)
+    count: int = 0
+    mean: float = 0.0
+    sigma: float = 0.0
+    lo: float = 0.0
+    hi: float = 0.0
 
 
 @dataclass(frozen=True)
 class StreamStatsSnapshot:
-    """Immutable statistics frozen at the end of one monitoring window."""
+    """Immutable statistics frozen at the end of one monitoring window; by
+    default, the empty snapshot a controller reads before the first."""
 
-    stale: bool
-    iat_bins: tuple[BinStat, ...]
-    iat_pop: PopulationStat
-    lat_bins: Mapping[str, tuple[BinStat, ...]]
-    lat_pop: Mapping[str, PopulationStat]
-    type_ratio: Mapping[str, float]
-    ws_est: float
-    delta_est: float
-    c_minus: int
-    c_plus: int
-    c_trans: int
-    t_minus_types: frozenset[str]
-    t_plus_types: frozenset[str]
+    stale: bool = True
+    iat_bins: tuple[BinStat, ...] = ()
+    iat_pop: PopulationStat = PopulationStat()
+    lat_bins: Mapping[str, tuple[BinStat, ...]] = field(default_factory=dict)
+    lat_pop: Mapping[str, PopulationStat] = field(default_factory=dict)
+    type_ratio: Mapping[str, float] = field(default_factory=dict)
+    ws_est: float = 0.0
+    delta_est: float = 0.0
+    c_minus: int = 0
+    c_plus: int = 0
+    c_trans: int = 0
+    t_minus_types: frozenset[str] = frozenset()
+    t_plus_types: frozenset[str] = frozenset()
 
 
-EMPTY_SNAPSHOT = StreamStatsSnapshot(
-    stale=True,
-    iat_bins=(),
-    iat_pop=_EMPTY_POP,
-    lat_bins={},
-    lat_pop={},
-    type_ratio={},
-    ws_est=0.0,
-    delta_est=0.0,
-    c_minus=0,
-    c_plus=0,
-    c_trans=0,
-    t_minus_types=frozenset(),
-    t_plus_types=frozenset(),
-)
+EMPTY_SNAPSHOT = StreamStatsSnapshot()
 
 
 def _bin_values(
@@ -320,9 +305,9 @@ class KeyedAperiodicPolicy:
     open_etype = "L1"
     close_etype = "L2"
 
-    def detect(self, events: Sequence[Event]) -> tuple[array, array, list, array, int]:
+    def detect(self, events: Sequence[Event], ts: Sequence[int]) -> tuple[array, array, list, array, int]:
         """``(opened, closed, close_ts, close_order, dropped_closes)`` of
-        ``events``, as :class:`Splitter` keeps them."""
+        ``events``, whose timestamps are ``ts``, as :class:`Splitter` keeps them."""
         opened, closed, close_order = array("i"), array("i"), array("i")
         close_ts: list[int | None] = []
         by_key: dict[str, int] = {}  # key -> wid of its open window
@@ -335,7 +320,7 @@ class KeyedAperiodicPolicy:
                     dropped += 1
                 else:
                     closed[wid] = i
-                    close_ts[wid] = e.ts
+                    close_ts[wid] = e.ts  # shares the event's int; ts[i] would make one per window
                     close_order.append(wid)
             if e.etype == self.open_etype and e.key is not None and e.key not in by_key:
                 by_key[e.key] = len(opened)
@@ -358,12 +343,11 @@ class TimeWindowPolicy:
         if not self.ws_ms > 0:  # nan too
             raise ValueError(f"ws_ms must be > 0, got {self.ws_ms}")
 
-    def detect(self, events: Sequence[Event]) -> tuple[array, array, list, array, int]:
+    def detect(self, events: Sequence[Event], ts: Sequence[int]) -> tuple[array, array, list, array, int]:
         """``(opened, closed, close_ts, close_order, dropped_closes)`` of
-        ``events``, as :class:`Splitter` keeps them. Timestamps never go
-        down, so each close is a bisection and windows close in opening
-        order; none is dropped."""
-        ts = [e.ts for e in events]
+        ``events``, whose timestamps are ``ts``, as :class:`Splitter` keeps
+        them. Timestamps never go down, so each close is a bisection and
+        windows close in opening order; none is dropped."""
         n = len(ts)
         opened = array("i", [i for i, e in enumerate(events) if e.etype == self.opener_etype])
         closed = array("i", [bisect_left(ts, ts[i] + self.ws_ms, i + 1) for i in opened])
@@ -403,16 +387,18 @@ class Splitter:
     ``close_order`` holds the wids in closing order (at one event, in wid
     order; those never closed last), ``dropped_closes`` the close-type
     events that closed no window. The members are one ordered set, not a
-    list per event."""
+    list per event. ``ts`` holds each event's timestamp, read once: the
+    one timestamp column that detection, splitting and the run share."""
 
     def __init__(self, events: Sequence[Event], policy):
+        self.ts = ts = array("q", map(attrgetter("ts"), events))
         now = 0  # instances are idle from 0, so an earlier arrival would wait
-        for i, e in enumerate(events):
-            if e.ts < now:
-                raise ValueError(f"timestamps must be >= 0 and must never decrease, got {e.ts} < {now} at event {i}")
-            now = e.ts
+        for i, t in enumerate(ts):
+            if t < now:
+                raise ValueError(f"timestamps must be >= 0 and must never decrease, got {t} < {now} at event {i}")
+            now = t
         self.events = events
-        self.opened, self.closed, self.close_ts, self.close_order, self.dropped_closes = policy.detect(events)
+        self.opened, self.closed, self.close_ts, self.close_order, self.dropped_closes = policy.detect(events, ts)
         self._members: dict[int, None] = {}  # wid -> None: the last event's member windows
         self._leaving: list[int] = []  # the last event's members that closed at it
         # the result of an event that opens and closes nothing; every result shares its view
@@ -432,7 +418,7 @@ class Splitter:
         if i != self._next_close and i != self._next_open:
             return self._quiet
         closed = []
-        ts = self.events[i].ts
+        ts = self.ts[i]
         while i == self._next_close:
             wid = self._closing
             closed.append(wid)

@@ -109,6 +109,8 @@ def _validate_profile(profile: IatProfile, where: str) -> None:
         if not profile.period_ms > 0:
             raise ConfigurationError(f"{where}.period_ms must be > 0, got {profile.period_ms}")
     elif isinstance(profile, BurstIat):
+        if not isinstance(profile.burst_size, int):
+            raise ConfigurationError(f"{where}.burst_size must be an integer, got {profile.burst_size!r}")
         if not profile.burst_size >= 1:
             raise ConfigurationError(f"{where}.burst_size must be >= 1, got {profile.burst_size}")
         if not (profile.intra_gap_ms >= 0 and profile.inter_gap_ms > 0):
@@ -179,23 +181,17 @@ def counted_etype(model: CostModel) -> str | None:
     return None if model.kind == "custom_table" else model.build_etype
 
 
-def window_cost_terms(model: CostModel, e: Event) -> tuple[float, float, float | None]:
-    """``(base, incr, hint)`` of an event whose cost reads the window's state:
-    :func:`in_window_cost` is ``base + incr * n``, times ``hint`` unless None,
-    where n is the window's count of :func:`counted_etype` events."""
+def window_cost_terms(model: CostModel, e: Event) -> tuple[float, float | None, float | None]:
+    """``(base, incr, hint)``, the one pricing rule of ``e``: :func:`in_window_cost`
+    is ``base + incr * n``, times ``hint`` unless None, where n is the window's
+    count of :func:`counted_etype` events; ``incr`` is None, and every window
+    charges ``base``, when the cost reads no window state."""
     base = model.base_ms.get(e.etype)
     if base is None:
         raise CostModelError(f"cost model has no base cost for event type {e.etype!r}")
-    return base, model.incr_ms, e.payload_cost_hint if model.kind == "custom_table" else None
-
-
-def uniform_cost(model: CostModel, e: Event) -> float | None:
-    """In-window cost of ``e`` if it is the same in every window, i.e. the
-    model does not read the window's counts for it; otherwise None, and each
-    window is priced from :func:`window_cost_terms`."""
     if model.kind == "flat_per_type" or (model.kind == "equi_join" and e.etype != model.probe_etype):
-        return in_window_cost(model, e, {})
-    return None
+        return base, None, None
+    return base, model.incr_ms, e.payload_cost_hint if model.kind == "custom_table" else None
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from cepsim.latency_model import ModelParams
 from cepsim.runtime import BatchTracker, FeedbackDelay, InstanceState, RunMetrics, SimConfig, run, simulate
 from cepsim.scheduler import Decision, InstanceView, SchedulerConfig, make_scheduler
 from cepsim.splitter import KeyedAperiodicPolicy, Splitter, StreamStats, TimeWindowPolicy, make_policy
-from cepsim.workload import CostModel, generate_stream, in_window_cost
+from cepsim.workload import BurstIat, CostModel, generate_stream, in_window_cost
 from oracles import pair_rows, reference_feedback_delays
 
 
@@ -722,6 +722,20 @@ def test_non_integral_counts_set_in_code_are_rejected(section, name, value):
     cfg = build_experiment(load_config(CONFIG_DIR / "face_accuracy.yaml"))
     cfg = replace(cfg, **{section: replace(getattr(cfg, section), **{name: value})})
     message = f"{section}.{name} must be an integer, got {value}"
+    for call in (cfg.validate, lambda: run(cfg)):
+        with pytest.raises(ConfigurationError) as raised:
+            call()
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("profile", ["iat", "opener"])
+@pytest.mark.parametrize("burst_size", [2.5, 2.0])
+def test_non_integral_burst_sizes_set_in_code_are_rejected(profile, burst_size):
+    # YAML rejects them in cli._value; set in code, run ended in a TypeError
+    cfg = build_experiment(load_config(CONFIG_DIR / "face_accuracy.yaml"))
+    wl = replace(cfg.workload, **{profile: BurstIat(burst_size, 10.0, 1970.0)})
+    cfg = replace(cfg, workload=wl)
+    message = f"workload.{profile}.burst_size must be an integer, got {burst_size}"
     for call in (cfg.validate, lambda: run(cfg)):
         with pytest.raises(ConfigurationError) as raised:
             call()

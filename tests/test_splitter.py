@@ -1,5 +1,6 @@
 import math
 import re
+from array import array
 from dataclasses import astuple
 from unittest import mock
 
@@ -489,9 +490,23 @@ class TestDetectionOracle:
         rule = "timestamps must be >= 0 and must never decrease, got "
         with pytest.raises(ValueError, match=re.escape(rule + "4 < 5 at event 1")):
             Splitter([ev(0, 5, "open"), ev(1, 4, "A")], TimeWindowPolicy("open", 1))
+        with pytest.raises(ValueError, match=re.escape(rule + "6 < 7 at event 4")):
+            Splitter([ev(0, 0, "open"), ev(1, 3), ev(2, 3), ev(3, 7), ev(4, 6)], KeyedAperiodicPolicy())
         # an instance is idle from 0, so a negative first arrival would wait
         with pytest.raises(ValueError, match=re.escape(rule + "-5 < 0 at event 0")):
             Splitter([ev(0, -5, "open"), ev(1, 4, "A")], TimeWindowPolicy("open", 1))
+
+    @pytest.mark.parametrize("policy", [KeyedAperiodicPolicy(), TimeWindowPolicy("open", 3)])
+    def test_one_timestamp_column(self, policy):
+        # read once from the events; detection, splitting and the run share it
+        assert Splitter([], policy).ts == array("q")
+        events = [ev(0, 2, "open"), ev(1, 2, "L1", key="a"), ev(2, 2), ev(3, 5, "L2", key="a"), ev(4, 5)]
+        splitter = Splitter(events, policy)
+        assert splitter.ts == array("q", [2, 2, 2, 5, 5])
+        cost = CostModel("flat_per_type", {"open": 0.0, "A": 1.0, "L1": 0.5, "L2": 0.5})
+        m = simulate(splitter, cost, make_scheduler(SchedulerConfig("round_robin", n_instances=2)),
+                     SimConfig(mtime_ms=1000.0))
+        assert m.tx_ts is splitter.ts
 
     @pytest.mark.parametrize("ws", [-5, 0, math.nan])
     def test_time_window_scope_must_be_positive(self, ws):

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -13,8 +15,10 @@ from cepsim.workload import (
     ScopeProfile,
     SinusoidalExponentialIat,
     WorkloadConfig,
+    counted_etype,
     generate_stream,
     in_window_cost,
+    window_cost_terms,
 )
 
 
@@ -175,6 +179,34 @@ class TestInWindowCost:
         c_lo = in_window_cost(model, mk_event("L2"), {"L1": lo})
         c_hi = in_window_cost(model, mk_event("L2"), {"L1": hi})
         assert c_lo <= c_hi
+
+    # build, probe and other types, and a model whose probe type is its build type
+    PRICED = [(CostModel(kind, {"B": 1.1, "P": 0.7, "O": 2.9}, build_etype="B", probe_etype=probe), etype)
+              for kind in ("equi_join", "flat_per_type", "custom_table")
+              for probe in ("P", "B") for etype in ("B", "P", "O")]
+    STATES = [{}, {"B": 3}, {"P": 5}, {"O": 2, "B": 1}, {"B": 4, "P": 2, "O": 7}]
+
+    @pytest.mark.parametrize("model, etype", PRICED)
+    @pytest.mark.parametrize("incr_ms, hint", product([0.0, 0.3], [None, 1.7]))
+    def test_window_cost_terms_is_the_one_pricing_rule(self, model, etype, incr_ms, hint):
+        model = replace(model, incr_ms=incr_ms)
+        e = mk_event(etype, hint)
+        base, incr, factor = window_cost_terms(model, e)
+        prices = [in_window_cost(model, e, state) for state in self.STATES]
+        # whether the price reads the window's state is the kind's and the
+        # type's, not incr_ms': a probe with incr_ms 0 stays priced per window
+        with_incr = [in_window_cost(replace(model, incr_ms=0.3), e, state) for state in self.STATES]
+        assert (incr is None) == (len(set(with_incr)) == 1)
+        if incr is None:
+            assert [p.hex() for p in prices] == [base.hex()] * len(prices)
+            return
+        counted = counted_etype(model)
+        for state, price in zip(self.STATES, prices):
+            n = sum(state.values()) if counted is None else state.get(counted, 0)
+            expected = base + incr * n
+            if factor is not None:
+                expected *= factor
+            assert price.hex() == expected.hex()
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ConfigurationError, match="base_ms"):
