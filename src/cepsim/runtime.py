@@ -24,10 +24,10 @@ records of a window itself, whose extent is the splitter's and whose
 instance is its decision's.
 
 A batch, a maximal run of decisions for one instance, has its peaks measured
-by a :class:`BatchTracker` as its instance processes the pairs: the first
-maximal lambda_o and queue length over its span, from the first pair on its
-instance at its first decision's timestamp to its windows' last close. Only
-these and their timestamps are kept per batch; no pair is copied after a run.
+by a :class:`BatchTracker`: the first maximal lambda_o and queue length over
+its span on its instance, the timestamps from its first decision's to its
+windows' last close, from one fold of its pairs per (instance, timestamp).
+Only these and their timestamps are kept per batch; no pair is copied.
 
 A pair's queue length is one plus the number of events on its instance that
 start after its arrival: those queued or still in transit. It is measured
@@ -72,6 +72,8 @@ from .workload import in_window_cost  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cli import ExperimentConfig
+
+_EMPTY_REPORT = InstanceView()[1:]  # an instance's report before its first: the view's defaults
 
 
 @dataclass(frozen=True)
@@ -205,9 +207,9 @@ class RunMetrics:
     closing event's index and its close (None if it never closed).
 
     Per batch, in batch order, the ``batch_*`` columns hold what a
-    :class:`BatchTracker` measured over its span on its instance, from the
-    first pair there at its first decision's timestamp to its windows' last
-    close: the first maximal lambda_o and queue length and their timestamps.
+    :class:`BatchTracker` folded over its span on its instance, the
+    timestamps from its first decision's to its windows' last close: the
+    first maximal lambda_o and queue length and their timestamps.
     """
 
     instance: array = _column("q")
@@ -300,23 +302,22 @@ class LambdaOValues:
 
 class BatchTracker:
     """The batches of a run, whose ``batch_*`` columns of ``metrics`` it alone
-    writes. Per instance, ``collecting`` holds the batches whose span may
-    still hold a later pair, each ``[end, lambda_o peak, its ts, queue-length
-    peak, its ts, batch id]``, and ``earliest_end`` the earliest end among
-    them; ``simulate`` updates them per pair, after ``retire`` past that end."""
+    writes. ``simulate`` folds each pair into ``folds[idx]``, its instance's ``[idx,
+    largest lambda_o, largest queue length]`` at the pair's timestamp (None before
+    the first, then also in ``touched``), and ``flush`` hands each fold once to the
+    batches whose span holds that timestamp. Per instance, ``collecting`` holds the
+    batches whose span may still hold a later timestamp, each ``[end, lambda_o peak,
+    its ts, queue-length peak, its ts, batch id]``, and ``earliest_end`` the earliest end."""
 
     def __init__(self, metrics: RunMetrics, n_instances: int):
-        self.metrics = metrics
         self.columns = (metrics.batch_lat_peak, metrics.batch_lat_peak_ts,
                         metrics.batch_qlen_peak, metrics.batch_qlen_peak_ts)
         self.collecting: list[list[list]] = [[] for _ in range(n_instances)]
         self.earliest_end = [math.inf] * n_instances
-        # the latest batch and its instance. Once a pair passes its end, its
-        # peaks so far are kept aside: if it grows, the new window's close is
-        # at or after every pair so far and they count; if it ends, they do not
+        self.folds, self.touched = [None] * n_instances, []
+        # the latest batch and its instance. Once a timestamp passes its end, its peaks so far are
+        # kept aside: they count if it grows (the new close is at or after them), not if it ends
         self.latest, self.instance, self.checkpoint = None, None, None
-        # per instance, the largest lambda_o at walked_ts up to event walked_from
-        self.walked_ts, self.walked_from, self.ts_peaks = None, 0, {}
 
     def decide(self, idx: int, now: int, close: int | None) -> None:
         """Grow the latest batch by a window decided for instance ``idx`` at
@@ -324,42 +325,34 @@ class BatchTracker:
         end = math.inf if close is None else close
         latest = self.latest
         if idx == self.instance:
-            latest[0] = max(latest[0], end)  # the pairs past its old end are in its span now
-            self.checkpoint = None
+            latest[0] = max(latest[0], end)  # the timestamps past its old end are in its span now
         else:
             if self.checkpoint is not None:
                 # the latest batch ended, past its end: its peaks are those kept aside
                 latest[1:5] = self.checkpoint
                 self.collecting[self.instance].remove(latest)
                 self.store(latest)
-                self.checkpoint = None
-            # no queue-length seed: the opener shares the arrival of the pairs
-            # on idx at now, so its queue holds theirs
-            latest = self.latest = [end, self.peak_at(idx, now), now, 0, 0, len(self.columns[0])]
+            latest = self.latest = [end, -1.0, now, 0, 0, len(self.columns[0])]
             self.instance = idx
             self.collecting[idx].append(latest)
             for column in self.columns:
                 column.append(0)
+        self.checkpoint = None
         self.earliest_end[idx] = min(self.earliest_end[idx], latest[0])
 
-    def peak_at(self, idx: int, now: int) -> float:
-        """The largest lambda_o of the pairs processed on ``idx`` at ``now``,
-        -1.0 if none; rounding can make it exceed the opener's. Walks back
-        over the events at ``now`` that no earlier walk covered."""
-        m = self.metrics
-        j = len(m.tx_instances)
-        if not j or m.tx_ts[j - 1] != now:  # no earlier event at now
-            return -1.0
-        if now != self.walked_ts:
-            self.walked_ts, self.walked_from, self.ts_peaks = now, 0, {}
-        k, stop, peaks = len(m.instance), self.walked_from, self.ts_peaks
-        self.walked_from = j
-        while j > stop and m.tx_ts[j - 1] == now:
-            j -= 1
-            for x in range(k - m.tx_instances[j], k):  # event j's pairs
-                peaks[m.instance[x]] = max(peaks.get(m.instance[x], -1.0), m.lambda_q[x] + m.lambda_p[x])
-            k -= m.tx_instances[j]
-        return peaks.get(idx, -1.0)
+    def flush(self, now: int) -> None:
+        """Hand each fold at ``now`` to the batches whose span holds ``now``, after ``retire``, and clear the folds."""
+        folds, collecting, earliest_end, touched = self.folds, self.collecting, self.earliest_end, self.touched
+        for idx, lambda_o, queue_len in touched:
+            folds[idx] = None
+            if now > earliest_end[idx]:
+                self.retire(idx, now)
+            for entry in collecting[idx]:
+                if lambda_o > entry[1]:
+                    entry[1], entry[2] = lambda_o, now
+                if queue_len > entry[3]:
+                    entry[3], entry[4] = queue_len, now
+        touched.clear()
 
     def retire(self, idx: int, now: int) -> None:
         """Store the peaks of instance ``idx``'s batches whose span ends before ``now``."""
@@ -382,8 +375,9 @@ class BatchTracker:
         b = entry[5]
         lat[b], lat_ts[b], qlen[b], qlen_ts[b] = entry[1:5]
 
-    def finish(self) -> None:
-        """Store every batch's peaks: the run has ended, and with it every span."""
+    def finish(self, now: int) -> None:
+        """Flush the folds at ``now``, the last timestamp, and store every batch's peaks: every span has ended."""
+        self.flush(now)
         if self.checkpoint is not None:
             self.latest[1:5] = self.checkpoint
         for entry in chain.from_iterable(self.collecting):
@@ -402,8 +396,8 @@ def simulate(
 
     Deterministic: the same inputs produce identical metrics. A controller
     that reads the snapshot sizes the monitor's bins by its ``params``.
-    Each batch's peaks are measured here by a :class:`BatchTracker`, over its
-    span on its instance, as the pairs are processed.
+    Each pair is folded into its instance's peaks at its timestamp, which a
+    :class:`BatchTracker` hands to the batches whose span holds it.
     """
     sim.validate()
     transfer_delay_ms = sim.transfer_delay_ms
@@ -417,7 +411,7 @@ def simulate(
     keeps_work = scheduler.reads_snapshot or scheduler.reads_reports
     instances = [InstanceState() for _ in range(n_instances)]
     # the reports last delivered, by instance: the empty one until the first
-    delivered = [({}, 1.0, None)] * n_instances
+    delivered = [_EMPTY_REPORT] * n_instances
     pending_reports: deque[tuple[float, list]] = deque()  # (due, every instance's report)
     events, tss = splitter.events, splitter.ts
     seqs = array("q", map(attrgetter("seq"), events))
@@ -435,7 +429,7 @@ def simulate(
     counted_at_open = array("i")  # by wid
     lambda_p_sums: dict[float, list[float]] = {}  # cost -> [0.0, cost, cost + cost, ...]
     batches = BatchTracker(metrics, n_instances)
-    collecting, earliest_end, retire = batches.collecting, batches.earliest_end, batches.retire
+    folds, touched, add_fold, flush = batches.folds, batches.touched, batches.touched.append, batches.flush
 
     next_freeze = sim.mtime_ms if scheduler.reads_snapshot else math.inf
     next_feedback = sim.feedback_interval if scheduler.reads_reports else math.inf
@@ -471,6 +465,8 @@ def simulate(
     leaving: list[int] = []  # the wids of closed windows the current event is in
     for i, e in enumerate(events):
         now = e.ts
+        if touched and now != tss[i - 1]:  # the batches take the last timestamp's folds before its decisions
+            flush(tss[i - 1])
         if keeps_work:
             advance_to(now)
 
@@ -564,15 +560,15 @@ def simulate(
                         w.actual_lambda_q_peak = lambda_q
 
             lambda_o = lambda_q + lambda_p
-            if now > earliest_end[idx]:
-                retire(idx, now)
-            for entry in collecting[idx]:
-                if lambda_o > entry[1]:
-                    entry[1] = lambda_o
-                    entry[2] = now
-                if queue_len > entry[3]:
-                    entry[3] = queue_len
-                    entry[4] = now
+            fold = folds[idx]
+            if fold is None:  # the instance's first pair at now
+                folds[idx] = fold = [idx, lambda_o, queue_len]
+                add_fold(fold)
+            else:
+                if lambda_o > fold[1]:
+                    fold[1] = lambda_o
+                if queue_len > fold[2]:
+                    fold[2] = queue_len
 
             if keeps_work:
                 inst.work.append((start, completion, arrival, etype, k, lambda_o, lams, run))
@@ -584,7 +580,7 @@ def simulate(
         if counted_type is None or etype == counted_type:
             counted += 1
 
-    batches.finish()
+    batches.finish(tss[-1] if events else 0)
     return metrics
 
 

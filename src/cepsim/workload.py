@@ -238,8 +238,6 @@ class WorkloadConfig:
             raise ConfigurationError(f"workload.scenario must be traffic|face|custom, got {self.scenario!r}")
         if not self.duration_ms > 0:
             raise ConfigurationError(f"workload.duration_ms must be > 0, got {self.duration_ms}")
-        if self.duration_ms == math.inf:  # the arrivals would never end
-            raise ConfigurationError(f"workload.duration_ms must be finite, got {self.duration_ms}")
         _validate_profile(self.iat, "workload.iat")
         if self.scenario == "traffic":
             lo, hi = self.scope.ws_min_ms, self.scope.ws_max_ms
@@ -254,6 +252,12 @@ class WorkloadConfig:
                 )
             if self.opener is not None:
                 _validate_profile(self.opener, "workload.opener")
+        # the arrivals end at duration_ms, and a traffic L2 falls up to ws_max_ms
+        # after its L1; a timestamp is an int64 of ms
+        reach = self.duration_ms + (self.scope.ws_max_ms if self.scenario == "traffic" else 0.0)
+        if not reach < 2**63:
+            where = "duration_ms + workload.scope.ws_max_ms" if self.scenario == "traffic" else "duration_ms"
+            raise ConfigurationError(f"workload.{where} must be finite and < 2**63 ms, got {reach}")
         if self.scenario == "custom":
             if not self.type_mix:
                 raise ConfigurationError("workload.type_mix is required for the custom scenario")

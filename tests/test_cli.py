@@ -47,6 +47,11 @@ BASE_CONFIG = {
 # an override value that writes an explicit null; None removes the key
 YAML_NULL = object()
 
+# overrides that turn BASE_CONFIG into a traffic workload, and one that runs it past 2**63 ms
+TRAFFIC = {"workload.scenario": "traffic", "workload.scope": {"ws_min_ms": 100, "ws_max_ms": 200},
+           "workload.cost.base_ms": {"L1": 0.1, "L2": 0.3}}
+HUGE_DURATION = {"workload.duration_ms": 1e19, "workload.iat": {"kind": "constant", "mu_ms": 1e18}}
+
 
 def write_config(tmp_path: Path, overrides=None, name="cfg.yaml") -> Path:
     raw = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
@@ -278,6 +283,17 @@ class TestConfigErrors:
             ({"sim.lb_eval_ms": -1}, "sim.lb_eval_ms must be > 0"),
             ({"sim.lb_eval_ms": 0}, "sim.lb_eval_ms must be > 0"),
             ({"sim.lb_eval_ms": float("-inf")}, "sim.lb_eval_ms must be > 0"),
+            ({"workload.iat": {"kind": "burst", "burst_size": 0, "intra_gap_ms": 1, "inter_gap_ms": 50}},
+             "workload.iat.burst_size must be >= 1"),
+            ({"workload.type_mix": {"A": 1.5, "B": -0.5}}, "workload.type_mix probabilities must be >= 0"),
+            # a timestamp is an int64 of ms: a stream that could reach 2**63
+            # ended in an OverflowError when the splitter read its timestamps
+            ({**TRAFFIC, "workload.scope": {"ws_min_ms": 1e19, "ws_max_ms": 2e19}},
+             "workload.duration_ms + workload.scope.ws_max_ms must be finite and < 2**63"),
+            ({**TRAFFIC, **HUGE_DURATION},
+             "workload.duration_ms + workload.scope.ws_max_ms must be finite and < 2**63"),
+            ({"workload.scenario": "face", **HUGE_DURATION, "workload.opener": {"kind": "constant", "mu_ms": 1e18},
+              "workload.cost.base_ms": {"face": 0.1, "open": 0.3}}, "workload.duration_ms must be finite and < 2**63"),
         ],
     )
     def test_field_level_messages(self, tmp_path, capsys, monkeypatch, overrides, needle):
@@ -299,6 +315,15 @@ class TestConfigErrors:
         assert main([command, "--config", str(cfg), *flags]) == 2
         assert "must be a mapping" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("text, needle", [("", "is empty"), ("a: [1, 2\n", "is not valid YAML")])
+    def test_empty_or_invalid_yaml(self, tmp_path, capsys, command, text, needle):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert needle in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("fault", ["out_dir", "run_id"])

@@ -30,6 +30,7 @@ from cepsim.core import Event
 from cepsim.latency_model import ModelParams
 from cepsim.runtime import InstanceState, SimConfig, simulate
 from cepsim.scheduler import (
+    InstanceView,
     ModelBasedScheduler,
     ReactiveScheduler,
     RoundRobinScheduler,
@@ -176,7 +177,7 @@ def reference_view(reports, n_instances, delay, ts, inst):
     must see of instance ``inst``: its report last due by then (emitted at
     t with t + delay <= ts), or the empty report before the first is due."""
     due = [r[1:] for k, r in enumerate(reports) if k % n_instances == inst and r[0] + delay <= ts]
-    return due[-1] if due else ({}, 1.0, None)
+    return due[-1] if due else InstanceView()[1:]
 
 
 def reference_open_counts(windows, owner, wid, inst):

@@ -233,6 +233,30 @@ def test_a_backlog_beyond_the_last_event_ends_the_run_there(kind, cost_ms):
     assert list(m.lambda_q) == [0.0, cost_ms - 1, cost_ms + cost_ms - 2]
 
 
+def test_a_burst_at_one_timestamp_takes_time_linear_in_its_size():
+    # 20,000 windows open and close at ts 0, Round-Robin on two instances:
+    # each instance's pairs there reach its 10,000 batches as one fold, not
+    # each pair every batch (quadratic: about 23 s when each pair did)
+    from cepsim.cli import ExperimentConfig
+    from cepsim.workload import ScopeProfile, WorkloadConfig
+
+    wl = WorkloadConfig(scenario="traffic", duration_ms=1.0, iat=BurstIat(20_000, 0.00001, 1000.0),
+                        scope=ScopeProfile(ws_min_ms=0.001, ws_max_ms=0.002),
+                        cost=CostModel("flat_per_type", {"L1": 0.1, "L2": 0.3}))
+    cfg = ExperimentConfig(workload=wl, scheduler=SchedulerConfig("round_robin", n_instances=2))
+
+    def burst():
+        m = run(cfg)
+        top = instance_peaks((idx, lambda_o, 0) for idx, lambda_o in zip(m.instance, m.lambda_o_values()))
+        return set(m.tx_ts), top, {(fd.instance, fd.lat_peak, fd.lat_peak_delay_ms, fd.qlen_peak_delay_ms)
+                                   for fd in m.feedback_delays()}
+
+    tss, top, batches = in_a_child(burst, seconds=8)
+    # every span is ts 0 on its instance, so every batch there has its largest lambda_o
+    assert tss == {0}
+    assert batches == {(idx, lat, 0.0, 0.0) for idx, (lat, _) in top.items()}
+
+
 @pytest.fixture
 def reports(monkeypatch):
     """``(now, queued_counts, theta_bar_rep, last_lambda_o)`` of every
@@ -450,11 +474,11 @@ def test_feedback_delays_match_full_scan(run_kwargs):
 ROUNDED = (32 + 0.3) - 32  # 0.29999999999999716, as an instance's clock makes it
 LAMBDA_OS = [0.0, 0.3, ROUNDED, 0.6, 1.0, 2.5]
 # per event: the gap to it, None or, a third as often, a decision (instance,
-# close - ts or None, and its pair's lambda_o and queue-length step), and up
-# to three pairs (instance, lambda_o, queue-length step); instances are taken
-# modulo the instance count. Each field is one sampled_from: hypothesis
-# generates these about twice as fast as one draw per number
-TRACKED_PAIRS = list(product(range(3), LAMBDA_OS, range(3)))
+# close - ts or None, and its pair's lambda_o and queue length), and up to
+# three pairs (instance, lambda_o, queue length); instances are taken modulo
+# the instance count. Each field is one sampled_from: hypothesis generates
+# these about twice as fast as one draw per number
+TRACKED_PAIRS = list(product(range(3), LAMBDA_OS, range(1, 4)))
 TRACKED_EVENT = st.tuples(
     st.sampled_from([0, 0, 0, 1, 2, 5]),
     st.none() | st.none() | st.sampled_from(
@@ -470,52 +494,52 @@ def tracked_streams(draw):
     decision ``(instance, close)`` or None, then the event's pairs
     ``(instance, lambda_o, queue_len)`` in ascending instance, the decision's
     among them. Timestamps tie often and some lambda_o round, as in
-    ``ROUNDED``; queue lengths on an instance do not go down within a
-    timestamp, as pairs sharing an arrival queue behind each other."""
+    ``ROUNDED``; queue lengths may go up or down within a timestamp, as the
+    tracker reads only their largest there."""
     n, k = draw(st.integers(1, 3)), draw(st.integers(1, 40))
-    rows, ts, last = [], 0, {}  # last: instance -> (ts, queue_len) of its last pair
+    rows, ts = [], 0
     for gap, decision, drawn in draw(st.lists(TRACKED_EVENT, min_size=k, max_size=k)):
         ts += gap
         if decision is not None:
-            idx, after, lambda_o, step = decision
+            idx, after, lambda_o, queue_len = decision
             decision = (idx % n, None if after is None else ts + after)
-            drawn = [(idx, lambda_o, step)] + drawn
+            drawn = [(idx, lambda_o, queue_len)] + drawn
         by_instance = {}  # the first pair drawn on each instance
-        for idx, lambda_o, step in drawn:
-            by_instance.setdefault(idx % n, (lambda_o, step))
-        pairs = []
-        for idx, (lambda_o, step) in sorted(by_instance.items()):
-            floor = last[idx][1] if last.get(idx, (None,))[0] == ts else 1
-            last[idx] = (ts, floor + step)
-            pairs.append((idx, lambda_o, floor + step))
-        rows.append((ts, decision, pairs))
+        for idx, lambda_o, queue_len in drawn:
+            by_instance.setdefault(idx % n, (lambda_o, queue_len))
+        rows.append((ts, decision, [(idx, *pair) for idx, pair in sorted(by_instance.items())]))
     return n, rows
 
 
 def tracked(n, rows) -> RunMetrics:
     """The run of ``rows`` of :func:`tracked_streams`, its batch peaks
     measured by a :class:`BatchTracker` driven as ``simulate`` drives one."""
-    m = RunMetrics(tx_ts=array("q", [ts for ts, _, _ in rows]))
+    tss = array("q", [ts for ts, _, _ in rows])
+    m = RunMetrics(tx_ts=tss)
     batches = BatchTracker(m, n)
     for i, (ts, decision, pairs) in enumerate(rows):
+        if batches.touched and ts != tss[i - 1]:
+            batches.flush(tss[i - 1])
         if decision is not None:
             batches.decide(decision[0], ts, decision[1])
             m.decisions.append(Decision(len(m.decisions), decision[0], "round_robin"))
             m.opened.append(i)
         for idx, lambda_o, queue_len in pairs:
-            # simulate's per-pair update
-            if ts > batches.earliest_end[idx]:
-                batches.retire(idx, ts)
-            for entry in batches.collecting[idx]:
-                if lambda_o > entry[1]:
-                    entry[1], entry[2] = lambda_o, ts
-                if queue_len > entry[3]:
-                    entry[3], entry[4] = queue_len, ts
+            # simulate's per-pair fold
+            fold = batches.folds[idx]
+            if fold is None:
+                batches.folds[idx] = fold = [idx, lambda_o, queue_len]
+                batches.touched.append(fold)
+            else:
+                if lambda_o > fold[1]:
+                    fold[1] = lambda_o
+                if queue_len > fold[2]:
+                    fold[2] = queue_len
             m.instance.append(idx)
             m.lambda_q.append(lambda_o)
             m.lambda_p.append(0.0)
         m.tx_instances.append(len(pairs))
-    batches.finish()
+    batches.finish(tss[-1] if rows else 0)
     return m
 
 
