@@ -4,13 +4,15 @@ Configs are YAML files; see README.md for the full schema. Per-run detail
 CSVs (latency, decisions, predictions, transmissions, windows, batches) land
 in ``<out_dir>/<run_id>/`` and one summary row per completed run is appended
 to ``<out_dir>/summary.csv``. Summary rows are only written after a run
-finished, so an aborted sweep never leaves truncated rows. All six detail
-files share one row writer: the header through ``csv.writer``, then the
-cells in blocks of rows, one ``%`` format per block, byte for byte what
-``csv.writer`` writes. Each distinct value of a typed column, each latency
-row's instance-to-lambda_o cells, each event's seq and ts, each prediction
-and each text cell is formatted once; text cells are quoted by ``csv``
-itself.
+finished, so an aborted sweep never leaves truncated rows. Each detail file
+starts with its header through ``csv.writer``, and its rows are byte for
+byte what ``csv.writer`` writes. latency.csv is one string per event, its
+pairs' cells joined by the event's ts, line end and seq, written
+``_BLOCK_ROWS`` events at a time; the other five share one row writer, the
+cells in blocks of rows, one ``%`` format per block. Each distinct value of
+a typed column, each distinct latency row's instance-to-lambda_o cells,
+each prediction and each text cell is formatted once, and each event's seq
+and ts per event, not per pair; text cells are quoted by ``csv`` itself.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections import abc
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -232,7 +234,7 @@ def load_config(path: str | Path) -> dict:
 # CSV output
 
 
-_BLOCK_ROWS = 256  # rows per format operation
+_BLOCK_ROWS = 256  # rows per format operation; events per latency.csv write
 
 
 def _write_rows(path: Path, header: Sequence[str], rows: Iterable[tuple], n_cells: int | None = None) -> None:
@@ -324,19 +326,30 @@ def _write_decisions(run_dir: Path, decisions: Sequence[Decision]) -> None:
     )
 
 
+def _latency_rows(metrics: RunMetrics, cells: Iterator[str]) -> Iterator[str]:
+    """latency.csv's rows, one string per event with pairs: the next
+    ``tx_instances`` of the pairs' ``cells``, each between the event's seq and ts."""
+    for seq, ts, n in zip(metrics.tx_seq, metrics.tx_ts, metrics.tx_instances):
+        if n:
+            sep = f",{ts}\r\n{seq},"
+            yield f"{seq},{sep.join(itertools.islice(cells, n))},{ts}\r\n"
+
+
 def write_run_outputs(run_dir: Path, metrics: RunMetrics) -> None:
     """Write all per-run detail CSVs into ``run_dir``."""
     run_dir.mkdir(parents=True, exist_ok=True)
     q, p = metrics.lambda_q, metrics.lambda_p
-    # an event's seq and ts, formatted once for all its pairs
-    seqs, tss = (metrics.per_pair(map(str, c)) for c in (metrics.tx_seq, metrics.tx_ts))
+    cells = zip(metrics.instance, q, p)
     # memoised only without the bits of -0.0; q + p is -0.0 only when both are
-    n_cells = None
-    if not any(1 << 63 in memoryview(c).cast("B").cast("Q") for c in (q, p)):
-        rows, n_cells = zip(seqs, _memoised(zip(metrics.instance, q, p), _latency_cells), tss), 3
+    if any(1 << 63 in memoryview(c).cast("B").cast("Q") for c in (q, p)):
+        cells = map(_latency_cells, cells)
     else:
-        rows = zip(seqs, _memoised(metrics.instance), q, p, map(operator.add, q, p), tss)
-    _write_rows(run_dir / "latency.csv", ["seq", "instance", "lambda_q", "lambda_p", "lambda_o", "ts"], rows, n_cells)
+        cells = _memoised(cells, _latency_cells)
+    rows = _latency_rows(metrics, cells)
+    with open(run_dir / "latency.csv", "w", newline="") as fh:
+        csv.writer(fh).writerow(["seq", "instance", "lambda_q", "lambda_p", "lambda_o", "ts"])
+        while block := "".join(itertools.islice(rows, _BLOCK_ROWS)):
+            fh.write(block)
     _write_decisions(run_dir, metrics.decisions)
     _write_rows(
         run_dir / "transmissions.csv",

@@ -14,14 +14,17 @@ instance's windows stay in wid order.
 
 An event's work on one instance runs once per (event, instance): routing,
 queueing, one entry in each of ``RunMetrics``' pair columns and the latency
-observations. A cost that is the same in every window is priced once, its
-sum is a memoised repeated addition and its observations are one run of
-equal values. Only a cost that reads the window's state is priced per
-(event, window), in wid order, from one count: the stream-wide count of the
-type it reads less that count at the window's opening. Each window's queuing
-gains and peak are also accumulated per (event, window); they are all a run
-records of a window itself, whose extent is the splitter's and whose
-instance is its decision's.
+observations. Each event type is priced once per run, by
+``window_cost_terms`` at its first event some instance receives; an event
+that carries a payload cost hint is priced on its own, and an event no
+instance receives is not priced. A cost that is the same in every window is
+charged once per (event, instance), its sum is a memoised repeated addition
+and its observations are one run of equal values. Only a cost that reads the
+window's state is charged per (event, window), in wid order, from one count:
+the stream-wide count of the type it reads less that count at the window's
+opening. Each window's queuing gains and peak are also accumulated per
+(event, window); they are all a run records of a window itself, whose extent
+is the splitter's and whose instance is its decision's.
 
 A batch, a maximal run of decisions for one instance, has its peaks measured
 by a :class:`BatchTracker`: the first maximal lambda_o and queue length over
@@ -58,9 +61,9 @@ from array import array
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, groupby, islice
 from operator import add, attrgetter
-from typing import Iterable, Iterator, NamedTuple, TYPE_CHECKING
+from typing import Iterator, NamedTuple, TYPE_CHECKING
 
 from .core import ConfigurationError, WindowDescriptor
 from .scheduler import Decision, InstanceView, WindowScheduler, make_scheduler
@@ -233,10 +236,6 @@ class RunMetrics:
     def transmissions(self) -> int:
         """Events sent to instances: one per processed (event, instance) pair."""
         return len(self.instance)
-
-    def per_pair(self, column: Iterable):
-        """An iterator over the per-event ``column``, each entry repeated once per pair of its event."""
-        return chain.from_iterable(map(repeat, column, self.tx_instances))
 
     def window_extents(self) -> Iterator[tuple[int, int | None, int]]:
         """Per wid, ``(open_ts, close_ts, n_member_events)``: its members,
@@ -419,7 +418,7 @@ def simulate(
     metrics = RunMetrics(tx_seq=seqs, tx_ts=tss, opened=opened, closed=splitter.closed, close_ts=close_ts)
     windows, decisions = metrics.windows, metrics.decisions
     # column appends, bound once: the loop below runs once per pair
-    add_instance, add_lambda_q, add_lambda_p = metrics.instance.append, metrics.lambda_q.append, metrics.lambda_p.append
+    add_lambda_q, add_lambda_p = metrics.lambda_q.append, metrics.lambda_p.append
     add_tx_members, add_tx_instances = metrics.tx_members.append, metrics.tx_instances.append
     owners: list[int] = []  # instances holding open windows, ascending
     # a window's count of the type a window-reading cost counts (None: every
@@ -428,6 +427,9 @@ def simulate(
     counted = 0
     counted_at_open = array("i")  # by wid
     lambda_p_sums: dict[float, list[float]] = {}  # cost -> [0.0, cost, cost + cost, ...]
+    # by event type: window_cost_terms of its hint-free events, and their
+    # lambda_p_sums entry when every window charges base (else None)
+    priced: dict[str, tuple] = {}
     batches = BatchTracker(metrics, n_instances)
     folds, touched, add_fold, flush = batches.folds, batches.touched, batches.touched.append, batches.flush
 
@@ -505,18 +507,24 @@ def simulate(
 
         etype = e.etype
         arrival = now + transfer_delay_ms
-        if owners:
-            base, incr, hint = window_cost_terms(cost_model, e)
-            if incr is None:  # every window charges base: priced once per event
-                sums = lambda_p_sums.get(base)
-                if sums is None:
-                    sums = lambda_p_sums[base] = [0.0]
+        if owners:  # priced only when some instance receives it
+            hinted = e.payload_cost_hint is not None
+            terms = None if hinted else priced.get(etype)
+            if terms is None:
+                base, incr, hint = window_cost_terms(cost_model, e)
+                # incr None: every window charges base, summed once per pair
+                terms = base, incr, hint, None if incr is not None else lambda_p_sums.setdefault(base, [0.0])
+                if not hinted:
+                    priced[etype] = terms
+            base, incr, hint, sums = terms
+            metrics.instance.extend(owners)
         for idx in owners:
             inst = instances[idx]
             open_windows = inst.open_windows  # in wid order
             wins = open_windows.values()
             k = len(wins)
-            lambda_q = max(0.0, inst.busy_until - arrival)
+            d = inst.busy_until - arrival
+            lambda_q = d if d > 0.0 else 0.0  # max(0.0, d), also for nan and -0.0
             start = arrival + lambda_q
             if incr is not None:
                 # the latencies are kept only to be observed
@@ -541,8 +549,11 @@ def simulate(
             # (starts and arrivals never go down, so a start dropped here is
             # at or before every later arrival)
             pending = inst.pending
-            while pending and pending[0] <= arrival:
-                pending.popleft()
+            if pending and pending[-1] <= arrival:
+                pending.clear()
+            else:
+                while pending and pending[0] <= arrival:
+                    pending.popleft()
             queue_len = len(pending) + 1
             pending.append(start)
             if inst.last_arrival is not None:
@@ -572,7 +583,6 @@ def simulate(
 
             if keeps_work:
                 inst.work.append((start, completion, arrival, etype, k, lambda_o, lams, run))
-            add_instance(idx)
             add_lambda_q(lambda_q)
             add_lambda_p(lambda_p)
         add_tx_members(len(memberships))

@@ -248,6 +248,13 @@ def per_event_windows(events: Sequence[Event], policy) -> dict:
                 dropped_closes=sp.dropped_closes, members=members)
 
 
+def per_pair(m, column: Iterable) -> Iterable:
+    """The per-event ``column`` of the run ``m``, each entry repeated once
+    per pair of its event: an event's pairs are the next ``tx_instances``
+    entries of the pair columns."""
+    return itertools.chain.from_iterable(map(itertools.repeat, column, m.tx_instances))
+
+
 def pair_rows(m, transfer_delay_ms: float) -> list[tuple[int, int, float, int]]:
     """``(instance, ts, lambda_o, queue_len)`` of each pair of the run ``m``,
     in event order. The queue length is recomputed as the reference
@@ -256,7 +263,7 @@ def pair_rows(m, transfer_delay_ms: float) -> list[tuple[int, int, float, int]]:
     starts on its instance after its arrival."""
     starts: dict[int, list[float]] = {}
     out = []
-    for inst, ts, q, p in zip(m.instance, m.per_pair(m.tx_ts), m.lambda_q, m.lambda_p):
+    for inst, ts, q, p in zip(m.instance, per_pair(m, m.tx_ts), m.lambda_q, m.lambda_p):
         arrival = ts + transfer_delay_ms
         mine = starts.setdefault(inst, [])
         # sorted, so the starts after the arrival are the tail past a bisection

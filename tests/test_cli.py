@@ -417,7 +417,8 @@ PAIRS = st.lists(st.tuples(CELL_INTS, CELL_FLOATS, CELL_FLOATS), max_size=4)
 EVENTS = st.lists(st.tuples(CELL_INTS, CELL_INTS, CELL_INTS, PAIRS), max_size=12)
 WINDOW_CELLS = st.tuples(CELL_INTS, CELL_INTS, st.none() | CELL_INTS, CELL_INTS, CELL_INTS,
                          CELL_FLOATS, CELL_FLOATS | st.just(-0.0), CELL_FLOATS)
-# no row, one, and a block's rows less one, exactly, plus one and twice plus one
+# no row, one, and a block's rows less one, exactly, plus one and twice plus
+# one; latency.csv is written _BLOCK_ROWS events with pairs at a time
 ROW_COUNTS = (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1)
 
 
@@ -433,6 +434,31 @@ def exactly(events, n):
     elif fill:
         out[-1] = (*out[-1][:3], out[-1][3] + fill)
     return out + [(k, k, k, []) for k in range(n - len(out))]
+
+
+def with_pairs(events, n):
+    """``n`` events with pairs, cut from or filled up after those of
+    ``events``, the middle one with 64, and a pairless event before each and
+    after the last."""
+    paired = [e for e in events if e[3]][:n]
+    paired += [(k, k, k, [(k % 3, k / 4, 0.5)]) for k in range(n - len(paired))]
+    if paired:
+        seq, ts, members, _ = paired[n // 2]
+        paired[n // 2] = (seq, ts, members, [(k % 5, k / 8, 0.25) for k in range(64)])
+    return [row for e in paired for row in ((e[0], e[1], 0, []), e)] + [(n, n, 0, [])]
+
+
+def signed_zeros(events, negative):
+    """``events`` with every zero lambda_q and lambda_p 0.0, and with
+    ``negative`` the first pair's lambda_q -0.0: the writer memoises a
+    pair's cells only when no lambda holds -0.0."""
+    out = [(seq, ts, members, [(i, a if a != 0.0 else 0.0, b if b != 0.0 else 0.0) for i, a, b in ps])
+           for seq, ts, members, ps in events]
+    first = next((k for k, e in enumerate(out) if e[3]), None)
+    if negative and first is not None:
+        seq, ts, members, ((i, _, b), *ps) = out[first]
+        out[first] = (seq, ts, members, [(i, -0.0, b), *ps])
+    return out
 
 
 def check_written_like_csv_writer(events, windows):
@@ -488,6 +514,9 @@ def test_column_writer_matches_csv_writer(events, windows, negative_zero_in, man
     events = [(7, 1, 3, zeros), (8, 2, 0, []), (9, 3, 3, specials), *events]
     for n in ROW_COUNTS:
         check_written_like_csv_writer(exactly(events, n), [windows[k % len(windows)] for k in range(n)])
+        # n events with pairs, through the memoised branch and the -0.0 one
+        for negative in (False, True):
+            check_written_like_csv_writer(signed_zeros(with_pairs(events, n), negative), windows[:1])
     if many_distinct:  # more distinct values than a memo keeps, then some again
         extra = [v % 4500 for v in range(5000)]
         events += [(v, v, v, [(v, v / 4, -v / 8)] * (v % 3)) for v in extra]

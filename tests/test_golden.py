@@ -24,6 +24,7 @@ COMMANDS = {
     "face_accuracy.yaml": "run",
     "delays_jitter.yaml": "sweep",
     "face_dense.yaml": "run",
+    "traffic_rr.yaml": "run",
 }
 
 # configs written by the test instead of shipped. delays_jitter reaches what
@@ -32,7 +33,10 @@ COMMANDS = {
 # face_dense is perfbench's face-dense-reactive cut to an 8 s horizon: up to
 # 151 (mean 120) open windows per event, on about three instances each, and
 # closing events that are members of the windows they close. The shipped
-# configs have at most about ten windows per event.
+# configs have at most about ten windows per event. traffic_rr is perfbench's
+# traffic-long-rr cut to a 4-minute horizon: the shipped configs and the other
+# inline ones run no Round-Robin traffic, and its 1,490 events reach 10,710
+# (event, instance) pairs, about seven per event, over several write blocks.
 INLINE = {
     "delays_jitter.yaml": {
         **BASE_CONFIG,
@@ -58,6 +62,20 @@ INLINE = {
         "scheduler": {"kind": "reactive", "n_instances": 4, "th_ms": 1},
         "model": {"n_iat_bins": 2, "n_lat_bins": 2},
         "sim": {"mtime_ms": 500, "feedback_interval_ms": 50, "warmup_ms": 1000},
+    },
+    "traffic_rr.yaml": {
+        "run_id": "traffic-rr",
+        "seed": 42,
+        "workload": {
+            "scenario": "traffic",
+            "duration_ms": 240_000,
+            "iat": {"kind": "sinusoidal_exponential", "mu_min_ms": 100, "mu_max_ms": 1000, "period_ms": 60_000},
+            "scope": {"ws_min_ms": 2000, "ws_max_ms": 4000},
+            "cost": {"kind": "equi_join", "base_ms": {"L1": 0.1, "L2": 0.2}, "incr_ms": 0.005},
+        },
+        "scheduler": {"kind": "round_robin", "n_instances": 8},
+        "model": {"n_iat_bins": 8, "n_lat_bins": 4, "delta_iat": 0.75, "delta_lp": 2.0},
+        "sim": {"mtime_ms": 5000, "warmup_ms": 10_000},
     },
 }
 
@@ -131,6 +149,15 @@ GOLDEN = {
         "face-dense/transmissions.csv": "f7b8970b7610583f60f82e86bf32e6581361157897f68dedf6dd26068b1bbeab",
         "face-dense/windows.csv": "1c71ba3a0475720167d682d6b2bcd97ce18b4992a4701f9c950baf7de1956a47",
         "summary.csv": "3f8c597e2a692c3524219171b16dabe2e49b6137d2377334b5e4b472e042da28",
+    },
+    "traffic_rr.yaml": {
+        "summary.csv": "05596b2710a105007ee05173b82d0c83a0ab8ac6da9e70bd110094b7998bd547",
+        "traffic-rr/batches.csv": "50ef8281070942e5d28a9533e1ecbfc34d507500e7fa2877be25614e15152cae",
+        "traffic-rr/decisions.csv": "6bbb4a8ab1b229aa5c6b50a631c0d5d0892e8569a7b7290b2956630bdae3d27e",
+        "traffic-rr/latency.csv": "3c024b1a780f732d7df7b714f5e7d254ac1f07cd229ca4eaf21861dfef3f6c0f",
+        "traffic-rr/predictions.csv": "94b2874b52cc1d2675bce88e0ce627825b85346bffaece23b054915ccbbd1533",
+        "traffic-rr/transmissions.csv": "63ec187d06dabd98e96759d6c314f95ea1de7efdf50c59775b4f3c6b38b67f1a",
+        "traffic-rr/windows.csv": "13b6bcc941d940c1be40b38d07017059dcbf408f4627d342934f9e1228db96d4",
     },
 }
 

@@ -39,7 +39,7 @@ from cepsim.scheduler import (
 )
 from cepsim.splitter import KeyedAperiodicPolicy, Splitter, StreamStats, TimeWindowPolicy
 from cepsim.workload import CostModel
-from oracles import reference_feedback_delays
+from oracles import per_pair, reference_feedback_delays
 
 
 def reference_windows(events, policy):
@@ -323,7 +323,7 @@ def test_simulate_matches_reference(w):
     samples, tx_rows, truth = reference_run(w["events"], w["policy"], w["cost"], owner, w["transfer_delay_ms"])
     # a pair's type and window count reach the reports below, as queued
     # counts and theta_bar
-    columns = zip(m.per_pair(m.tx_seq), m.instance, m.per_pair(m.tx_ts), m.lambda_q, m.lambda_p)
+    columns = zip(per_pair(m, m.tx_seq), m.instance, per_pair(m, m.tx_ts), m.lambda_q, m.lambda_p)
     assert float_bits(columns) == float_bits((s.seq, s.instance, s.ts, s.lambda_q, s.lambda_p) for s in samples)
     assert list(zip(m.tx_seq, m.tx_ts, m.tx_members, m.tx_instances)) == tx_rows
     assert len(m.windows) == len(truth)
@@ -396,7 +396,7 @@ STREAM_STATS_METHODS = [name for name, v in vars(StreamStats).items() if callabl
 def run_outputs(m):
     """Everything a run records that the outputs read, floats by their bits."""
     return (
-        float_bits(zip(m.per_pair(m.tx_seq), m.instance, m.per_pair(m.tx_ts), m.lambda_q, m.lambda_p)),
+        float_bits(zip(per_pair(m, m.tx_seq), m.instance, per_pair(m, m.tx_ts), m.lambda_q, m.lambda_p)),
         list(zip(m.tx_seq, m.tx_ts, m.tx_members, m.tx_instances)),
         float_bits(astuple(w) for w in m.windows),
         list(m.window_extents()),

@@ -19,7 +19,7 @@ from cepsim.runtime import BatchTracker, FeedbackDelay, InstanceState, RunMetric
 from cepsim.scheduler import Decision, InstanceView, SchedulerConfig, make_scheduler
 from cepsim.splitter import KeyedAperiodicPolicy, Splitter, StreamStats, TimeWindowPolicy, make_policy
 from cepsim.workload import BurstIat, CostModel, generate_stream, in_window_cost
-from oracles import pair_rows, reference_feedback_delays
+from oracles import pair_rows, per_pair, reference_feedback_delays
 
 
 # 150 examples in tier-1; the "deep" profile of tests/conftest.py runs more
@@ -101,9 +101,9 @@ class TestConservationAndIdentities:
 
     def test_every_routed_pair_processed_once(self):
         _, m = self.traffic_metrics()
-        assert len(list(m.per_pair(m.tx_seq))) == m.transmissions
+        assert len(list(per_pair(m, m.tx_seq))) == m.transmissions
         assert m.transmissions == sum(m.tx_instances)
-        pairs = list(zip(m.per_pair(m.tx_seq), m.instance))
+        pairs = list(zip(per_pair(m, m.tx_seq), m.instance))
         assert len(set(pairs)) == len(pairs), "pair processed twice"
 
     def test_latency_identities(self):
@@ -129,7 +129,7 @@ class TestConservationAndIdentities:
         events = mk_events(rows)
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 8.0, "B": 2.0})
         m = run_sim(events, policy=TimeWindowPolicy("open", 10_000.0), cost=cost)
-        ts, lambda_q, lambda_p = list(m.per_pair(m.tx_ts)), m.lambda_q, m.lambda_p
+        ts, lambda_q, lambda_p = list(per_pair(m, m.tx_ts)), m.lambda_q, m.lambda_p
         for i in range(len(ts) - 1):
             iat = ts[i + 1] - ts[i]
             expected = max(0.0, lambda_q[i] + lambda_p[i] - iat)
@@ -328,7 +328,7 @@ class TestMerge:
         rows.sort(key=lambda r: r[0])
         events = mk_events(rows)
         m = run_sim(events, policy=TimeWindowPolicy("open", 1000.0), cost=CostModel("flat_per_type", {"open": 0.0, "A": 2.0}), n=3)
-        seqs = list(m.per_pair(m.tx_seq))
+        seqs = list(per_pair(m, m.tx_seq))
         assert seqs == sorted(seqs)
 
 
@@ -363,7 +363,7 @@ class TestFeedbackDelay:
         busy = 0.0
         qlen_peak, qlen_ts = -1, None
         pending = []
-        for ts, lambda_p in zip(m.per_pair(m.tx_ts), m.lambda_p):
+        for ts, lambda_p in zip(per_pair(m, m.tx_ts), m.lambda_p):
             start = max(busy, ts)
             pending = [p for p in pending if p > ts]
             pending.append(start)
@@ -572,7 +572,7 @@ def instance_peaks(rows) -> dict[int, tuple[float, int]]:
 
 def filtered_lambda_o_values(m, warmup_ms) -> array:
     """lambda_o of the pairs at or after ``warmup_ms``, by a filter over every pair."""
-    return array("d", (q + p for t, q, p in zip(m.per_pair(m.tx_ts), m.lambda_q, m.lambda_p) if t >= warmup_ms))
+    return array("d", (q + p for t, q, p in zip(per_pair(m, m.tx_ts), m.lambda_q, m.lambda_p) if t >= warmup_ms))
 
 
 def assert_lambda_o_values_are_the_filters(m, warmup_ms):
@@ -616,7 +616,7 @@ class TestDerivedPasses:
 
     def test_event_seq_and_ts_are_the_events(self):
         m = self.gapped_run()
-        seqs, tss = list(m.per_pair(m.tx_seq)), list(m.per_pair(m.tx_ts))
+        seqs, tss = list(per_pair(m, m.tx_seq)), list(per_pair(m, m.tx_ts))
         assert seqs == [1, 2, 3, 6, 7]
         assert tss == [10, 12, 15, 31, 36]
         assert len(seqs) == len(tss) == m.transmissions == sum(m.tx_instances)
@@ -657,7 +657,7 @@ class TestSchedulingIntegration:
         assert set(m_batch.instance) == {0}
         assert len(set(m_rr.instance)) == 8
         # every event is transmitted once under full batching
-        assert m_batch.transmissions == len(set(m_batch.per_pair(m_batch.tx_seq)))
+        assert m_batch.transmissions == len(set(per_pair(m_batch, m_batch.tx_seq)))
 
     def test_dropped_close_counted(self):
         events = mk_events([(0, "L2", "ghost"), (10, "L1", "a"), (20, "L2", "a")])
@@ -827,16 +827,16 @@ class TestColumnStorage:
         # between an event's pairs, and no other per-pair column: a pair's
         # seq and ts are its event's, its queue length only reaches its
         # batches' peaks; the rest are per event and per window
-        per_pair = ["instance", "lambda_q", "lambda_p"]
+        pair_columns = ["instance", "lambda_q", "lambda_p"]
         per_event = ["tx_seq", "tx_ts", "tx_members", "tx_instances"]
         per_batch = ["batch_lat_peak", "batch_lat_peak_ts", "batch_qlen_peak", "batch_qlen_peak_ts"]
         arrays = [f.name for f in fields(m) if isinstance(getattr(m, f.name), array)]
-        assert arrays == per_pair + per_event + ["opened", "closed"] + per_batch
+        assert arrays == pair_columns + per_event + ["opened", "closed"] + per_batch
         assert len(m.opened) == len(m.closed) == len(m.decisions) < len(m.tx_seq)
         # one entry per batch, a run of decisions for one instance
         n_batches = 1 + sum(a.instance != b.instance for a, b in zip(m.decisions, m.decisions[1:]))
         assert all(len(getattr(m, name)) == n_batches for name in per_batch)
-        columns = [getattr(m, name) for name in per_pair]
+        columns = [getattr(m, name) for name in pair_columns]
         n = m.transmissions
         assert n > 10_000
         assert all(len(c) == n for c in columns)
@@ -910,7 +910,7 @@ def samples_by_event(m, events, cost):
     window charges an event the same under ``cost``, so a pair's lambda_p is
     that charge added k times, once per member window on its instance."""
     out = {}
-    for seq, inst, lambda_p in zip(m.per_pair(m.tx_seq), m.instance, m.lambda_p):
+    for seq, inst, lambda_p in zip(per_pair(m, m.tx_seq), m.instance, m.lambda_p):
         charge = in_window_cost(cost, events[seq], {})
         k, total = 0, 0.0
         while total < lambda_p:
@@ -1008,7 +1008,7 @@ class TestRouting:
         events = mk_events([(1, "L1", "a"), (2, "L1", "b"), (3, "L1", "c"), (4, "L2", "a")])
         cost = CostModel("equi_join", {"L1": 0.0, "L2": 0.0}, incr_ms=0.1)
         m = run_sim(events, policy=KeyedAperiodicPolicy(), cost=cost)
-        assert (list(m.per_pair(m.tx_seq))[-1], m.tx_members[-1], m.tx_instances[-1]) == (3, 3, 1)
+        assert (list(per_pair(m, m.tx_seq))[-1], m.tx_members[-1], m.tx_instances[-1]) == (3, 3, 1)
         assert repr(m.lambda_p[-1]) == "0.6"
 
 
@@ -1019,7 +1019,7 @@ class TestUniformCost:
         events = mk_events([(i, "open") for i in range(10)] + [(20, "A")])
         cost = CostModel("flat_per_type", {"open": 0.0, "A": 0.1})
         m = run_sim(events, policy=TimeWindowPolicy("open", 1000.0), cost=cost)
-        assert (list(m.per_pair(m.tx_seq))[-1], m.tx_members[-1], m.tx_instances[-1]) == (10, 10, 1)
+        assert (list(per_pair(m, m.tx_seq))[-1], m.tx_members[-1], m.tx_instances[-1]) == (10, 10, 1)
         assert repr(m.lambda_p[-1]) == "0.9999999999999999"
         assert 10 * 0.1 == 1.0
 
@@ -1033,7 +1033,7 @@ class TestWindowCountPricing:
     @staticmethod
     def priced_by_definition(m, events, cost):
         out = []
-        for seq, inst in zip(m.per_pair(m.tx_seq), m.instance):
+        for seq, inst in zip(per_pair(m, m.tx_seq), m.instance):
             e = events[seq]
             total = 0.0
             # in wid order; an opener's index in the stream is its seq
@@ -1083,6 +1083,73 @@ class TestWindowCountPricing:
             run_sim(events, policy=KeyedAperiodicPolicy(), cost=cost)
 
 
+class TestPricingCalls:
+    """``simulate`` prices an event only when some instance receives it,
+    through ``window_cost_terms``: once per event type, and a hinted event
+    on its own."""
+
+    @pytest.fixture
+    def priced(self, monkeypatch):
+        calls = []
+        real = runtime.window_cost_terms
+
+        def counting(model, e):
+            calls.append(e)
+            return real(model, e)
+
+        monkeypatch.setattr(runtime, "window_cost_terms", counting)
+        return calls
+
+    @staticmethod
+    def experiment(kind, jitter):
+        return build_experiment({
+            "seed": 5,
+            "workload": {
+                "scenario": "custom", "duration_ms": 3000, "cost_jitter_sigma": jitter,
+                "iat": {"kind": "exponential", "mu_ms": 10}, "scope": {"ws_ms": 150},
+                "opener": {"kind": "constant", "mu_ms": 200}, "opener_etype": "open",
+                "type_mix": {"A": 0.5, "B": 0.5},
+                "cost": {"kind": kind, "base_ms": {"A": 1.0, "B": 2.0, "open": 0.5}, "incr_ms": 0.1,
+                         "build_etype": "A", "probe_etype": "B"},
+            },
+            "scheduler": {"kind": "round_robin", "n_instances": 3},
+        })
+
+    @staticmethod
+    def routed(m):
+        return [seq for seq, n in zip(m.tx_seq, m.tx_instances) if n]
+
+    @pytest.mark.parametrize("kind", ["flat_per_type", "equi_join", "custom_table"])
+    def test_a_hint_free_stream_prices_each_type_once(self, priced, kind):
+        m = run(self.experiment(kind, 0.0))
+        routed = self.routed(m)
+        # events outside every window are not priced
+        assert 0 < len(routed) < len(m.tx_seq)
+        events = generate_stream(self.experiment(kind, 0.0).workload, 5)
+        first = {}
+        for seq in routed:
+            first.setdefault(events[seq].etype, seq)
+        assert sorted(first) == ["A", "B", "open"]
+        assert [e.seq for e in priced] == sorted(first.values())
+
+    def test_a_jittered_stream_prices_each_routed_event(self, priced):
+        m = run(self.experiment("custom_table", 0.4))
+        assert all(e.payload_cost_hint is not None for e in priced)
+        assert [e.seq for e in priced] == self.routed(m)
+
+    @pytest.mark.parametrize("kind", ["flat_per_type", "equi_join", "custom_table"])
+    def test_a_type_without_base_cost_raises_at_its_first_routed_event(self, priced, kind):
+        # X at 5 is outside every window, X at 22 inside the one opened at 20
+        events = mk_events([(0, "open"), (2, "A"), (5, "X"), (20, "open"), (22, "X"), (30, "A")])
+        cost = CostModel(kind, {"open": 0.0, "A": 1.0, "B": 1.0}, incr_ms=0.5, build_etype="A", probe_etype="X")
+        with pytest.raises(CostModelError, match="'X'"):
+            run_sim(events, policy=TimeWindowPolicy("open", 3.0), cost=cost)
+        assert [e.seq for e in priced] == [0, 1, 4]
+        # without the second X, no instance receives an X and the run ends
+        m = run_sim(events[:4] + events[5:], policy=TimeWindowPolicy("open", 3.0), cost=cost)
+        assert list(m.tx_instances) == [1, 1, 0, 1, 0]
+
+
 class TestMemberCounts:
     def test_counts_at_close_and_at_end_of_run(self):
         # w0 opens at 0 and closes at 100 on an event at ts 100, a member;
@@ -1096,7 +1163,7 @@ class TestMemberCounts:
         # w0 holds open, A, open and B; w1 open and B; w2 open and B
         assert (w0[2], w1[2], w2[2]) == (4, 2, 2)
         # the B at ts 100 is priced in w0 against the one A before it, and in w1 against none
-        first_b = [(inst, p) for seq, inst, p in zip(m.per_pair(m.tx_seq), m.instance, m.lambda_p) if seq == 3]
+        first_b = [(inst, p) for seq, inst, p in zip(per_pair(m, m.tx_seq), m.instance, m.lambda_p) if seq == 3]
         assert sorted(first_b) == [(0, 2.5), (1, 2.0)]
 
 
