@@ -29,8 +29,11 @@ is the splitter's and whose instance is its decision's.
 A batch, a maximal run of decisions for one instance, has its peaks measured
 by a :class:`BatchTracker`: the first maximal lambda_o and queue length over
 its span on its instance, the timestamps from its first decision's to its
-windows' last close, from one fold of its pairs per (instance, timestamp).
-Only these and their timestamps are kept per batch; no pair is copied.
+windows' last close. An event alone at its timestamp, with no earlier pair
+and no later decision there, updates its instances' batches directly; the
+events at a shared timestamp are folded per instance and handed over once,
+so a burst stays linear. Only the peaks and their timestamps are kept per
+batch; no pair is copied.
 
 A pair's queue length is one plus the number of events on its instance that
 start after its arrival: those queued or still in transit. It is measured
@@ -38,7 +41,8 @@ only into its batches' peaks, and no pair keeps it. Each instance keeps, in
 order, the starts still ahead at its last arrival. Starts and arrivals never
 go down on one instance (an arrival is the event's timestamp plus a fixed
 delay >= 0), so a start dropped at one arrival is at or before every later
-one.
+one. Only a pair that waits walks them: every start is at or before the
+busy-until clock, so at an idle instance all drop and the queue length is 1.
 
 Monitoring-window freezes and instance feedback reports fire at their
 simulated times between event arrivals, and only for a controller that reads
@@ -121,7 +125,8 @@ class InstanceState:
     ``pending`` holds, in processing order, the starts still ahead at its
     last arrival (the events queued or in transit then), and that last
     pair's own start. A pair's queue length is one more than the count of
-    starts after its arrival.
+    starts after its arrival; an idle instance has none, as no start is
+    after ``busy_until``.
 
     ``work`` holds in-flight work, and only for a controller that reads the
     snapshot or the reports: one ``(start, completion, arrival, etype,
@@ -301,12 +306,14 @@ class LambdaOValues:
 
 class BatchTracker:
     """The batches of a run, whose ``batch_*`` columns of ``metrics`` it alone
-    writes. ``simulate`` folds each pair into ``folds[idx]``, its instance's ``[idx,
-    largest lambda_o, largest queue length]`` at the pair's timestamp (None before
-    the first, then also in ``touched``), and ``flush`` hands each fold once to the
-    batches whose span holds that timestamp. Per instance, ``collecting`` holds the
-    batches whose span may still hold a later timestamp, each ``[end, lambda_o peak,
-    its ts, queue-length peak, its ts, batch id]``, and ``earliest_end`` the earliest end."""
+    writes. Per instance, ``collecting`` holds the batches whose span may still hold a
+    later timestamp, each ``[end, lambda_o peak, its ts, queue-length peak, its ts, batch
+    id]``, and ``earliest_end`` the earliest end. ``simulate`` updates them with each pair
+    of an event alone at its timestamp, after ``retire`` once past ``earliest_end``, as
+    ``flush`` does. It folds the pairs of events that share a timestamp into ``folds[idx]``,
+    their instance's ``[idx, largest lambda_o, largest queue length]`` there (None before
+    the first, then also in ``touched``), and ``flush`` hands each fold once to the batches
+    whose span holds that timestamp."""
 
     def __init__(self, metrics: RunMetrics, n_instances: int):
         self.columns = (metrics.batch_lat_peak, metrics.batch_lat_peak_ts,
@@ -395,8 +402,9 @@ def simulate(
 
     Deterministic: the same inputs produce identical metrics. A controller
     that reads the snapshot sizes the monitor's bins by its ``params``.
-    Each pair is folded into its instance's peaks at its timestamp, which a
-    :class:`BatchTracker` hands to the batches whose span holds it.
+    A :class:`BatchTracker` takes the pairs of an event alone at its
+    timestamp straight into their instance's batches, and the others folded
+    per (instance, timestamp).
     """
     sim.validate()
     transfer_delay_ms = sim.transfer_delay_ms
@@ -432,6 +440,8 @@ def simulate(
     priced: dict[str, tuple] = {}
     batches = BatchTracker(metrics, n_instances)
     folds, touched, add_fold, flush = batches.folds, batches.touched, batches.touched.append, batches.flush
+    collecting, earliest_end, retire = batches.collecting, batches.earliest_end, batches.retire
+    last = len(events) - 1
 
     next_freeze = sim.mtime_ms if scheduler.reads_snapshot else math.inf
     next_feedback = sim.feedback_interval if scheduler.reads_reports else math.inf
@@ -518,13 +528,27 @@ def simulate(
                     priced[etype] = terms
             base, incr, hint, sums = terms
             metrics.instance.extend(owners)
+            # no other event at now: its pairs skip the fold
+            alone = (not i or tss[i - 1] != now) and (i == last or tss[i + 1] != now)
         for idx in owners:
             inst = instances[idx]
             open_windows = inst.open_windows  # in wid order
             wins = open_windows.values()
             k = len(wins)
+            pending = inst.pending  # the starts after the arrival are queued or in transit
             d = inst.busy_until - arrival
-            lambda_q = d if d > 0.0 else 0.0  # max(0.0, d), also for nan and -0.0
+            if d > 0.0:
+                lambda_q = d
+                while pending and pending[0] <= arrival:
+                    pending.popleft()
+                queue_len = len(pending) + 1
+                for w in wins:  # peaks start at 0.0
+                    if d > w.actual_lambda_q_peak:
+                        w.actual_lambda_q_peak = d
+            else:  # idle, also for nan and -0.0: every start is at or before busy_until
+                lambda_q = 0.0
+                pending.clear()
+                queue_len = 1
             start = arrival + lambda_q
             if incr is not None:
                 # the latencies are kept only to be observed
@@ -545,16 +569,6 @@ def simulate(
                 lams, run = base, k
             completion = start + lambda_p
             inst.busy_until = completion
-            # queued or in transit: the events that start after this arrival
-            # (starts and arrivals never go down, so a start dropped here is
-            # at or before every later arrival)
-            pending = inst.pending
-            if pending and pending[-1] <= arrival:
-                pending.clear()
-            else:
-                while pending and pending[0] <= arrival:
-                    pending.popleft()
-            queue_len = len(pending) + 1
             pending.append(start)
             if inst.last_arrival is not None:
                 gamma = lambda_p - (arrival - inst.last_arrival)
@@ -565,21 +579,26 @@ def simulate(
                     for w in wins:
                         w.actual_gamma_plus += gamma
             inst.last_arrival = arrival
-            if lambda_q > 0.0:  # peaks start at 0.0
-                for w in wins:
-                    if lambda_q > w.actual_lambda_q_peak:
-                        w.actual_lambda_q_peak = lambda_q
 
             lambda_o = lambda_q + lambda_p
-            fold = folds[idx]
-            if fold is None:  # the instance's first pair at now
-                folds[idx] = fold = [idx, lambda_o, queue_len]
-                add_fold(fold)
+            if alone:  # straight into the batches whose span holds now, as flush would
+                if now > earliest_end[idx]:
+                    retire(idx, now)
+                for entry in collecting[idx]:
+                    if lambda_o > entry[1]:
+                        entry[1], entry[2] = lambda_o, now
+                    if queue_len > entry[3]:
+                        entry[3], entry[4] = queue_len, now
             else:
-                if lambda_o > fold[1]:
-                    fold[1] = lambda_o
-                if queue_len > fold[2]:
-                    fold[2] = queue_len
+                fold = folds[idx]
+                if fold is None:  # the instance's first pair at now
+                    folds[idx] = fold = [idx, lambda_o, queue_len]
+                    add_fold(fold)
+                else:
+                    if lambda_o > fold[1]:
+                        fold[1] = lambda_o
+                    if queue_len > fold[2]:
+                        fold[2] = queue_len
 
             if keeps_work:
                 inst.work.append((start, completion, arrival, etype, k, lambda_o, lams, run))

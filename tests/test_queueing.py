@@ -6,8 +6,10 @@ every 1,000 ms, or one window covers the whole run. So the instance is a FIFO
 queue with one server and deterministic service times, and the lambda_q of a
 face event's pair is that customer's wait. Timestamps are whole ms, so a
 Poisson stream arrives at rounded times; a face event at the timestamp of a
-window's opener comes before it and is not routed. Both shift the closed
-forms by less than the tolerances below.
+window's opener comes before it and is not routed, and an opener is a
+customer of cost 0. These shift the closed forms by less than the
+tolerances below, but for the mean queue length, which is compared with
+the closed form of the queue in whole ms.
 """
 
 import math
@@ -17,12 +19,13 @@ import pytest
 
 from cepsim.cli import build_experiment
 from cepsim.runtime import run
+from cepsim.workload import generate_stream
+from oracles import pair_rows
 
 
-def face_queue(iat, cost_ms, duration_ms, seed=0, one_window=False):
-    """The face pairs of one run: (ts, lambda_q), in arrival order."""
+def face_experiment(iat, cost_ms, duration_ms, seed=0, one_window=False):
     opener = {"kind": "constant", "mu_ms": 2 * duration_ms if one_window else 1000}
-    m = run(build_experiment({
+    return build_experiment({
         "seed": seed,
         "workload": {
             "scenario": "face", "duration_ms": duration_ms, "iat": iat,
@@ -31,10 +34,84 @@ def face_queue(iat, cost_ms, duration_ms, seed=0, one_window=False):
             "cost": {"kind": "flat_per_type", "base_ms": {"face": cost_ms, "query": 0.0}},
         },
         "scheduler": {"kind": "round_robin", "n_instances": 1},
-    }))
-    assert set(m.tx_instances) <= {0, 1}  # one instance, each event in at most one window
+    })
+
+
+def face_run(*args, **kwargs):
+    """The run of :func:`face_experiment`: one instance, each event in at most one window."""
+    m = run(face_experiment(*args, **kwargs))
+    assert set(m.tx_instances) <= {0, 1}
+    return m
+
+
+def face_queue(*args, **kwargs):
+    """The face pairs of one run: (ts, lambda_q), in arrival order."""
+    m = face_run(*args, **kwargs)
     tss = [ts for ts, n in zip(m.tx_ts, m.tx_instances) if n]
     return [(ts, q) for ts, q, p in zip(tss, m.lambda_q, m.lambda_p) if p > 0]
+
+
+def face_queue_lengths(m):
+    """The queue length of each face pair of ``m``, recomputed from its pair columns."""
+    return [queue_len for (*_, queue_len), p in zip(pair_rows(m, 0.0), m.lambda_p) if p > 0]
+
+
+@pytest.fixture(scope="module", params=[1, 2])
+def md1(request):
+    """M/D/1 at rho = 0.6, at seeds 1 and 2: exponential 10 ms gaps and a
+    face cost of 6 ms, 1,000 s of run, in a 999 ms window every 1,000 ms."""
+    return face_run({"kind": "exponential", "mu_ms": 10.0}, 6.0, 1_000_000, request.param)
+
+
+def batch_means_bound(values, n_batches=20):
+    """The mean of ``values`` and four standard errors of it, from
+    ``n_batches`` batch means, each far longer than a busy period."""
+    size = len(values) // n_batches
+    batch_means = [statistics.fmean(values[k * size:(k + 1) * size]) for k in range(n_batches)]
+    return statistics.fmean(values), 4 * statistics.stdev(batch_means) / math.sqrt(n_batches)
+
+
+def md1_in_whole_ms(rate, cost_ms):
+    """The mean wait and queue length of M/D/1 with arrivals rounded to whole
+    ms and a whole-ms service time D, as a run measures them. Each ms
+    receives a Poisson(rate) count K of arrivals. The work U ahead of its
+    first arrival is whole ms, as every start is, and is max(0, U + D K - 1)
+    at the next ms. Its j-th arrival waits U + D j, behind
+    ceil((U + D j) / D) - 1 customers yet to start: one starting at the
+    arrival's ms is not waiting. U's stationary law solves its balance
+    equations forwards from P(U = 0) = (1 - rho) / P(K = 0), which
+    E[U + D K - 1] + P(U = K = 0) = 0 gives."""
+    d = int(cost_ms)
+    p_k = [math.exp(-rate) * rate ** k / math.factorial(k) for k in range(12)]
+    p_u = [(1 - rate * d) / p_k[0]]
+    for u in range(40 * d):
+        # balance at u: P(U = u) is the sum over k of P(K = k) P(U = u + 1 - D k),
+        # plus P(K = 0) P(U = 0) at u = 0; solved for its k = 0 term, P(U = u + 1)
+        ahead = sum(p * p_u[u + 1 - d * k] for k, p in enumerate(p_k) if k and u + 1 - d * k >= 0)
+        p_u.append((p_u[u] - ahead - (p_k[0] * p_u[0] if u == 0 else 0.0)) / p_k[0])
+    assert sum(p_u) == pytest.approx(1.0, abs=1e-9)
+    wait = queued = 0.0
+    for u, p in enumerate(p_u):
+        for k, q in enumerate(p_k):
+            wait += p * q * sum(u + d * j for j in range(k))
+            queued += p * q * sum(math.ceil((u + d * j) / d) - 1 for j in range(k) if u + d * j)
+    return wait / rate, 1 + queued / rate
+
+
+def test_a_window_leaves_out_the_events_at_its_openers_millisecond():
+    # events at one ms keep their generation order, and the face scenario
+    # generates its openers after its face events: with 10 ms gaps and a
+    # 999 ms window every 1,000 ms, the face event at each opener's ms comes
+    # before the opener and is in no window, the one before having closed
+    cfg = face_experiment({"kind": "constant", "mu_ms": 10}, 6.0, 30_000)
+    events = generate_stream(cfg.workload, cfg.seed)
+    m = run(cfg)
+    face = [(e.ts, n) for e, n in zip(events, m.tx_instances) if e.etype == "face"]
+    assert len(face) == 3001
+    assert [ts for ts, n in face if not n] == list(range(0, 30_001, 1000))
+    assert sum(n for _, n in face) == 2970
+    openers = [i for i, e in enumerate(events) if e.etype == "query"]
+    assert all(events[i - 1].ts == events[i].ts for i in openers)
 
 
 @pytest.mark.parametrize("gap_ms, cost_ms", [(10, 6.0), (7.25, 6.5)])
@@ -46,20 +123,45 @@ def test_dd1_below_capacity_never_waits(gap_ms, cost_ms):
     assert all(q == 0.0 for _, q in pairs)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_md1_mean_wait_is_pollaczek_khinchine(seed):
+def test_md1_mean_wait_is_pollaczek_khinchine(md1):
     # M/D/1 at rho = 0.6: mean wait rho * D / (2 * (1 - rho)) = 4.5 ms. The
     # tolerance is four standard errors of the mean from 20 batch means, each
     # 50 s of run, far longer than a busy period (about D / (1 - rho) = 15 ms)
-    mean_gap_ms, cost_ms = 10.0, 6.0
-    rho = cost_ms / mean_gap_ms
-    waits = [q for _, q in face_queue({"kind": "exponential", "mu_ms": mean_gap_ms}, cost_ms, 1_000_000, seed)]
+    rate, cost_ms = 0.1, 6.0
+    rho = rate * cost_ms
+    waits = [q for q, p in zip(md1.lambda_q, md1.lambda_p) if p > 0]
     assert len(waits) > 95_000
-    size = len(waits) // 20
-    batch_means = [statistics.fmean(waits[k * size:(k + 1) * size]) for k in range(20)]
-    stderr = statistics.stdev(batch_means) / math.sqrt(20)
-    assert stderr < 0.1  # so the bound below is within about 10% of the wait
-    assert abs(statistics.fmean(waits) - rho * cost_ms / (2 * (1 - rho))) < 4 * stderr
+    mean, tolerance = batch_means_bound(waits)
+    assert tolerance < 0.4  # within about 10% of the wait
+    assert abs(mean - rho * cost_ms / (2 * (1 - rho))) < tolerance
+    assert md1_in_whole_ms(rate, cost_ms)[0] == pytest.approx(4.5)  # rounding to whole ms keeps the mean wait
+
+
+def test_md1_mean_queue_length(md1):
+    # M/D/1 at rho = 0.6: by PASTA and Little's law an arrival finds
+    # lambda W = 0.45 customers waiting, so its queue length, itself
+    # included, is 1.45 on average. In whole ms a customer may start at the
+    # ms of a later arrival, which then does not count it: 1.4207, which the
+    # run's queue lengths, recomputed from its pair columns, must match
+    rate, cost_ms = 0.1, 6.0
+    expected = md1_in_whole_ms(rate, cost_ms)[1]
+    assert 1 + rate * 4.5 - 0.04 < expected < 1 + rate * 4.5
+    mean, tolerance = batch_means_bound(face_queue_lengths(md1))
+    assert tolerance < 0.05
+    assert abs(mean - expected) < tolerance
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_md1_batch_queue_length_peak_is_the_largest(seed):
+    # one window on one instance: its one batch spans every pair, so the
+    # queue-length peak simulate measures with its own pending starts is the
+    # largest queue length recomputed from the pair columns, its lambda_o
+    # peak the largest lambda_o
+    m = face_run({"kind": "exponential", "mu_ms": 10.0}, 6.0, 200_000, seed, one_window=True)
+    [fd] = m.feedback_delays()
+    queue_lens = face_queue_lengths(m)
+    assert fd.qlen_peak == max(queue_lens) > 1 == min(queue_lens)
+    assert fd.lat_peak == max(m.lambda_o_values())
 
 
 def test_dd1_overload_wait_grows_at_rho_minus_one():

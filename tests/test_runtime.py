@@ -135,6 +135,20 @@ class TestConservationAndIdentities:
             expected = max(0.0, lambda_q[i] + lambda_p[i] - iat)
             assert lambda_q[i + 1] == pytest.approx(expected)
 
+    def test_a_pair_arriving_while_its_only_pending_start_runs_is_first_in_the_queue(self):
+        # the first A starts at 1 and runs to 6; the second arrives at 3, so
+        # its instance is busy, yet the one start pending there is before the
+        # arrival: it drops, the queue empties, and the queue length is 1.
+        # The second starts at 6, the third's arrival, which it does not wait behind
+        events = mk_events([(0, "open"), (1, "A"), (3, "A"), (6, "A")])
+        cost = CostModel("flat_per_type", {"open": 0.0, "A": 5.0})
+        m = run_sim(events, policy=TimeWindowPolicy("open", 100.0), cost=cost)
+        assert list(m.lambda_q) == [0.0, 0.0, 3.0, 5.0]
+        assert [queue_len for *_, queue_len in pair_rows(m, 0.0)] == [1, 1, 1, 1]
+        [fd] = m.feedback_delays()
+        assert (fd.lat_peak, fd.lat_peak_delay_ms, fd.qlen_peak, fd.qlen_peak_delay_ms) == (10.0, 6.0, 1, 0.0)
+        assert m.windows[0].actual_lambda_q_peak == 5.0
+
     def test_determinism(self):
         events1, m1 = self.traffic_metrics(seed=3)
         events2, m2 = self.traffic_metrics(seed=3)
@@ -513,10 +527,13 @@ def tracked_streams(draw):
 
 def tracked(n, rows) -> RunMetrics:
     """The run of ``rows`` of :func:`tracked_streams`, its batch peaks
-    measured by a :class:`BatchTracker` driven as ``simulate`` drives one."""
+    measured by a :class:`BatchTracker` driven as ``simulate`` drives one:
+    the pairs of an event alone at its timestamp go straight to the batches
+    collecting on their instance, the others into their instance's fold."""
     tss = array("q", [ts for ts, _, _ in rows])
     m = RunMetrics(tx_ts=tss)
     batches = BatchTracker(m, n)
+    last = len(rows) - 1
     for i, (ts, decision, pairs) in enumerate(rows):
         if batches.touched and ts != tss[i - 1]:
             batches.flush(tss[i - 1])
@@ -524,17 +541,27 @@ def tracked(n, rows) -> RunMetrics:
             batches.decide(decision[0], ts, decision[1])
             m.decisions.append(Decision(len(m.decisions), decision[0], "round_robin"))
             m.opened.append(i)
+        alone = (not i or tss[i - 1] != ts) and (i == last or tss[i + 1] != ts)
         for idx, lambda_o, queue_len in pairs:
-            # simulate's per-pair fold
-            fold = batches.folds[idx]
-            if fold is None:
-                batches.folds[idx] = fold = [idx, lambda_o, queue_len]
-                batches.touched.append(fold)
+            # simulate's per-pair update: direct when alone, else the fold
+            if alone:
+                if ts > batches.earliest_end[idx]:
+                    batches.retire(idx, ts)
+                for entry in batches.collecting[idx]:
+                    if lambda_o > entry[1]:
+                        entry[1], entry[2] = lambda_o, ts
+                    if queue_len > entry[3]:
+                        entry[3], entry[4] = queue_len, ts
             else:
-                if lambda_o > fold[1]:
-                    fold[1] = lambda_o
-                if queue_len > fold[2]:
-                    fold[2] = queue_len
+                fold = batches.folds[idx]
+                if fold is None:
+                    batches.folds[idx] = fold = [idx, lambda_o, queue_len]
+                    batches.touched.append(fold)
+                else:
+                    if lambda_o > fold[1]:
+                        fold[1] = lambda_o
+                    if queue_len > fold[2]:
+                        fold[2] = queue_len
             m.instance.append(idx)
             m.lambda_q.append(lambda_o)
             m.lambda_p.append(0.0)
@@ -553,6 +580,14 @@ def tracked(n, rows) -> RunMetrics:
 @example((2, [(0, (0, 2), [(0, 1.0, 1)]), (5, None, [(0, 3.0, 2)]), (6, (0, 10), [(0, 0.5, 1)])]))
 @example((2, [(0, (0, 2), [(0, 1.0, 1)]), (5, None, [(0, 3.0, 2)]), (6, (1, 10), [(1, 0.5, 1)])]))
 @example((2, [(0, (0, 2), [(0, 1.0, 1)]), (5, None, [(0, 3.0, 2)])]))
+# an event alone at 3 right after a group tied at 0: the group's fold reaches
+# the batch before the direct update at 3 retires it and keeps its peaks aside
+@example((1, [(0, (0, 1), [(0, 1.0, 1)]), (0, None, [(0, 2.0, 2)]), (3, None, [(0, 0.5, 3)])]))
+# an event alone at 0 right before a group tied at 2, whose first pair on
+# instance 0 is in the span of the batch decided there by the group's last event
+@example((2, [(0, (0, 1), [(0, 1.0, 1)]), (2, (1, 9), [(1, 0.5, 1), (0, 2.0, 2)]), (2, (0, 9), [(0, 0.3, 1)])]))
+# a batch decided at 3 and ending there takes the pair of a later event at 3
+@example((1, [(0, None, [(0, 0.5, 1)]), (3, (0, 3), [(0, 1.0, 1)]), (3, None, [(0, 2.0, 2)]), (5, None, [(0, 0.3, 1)])]))
 def test_batch_tracker_matches_full_scan(stream):
     n, rows = stream
     m = tracked(n, rows)
