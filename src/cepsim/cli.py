@@ -67,10 +67,6 @@ class ExperimentConfig:
     sweep: list[SweepSpec] = field(default_factory=list)
 
     @property
-    def effective_lb_eval_ms(self) -> float | None:
-        return self.scheduler.lb_ms if self.sim.lb_eval_ms is None else self.sim.lb_eval_ms
-
-    @property
     def warmup_ms(self) -> float:
         """``sim.warmup_ms``: ``perfbench/rep.py`` reads it, and changes only with the benchmark."""
         return self.sim.warmup_ms
@@ -390,7 +386,7 @@ def p99(values: Sequence[float] | LambdaOValues) -> float:
 
 def summary_row(cfg: ExperimentConfig, metrics: RunMetrics, run_id: str | None = None) -> list:
     los = metrics.lambda_o_values(cfg.sim.warmup_ms)
-    lb = cfg.effective_lb_eval_ms
+    lb = cfg.scheduler.lb_ms if cfg.sim.lb_eval_ms is None else cfg.sim.lb_eval_ms
     # operator.gt, as an int bound's __lt__ returns NotImplemented for a float
     violations = 0 if lb is None else sum(map(operator.gt, los, itertools.repeat(lb)))
     sched = cfg.scheduler

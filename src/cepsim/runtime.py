@@ -29,11 +29,10 @@ is the splitter's and whose instance is its decision's.
 A batch, a maximal run of decisions for one instance, has its peaks measured
 by a :class:`BatchTracker`: the first maximal lambda_o and queue length over
 its span on its instance, the timestamps from its first decision's to its
-windows' last close. An event alone at its timestamp, with no earlier pair
-and no later decision there, updates its instances' batches directly; the
-events at a shared timestamp are folded per instance and handed over once,
-so a burst stays linear. Only the peaks and their timestamps are kept per
-batch; no pair is copied.
+windows' last close. An event with no later event at its timestamp updates
+its instances' batches directly; the earlier ones there are folded per
+instance and handed over once, so a burst stays linear. Only the peaks and
+their timestamps are kept per batch; no pair is copied.
 
 A pair's queue length is one plus the number of events on its instance that
 start after its arrival: those queued or still in transit. It is measured
@@ -44,15 +43,16 @@ delay >= 0), so a start dropped at one arrival is at or before every later
 one. Only a pair that waits walks them: every start is at or before the
 busy-until clock, so at an idle instance all drop and the queue length is 1.
 
-Monitoring-window freezes and instance feedback reports fire at their
-simulated times between event arrivals, and only for a controller that reads
-them (one that reads no snapshot gets the empty one, and nothing is observed);
-feedback reflects only events whose processing already completed, so
-controllers see realistically stale data. None fires after the last event,
-whose output no later decision can change. The in-flight work that feeds
-them is kept only for such a controller: Round-Robin's instances keep a
-busy-until clock, their open windows, their last arrival and the starts
-after it, and nothing completes or is retired.
+A :class:`Monitor` owns the closed loop. Before each event it fires the
+monitoring-window freezes and instance feedback reports due by then, in time
+order (on a tie: freeze, feedback, event), only for a controller that reads
+them (one that reads no snapshot gets the empty one, and nothing is
+observed); feedback reflects only events whose processing already
+completed, so controllers see realistically stale data. None fires after the
+last event, whose output no later decision can change. The in-flight work
+that feeds them is kept only for such a controller: Round-Robin's instances
+keep a busy-until clock, their open windows, their last arrival and the
+starts after it, and nothing completes or is retired.
 
 A run's timing is a :class:`SimConfig`, whose one ``validate()`` both
 ``simulate`` and ``ExperimentConfig.validate`` call.
@@ -131,9 +131,9 @@ class InstanceState:
     ``work`` holds in-flight work, and only for a controller that reads the
     snapshot or the reports: one ``(start, completion, arrival, etype,
     n_windows, lambda_o, latencies, run)`` tuple per processed event that
-    has not completed by the last ``complete``, in processing order, so
-    starts, completions and arrivals all go up along it. ``latencies`` is a
-    list of in-window latencies with ``run`` None, or one latency shared by
+    the :class:`Monitor` has not retired as completed, in processing order,
+    so starts, completions and arrivals all go up along it. ``latencies`` is
+    a list of in-window latencies with ``run`` None, or one latency shared by
     ``run`` windows; only a read snapshot observes them, so without one the
     list is None.
     """
@@ -144,18 +144,6 @@ class InstanceState:
     pending: deque = field(default_factory=deque)
     work: deque = field(default_factory=deque)
     last_lambda_o: float | None = None  # of the last completed event
-
-    def complete(self, now: float, stats: StreamStats | None) -> None:
-        """Retire the work completed by ``now``, reporting its latencies to ``stats``, if any."""
-        work = self.work
-        while work and work[0][1] <= now:
-            _, _, _, etype, _, self.last_lambda_o, lams, run = work.popleft()
-            if stats is None:
-                continue
-            if run is None:
-                stats.observe_latencies(etype, lams)
-            else:
-                stats.observe_latency(etype, lams, run)
 
     def make_feedback(self, now: float) -> tuple[dict[str, int], float, float | None]:
         """The report at ``now``: ``(queued_counts, theta_bar_rep, last_lambda_o)``.
@@ -173,6 +161,56 @@ class InstanceState:
                 queued += 1
         theta = theta_sum / queued if queued else 1.0
         return counts, theta, self.last_lambda_o
+
+
+class Monitor:
+    """The closed loop: the run's ``instances``, the monitor's ``stats`` (None
+    for a controller that reads no snapshot), ``keeps_work`` (whether the
+    instances keep in-flight work: only for one that reads the snapshot or
+    the reports), the ``next_freeze`` and ``next_feedback`` clocks (inf when
+    unread), the ``pending_reports`` and, by instance, those ``delivered``."""
+
+    def __init__(self, scheduler: WindowScheduler, sim: SimConfig):
+        n, reads_snapshot, reads_reports = scheduler.n, scheduler.reads_snapshot, scheduler.reads_reports
+        self.sim, self.instances = sim, [InstanceState() for _ in range(n)]
+        # only a controller that reads the snapshot has the params that size its bins
+        self.stats = StreamStats(scheduler.params.n_iat_bins, scheduler.params.n_lat_bins) if reads_snapshot else None
+        self.keeps_work = reads_snapshot or reads_reports
+        self.next_freeze = sim.mtime_ms if reads_snapshot else math.inf
+        self.next_feedback = sim.feedback_interval if reads_reports else math.inf
+        self.pending_reports: deque[tuple[float, list]] = deque()  # (due, every instance's report)
+        self.delivered = [_EMPTY_REPORT] * n  # the empty report until the first is due
+
+    def advance_to(self, now: float) -> None:
+        """Fire each freeze and feedback instant up to ``now`` in time order,
+        each after the work completed by its instant (on a tie: freeze,
+        feedback, ``now``), retire the work completed by ``now`` and deliver
+        the reports due. Retired work reports its latencies to ``stats``."""
+        instances, stats = self.instances, self.stats
+        while True:
+            t = min(self.next_freeze, self.next_feedback, now)
+            for inst in instances:
+                work = inst.work
+                while work and work[0][1] <= t:
+                    _, _, _, etype, _, inst.last_lambda_o, lams, run = work.popleft()
+                    if stats is None:
+                        continue
+                    if run is None:
+                        stats.observe_latencies(etype, lams)
+                    else:
+                        stats.observe_latency(etype, lams, run)
+            if t == self.next_freeze:
+                stats.end_monitoring_window()
+                self.next_freeze += self.sim.mtime_ms
+            elif t == self.next_feedback:
+                reports = [inst.make_feedback(t) for inst in instances]
+                self.pending_reports.append((t + self.sim.feedback_delivery_delay_ms, reports))
+                self.next_feedback += self.sim.feedback_interval
+            else:  # t is now, before both clocks
+                break
+        pending_reports = self.pending_reports
+        while pending_reports and pending_reports[0][0] <= now:
+            self.delivered = pending_reports.popleft()[1]
 
 
 class FeedbackDelay(NamedTuple):
@@ -309,11 +347,11 @@ class BatchTracker:
     writes. Per instance, ``collecting`` holds the batches whose span may still hold a
     later timestamp, each ``[end, lambda_o peak, its ts, queue-length peak, its ts, batch
     id]``, and ``earliest_end`` the earliest end. ``simulate`` updates them with each pair
-    of an event alone at its timestamp, after ``retire`` once past ``earliest_end``, as
-    ``flush`` does. It folds the pairs of events that share a timestamp into ``folds[idx]``,
-    their instance's ``[idx, largest lambda_o, largest queue length]`` there (None before
-    the first, then also in ``touched``), and ``flush`` hands each fold once to the batches
-    whose span holds that timestamp."""
+    of an event with no later event at its timestamp, after ``retire`` once past
+    ``earliest_end``, as ``flush`` does. It folds the pairs of the earlier events there into
+    ``folds[idx]``, their instance's ``[idx, largest lambda_o, largest queue length]`` (None
+    before the first, then also in ``touched``), and ``flush`` hands each fold once to the
+    batches whose span holds that timestamp."""
 
     def __init__(self, metrics: RunMetrics, n_instances: int):
         self.columns = (metrics.batch_lat_peak, metrics.batch_lat_peak_ts,
@@ -400,26 +438,17 @@ def simulate(
     ``splitter``, which the run consumes, with the timing ``sim``, checked
     by :meth:`SimConfig.validate`.
 
-    Deterministic: the same inputs produce identical metrics. A controller
-    that reads the snapshot sizes the monitor's bins by its ``params``.
-    A :class:`BatchTracker` takes the pairs of an event alone at its
-    timestamp straight into their instance's batches, and the others folded
-    per (instance, timestamp).
+    Deterministic: the same inputs produce identical metrics. Before each
+    event a :class:`Monitor` fires the freezes and feedback instants due (on
+    a tie: freeze, feedback, event), sizing its bins by the ``params`` of a
+    controller that reads the snapshot. A :class:`BatchTracker` takes the
+    pairs of an event with no later event at its timestamp straight into
+    their instance's batches, and the others folded per (instance, timestamp).
     """
     sim.validate()
     transfer_delay_ms = sim.transfer_delay_ms
-    n_instances = scheduler.n
-    # monitoring and reports only for a controller that reads them, and
-    # in-flight work only for one of those
-    if scheduler.reads_snapshot:
-        stats = StreamStats(scheduler.params.n_iat_bins, scheduler.params.n_lat_bins)
-    else:
-        stats = None
-    keeps_work = scheduler.reads_snapshot or scheduler.reads_reports
-    instances = [InstanceState() for _ in range(n_instances)]
-    # the reports last delivered, by instance: the empty one until the first
-    delivered = [_EMPTY_REPORT] * n_instances
-    pending_reports: deque[tuple[float, list]] = deque()  # (due, every instance's report)
+    monitor = Monitor(scheduler, sim)
+    instances, stats = monitor.instances, monitor.stats
     events, tss = splitter.events, splitter.ts
     seqs = array("q", map(attrgetter("seq"), events))
     opened, close_ts = splitter.opened, splitter.close_ts
@@ -438,49 +467,23 @@ def simulate(
     # by event type: window_cost_terms of its hint-free events, and their
     # lambda_p_sums entry when every window charges base (else None)
     priced: dict[str, tuple] = {}
-    batches = BatchTracker(metrics, n_instances)
+    batches = BatchTracker(metrics, scheduler.n)
     folds, touched, add_fold, flush = batches.folds, batches.touched, batches.touched.append, batches.flush
     collecting, earliest_end, retire = batches.collecting, batches.earliest_end, batches.retire
     last = len(events) - 1
 
-    next_freeze = sim.mtime_ms if scheduler.reads_snapshot else math.inf
-    next_feedback = sim.feedback_interval if scheduler.reads_reports else math.inf
-
-    def advance_to(now: float) -> None:
-        """Fire each monitoring freeze and feedback instant up to ``now`` in
-        time order, each after the work completed by its instant, then
-        retire the work completed by ``now``; deliver reports once due.
-        Freezes and feedback instants are scheduled only when read."""
-        nonlocal next_freeze, next_feedback, delivered
-        while True:
-            t = min(next_freeze, next_feedback, now)  # on a tie: freeze, feedback, now
-            for inst in instances:
-                if inst.work and inst.work[0][1] <= t:
-                    inst.complete(t, stats)
-            if t == next_freeze:
-                stats.end_monitoring_window()
-                next_freeze += sim.mtime_ms
-            elif t == next_feedback:
-                reports = [inst.make_feedback(t) for inst in instances]
-                pending_reports.append((t + sim.feedback_delivery_delay_ms, reports))
-                next_feedback += sim.feedback_interval
-            while pending_reports and pending_reports[0][0] <= t:
-                delivered = pending_reports.popleft()[1]
-            if t == now and now < next_freeze and now < next_feedback:
-                return
-
     def view(i: int) -> InstanceView:
         # controllers read one instance per decision, so views are built on call
         n_open = len(instances[i].open_windows) - sum(decisions[wid].instance == i for wid in leaving)
-        return InstanceView(n_open, *delivered[i])
+        return InstanceView(n_open, *monitor.delivered[i])
 
     leaving: list[int] = []  # the wids of closed windows the current event is in
     for i, e in enumerate(events):
         now = e.ts
         if touched and now != tss[i - 1]:  # the batches take the last timestamp's folds before its decisions
             flush(tss[i - 1])
-        if keeps_work:
-            advance_to(now)
+        if monitor.keeps_work:
+            monitor.advance_to(now)
 
         closed, opens, memberships = splitter.process(i)
         # the monitor observes the closes, then the open, then the event. A
@@ -528,8 +531,9 @@ def simulate(
                     priced[etype] = terms
             base, incr, hint, sums = terms
             metrics.instance.extend(owners)
-            # no other event at now: its pairs skip the fold
-            alone = (not i or tss[i - 1] != now) and (i == last or tss[i + 1] != now)
+            # no later event at now: its pairs skip the fold. The earlier events' folds
+            # follow at the next flush, still at now, and updates at one now commute
+            alone = i == last or tss[i + 1] != now
         for idx in owners:
             inst = instances[idx]
             open_windows = inst.open_windows  # in wid order
@@ -600,7 +604,7 @@ def simulate(
                     if queue_len > fold[2]:
                         fold[2] = queue_len
 
-            if keeps_work:
+            if monitor.keeps_work:
                 inst.work.append((start, completion, arrival, etype, k, lambda_o, lams, run))
             add_lambda_q(lambda_q)
             add_lambda_p(lambda_p)

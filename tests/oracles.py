@@ -31,6 +31,7 @@ from cepsim.latency_model import (
     predict_peak,
 )
 from cepsim.runtime import FeedbackDelay
+from cepsim.scheduler import InstanceView
 from cepsim.splitter import StreamStats, StreamStatsSnapshot, TimeWindowPolicy
 
 
@@ -309,3 +310,74 @@ def reference_feedback_delays(decisions, extents, pairs) -> list[FeedbackDelay]:
             )
         )
     return out
+
+
+def reference_monitor_log(rows, n, reads_snapshot, reads_reports, mtime_ms, feedback_interval, delivery_delay_ms):
+    """What a closed loop shows the controller, by full scans: the log of
+    :class:`cepsim.runtime.Monitor` driven as ``simulate`` drives it, when
+    the controller reads the snapshot, the reports, or both.
+
+    ``rows`` holds ``(ts, [(instance, work)])`` per event in order, its work
+    as ``InstanceState.work`` keeps it, handed to the instance after the
+    loop has been advanced to ``ts``: so only the instants and events after
+    it see it. Per instance, starts, completions and arrivals never go
+    down. The log has, in order:
+    - ``("observe", etype, latencies, run)`` of each piece of work the first
+      time an instant or an event sees it completed, instances ascending;
+    - ``("freeze",)`` at each ``k * mtime_ms`` up to the last event;
+    - ``("report", t, instance, report)`` at each ``k * feedback_interval``
+      up to the last event, from the work seen by then: queued when arrived
+      and not started at ``t``, its latency from the last work completed;
+    - ``("delivered", ts, reports)`` per event: the reports of the last
+      feedback instant due by its timestamp, ``delivery_delay_ms`` later,
+      else the empty ones.
+
+    An instant on an event's timestamp comes before it, and a freeze before
+    a feedback instant at the same time."""
+    last = rows[-1][0]
+    instants = []  # (t, 0 for a freeze or 1 for a feedback instant)
+    for read, interval, kind in ((reads_snapshot, mtime_ms, 0), (reads_reports, feedback_interval, 1)):
+        k = 1
+        while read and k * interval <= last:
+            instants.append((k * interval, kind))
+            k += 1
+    instants.sort()
+    seen: list[tuple[int, tuple]] = []  # (instance, work) of the events so far
+    observed: set[int] = set()  # indices into seen
+    emitted = []  # (t, reports)
+    log = []
+
+    def observe(now):
+        for inst in range(n):
+            for k, (idx, work) in enumerate(seen):
+                if idx == inst and k not in observed and work[1] <= now:
+                    observed.add(k)
+                    if reads_snapshot:
+                        log.append(("observe", work[3], work[6], work[7]))
+
+    fired = 0
+    for ts, event_work in rows:
+        while fired < len(instants) and instants[fired][0] <= ts:
+            t, kind = instants[fired]
+            fired += 1
+            observe(t)
+            if kind == 0:
+                log.append(("freeze",))
+                continue
+            reports = []
+            for inst in range(n):
+                mine = [work for idx, work in seen if idx == inst]
+                queued = [work for work in mine if work[2] <= t < work[0]]
+                counts: dict[str, int] = {}
+                for work in queued:
+                    counts[work[3]] = counts.get(work[3], 0) + 1
+                theta = sum(work[4] for work in queued) / len(queued) if queued else 1.0
+                done = [work[5] for work in mine if work[1] <= t]
+                reports.append((counts, theta, done[-1] if done else None))
+                log.append(("report", t, inst, reports[-1]))
+            emitted.append((t, reports))
+        observe(ts)
+        due = [reports for t, reports in emitted if t + delivery_delay_ms <= ts]
+        log.append(("delivered", ts, due[-1] if due else [InstanceView()[1:]] * n))
+        seen.extend(event_work)
+    return log

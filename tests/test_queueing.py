@@ -14,13 +14,16 @@ the closed form of the queue in whole ms.
 
 import math
 import statistics
+from collections import deque
+from dataclasses import replace
 
 import pytest
 
+from cepsim import runtime
 from cepsim.cli import build_experiment
-from cepsim.runtime import run
+from cepsim.runtime import InstanceState, run
 from cepsim.workload import generate_stream
-from oracles import pair_rows
+from oracles import pair_rows, per_pair
 
 
 def face_experiment(iat, cost_ms, duration_ms, seed=0, one_window=False):
@@ -135,6 +138,53 @@ def test_md1_mean_wait_is_pollaczek_khinchine(md1):
     assert tolerance < 0.4  # within about 10% of the wait
     assert abs(mean - rho * cost_ms / (2 * (1 - rho))) < tolerance
     assert md1_in_whole_ms(rate, cost_ms)[0] == pytest.approx(4.5)  # rounding to whole ms keeps the mean wait
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_md1_mean_wait_at_a_higher_load(seed):
+    # M/D/1 at rho = 0.75: exponential 8 ms gaps and a face cost of 6 ms,
+    # mean wait rho * D / (2 * (1 - rho)) = 9 ms, within four standard
+    # errors of 20 batch means of 50 s each (a busy period is about
+    # D / (1 - rho) = 24 ms)
+    rate, cost_ms = 1 / 8.0, 6.0
+    rho = rate * cost_ms
+    m = face_run({"kind": "exponential", "mu_ms": 1 / rate}, cost_ms, 1_000_000, seed)
+    waits = [q for q, p in zip(m.lambda_q, m.lambda_p) if p > 0]
+    assert len(waits) > 120_000
+    mean, tolerance = batch_means_bound(waits)
+    assert tolerance < 1.0  # within about 10% of the wait
+    assert abs(mean - rho * cost_ms / (2 * (1 - rho))) < tolerance
+    assert md1_in_whole_ms(rate, cost_ms)[0] == pytest.approx(9.0)
+
+
+class RecordedStarts(deque):
+    """An instance's pending starts, also keeping every start appended, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.appended = []
+
+    def append(self, start):
+        self.appended.append(start)
+        super().append(start)
+
+
+def test_transfer_delay_shifts_every_arrival_and_changes_no_wait(monkeypatch):
+    # a transfer delay is a delay line in front of the queue: each customer
+    # arrives delay_ms after its timestamp, into the undelayed queue shifted
+    # by delay_ms, so every wait stays as it was. A start is its arrival plus
+    # its wait; times are multiples of 0.5 ms, so the shift is exact
+    delay_ms = 2.5
+    cfg = face_experiment({"kind": "exponential", "mu_ms": 10.0}, 6.0, 200_000, seed=1)
+    undelayed = run(cfg)
+    starts = RecordedStarts()
+    monkeypatch.setattr(runtime, "InstanceState", lambda: InstanceState(pending=starts))
+    delayed = run(replace(cfg, sim=replace(cfg.sim, transfer_delay_ms=delay_ms)))
+    assert delayed.lambda_q == undelayed.lambda_q and delayed.lambda_p == undelayed.lambda_p
+    assert max(delayed.lambda_q) > 10 * delay_ms  # customers queue
+    arrivals = [start - q for start, q in zip(starts.appended, delayed.lambda_q)]
+    assert len(arrivals) == delayed.transmissions > 19_000
+    assert arrivals == [ts + delay_ms for ts in per_pair(delayed, delayed.tx_ts)]
 
 
 def test_md1_mean_queue_length(md1):

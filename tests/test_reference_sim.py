@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from cepsim import runtime
 from cepsim.core import Event
 from cepsim.latency_model import ModelParams
-from cepsim.runtime import InstanceState, SimConfig, simulate
+from cepsim.runtime import InstanceState, Monitor, SimConfig, simulate
 from cepsim.scheduler import (
     InstanceView,
     ModelBasedScheduler,
@@ -413,15 +413,16 @@ def test_skipping_unread_inputs_changes_nothing(w):
     cfg = w["config"]
     reading_all = {"round_robin": RoundRobinReadingAll, "reactive": ReactiveReadingAll}[cfg.kind](cfg)
     with counting_calls(StreamStats, STREAM_STATS_METHODS) as monitored, \
-            counting_calls(InstanceState, ["make_feedback", "complete"]) as instance_calls, \
+            counting_calls(InstanceState, ["make_feedback"]) as reported, \
+            counting_calls(Monitor, ["advance_to"]) as advanced, \
             keeping_instances() as instances:
         plain = run_outputs(run_workload(w))
     assert monitored == []
     assert len(instances) == cfg.n_instances
     if cfg.kind == "round_robin":
-        # no report, and no work kept to make one from: nothing is retired,
-        # so a record ever kept would still be there
-        assert instance_calls == []
+        # no report, and no work kept to make one from: the monitor never
+        # advances, so nothing is retired and a record ever kept would still be there
+        assert reported == advanced == []
         assert not any(inst.work for inst in instances)
     with counting_calls(StreamStats, STREAM_STATS_METHODS) as monitored:
         assert run_outputs(run_workload(w, reading_all)) == plain
@@ -430,12 +431,11 @@ def test_skipping_unread_inputs_changes_nothing(w):
 
 def test_report_counts_event_queued_behind_a_later_arrival():
     # work is (start, completion, arrival, etype, n_windows, lambda_o,
-    # latencies, run): A runs from 0 to 10, X arrived at 2 and waits for it,
-    # and Y, sent before t=5, arrives at 12
+    # latencies, run): A runs from 0 to 10, so none is retired at 5, X
+    # arrived at 2 and waits for it, and Y, sent before t=5, arrives at 12
     inst = InstanceState()
     inst.work += [(0.0, 10.0, 0.0, "A", 1, 10.0, 10.0, 1), (10.0, 11.0, 2.0, "X", 1, 9.0, 1.0, 1),
                   (12.0, 13.0, 12.0, "Y", 1, 1.0, 1.0, 1)]
-    inst.complete(5.0, StreamStats(1, 1))
     assert inst.make_feedback(5.0)[0] == {"X": 1}
 
 

@@ -6,6 +6,8 @@ from collections import deque
 from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,11 +17,11 @@ from cepsim import runtime
 from cepsim.cli import build_experiment, load_config, summary_row
 from cepsim.core import ConfigurationError, CostModelError, Event
 from cepsim.latency_model import ModelParams
-from cepsim.runtime import BatchTracker, FeedbackDelay, InstanceState, RunMetrics, SimConfig, run, simulate
+from cepsim.runtime import BatchTracker, FeedbackDelay, InstanceState, Monitor, RunMetrics, SimConfig, run, simulate
 from cepsim.scheduler import Decision, InstanceView, SchedulerConfig, make_scheduler
 from cepsim.splitter import KeyedAperiodicPolicy, Splitter, StreamStats, TimeWindowPolicy, make_policy
 from cepsim.workload import BurstIat, CostModel, generate_stream, in_window_cost
-from oracles import pair_rows, per_pair, reference_feedback_delays
+from oracles import pair_rows, per_pair, reference_feedback_delays, reference_monitor_log
 
 
 # 150 examples in tier-1; the "deep" profile of tests/conftest.py runs more
@@ -528,8 +530,9 @@ def tracked_streams(draw):
 def tracked(n, rows) -> RunMetrics:
     """The run of ``rows`` of :func:`tracked_streams`, its batch peaks
     measured by a :class:`BatchTracker` driven as ``simulate`` drives one:
-    the pairs of an event alone at its timestamp go straight to the batches
-    collecting on their instance, the others into their instance's fold."""
+    the pairs of an event with no later event at its timestamp go straight to
+    the batches collecting on their instance, the others into their
+    instance's fold."""
     tss = array("q", [ts for ts, _, _ in rows])
     m = RunMetrics(tx_ts=tss)
     batches = BatchTracker(m, n)
@@ -541,7 +544,7 @@ def tracked(n, rows) -> RunMetrics:
             batches.decide(decision[0], ts, decision[1])
             m.decisions.append(Decision(len(m.decisions), decision[0], "round_robin"))
             m.opened.append(i)
-        alone = (not i or tss[i - 1] != ts) and (i == last or tss[i + 1] != ts)
+        alone = i == last or tss[i + 1] != ts
         for idx, lambda_o, queue_len in pairs:
             # simulate's per-pair update: direct when alone, else the fold
             if alone:
@@ -594,6 +597,108 @@ def test_batch_tracker_matches_full_scan(stream):
     extents = [(rows[i][0], rows[i][1][1]) for i in m.opened]  # a window's open and close
     pairs = [(idx, ts, lambda_o, queue_len) for ts, _, row in rows for idx, lambda_o, queue_len in row]
     assert m.feedback_delays() == reference_feedback_delays(m.decisions, extents, pairs)
+
+
+# intervals and delays that are whole or half ms, so instants tie often with
+# each other, with timestamps and with completions, and add up exactly
+INTERVALS = [1, 2, 3, 4, 6, 2.5]
+# per event: the gap to it, then up to three pieces of work (instance, cost,
+# etype, member-window count); instances are taken modulo the instance count
+MONITORED_EVENT = st.tuples(
+    st.sampled_from([0, 0, 1, 1, 2, 3, 7]),
+    st.lists(st.tuples(st.integers(0, 2), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 5.0]),
+                       st.sampled_from("AB"), st.integers(1, 3)), max_size=3),
+)
+
+
+@st.composite
+def monitored_runs(draw):
+    """``(n_instances, reads_snapshot, reads_reports, sim, rows)``: a
+    controller that reads the snapshot, the reports or both, and per event
+    ``(ts, [(instance, work)])`` with its work on distinct instances,
+    ascending, as ``InstanceState.work`` keeps it. Each instance is a FIFO
+    queue: work arrives a fixed delay after its timestamp and starts at its
+    arrival or at the previous completion there. An A's latencies are one
+    value shared by its windows, a B's a list."""
+    n = draw(st.integers(1, 3))
+    reads_snapshot, reads_reports = draw(st.sampled_from([(True, True), (True, False), (False, True)]))
+    sim = SimConfig(mtime_ms=draw(st.sampled_from(INTERVALS)), feedback_interval_ms=draw(st.sampled_from(INTERVALS)),
+                    feedback_delivery_delay_ms=draw(st.sampled_from([0.0, 0.0, 1.0, 2.5, 6.0])))
+    transfer_ms = draw(st.sampled_from([0.0, 0.0, 1.0, 2.5]))
+    busy_until = [0.0] * n
+    rows, ts = [], 0
+    for gap, drawn in draw(st.lists(MONITORED_EVENT, min_size=1, max_size=30)):
+        ts += gap
+        by_instance = {}
+        for idx, cost, etype, k in drawn:
+            by_instance.setdefault(idx % n, (cost, etype, k))
+        row = []
+        for idx, (cost, etype, k) in sorted(by_instance.items()):
+            arrival = ts + transfer_ms
+            start = max(arrival, busy_until[idx])
+            busy_until[idx] = completion = start + cost
+            lams, run_ = (cost / k, k) if etype == "A" else ([cost / k] * k, None)
+            row.append((idx, (start, completion, arrival, etype, k, completion - arrival, lams, run_)))
+        rows.append((ts, row))
+    return n, reads_snapshot, reads_reports, sim, rows
+
+
+class LoggedStats:
+    """The monitor's stats as far as its loop calls them: each call logged."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def observe_latency(self, etype, latency, run):
+        self.log.append(("observe", etype, latency, run))
+
+    def observe_latencies(self, etype, latencies):
+        self.log.append(("observe", etype, latencies, None))
+
+    def end_monitoring_window(self):
+        self.log.append(("freeze",))
+
+
+def monitored(n, reads_snapshot, reads_reports, sim, rows):
+    """The log of a :class:`Monitor` driven as ``simulate`` drives one, in
+    the terms of :func:`oracles.reference_monitor_log`: advanced to each
+    event's timestamp, its reports delivered then logged, then handed the
+    event's work. The controller has ``params`` only if it reads the
+    snapshot, so the monitor may read them only then."""
+    log = []
+    scheduler = SimpleNamespace(n=n, reads_snapshot=reads_snapshot, reads_reports=reads_reports)
+    if reads_snapshot:
+        scheduler.params = ModelParams()
+    monitor = Monitor(scheduler, sim)
+    assert monitor.keeps_work and (monitor.stats is not None) == reads_snapshot
+    if reads_snapshot:
+        monitor.stats = LoggedStats(log)
+    make_feedback = InstanceState.make_feedback
+
+    def logged(inst, now):
+        report = make_feedback(inst, now)
+        [idx] = [i for i, other in enumerate(monitor.instances) if other is inst]
+        log.append(("report", now, idx, report))
+        return report
+
+    with mock.patch.object(InstanceState, "make_feedback", logged):
+        for ts, row in rows:
+            monitor.advance_to(ts)
+            log.append(("delivered", ts, list(monitor.delivered)))
+            for idx, work in row:
+                monitor.instances[idx].work.append(work)
+    return log
+
+
+@ORACLE
+@given(monitored_runs())
+# a freeze and a feedback instant tie at 2 with a completion; the report is due 1 ms later
+@example((1, True, True, SimConfig(mtime_ms=2, feedback_interval_ms=2, feedback_delivery_delay_ms=1.0),
+          [(0, [(0, (0.0, 2.0, 0.0, "A", 1, 2.0, 2.0, 1))]), (2, []), (3, [])]))
+def test_monitor_matches_naive_loop(run_):
+    n, reads_snapshot, reads_reports, sim, rows = run_
+    assert monitored(n, reads_snapshot, reads_reports, sim, rows) == reference_monitor_log(
+        rows, n, reads_snapshot, reads_reports, sim.mtime_ms, sim.feedback_interval, sim.feedback_delivery_delay_ms)
 
 
 def instance_peaks(rows) -> dict[int, tuple[float, int]]:
@@ -914,16 +1019,16 @@ class TestColumnStorage:
         # a controller that reads the snapshot keeps in-flight work until it
         # completes, and no longer
         longest = []
-        complete = InstanceState.complete
+        advance_to = Monitor.advance_to
 
-        def checking(self, now, stats):
-            complete(self, now, stats)
+        def checking(self, now):
+            advance_to(self, now)
             # work is (start, completion, ...): all of it is still queued,
             # in service or in transit
-            assert all(r[1] > now for r in self.work)
-            longest.append(len(self.work))
+            assert all(r[1] > now for inst in self.instances for r in inst.work)
+            longest.append(max(len(inst.work) for inst in self.instances))
 
-        monkeypatch.setattr(InstanceState, "complete", checking)
+        monkeypatch.setattr(Monitor, "advance_to", checking)
         m = run(self.traffic_config({"kind": "model_based", "n_instances": 8, "lb_ms": 8}))
         assert m.transmissions > 5_000
         assert longest and max(longest) * 100 < m.transmissions
