@@ -26,13 +26,14 @@ opening. Each window's queuing gains and peak are also accumulated per
 (event, window); they are all a run records of a window itself, whose extent
 is the splitter's and whose instance is its decision's.
 
-A batch, a maximal run of decisions for one instance, has its peaks measured
-by a :class:`BatchTracker`: the first maximal lambda_o and queue length over
-its span on its instance, the timestamps from its first decision's to its
-windows' last close. An event with no later event at its timestamp updates
-its instances' batches directly; the earlier ones there are folded per
-instance and handed over once, so a burst stays linear. Only the peaks and
-their timestamps are kept per batch; no pair is copied.
+A batch, a maximal run of decisions for one instance, is started only by a
+:class:`BatchTracker`, which records its first wid and measures its peaks:
+the first maximal lambda_o and queue length over its span on its instance,
+the timestamps from its first decision's to its windows' last close. An
+event with no later event at its timestamp updates its instances' batches
+directly; the earlier ones there are folded per instance and handed over
+once, so a burst stays linear. Only the first wid, the peaks and their
+timestamps are kept per batch; no pair is copied.
 
 A pair's queue length is one plus the number of events on its instance that
 start after its arrival: those queued or still in transit. It is measured
@@ -65,8 +66,8 @@ from array import array
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, groupby, islice
-from operator import add, attrgetter
+from itertools import chain, count, islice
+from operator import add, attrgetter, sub
 from typing import Iterator, NamedTuple, TYPE_CHECKING
 
 from .core import ConfigurationError, WindowDescriptor
@@ -247,15 +248,14 @@ class RunMetrics:
     The columns are the record of the run; nothing re-presents them per sample.
 
     Per window, indexed by wid: ``decisions`` holds its scheduling decision,
-    in scheduling order, from which :meth:`feedback_delays` derives the
-    batches; ``windows`` what the run measured of it; ``opened``, ``closed``
-    and ``close_ts`` the splitter's detection columns, its opening and
-    closing event's index and its close (None if it never closed).
+    in scheduling order; ``windows`` what the run measured of it; ``opened``,
+    ``closed`` and ``close_ts`` the splitter's detection columns, its opening
+    and closing event's index and its close (None if it never closed).
 
     Per batch, in batch order, the ``batch_*`` columns hold what a
-    :class:`BatchTracker` folded over its span on its instance, the
-    timestamps from its first decision's to its windows' last close: the
-    first maximal lambda_o and queue length and their timestamps.
+    :class:`BatchTracker` recorded: ``batch_start`` its first wid, and over
+    its span on its instance the first maximal lambda_o and queue length and
+    their timestamps.
     """
 
     instance: array = _column("q")
@@ -270,6 +270,7 @@ class RunMetrics:
     opened: array = _column("i")
     closed: array = _column("i")
     close_ts: list[int | None] = field(default_factory=list)
+    batch_start: array = _column("q")
     batch_lat_peak: array = _column("d")
     batch_lat_peak_ts: array = _column("q")
     batch_qlen_peak: array = _column("q")
@@ -296,30 +297,16 @@ class RunMetrics:
         return LambdaOValues(self.lambda_q, self.lambda_p, first)
 
     def feedback_delays(self) -> list[FeedbackDelay]:
-        """Per-batch feedback delays: the batches derived from ``decisions``
-        zipped with the peaks ``simulate`` measured for them. A batch is a
-        maximal run of consecutive ``windows`` on one instance; its id is the
-        run's index, and it was first decided when its first window opened."""
-        tss, opened = self.tx_ts, self.opened
-        out = []
-        batches = groupby(self.decisions, attrgetter("instance"))
-        peaks = zip(self.batch_lat_peak, self.batch_lat_peak_ts, self.batch_qlen_peak, self.batch_qlen_peak_ts)
-        for batch_id, ((instance, batch), (lat_peak, lat_ts, qlen_peak, qlen_ts)) in enumerate(zip(batches, peaks)):
-            first = next(batch).wid
-            first_decision_ts = tss[opened[first]]
-            out.append(
-                FeedbackDelay(
-                    batch_id,
-                    instance,
-                    first_decision_ts,
-                    1 + sum(1 for _ in batch),
-                    lat_peak,
-                    float(lat_ts - first_decision_ts),
-                    qlen_peak,
-                    float(qlen_ts - first_decision_ts),
-                )
-            )
-        return out
+        """Per-batch feedback delays: a batch's id is its index, its windows run from its
+        ``batch_start`` to the next one's, its instance is its first decision's, and it was
+        first decided when its first window opened."""
+        starts, decisions = self.batch_start, self.decisions
+        first_ts = list(map(self.tx_ts.__getitem__, map(self.opened.__getitem__, starts)))
+        instances = map(attrgetter("instance"), map(decisions.__getitem__, starts))
+        n_windows = map(sub, chain(islice(starts, 1, None), (len(decisions),)), starts)
+        return list(map(FeedbackDelay, count(), instances, first_ts, n_windows,
+                        self.batch_lat_peak, map(float, map(sub, self.batch_lat_peak_ts, first_ts)),
+                        self.batch_qlen_peak, map(float, map(sub, self.batch_qlen_peak_ts, first_ts))))
 
 
 class LambdaOValues:
@@ -343,17 +330,19 @@ class LambdaOValues:
 
 
 class BatchTracker:
-    """The batches of a run, whose ``batch_*`` columns of ``metrics`` it alone
-    writes. Per instance, ``collecting`` holds the batches whose span may still hold a
-    later timestamp, each ``[end, lambda_o peak, its ts, queue-length peak, its ts, batch
-    id]``, and ``earliest_end`` the earliest end. ``simulate`` updates them with each pair
-    of an event with no later event at its timestamp, after ``retire`` once past
-    ``earliest_end``, as ``flush`` does. It folds the pairs of the earlier events there into
-    ``folds[idx]``, their instance's ``[idx, largest lambda_o, largest queue length]`` (None
-    before the first, then also in ``touched``), and ``flush`` hands each fold once to the
-    batches whose span holds that timestamp."""
+    """The batches of a run, whose ``batch_*`` columns of ``metrics`` it alone writes; only
+    :meth:`decide` starts one, at a decision for another instance than the last one's, its
+    first wid the count of decisions before. Per instance, ``collecting`` holds the batches
+    whose span may still hold a later timestamp, each ``[end, lambda_o peak, its ts,
+    queue-length peak, its ts, batch id]``, and ``earliest_end`` the earliest end.
+    ``simulate`` updates them with each pair of an event with no later event at its
+    timestamp, after ``retire`` once past ``earliest_end``, as ``flush`` does. It folds the
+    pairs of the earlier events there into ``folds[idx]``, their instance's ``[idx, largest
+    lambda_o, largest queue length]`` (None before the first, then also in ``touched``), and
+    ``flush`` hands each fold once to the batches whose span holds that timestamp."""
 
     def __init__(self, metrics: RunMetrics, n_instances: int):
+        self.starts, self.decided = metrics.batch_start, 0
         self.columns = (metrics.batch_lat_peak, metrics.batch_lat_peak_ts,
                         metrics.batch_qlen_peak, metrics.batch_qlen_peak_ts)
         self.collecting: list[list[list]] = [[] for _ in range(n_instances)]
@@ -376,12 +365,14 @@ class BatchTracker:
                 latest[1:5] = self.checkpoint
                 self.collecting[self.instance].remove(latest)
                 self.store(latest)
-            latest = self.latest = [end, -1.0, now, 0, 0, len(self.columns[0])]
+            latest = self.latest = [end, -1.0, now, 0, 0, len(self.starts)]
+            self.starts.append(self.decided)
             self.instance = idx
             self.collecting[idx].append(latest)
             for column in self.columns:
                 column.append(0)
         self.checkpoint = None
+        self.decided += 1
         self.earliest_end[idx] = min(self.earliest_end[idx], latest[0])
 
     def flush(self, now: int) -> None:

@@ -269,6 +269,9 @@ class WorkloadConfig:
         if not self.cost_jitter_sigma >= 0:
             raise ConfigurationError(f"workload.cost_jitter_sigma must be >= 0, got {self.cost_jitter_sigma}")
         self.cost.validate()
+        if self.cost_jitter_sigma > 0 and self.cost.kind != "custom_table":  # no other cost reads the hint
+            raise ConfigurationError(
+                f"workload.cost_jitter_sigma > 0 needs workload.cost.kind custom_table, got {self.cost.kind!r}")
 
 
 def _arrival_times(profile: IatProfile, rng: random.Random, duration_ms: float) -> list[float]:

@@ -286,6 +286,11 @@ class TestConfigErrors:
             ({"workload.iat": {"kind": "burst", "burst_size": 0, "intra_gap_ms": 1, "inter_gap_ms": 50}},
              "workload.iat.burst_size must be >= 1"),
             ({"workload.type_mix": {"A": 1.5, "B": -0.5}}, "workload.type_mix probabilities must be >= 0"),
+            # only a custom_table cost reads the hint a jitter draws per event
+            ({"workload.cost_jitter_sigma": 0.3},
+             "workload.cost_jitter_sigma > 0 needs workload.cost.kind custom_table, got 'flat_per_type'"),
+            ({"workload.cost_jitter_sigma": 0.3, "workload.cost.kind": "equi_join"},
+             "workload.cost_jitter_sigma > 0 needs workload.cost.kind custom_table, got 'equi_join'"),
             # a timestamp is an int64 of ms: a stream that could reach 2**63
             # ended in an OverflowError when the splitter read its timestamps
             ({**TRAFFIC, "workload.scope": {"ws_min_ms": 1e19, "ws_max_ms": 2e19}},

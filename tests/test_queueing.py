@@ -22,7 +22,8 @@ import pytest
 from cepsim import runtime
 from cepsim.cli import build_experiment
 from cepsim.runtime import InstanceState, run
-from cepsim.workload import generate_stream
+from cepsim.workload import (BurstIat, ConstantIat, CostModel, ExponentialIat, ScopeProfile, SinusoidalExponentialIat,
+                             WorkloadConfig, generate_stream)
 from oracles import pair_rows, per_pair
 
 
@@ -237,3 +238,108 @@ def test_md1_overload_wait_grows_at_rho_minus_one():
     assert span > 0.98 * duration_ms
     slope_sd = cost_ms * math.sqrt(span / mean_gap_ms) / span
     assert abs((q1 - q0) / span - (rho - 1)) < 4 * slope_sd
+
+
+
+# Arrival profiles against their closed forms: each profile is generated as
+# a stream of one event type over [0, duration_ms], its first event at 0.
+
+
+def arrival_times(iat, duration_ms, seed=0):
+    """The timestamps of a custom stream of one type with arrival profile ``iat``."""
+    workload = WorkloadConfig("custom", duration_ms, iat, ScopeProfile(ws_ms=1.0), type_mix={"A": 1.0},
+                              cost=CostModel("flat_per_type", {"A": 0.0}))
+    return [e.ts for e in generate_stream(workload, seed)]
+
+
+@pytest.mark.parametrize("gap_ms, duration_ms", [(2.5, 10_000), (2.5, 10_001), (7, 9_999)])
+def test_constant_profile_has_one_event_per_gap(gap_ms, duration_ms):
+    # an event at 0 and at each whole gap up to and including duration_ms
+    assert len(arrival_times(ConstantIat(gap_ms), duration_ms)) == duration_ms // gap_ms + 1
+
+
+@pytest.mark.parametrize("size, intra_ms, inter_ms, duration_ms", [(5, 3, 91, 10_000), (4, 10, 1970, 8_000),
+                                                                   (3, 0, 50, 1_000)])
+def test_burst_profile_event_count(size, intra_ms, inter_ms, duration_ms):
+    # burst k starts at k * period, period = (size - 1) * intra + inter, and
+    # its j-th event is j * intra later; the last burst may be cut short
+    period = (size - 1) * intra_ms + inter_ms
+    starts = range(0, duration_ms + 1, period)
+    expected = sum(size if intra_ms == 0 else min(size, (duration_ms - s) // intra_ms + 1) for s in starts)
+    times = arrival_times(BurstIat(size, intra_ms, inter_ms), duration_ms)
+    assert len(times) == expected
+    assert times[:size + 1] == [j * intra_ms for j in range(size)] + [period]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_exponential_profile_mean_gap(seed):
+    # Poisson arrivals: the mean gap is mu_ms, within four standard errors
+    # from 20 batch means. Rounding to whole ms moves a batch's summed gaps by
+    # under 1 ms, far below the tolerance
+    mu_ms = 10.0
+    times = arrival_times(ExponentialIat(mu_ms), 200_000, seed)
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    assert len(gaps) > 19_000
+    mean, tolerance = batch_means_bound(gaps)
+    assert tolerance < 0.04 * mu_ms
+    assert abs(mean - mu_ms) < tolerance
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sinusoidal_profile_events_per_period(seed):
+    # A mean gap m(t) = mid + amp sin(2 pi t / period) gives rate 1 / m(t),
+    # period / sqrt(mid^2 - amp^2) events per period: the traffic workloads'
+    # 100-1,000 ms profile has one event per 316.2 ms. The generator draws
+    # each gap with the mean at the previous event's time t, not over the
+    # gap, so the gap covers 1 - m'(t) + 2 m'^2 - m m'' units of the rate's
+    # integral on average, to second order. At events, spread with density
+    # about (1 + m') / m, the m' and m m'' terms integrate to 0 over a period,
+    # and the count falls short by the mean of m'^2 under 1 / m: less than
+    # (2 pi amp / period)^2 = 0.22% here. The tolerance is that bias plus
+    # four standard errors from 20 batch means, each of three whole periods.
+    # A Poisson count of 190 per period puts those four errors near 7.1, 3.7%
+    # of the count; 20 batches estimate them within about 30%, so 6% only
+    # checks that the tolerance stays that tight
+    lo, hi, period_ms, periods = 100, 1000, 60_000, 60
+    mid, amp = (lo + hi) / 2, (hi - lo) / 2
+    expected = period_ms / math.sqrt(mid * mid - amp * amp)
+    assert period_ms / expected == pytest.approx(316.2, abs=0.05)
+    times = arrival_times(SinusoidalExponentialIat(lo, hi, period_ms), periods * period_ms - 1, seed)
+    per_period = [0] * periods
+    for ts in times:
+        per_period[ts // period_ms] += 1
+    mean, tolerance = batch_means_bound(per_period)
+    bias = (2 * math.pi * amp / period_ms) ** 2 * expected
+    assert tolerance < 0.06 * expected
+    assert abs(mean - expected) < tolerance + bias
+
+
+def test_a_poisson_stream_leaves_out_the_events_just_before_its_openers():
+    # Two tie rules leave face events in no window. Events are ordered by
+    # their raw times, then rounded to whole ms, and an event at an opener's
+    # raw time comes before it. So the face events in the half ms before an
+    # opener share its ms but come before it, and are in no window (see the
+    # constant-gap case above); on a Poisson stream of mean gap mu there are
+    # about 1 / (2 mu) of them per opener but the one at 0. And a window
+    # closes at its first event at or past its close, so the others at its
+    # close's ms are in no window either: max(0, K - 1) per close on
+    # average, K the Poisson count of mean 1 / mu in that ms. Each is within
+    # four standard deviations of its closed form
+    mu_ms, duration_ms = 2.0, 200_000
+    cfg = face_experiment({"kind": "exponential", "mu_ms": mu_ms}, 0.5, duration_ms, seed=3)
+    events = generate_stream(cfg.workload, cfg.seed)
+    m = run(cfg)
+    opener_at = {e.ts: i for i, e in enumerate(events) if e.etype == "query"}
+    closes = {ts + 999 for ts in opener_at if ts + 999 <= duration_ms}
+    assert len(opener_at) == duration_ms // 1000 + 1 == len(closes) + 1
+    face = [(i, e.ts, n) for i, (e, n) in enumerate(zip(events, m.tx_instances)) if e.etype == "face"]
+    before_opener = [n for i, ts, n in face if i < opener_at.get(ts, -1)]
+    after_first_at_close = [n for i, ts, n in face if ts in closes and events[i - 1].ts == ts]
+    assert not any(before_opener) and not any(after_first_at_close)
+    assert sum(not n for *_, n in face) == len(before_opener) + len(after_first_at_close)
+    rate = 1 / mu_ms
+    expected = (len(opener_at) - 1) * rate / 2
+    assert abs(len(before_opener) - expected) < 4 * math.sqrt(expected)
+    beyond = rate - 1 + math.exp(-rate)  # E max(0, K - 1)
+    variance = rate * rate - rate + 1 - math.exp(-rate) - beyond * beyond
+    assert abs(len(after_first_at_close) - len(closes) * beyond) < 4 * math.sqrt(len(closes) * variance)

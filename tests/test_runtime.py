@@ -969,7 +969,7 @@ class TestColumnStorage:
         # batches' peaks; the rest are per event and per window
         pair_columns = ["instance", "lambda_q", "lambda_p"]
         per_event = ["tx_seq", "tx_ts", "tx_members", "tx_instances"]
-        per_batch = ["batch_lat_peak", "batch_lat_peak_ts", "batch_qlen_peak", "batch_qlen_peak_ts"]
+        per_batch = ["batch_start", "batch_lat_peak", "batch_lat_peak_ts", "batch_qlen_peak", "batch_qlen_peak_ts"]
         arrays = [f.name for f in fields(m) if isinstance(getattr(m, f.name), array)]
         assert arrays == pair_columns + per_event + ["opened", "closed"] + per_batch
         assert len(m.opened) == len(m.closed) == len(m.decisions) < len(m.tx_seq)

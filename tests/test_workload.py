@@ -113,7 +113,8 @@ class TestGenerateStream:
         assert prof.mu_at(45_000.0) == pytest.approx(200.0)
 
     def test_jitter_hints_seeded_and_mean_one(self):
-        cfg = custom_cfg(iat=ConstantIat(1.0), duration_ms=20_000.0, cost_jitter_sigma=0.3)
+        cfg = custom_cfg(iat=ConstantIat(1.0), duration_ms=20_000.0, cost_jitter_sigma=0.3,
+                         cost=CostModel("custom_table", {"A": 1.0, "open": 0.0}))
         events = generate_stream(cfg, 42)
         hints = [e.payload_cost_hint for e in events]
         assert all(h is not None and h > 0 for h in hints)
