@@ -8,7 +8,7 @@ import random
 import statistics
 import time
 
-from .core import Event
+from .core import ConfigurationError, Event
 from .latency_model import ModelParams, compile_model, predict
 from .splitter import StreamStats, StreamStatsSnapshot
 
@@ -32,7 +32,7 @@ def _synthetic_snapshot(n_types: int, n_iat_bins: int, n_lat_bins: int) -> Strea
             e = Event(first_seq + i, ts, etypes[i % n_types])
             stats.observe_event(e, prev)
             prev = ts
-            stats.observe_latency(e.etype, rng.uniform(1.0, 10.0) * (1 + i % n_types))
+            stats.observe_latency(e.etype, [rng.uniform(1.0, 10.0) * (1 + i % n_types)])
         snapshot = stats.end_monitoring_window()
     return snapshot
 
@@ -41,11 +41,16 @@ def bench_decision_ms(total_bins: int = 32, calls: int = 2001) -> tuple[float, f
     """Model-based decision times in ms with ``total_bins`` bins, as the
     median of the first decision after each compile (it includes the
     compile) and the median of the later ones. The snapshot is compiled
-    afresh every 20 calls."""
+    afresh every 20 calls. ``total_bins`` that give more latency bins than
+    a config may have are rejected before anything is measured."""
     n_types = 3
     n_lat_bins = max(1, (total_bins - 8) // n_types)
-    snapshot = _synthetic_snapshot(n_types, 8, n_lat_bins)
     params = ModelParams(n_iat_bins=8, n_lat_bins=n_lat_bins, delta_iat=0.5, delta_lp=0.5)
+    try:
+        params.validate()
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"--bins {total_bins} is too large: {exc}") from None
+    snapshot = _synthetic_snapshot(n_types, 8, n_lat_bins)
     queued = {"T0": 3, "T1": 2, "T2": 1}
     cold, warm = [], []
     for i in range(calls):
@@ -70,7 +75,7 @@ def bench_stats_update_s(entries: int) -> float:
         ts += gaps[i]
         stats.observe_event(Event(i, ts, "T0"), prev)
         prev = ts
-        stats.observe_latency("T0", lats[i])
+        stats.observe_latency("T0", [lats[i]])
     stats.end_monitoring_window()
     return time.perf_counter() - t0
 

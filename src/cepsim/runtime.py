@@ -19,7 +19,8 @@ observations. Each event type is priced once per run, by
 that carries a payload cost hint is priced on its own, and an event no
 instance receives is not priced. A cost that is the same in every window is
 charged once per (event, instance), its sum is a memoised repeated addition
-and its observations are one run of equal values. Only a cost that reads the
+and its observations are that many copies of it, binned once at the freeze
+when all of its type's latencies are equal. Only a cost that reads the
 window's state is charged per (event, window), in wid order, from one count:
 the stream-wide count of the type it reads less that count at the window's
 opening. Each window's queuing gains and peak are also accumulated per
@@ -131,12 +132,11 @@ class InstanceState:
 
     ``work`` holds in-flight work, and only for a controller that reads the
     snapshot or the reports: one ``(start, completion, arrival, etype,
-    n_windows, lambda_o, latencies, run)`` tuple per processed event that
-    the :class:`Monitor` has not retired as completed, in processing order,
-    so starts, completions and arrivals all go up along it. ``latencies`` is
-    a list of in-window latencies with ``run`` None, or one latency shared by
-    ``run`` windows; only a read snapshot observes them, so without one the
-    list is None.
+    n_windows, lambda_o, latencies)`` tuple per processed event that the
+    :class:`Monitor` has not retired as completed, in processing order, so
+    starts, completions and arrivals all go up along it. ``latencies`` is
+    the list of its in-window latencies, in wid order; only a read snapshot
+    observes them, so without one it is None.
     """
 
     busy_until: float = 0.0
@@ -193,13 +193,9 @@ class Monitor:
             for inst in instances:
                 work = inst.work
                 while work and work[0][1] <= t:
-                    _, _, _, etype, _, inst.last_lambda_o, lams, run = work.popleft()
-                    if stats is None:
-                        continue
-                    if run is None:
-                        stats.observe_latencies(etype, lams)
-                    else:
-                        stats.observe_latency(etype, lams, run)
+                    _, _, _, etype, _, inst.last_lambda_o, lams = work.popleft()
+                    if stats is not None:
+                        stats.observe_latency(etype, lams)
             if t == self.next_freeze:
                 stats.end_monitoring_window()
                 self.next_freeze += self.sim.mtime_ms
@@ -547,7 +543,7 @@ def simulate(
             start = arrival + lambda_q
             if incr is not None:
                 # the latencies are kept only to be observed
-                lams, run = [] if stats is not None else None, None
+                lams = [] if stats is not None else None
                 lambda_p = 0.0
                 for wid in open_windows:
                     c = base + incr * (counted - counted_at_open[wid])
@@ -561,7 +557,7 @@ def simulate(
                 while len(sums) <= k:
                     sums.append(sums[-1] + base)
                 lambda_p = sums[k]
-                lams, run = base, k
+                lams = [base] * k if stats is not None else None
             completion = start + lambda_p
             inst.busy_until = completion
             pending.append(start)
@@ -596,7 +592,7 @@ def simulate(
                         fold[2] = queue_len
 
             if monitor.keeps_work:
-                inst.work.append((start, completion, arrival, etype, k, lambda_o, lams, run))
+                inst.work.append((start, completion, arrival, etype, k, lambda_o, lams))
             add_lambda_q(lambda_q)
             add_lambda_p(lambda_p)
         add_tx_members(len(memberships))

@@ -20,7 +20,7 @@ from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from itertools import chain, count, repeat
+from itertools import count
 from operator import attrgetter
 from typing import KeysView, Mapping, NamedTuple, Sequence
 
@@ -74,7 +74,6 @@ def _bin_values(
     values: Sequence[float],
     n_bins: int,
     vrange: tuple[float, float] | None,
-    counts: Sequence[int] | None = None,
 ) -> tuple[tuple[BinStat, ...], PopulationStat]:
     """Bin ``values`` into ``n_bins`` equal-width bins over ``vrange``.
 
@@ -83,25 +82,19 @@ def _bin_values(
     population moments of the values. Each bin's mean is Welford's running
     mean, updated one value at a time in value order.
 
-    ``counts``, when given, holds the length of each value's run: the value
-    occurs that many times in a row. The result is that of the expanded
-    values. Runs that all repeat one finite value are never expanded: that
-    value is binned once and counts n times. Other runs are expanded.
+    Values that all equal the first, with a finite total, are binned once
+    and count n times: the result is that of the n values.
     """
     vmin = min(values)
     vmax = max(values)
+    v, n = values[0], len(values)
     each = 1  # how many times each of ``values`` counts
-    if counts is not None:
-        v, n = values[0], sum(counts)
-        # fsum of n copies of v is the product n * v, rounded once, and
-        # that is fsum([v]) * n: fsum turns -0.0 into 0.0, as it does for
-        # the copies. Past the float range the copies are expanded, and
-        # fsum of them raises or gives inf
-        if values.count(v) == len(values) and math.isfinite(v * n):
-            values, each = values[:1], n
-        else:
-            values = list(chain.from_iterable(map(repeat, values, counts)))
-    n = len(values) * each
+    # fsum of n copies of v is the product n * v, rounded once, and that is
+    # fsum([v]) * n: fsum turns -0.0 into 0.0, as it does for the copies.
+    # Equal values share a bin, whose mean is v after the first Welford step.
+    # Past the float range fsum of the n values raises or gives inf
+    if values.count(v) == n and math.isfinite(v * n):
+        values, each = values[:1], n
     mean = math.fsum(values) * each / n
     var = math.fsum([(v - mean) ** 2 for v in values]) * each / n
     pop = PopulationStat(n, mean, math.sqrt(var), vmin, vmax)
@@ -121,10 +114,6 @@ def _bin_values(
     stats = []
     for in_bin in members:
         count = len(in_bin) * each
-        if count and min(in_bin) == max(in_bin):
-            # after the first step the mean equals every value, so each
-            # further step leaves it as it is
-            in_bin = in_bin[:1]
         k = 0
         b_mean = 0.0
         for x in in_bin:
@@ -169,9 +158,8 @@ class StreamStats:
 
     def _reset_window(self) -> None:
         self._iats: list[float] = []
-        # per type: in-window latencies and the length of each one's run;
-        # a type's lists are made on its first observation only
-        self._lats: defaultdict[str, tuple[list[float], list[int]]] = defaultdict(lambda: ([], []))
+        # per type: in-window latencies, a type's list made on its first observation only
+        self._lats: defaultdict[str, list[float]] = defaultdict(list)
         self._type_counts: dict[str, int] = {}
         self._ws_sum = 0.0
         self._ws_n = 0
@@ -208,18 +196,11 @@ class StreamStats:
             self._c_trans += 1
         self._last_group = group
 
-    def observe_latency(self, etype: str, lambda_p_w: float, count: int = 1) -> None:
-        """Record one reported in-window processing latency for a type,
-        ``count`` times in a row."""
-        values, counts = self._lats[etype]
-        values.append(lambda_p_w)
-        counts.append(count)
-
-    def observe_latencies(self, etype: str, lambda_p_ws: Sequence[float]) -> None:
-        """Record reported in-window processing latencies for a type, in order."""
-        values, counts = self._lats[etype]
-        values.extend(lambda_p_ws)
-        counts.extend(repeat(1, len(lambda_p_ws)))
+    def observe_latency(self, etype: str, lambda_p_ws: Sequence[float]) -> None:
+        """Record reported in-window processing latencies for a type, in order;
+        an empty list records nothing."""
+        if lambda_p_ws:
+            self._lats[etype].extend(lambda_p_ws)
 
     def observe_window_opened(self, open_ts: float) -> None:
         if self._last_open_ts is not None:
@@ -257,9 +238,8 @@ class StreamStats:
 
         lat_bins: dict[str, tuple[BinStat, ...]] = dict(prev.lat_bins)
         lat_pop: dict[str, PopulationStat] = dict(prev.lat_pop)
-        for etype, (values, counts) in self._lats.items():
-            runs = counts if len(counts) != sum(counts) else None
-            bins, pop = _bin_values(values, self.n_lat_bins, self._lat_ranges.get(etype), runs)
+        for etype, values in self._lats.items():
+            bins, pop = _bin_values(values, self.n_lat_bins, self._lat_ranges.get(etype))
             self._lat_ranges[etype] = (pop.lo, pop.hi)
             lat_bins[etype] = bins
             lat_pop[etype] = pop

@@ -40,8 +40,7 @@ def feed_window(
         stats.observe_event(Event(seq, int(ts), names[(i + 1) % len(names)]), int(prev))
         prev = ts
     for etype, values in lats.items():
-        for v in values:
-            stats.observe_latency(etype, v)
+        stats.observe_latency(etype, values)
     last_open = None
     for gap in open_gaps or []:
         t = gap if last_open is None else last_open + gap

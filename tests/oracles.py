@@ -32,7 +32,7 @@ from cepsim.latency_model import (
 )
 from cepsim.runtime import FeedbackDelay
 from cepsim.scheduler import InstanceView
-from cepsim.splitter import StreamStats, StreamStatsSnapshot, TimeWindowPolicy
+from cepsim.splitter import BinStat, PopulationStat, StreamStats, StreamStatsSnapshot, TimeWindowPolicy
 
 
 @dataclass
@@ -45,6 +45,27 @@ class Bin:
     def add(self, x: float) -> None:
         self.count += 1
         self.mean += (x - self.mean) / self.count
+
+
+def reference_bin_values(
+    values: Sequence[float], n_bins: int, vrange: tuple[float, float] | None
+) -> tuple[tuple[BinStat, ...], PopulationStat]:
+    """:func:`cepsim.splitter._bin_values` with no shortcut: the population
+    moments are fsum's over every value, and each bin takes one Welford step
+    per value, in value order."""
+    vmin, vmax, n = min(values), max(values), len(values)
+    mean = math.fsum(values) / n
+    var = math.fsum([(v - mean) ** 2 for v in values]) / n
+    pop = PopulationStat(n, mean, math.sqrt(var), vmin, vmax)
+    lo, hi = vrange if vrange is not None else (vmin, vmax)
+    width = (hi - lo) / n_bins
+    bins = [Bin() for _ in range(n_bins)]
+    last = n_bins - 1
+    for v in values:
+        x = (v - lo) / width if width > 0 and n_bins > 1 else 0.0
+        # compared before int(), which cannot take the +-inf of a far value under a subnormal width
+        bins[last if x >= last else int(x) if x > 0 else 0].add(v)
+    return tuple(BinStat(b.count, b.mean, b.count / n) for b in bins), pop
 
 
 def pair_bins(
@@ -322,7 +343,7 @@ def reference_monitor_log(rows, n, reads_snapshot, reads_reports, mtime_ms, feed
     loop has been advanced to ``ts``: so only the instants and events after
     it see it. Per instance, starts, completions and arrivals never go
     down. The log has, in order:
-    - ``("observe", etype, latencies, run)`` of each piece of work the first
+    - ``("observe", etype, latencies)`` of each piece of work the first
       time an instant or an event sees it completed, instances ascending;
     - ``("freeze",)`` at each ``k * mtime_ms`` up to the last event;
     - ``("report", t, instance, report)`` at each ``k * feedback_interval``
@@ -353,7 +374,7 @@ def reference_monitor_log(rows, n, reads_snapshot, reads_reports, mtime_ms, feed
                 if idx == inst and k not in observed and work[1] <= now:
                     observed.add(k)
                     if reads_snapshot:
-                        log.append(("observe", work[3], work[6], work[7]))
+                        log.append(("observe", work[3], work[6]))
 
     fired = 0
     for ts, event_work in rows:

@@ -791,6 +791,14 @@ class TestBench:
         out = capsys.readouterr().out
         assert "median" in out and "ratio" in out
 
+    @pytest.mark.parametrize("bins", ["3083", "1000000000"])
+    def test_bench_rejects_bins_past_the_bin_cap(self, capsys, bins):
+        # (3083 - 8) // 3 = 1025 latency bins per type, one past MAX_BINS:
+        # rejected before anything is measured
+        assert main(["bench-scheduling-latency", "--bins", bins, "--entries", "20000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"--bins {bins}" in err and "Traceback" not in err
+
     def test_importing_the_driver_loads_no_benchmark_and_no_argument_parser(self):
         # `cepsim run` and a library caller import cepsim.cli; the benchmark
         # and what it imports (statistics, then fractions and decimal), and

@@ -225,6 +225,23 @@ def test_dd1_overload_wait_grows_at_rho_minus_one():
     assert [q for _, q in rest] == pytest.approx([(12.0 / 10 - 1) * (ts - ts0) for ts, _ in rest], rel=1e-12)
 
 
+def test_dd1_overload_queue_length_leaves_out_a_start_at_its_arrival():
+    # D/D/1 at rho = 1.2 in one window: the k-th routed face event arrives at
+    # 10k ms and starts at 12k - 2, so it finds ahead of it the faces j < k
+    # with 12j - 2 > 10k; the one that starts at its arrival, at every
+    # k = 1 mod 6 from 7 on, is not queued. Its queue length is
+    # k - (10k + 2) // 12 from k = 2 on. The run's one batch spans every
+    # pair, so its queue-length peak is the largest, first reached at 19,940
+    # ms, and its lambda_o peak the last face's wait 2k - 2 plus D
+    m = face_run({"kind": "constant", "mu_ms": 10}, 12.0, 19_990, one_window=True)
+    ks = range(1, 2000)
+    assert sum((10 * k + 2) % 12 == 0 for k in ks[1:]) == 333  # a start at a later arrival
+    assert face_queue_lengths(m) == [max(1, k - (10 * k + 2) // 12) for k in ks]
+    [fd] = m.feedback_delays()
+    assert (fd.qlen_peak, fd.qlen_peak_delay_ms) == (333, 19_940.0)
+    assert (fd.lat_peak, fd.lat_peak_delay_ms) == (2 * 1999 - 2 + 12.0, 19_990.0)
+
+
 def test_md1_overload_wait_grows_at_rho_minus_one():
     # M/D/1 at rho = 1.2 in one window: the server never idles once the
     # backlog has built, so the wait grows by D per arrival, less the time

@@ -431,11 +431,11 @@ def test_skipping_unread_inputs_changes_nothing(w):
 
 def test_report_counts_event_queued_behind_a_later_arrival():
     # work is (start, completion, arrival, etype, n_windows, lambda_o,
-    # latencies, run): A runs from 0 to 10, so none is retired at 5, X
+    # latencies): A runs from 0 to 10, so none is retired at 5, X
     # arrived at 2 and waits for it, and Y, sent before t=5, arrives at 12
     inst = InstanceState()
-    inst.work += [(0.0, 10.0, 0.0, "A", 1, 10.0, 10.0, 1), (10.0, 11.0, 2.0, "X", 1, 9.0, 1.0, 1),
-                  (12.0, 13.0, 12.0, "Y", 1, 1.0, 1.0, 1)]
+    inst.work += [(0.0, 10.0, 0.0, "A", 1, 10.0, [10.0]), (10.0, 11.0, 2.0, "X", 1, 9.0, [1.0]),
+                  (12.0, 13.0, 12.0, "Y", 1, 1.0, [1.0])]
     assert inst.make_feedback(5.0)[0] == {"X": 1}
 
 

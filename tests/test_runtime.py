@@ -618,8 +618,8 @@ def monitored_runs(draw):
     ``(ts, [(instance, work)])`` with its work on distinct instances,
     ascending, as ``InstanceState.work`` keeps it. Each instance is a FIFO
     queue: work arrives a fixed delay after its timestamp and starts at its
-    arrival or at the previous completion there. An A's latencies are one
-    value shared by its windows, a B's a list."""
+    arrival or at the previous completion there. Its latencies are a list,
+    one per member window."""
     n = draw(st.integers(1, 3))
     reads_snapshot, reads_reports = draw(st.sampled_from([(True, True), (True, False), (False, True)]))
     sim = SimConfig(mtime_ms=draw(st.sampled_from(INTERVALS)), feedback_interval_ms=draw(st.sampled_from(INTERVALS)),
@@ -637,8 +637,7 @@ def monitored_runs(draw):
             arrival = ts + transfer_ms
             start = max(arrival, busy_until[idx])
             busy_until[idx] = completion = start + cost
-            lams, run_ = (cost / k, k) if etype == "A" else ([cost / k] * k, None)
-            row.append((idx, (start, completion, arrival, etype, k, completion - arrival, lams, run_)))
+            row.append((idx, (start, completion, arrival, etype, k, completion - arrival, [cost / k] * k)))
         rows.append((ts, row))
     return n, reads_snapshot, reads_reports, sim, rows
 
@@ -649,11 +648,8 @@ class LoggedStats:
     def __init__(self, log):
         self.log = log
 
-    def observe_latency(self, etype, latency, run):
-        self.log.append(("observe", etype, latency, run))
-
-    def observe_latencies(self, etype, latencies):
-        self.log.append(("observe", etype, latencies, None))
+    def observe_latency(self, etype, latencies):
+        self.log.append(("observe", etype, latencies))
 
     def end_monitoring_window(self):
         self.log.append(("freeze",))
@@ -694,7 +690,7 @@ def monitored(n, reads_snapshot, reads_reports, sim, rows):
 @given(monitored_runs())
 # a freeze and a feedback instant tie at 2 with a completion; the report is due 1 ms later
 @example((1, True, True, SimConfig(mtime_ms=2, feedback_interval_ms=2, feedback_delivery_delay_ms=1.0),
-          [(0, [(0, (0.0, 2.0, 0.0, "A", 1, 2.0, 2.0, 1))]), (2, []), (3, [])]))
+          [(0, [(0, (0.0, 2.0, 0.0, "A", 1, 2.0, [2.0]))]), (2, []), (3, [])]))
 def test_monitor_matches_naive_loop(run_):
     n, reads_snapshot, reads_reports, sim, rows = run_
     assert monitored(n, reads_snapshot, reads_reports, sim, rows) == reference_monitor_log(

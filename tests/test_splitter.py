@@ -14,6 +14,7 @@ from cepsim.latency_model import ModelParams
 from cepsim.runtime import SimConfig, simulate
 from cepsim.scheduler import SchedulerConfig, make_scheduler
 from cepsim.splitter import (
+    EMPTY_SNAPSHOT,
     BinStat,
     KeyedAperiodicPolicy,
     PopulationStat,
@@ -25,7 +26,7 @@ from cepsim.splitter import (
 )
 from cepsim.workload import CostModel
 from conftest import feed_window, snapshot_from
-from oracles import Bin, PerEventSplitter, per_event_windows
+from oracles import Bin, PerEventSplitter, per_event_windows, reference_bin_values
 
 
 def ev(seq, ts, etype="A", key=None):
@@ -131,17 +132,19 @@ def expanded(values, counts):
     return [v for v, c in zip(values, counts) for _ in range(c)]
 
 
-def assert_runs_bin_like_expanded(values, counts, n_bins, vrange):
-    stats, pop = _bin_values(values, n_bins, vrange, counts)
-    want_stats, want_pop = _bin_values(expanded(values, counts), n_bins, vrange)
+def assert_runs_bin_like_reference(values, counts, n_bins, vrange):
+    flat = expanded(values, counts)
+    stats, pop = _bin_values(flat, n_bins, vrange)
+    want_stats, want_pop = reference_bin_values(flat, n_bins, vrange)
     assert float_bits(stats) == float_bits(want_stats)
     assert float_bits([pop]) == float_bits([want_pop])
 
 
 class TestBinRuns:
-    """A run (value, k) bins exactly like k copies of the value."""
+    """Runs of equal values, among others or alone, bin as the reference
+    does with no shortcut: values that are all equal are binned once."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
     @given(binning_inputs(), st.data())
     def test_runs_equal_expanded_values(self, args, data):
         values, n_bins, vrange = args
@@ -149,7 +152,7 @@ class TestBinRuns:
         zeros = data.draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=5))
         values = data.draw(st.sampled_from([values + zeros, zeros or values]))
         counts = data.draw(st.lists(st.integers(1, 5), min_size=len(values), max_size=len(values)))
-        assert_runs_bin_like_expanded(values, counts, n_bins, vrange)
+        assert_runs_bin_like_reference(values, counts, n_bins, vrange)
 
     @pytest.mark.parametrize(
         "values, counts, n_bins, vrange",
@@ -162,18 +165,14 @@ class TestBinRuns:
             ([-5.0, 0.5, 9.0, 0.5], [2, 1, 3, 2], 2, (0.0, 1.0)),  # clamped into the edge bins
             ([108.0, -108.0, 108.0], [2, 3, 1], 2, (0.0, 1.19e-306)),  # subnormal width
             ([0.1, 0.2, 1e16, 1.0, -1e16], [10, 3, 1, 1, 1], 2, None),  # cancellation
-            ([math.inf, 1.0], [2, 3], 2, None),  # not finite: fsum of the expanded values
+            ([math.inf, 1.0], [2, 3], 2, None),  # not finite: fsum of the values
+            ([math.inf], [3], 2, None),  # all equal, not finite
+            ([7.0], [50], 5, (3.0, 12.0)),  # inter-arrival gaps: whole ms, all equal, an inner bin
+            ([0.1], [3], 2, None),  # all equal, but their mean is not 0.1: a nonzero sigma
         ],
     )
     def test_runs_equal_expanded_examples(self, values, counts, n_bins, vrange):
-        assert_runs_bin_like_expanded(values, counts, n_bins, vrange)
-
-    def test_long_runs_sum_like_fsum(self):
-        values, counts = [0.1, 0.7, 0.1], [1_000_000, 3, 999]
-        _, pop = _bin_values(values, 2, None, counts)
-        n = sum(counts)
-        assert pop.count == n
-        assert repr(pop.mean) == repr(math.fsum(expanded(values, counts)) / n)
+        assert_runs_bin_like_reference(values, counts, n_bins, vrange)
 
     @pytest.mark.parametrize(
         "values, counts, vrange, occupied",
@@ -185,12 +184,11 @@ class TestBinRuns:
         ],
     )
     def test_one_value_runs_at_scale(self, values, counts, vrange, occupied):
-        # runs of one value, over 10**6 in all, are binned once: the moments
-        # are fsum's of the copies and the bins those of one Welford step
-        # per copy, bit for bit
+        # over 10**6 equal values are binned once: the moments are fsum's of
+        # the values and the bins those of one Welford step per value, bit for bit
         flat = expanded(values, counts)
         n = len(flat)
-        stats, pop = _bin_values(values, 4, vrange, counts)
+        stats, pop = _bin_values(flat, 4, vrange)
         mean = math.fsum(flat) / n
         sigma = math.sqrt(math.fsum([(v - mean) ** 2 for v in flat]) / n)
         assert float_bits([pop]) == float_bits([PopulationStat(n, mean, sigma, min(flat), max(flat))])
@@ -203,12 +201,23 @@ class TestBinRuns:
         for s in (singles, runs):
             s.observe_event(ev(0, 0), None)
         for v, k in [(0.02, 61), (0.005, 3), (0.02, 1), (0.3, 2)]:
-            runs.observe_latency("A", v, k)
+            runs.observe_latency("A", [v] * k)
             for _ in range(k):
-                singles.observe_latency("A", v)
-        runs.observe_latencies("A", [0.1, 0.02])
-        singles.observe_latencies("A", [0.1, 0.02])
+                singles.observe_latency("A", [v])
+        runs.observe_latency("A", [0.1, 0.02])
+        singles.observe_latency("A", [0.1])
+        singles.observe_latency("A", [0.02])
         assert runs.end_monitoring_window() == singles.end_monitoring_window()
+
+    def test_an_empty_list_observes_nothing(self):
+        stats = StreamStats(1, 1)
+        stats.observe_latency("A", [])
+        assert stats.end_monitoring_window() is EMPTY_SNAPSHOT
+        first = feed_window(stats, iats=[10], lats={"A": [1.0]})
+        stats.observe_latency("B", [])
+        again = feed_window(stats, iats=[20], lats={"A": [2.0]}, start_ts=100)
+        assert "B" not in again.lat_bins and "B" not in again.lat_pop
+        assert again.lat_pop["A"].mean == 2.0 and first.lat_pop["A"].mean == 1.0
 
 
 class TestFreeze:
